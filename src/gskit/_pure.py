@@ -6,8 +6,15 @@ propagation, specialized to the Gray-Scott kinetics and its two
 compactification charts.  gskit.kernels selects these only when the compiled
 twin in gskit._speedups is unavailable (or GSKIT_BACKEND=pure).
 
-Shared status codes: 0 ok, 1 max_steps exhausted, 2 step underflow,
-4 left the stop box.
+Shared status codes:
+
+- 0 ``OK``: reached t_end (integrate), or found the requested crossings or a
+  settled radius sequence (ray_crossings);
+- 1 ``MAX_STEPS``: the step budget, or for ray_crossings t_max, ran out;
+- 2 ``UNDERFLOW``: the step size fell below 1e-15 * max(1, |t|);
+- 4 ``BOX_EXIT``: the state left the box {x <= box_x, y <= box_y};
+- 8 ``CAPTURED``: ray_crossings only; the state entered a forward-invariant
+  box around the trivial node (1, 0) that the ray misses.
 """
 from __future__ import annotations
 
@@ -19,6 +26,13 @@ OK = 0
 MAX_STEPS = 1
 UNDERFLOW = 2
 BOX_EXIT = 4
+CAPTURED = 8
+
+# Node capture (ray_crossings): half-width in w = 1 - u of the invariant box
+# around (1, 0), and the share by which the box is grown for the ray test and
+# shrunk for the capture test.
+_CAPTURE_EPS = 0.5
+_CAPTURE_MARGIN = 0.1
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -146,7 +160,12 @@ class _Stepper:
                 ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
                 sx = atol + rtol * max(abs(x), abs(xn))
                 sy = atol + rtol * max(abs(y), abs(yn))
-                err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
+                try:
+                    err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
+                except OverflowError:
+                    # float ** overflows with an exception, not to inf; the
+                    # step is rejected either way
+                    err = math.inf
             guard_bad = (self.quadrant_guard and self.fid == FIELD_PLANE
                          and (xn < -self.atol or yn < -self.atol))
             if (err <= 1.0 and not guard_bad) or fixed:
@@ -229,20 +248,82 @@ def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
     return OK, st.t, st.x, st.y, ts, xs, ys
 
 
+def _node_box(k, F):
+    """Half-widths (eps, delta) of the box B = {|1-u| <= eps, 0 <= v <= delta}
+    around the trivial node; needs F > 0 and F + k > 0.
+
+    With w = 1 - u the plane field reads v' = v (u v - F - k) and
+    w' = u v^2 - F w.  On the face v = delta, u v <= (1 + eps) delta < F + k
+    gives v' < 0; on w = eps, u v^2 <= (1 - eps) delta^2 < F eps gives
+    w' < 0; on w = -eps, w' = u v^2 + F eps > 0; v = 0 is invariant.  So B is
+    forward-invariant, and delta takes 0.9 of the largest admissible value.
+    """
+    eps = _CAPTURE_EPS
+    delta = 0.9 * min((F + k) / (1.0 + eps), math.sqrt(F * eps / (1.0 - eps)))
+    return eps, delta
+
+
+def _ray_misses_box(cx, cy, dx, dy, s_min, xlo, xhi, ylo, yhi):
+    """Slab test: True when {(cx,cy) + s (dx,dy) : s > s_min} misses the box."""
+    lo, hi = s_min, math.inf
+    for c, d, blo, bhi in ((cx, dx, xlo, xhi), (cy, dy, ylo, yhi)):
+        if d == 0.0:
+            if not blo <= c <= bhi:
+                return True
+            continue
+        s1, s2 = (blo - c) / d, (bhi - c) / d
+        lo = max(lo, min(s1, s2))
+        hi = min(hi, max(s1, s2))
+        if lo > hi:
+            return True
+    return False
+
+
 def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
                   t_max, rtol, atol, max_step, s_min, t_min, time_sign,
-                  quadrant_guard, max_steps=20_000_000):
+                  quadrant_guard, max_steps=20_000_000, box_x=0.0, box_y=0.0,
+                  settle_tol=0.0):
     """Crossings of the ray {(cx,cy) + s (dx,dy) : s > s_min}.
 
     Integrates the plane field (reversed when time_sign=-1) and locates sign
     changes of g = dx*(y-cy) - dy*(x-cx) with the dense interpolant.  orient
     filters by crossing direction: +1 keeps g increasing, -1 decreasing,
     0 both.  Returns (status, hits) with hits a list of (t, s, x, y);
-    status OK means max_crossings were found.
+    status OK means max_crossings were found or the radii settled.
+
+    Three early stops end the integration once no further crossing can
+    matter; the hits found before the stop are exactly those found without it.
+
+    - Escape box (box_x > 0): BOX_EXIT once x > box_x or y > box_y after a
+      step, as in integrate.  In reversed time with v >= 0, S = u + v obeys
+      S' = F (S - 1) + k v >= F (S - 1), so once S > 1 it grows for ever;
+      and u < 0 gives u' = u v^2 + F (u - 1) < 0, so u stays negative.  A
+      section ray starts at an equilibrium, where v = F (1 - u) / (F + k)
+      gives S <= 1, so its first-quadrant points with s <= r_max <= 2.5
+      have S <= 1 + 2.5 sqrt 2 < 4.6.  After leaving the box (10, 10) the
+      reversed orbit therefore meets the ray only beyond r_max.
+    - Node capture (time_sign > 0, automatic): CAPTURED once the state lies
+      in the forward-invariant box B around (1, 0) of _node_box, shrunk by
+      _CAPTURE_MARGIN, provided the ray misses B grown by the same share.
+      The orbit then stays in B and never meets the ray again.
+    - Settled sequence (settle_tol > 0): OK once the newest three radii
+      r0, r1, r2 satisfy r2 < settle_tol, or |r2 - r1| < settle_tol *
+      max(1, r2) and |r1 - r0| < settle_tol * max(1, r1).  Every earlier
+      triple failed the same test, so a caller that stops at the first such
+      triple (dynamics._attractor_kind) sees the same triple.
     """
     st = _Stepper(FIELD_PLANE, float(time_sign), x0, y0, k, F, rtol, atol,
                   max_step, quadrant_guard)
     hits = []
+    capture = False
+    if time_sign > 0 and F > 0.0 and F + k > 0.0:
+        eps, delta = _node_box(k, F)
+        grow = 1.0 + _CAPTURE_MARGIN
+        capture = _ray_misses_box(cx, cy, dx, dy, s_min,
+                                  1.0 - grow * eps, 1.0 + grow * eps,
+                                  -_CAPTURE_MARGIN * delta, grow * delta)
+        eps_in = (1.0 - _CAPTURE_MARGIN) * eps
+        delta_in = (1.0 - _CAPTURE_MARGIN) * delta
 
     def g_of(x, y):
         return dx * (y - cy) - dy * (x - cx)
@@ -284,8 +365,18 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
                         hits.append((th_t, s, xh, yh))
                         if len(hits) >= max_crossings:
                             return OK, hits
+                        if settle_tol > 0.0 and len(hits) >= 3:
+                            r0, r1 = hits[-3][1], hits[-2][1]
+                            if s < settle_tol or (
+                                    abs(s - r1) < settle_tol * max(1.0, s)
+                                    and abs(r1 - r0) < settle_tol * max(1.0, r1)):
+                                return OK, hits
                 th_prev, gp = th, gn
         g_prev = g_now
+        if box_x > 0.0 and (st.x > box_x or st.y > box_y):
+            return BOX_EXIT, hits
+        if capture and abs(1.0 - st.x) <= eps_in and 0.0 <= st.y <= delta_in:
+            return CAPTURED, hits
         steps += 1
         if steps >= max_steps:
             return MAX_STEPS, hits

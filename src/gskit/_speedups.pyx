@@ -2,8 +2,12 @@
 """Compiled integration kernels: the hot inner loops of the toolkit.
 
 Mirrors gskit._pure exactly (Dormand-Prince 5(4) with FSAL, dense output,
-quadrant guard, ray-crossing location, variational propagation); see that
-module for the reference semantics and documentation.
+quadrant guard, ray-crossing location with its three early stops,
+variational propagation); see that module for the reference semantics and
+documentation.
+
+Status codes: 0 OK, 1 MAX_STEPS, 2 UNDERFLOW, 4 BOX_EXIT, 8 CAPTURED
+(ray_crossings only: inside the invariant box around the trivial node).
 """
 from libc.math cimport sqrt, fabs, fmin, fmax, INFINITY
 
@@ -13,6 +17,7 @@ OK = 0
 MAX_STEPS = 1
 UNDERFLOW = 2
 BOX_EXIT = 4
+CAPTURED = 8
 
 FIELD_PLANE = 0
 FIELD_CHART_U = 1
@@ -32,6 +37,10 @@ cdef double D4 = -10690763975.0/1880347072.0
 cdef double D5 = 701980252875.0/199316789632.0
 cdef double D6 = -1453857185.0/822651844.0
 cdef double D7 = 69997945.0/29380423.0
+
+# node capture: see _pure._CAPTURE_EPS and _pure._node_box
+cdef double CAPTURE_EPS = 0.5
+cdef double CAPTURE_MARGIN = 0.1
 
 
 cdef inline void c_field(int fid, double sgn, double x, double y, double k, double F,
@@ -208,11 +217,35 @@ def integrate(int fid, double x0, double y0, double k, double F, double t_end,
     return OK, st.t, st.x, st.y, ts, xs, ys
 
 
+cdef bint ray_misses_box(double cx, double cy, double dx, double dy,
+                         double s_min, double xlo, double xhi, double ylo,
+                         double yhi) nogil:
+    cdef double lo = s_min, hi = INFINITY, s1, s2
+    if dx == 0.0:
+        if not (xlo <= cx <= xhi):
+            return True
+    else:
+        s1 = (xlo - cx) / dx; s2 = (xhi - cx) / dx
+        lo = fmax(lo, fmin(s1, s2)); hi = fmin(hi, fmax(s1, s2))
+        if lo > hi:
+            return True
+    if dy == 0.0:
+        if not (ylo <= cy <= yhi):
+            return True
+    else:
+        s1 = (ylo - cy) / dy; s2 = (yhi - cy) / dy
+        lo = fmax(lo, fmin(s1, s2)); hi = fmin(hi, fmax(s1, s2))
+        if lo > hi:
+            return True
+    return False
+
+
 def ray_crossings(double x0, double y0, double k, double F, double cx, double cy,
                   double dx, double dy, int orient, int max_crossings,
                   double t_max, double rtol, double atol, double max_step,
                   double s_min, double t_min, double time_sign,
-                  bint quadrant_guard, long max_steps=20000000):
+                  bint quadrant_guard, long max_steps=20000000,
+                  double box_x=0.0, double box_y=0.0, double settle_tol=0.0):
     cdef StepState st
     st_init(&st, 0, time_sign, x0, y0, k, F, rtol, atol, max_step,
             quadrant_guard, 0.0, 0.0)
@@ -220,8 +253,19 @@ def ray_crossings(double x0, double y0, double k, double F, double cx, double cy
     cdef double g_prev = dx * (y0 - cy) - dy * (x0 - cx)
     cdef double g_now, th, th_prev, gp, gn, lo, hi, glo, mid, gm, thr
     cdef double xx, yy, xm, ym, xh, yh, th_t, s, fx, fy, gdot
+    cdef double r0, r1, eps = CAPTURE_EPS, delta, eps_in = 0.0, delta_in = 0.0
+    cdef bint capture = False
     cdef long steps = 0
-    cdef int status, i, j, nsub = 16
+    cdef int status, i, j, n, nsub = 16
+    if time_sign > 0 and F > 0.0 and F + k > 0.0:
+        delta = 0.9 * fmin((F + k) / (1.0 + eps), sqrt(F * eps / (1.0 - eps)))
+        capture = ray_misses_box(cx, cy, dx, dy, s_min,
+                                 1.0 - (1.0 + CAPTURE_MARGIN) * eps,
+                                 1.0 + (1.0 + CAPTURE_MARGIN) * eps,
+                                 -CAPTURE_MARGIN * delta,
+                                 (1.0 + CAPTURE_MARGIN) * delta)
+        eps_in = (1.0 - CAPTURE_MARGIN) * eps
+        delta_in = (1.0 - CAPTURE_MARGIN) * delta
     while st.t < t_max:
         status = st_advance(&st, t_max)
         if status != 0:
@@ -253,10 +297,23 @@ def ray_crossings(double x0, double y0, double k, double F, double cx, double cy
                     if (s > s_min and th_t >= t_min
                             and (orient == 0 or (gdot > 0) == (orient > 0))):
                         hits.append((th_t, s, xh, yh))
-                        if len(hits) >= max_crossings:
+                        n = len(hits)
+                        if n >= max_crossings:
                             return OK, hits
+                        if settle_tol > 0.0 and n >= 3:
+                            # explicit indices: wraparound is off
+                            r0 = hits[n - 3][1]; r1 = hits[n - 2][1]
+                            if s < settle_tol or (
+                                    fabs(s - r1) < settle_tol * fmax(1.0, s)
+                                    and fabs(r1 - r0) < settle_tol * fmax(1.0, r1)):
+                                return OK, hits
                 th_prev = th; gp = gn
         g_prev = g_now
+        if box_x > 0.0 and (st.x > box_x or st.y > box_y):
+            return BOX_EXIT, hits
+        if (capture and fabs(1.0 - st.x) <= eps_in
+                and 0.0 <= st.y <= delta_in):
+            return CAPTURED, hits
         steps += 1
         if steps >= max_steps:
             return MAX_STEPS, hits

@@ -65,14 +65,14 @@ class BatteryContext:
 
 def _c(number, title, checks, t0):
     return CriterionResult(number=number, title=title, checks=checks,
-                           elapsed=time.time() - t0)
+                           elapsed=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 
 def criterion_1(ctx: BatteryContext) -> CriterionResult:
     """Exact checkpoints in rational arithmetic, zero tolerance."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     f_bt = vector_field(bt.BT_POINT, bt.BT_PARAMS)
     jac = jacobian(bt.BT_POINT, bt.BT_PARAMS)
@@ -106,7 +106,7 @@ def criterion_1(ctx: BatteryContext) -> CriterionResult:
 
 def criterion_2(ctx: BatteryContext) -> CriterionResult:
     """Closed-form consistency at 1000 random samples, 1e-13."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
     checks = []
     worst_sn = 0.0
@@ -148,7 +148,7 @@ def criterion_2(ctx: BatteryContext) -> CriterionResult:
 
 def criterion_3(ctx: BatteryContext) -> CriterionResult:
     """Newton convergence to the double-zero point; Hopf curve checkpoints."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     u, v, k, F = continuation.newton_bt((0.05, 0.05))
     err = max(abs(k - 1 / 16), abs(F - 1 / 16))
@@ -165,7 +165,7 @@ def criterion_3(ctx: BatteryContext) -> CriterionResult:
 
 def criterion_4(ctx: BatteryContext) -> CriterionResult:
     """Lyapunov sign law, unique zero, l2 sign, parameter-map determinant."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     neg = {}
     pos = {}
@@ -223,7 +223,7 @@ def criterion_4(ctx: BatteryContext) -> CriterionResult:
 
 def criterion_5(ctx: BatteryContext) -> CriterionResult:
     """Continuation against closed forms; organizing points detected."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     up = ctx.hopf_runs.get("up") or continuation.continue_curve(
         "hopf", continuation.hopf_seed(0.03), direction=+1.0)
@@ -299,7 +299,7 @@ def _locate_t_curve_F(ctx: BatteryContext, k: float) -> tuple:
 
 def criterion_6(ctx: BatteryContext) -> CriterionResult:
     """Two coexisting cycles in the wedge between H- and T."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     k = 0.034
     F_below, F_mid, Fh = _locate_t_curve_F(ctx, k)
@@ -333,7 +333,7 @@ def _lpc_toward_gh(ctx: BatteryContext):
 
 def criterion_7(ctx: BatteryContext) -> CriterionResult:
     """Fold-of-cycles curve tangent to the Hopf curve at GH; census step 2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     run = _lpc_toward_gh(ctx)
     kgh = 9 / 256
@@ -366,7 +366,7 @@ def criterion_7(ctx: BatteryContext) -> CriterionResult:
 def criterion_8(ctx: BatteryContext) -> CriterionResult:
     """Homoclinic curve: bracketing, ordering, no loop below the Hopf curve,
     fold tangency exponents."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     k_grid = np.linspace(0.058, 0.0624, 8)
     run = ctx.homoclinic_run or continuation.homoclinic_curve(k_grid, f_tol=1e-8)
@@ -434,7 +434,7 @@ def criterion_8(ctx: BatteryContext) -> CriterionResult:
 
 def criterion_9(ctx: BatteryContext) -> CriterionResult:
     """Integrator quality: order, fixed points, quadrant invariance."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     a = Params(0.046, 0.026)
     p0 = State(0.6, 0.25)
@@ -478,7 +478,7 @@ def criterion_9(ctx: BatteryContext) -> CriterionResult:
 def criterion_10(ctx: BatteryContext, *, grid: int = 200) -> CriterionResult:
     """Global map: region layout and adjacency on a 200x200 grid plus the
     documented zoom insets for the thin two-cycle and one-stable-cycle bands."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     from .mapping import adjacency, region_map
 

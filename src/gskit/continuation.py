@@ -488,12 +488,16 @@ def _splitting_once(a: Params, eps: float, settings) -> float:
     orient = 1 if (d[0] * f[1] - d[1] * f[0]) > 0 else -1
     t_cap = min(5e6, 400.0 + 60.0 * abs(math.log(eps)) / min(lu, -ls))
 
+    # plain floats: numpy scalars would run the pure kernel's arithmetic
+    # through numpy (slower, and warning on the overflow of rejected steps)
+    cx, cy, dx, dy = (float(x) for x in (*c, *d))
+
     def hit(vec, sign_dir, time_sign):
         x0 = pvec + sign_dir * eps * vec
         want = orient if time_sign > 0 else -orient
         status, hits = kernels.ray_crossings(
-            x0[0], x0[1], float(a.k), float(a.F), c[0], c[1], d[0], d[1],
-            want, 1, t_cap, settings.rel_tol, settings.abs_tol,
+            float(x0[0]), float(x0[1]), float(a.k), float(a.F), cx, cy, dx, dy,
+            want, 1, float(t_cap), settings.rel_tol, settings.abs_tol,
             settings.max_step, 1e-12, 0.0, time_sign, time_sign > 0)
         if not hits:
             return None

@@ -20,6 +20,13 @@ from .errors import DomainError, NoReturn, StepUnderflow
 
 TRIVIAL_POINT = State(1.0, 0.0)
 
+# A radius sequence has settled when three successive radii agree to this
+# relative tolerance (or the newest falls below it); see _attractor_kind.
+SETTLE_TOL = 1e-7
+# Reversed-time probes stop once u or v exceeds this: the orbit can no longer
+# meet the section inside the admissible window (_pure.ray_crossings).
+ESCAPE_BOX = 10.0
+
 
 @dataclass(frozen=True)
 class IntegratorSettings:
@@ -161,13 +168,20 @@ def crossing_radii(a: Params, x0: float, y0: float, frame: SectionFrame,
                    settings: IntegratorSettings = DEFAULT_SETTINGS, *,
                    n: int = 200, t_max: float = 4e5,
                    time_sign: float = 1.0) -> list:
-    """Successive section radii of the orbit through (x0, y0)."""
+    """Successive section radii of the orbit through (x0, y0).
+
+    The list ends early once _attractor_kind can decide it: at the first
+    triple that settles within SETTLE_TOL, when a reversed orbit leaves the
+    escape box (10, 10), or when a forward orbit is captured by the trivial
+    node (derivations in gskit._pure.ray_crossings)."""
     c, d = frame.center, frame.direction
     orient = frame.orientation if time_sign > 0 else -frame.orientation
+    box = ESCAPE_BOX if time_sign < 0 else 0.0
     _, hits = kernels.ray_crossings(
         x0, y0, float(a.k), float(a.F), c.u, c.v, d[0], d[1],
         orient, n, t_max, settings.rel_tol, settings.abs_tol,
-        settings.max_step, 1e-12, 1e-9, time_sign, time_sign > 0)
+        settings.max_step, 1e-12, 1e-9, time_sign, time_sign > 0,
+        box_x=box, box_y=box, settle_tol=SETTLE_TOL)
     return [h[1] for h in hits]
 
 
@@ -410,9 +424,10 @@ def _attractor_kind(radii: list, r_cap: float) -> tuple:
         return "escape", 0.0
     for i in range(2, len(radii)):
         r0, r1, r2 = radii[i - 2], radii[i - 1], radii[i]
-        if r2 < 1e-7:
+        if r2 < SETTLE_TOL:
             return "focus", 0.0
-        if abs(r2 - r1) < 1e-7 * max(1.0, r2) and abs(r1 - r0) < 1e-7 * max(1.0, r1):
+        if (abs(r2 - r1) < SETTLE_TOL * max(1.0, r2)
+                and abs(r1 - r0) < SETTLE_TOL * max(1.0, r1)):
             return "cycle", r2
     tail = radii[-1]
     if tail > 0.9 * r_cap:

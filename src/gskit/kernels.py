@@ -5,6 +5,11 @@ Dormand-Prince stepping, ray-crossing event location, variational
 propagation); gskit._pure is the behaviorally identical reference.  Import
 picks the compiled one when present; set GSKIT_BACKEND=pure to force the
 fallback, and use use_backend() in tests/benchmarks to switch explicitly.
+
+Status codes, shared by both backends (documented in gskit._pure): OK,
+MAX_STEPS, UNDERFLOW, BOX_EXIT (left the stop box), and CAPTURED
+(ray_crossings only: the orbit entered an invariant box around the trivial
+node that the ray misses, so no further crossing can occur).
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ OK = _pure.OK
 MAX_STEPS = _pure.MAX_STEPS
 UNDERFLOW = _pure.UNDERFLOW
 BOX_EXIT = _pure.BOX_EXIT
+CAPTURED = _pure.CAPTURED
 
 FIELD_PLANE = _pure.FIELD_PLANE
 FIELD_CHART_U = _pure.FIELD_CHART_U

@@ -46,8 +46,6 @@ def _classify_cell(args):
         return lab.id
     except GSKitError:
         return "x"
-    except Exception:
-        return "x"
 
 
 def _classify_column(args):

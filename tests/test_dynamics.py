@@ -198,3 +198,17 @@ def test_render_portrait_single_attractor_outside():
         a, dynamics.PortraitSpec(seeds_per_side=2, t_end=300.0))
     assert meta["cycles"] == []
     assert len(meta["equilibria"]) == 1
+
+
+def test_fast_map_csv_pinned():
+    # 20x20 fast map over the criterion-10 window; the digest was recorded
+    # before ray_crossings gained its early stops, which must not move a label
+    import hashlib
+
+    from gskit import mapping
+
+    labels, meta = mapping.region_map((1e-9, 0.07), (1e-9, 0.07), 20, 20,
+                                      threads=1)
+    text = mapping.map_to_csv(labels, meta)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "34eec3a222a7c615b0a21ae8585bed3e30c1ffcf2e7c16428c246477b745ab10")

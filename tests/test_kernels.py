@@ -167,3 +167,80 @@ def test_backward_time_integration(backend):
                                             1e-14, 0.0, 10**7, -1.0, False,
                                             False)
     assert abs(x2 - 0.6) < 1e-9 and abs(y2 - 0.2) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# early stops of ray_crossings
+# ---------------------------------------------------------------------------
+
+def _probe_args(k, F, time_sign, t_max=2e5, n=400):
+    """ray_crossings arguments of a probe_region probe at (k, F)."""
+    from gskit import dynamics
+
+    frame = dynamics.section_frame(Params(k, F))
+    c, d = frame.center, frame.direction
+    r0 = max(1e-4, 0.02 * frame.r_max)
+    orient = frame.orientation if time_sign > 0 else -frame.orientation
+    args = (c.u + r0 * d[0], c.v + r0 * d[1], k, F, c.u, c.v, d[0], d[1],
+            orient, n, t_max, 1e-8, 1e-11, 0.0, 1e-12, 1e-9, time_sign,
+            time_sign > 0)
+    return args, frame
+
+
+def test_reversed_probe_exits_escape_box(backend):
+    # a label-4 cell: the reversed orbit from the stable focus blows up
+    args, _ = _probe_args(0.055, 0.055, -1.0)
+    st, hits = kernels.ray_crossings(*args, box_x=10.0, box_y=10.0)
+    st0, hits0 = kernels.ray_crossings(*args)
+    assert st == kernels.BOX_EXIT
+    assert st0 == kernels.UNDERFLOW
+    assert hits == hits0[:len(hits)]
+
+
+def test_forward_probe_captured_by_node(backend):
+    # a label-1 cell: the orbit leaves the unstable focus for (1, 0)
+    from gskit import _pure
+
+    k, F = 0.05, 0.02
+    args, _ = _probe_args(k, F, 1.0)
+    st, hits = kernels.ray_crossings(*args)
+    assert st == kernels.CAPTURED
+    x0, y0, _, _, cx, cy, dx, dy, _, _, t_max, rtol, atol = args[:13]
+    eps, delta = _pure._node_box(k, F)
+    assert _pure._ray_misses_box(cx, cy, dx, dy, 1e-12, 1 - eps, 1 + eps,
+                                 0.0, delta)
+    # the same stepper run by integrate reaches the capture state
+    _, _, _, _, _, xs, ys = kernels.integrate(
+        0, x0, y0, k, F, t_max, rtol, atol, 0.0, 10**7, 1.0, True, True)
+    shrink = 1.0 - _pure._CAPTURE_MARGIN
+    i = next(i for i in range(1, len(xs))
+             if abs(1.0 - xs[i]) <= shrink * eps and 0.0 <= ys[i] <= shrink * delta)
+    # from there the orbit stays in the invariant box and never meets the ray
+    _, _, _, _, _, xs, ys = kernels.integrate(
+        0, xs[i], ys[i], k, F, t_max, rtol, atol, 0.0, 10**7, 1.0, True, True)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    assert np.all(np.abs(1.0 - xs) <= eps) and np.all((ys >= 0) & (ys <= delta))
+    g = dx * (ys - cy) - dy * (xs - cx)
+    flips = np.nonzero(np.sign(g[1:]) != np.sign(g[:-1]))[0]
+    for j in flips:
+        w = g[j] / (g[j] - g[j + 1])
+        s = ((xs[j] + w * (xs[j + 1] - xs[j]) - cx) * dx
+             + (ys[j] + w * (ys[j + 1] - ys[j]) - cy) * dy)
+        assert s <= 0.0
+
+
+def test_settled_sequence_is_a_prefix(backend):
+    # a label-2 cell: the reversed orbit settles onto the repelling cycle
+    from gskit import dynamics
+
+    args, frame = _probe_args(0.06, 0.0465, -1.0)
+    st, hits = kernels.ray_crossings(*args, box_x=10.0, box_y=10.0,
+                                     settle_tol=dynamics.SETTLE_TOL)
+    st0, hits0 = kernels.ray_crossings(*args, box_x=10.0, box_y=10.0)
+    assert st == kernels.OK
+    assert 3 <= len(hits) < len(hits0)
+    assert hits == hits0[:len(hits)]
+    radii, radii0 = [h[1] for h in hits], [h[1] for h in hits0]
+    kind = dynamics._attractor_kind(radii, frame.r_max)
+    assert kind[0] == "cycle"
+    assert kind == dynamics._attractor_kind(radii0, frame.r_max)
