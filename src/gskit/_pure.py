@@ -8,13 +8,16 @@ twin in gskit._speedups is unavailable (or GSKIT_BACKEND=pure).
 
 Shared status codes:
 
-- 0 ``OK``: reached t_end (integrate), or found the requested crossings or a
-  settled radius sequence (ray_crossings);
+- 0 ``OK``: reached t_end (integrate), or found the requested crossings
+  (ray_crossings);
 - 1 ``MAX_STEPS``: the step budget, or for ray_crossings t_max, ran out;
 - 2 ``UNDERFLOW``: the step size fell below 1e-15 * max(1, |t|);
-- 4 ``BOX_EXIT``: the state left the box {x <= box_x, y <= box_y};
+- 4 ``BOX_EXIT``: the state left the stop box (integrate: {x <= box_x,
+  y <= box_y}; ray_crossings: {x <= box, y <= box});
 - 8 ``CAPTURED``: ray_crossings only; the state entered a forward-invariant
-  box around the trivial node (1, 0) that the ray misses.
+  box around the trivial node (1, 0) that the ray misses;
+- 16 ``SETTLED``: ray_crossings only; the newest three section radii
+  settled within SETTLE_TOL.
 """
 from __future__ import annotations
 
@@ -27,6 +30,11 @@ MAX_STEPS = 1
 UNDERFLOW = 2
 BOX_EXIT = 4
 CAPTURED = 8
+SETTLED = 16
+
+# ray_crossings ends with SETTLED once three successive section radii agree to
+# this relative tolerance, or the newest falls below it.
+SETTLE_TOL = 1e-7
 
 # Node capture (ray_crossings): half-width in w = 1 - u of the invariant box
 # around (1, 0), and the share by which the box is grown for the ray test and
@@ -281,36 +289,43 @@ def _ray_misses_box(cx, cy, dx, dy, s_min, xlo, xhi, ylo, yhi):
 
 def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
                   t_max, rtol, atol, max_step, s_min, t_min, time_sign,
-                  quadrant_guard, max_steps=20_000_000, box_x=0.0, box_y=0.0,
-                  settle_tol=0.0):
+                  quadrant_guard, max_steps=20_000_000, box=0.0):
     """Crossings of the ray {(cx,cy) + s (dx,dy) : s > s_min}.
 
     Integrates the plane field (reversed when time_sign=-1) and locates sign
     changes of g = dx*(y-cy) - dy*(x-cx) with the dense interpolant.  orient
     filters by crossing direction: +1 keeps g increasing, -1 decreasing,
     0 both.  Returns (status, hits) with hits a list of (t, s, x, y);
-    status OK means max_crossings were found or the radii settled.
+    status OK means max_crossings were found.
 
-    Three early stops end the integration once no further crossing can
-    matter; the hits found before the stop are exactly those found without it.
+    Three early stops end the integration once the outcome is decided:
 
-    - Escape box (box_x > 0): BOX_EXIT once x > box_x or y > box_y after a
-      step, as in integrate.  In reversed time with v >= 0, S = u + v obeys
-      S' = F (S - 1) + k v >= F (S - 1), so once S > 1 it grows for ever;
-      and u < 0 gives u' = u v^2 + F (u - 1) < 0, so u stays negative.  A
-      section ray starts at an equilibrium, where v = F (1 - u) / (F + k)
-      gives S <= 1, so its first-quadrant points with s <= r_max <= 2.5
-      have S <= 1 + 2.5 sqrt 2 < 4.6.  After leaving the box (10, 10) the
-      reversed orbit therefore meets the ray only beyond r_max.
+    - Escape box (box > 0): BOX_EXIT once x > box or y > box after a step.
+      In reversed time with v >= 0, S = u + v obeys S' = F (S - 1) + k v >=
+      F (S - 1), so once S > 1 it grows for ever; and u < 0 gives
+      u' = u v^2 + F (u - 1) < 0, so u stays negative.  A section ray starts
+      at an equilibrium, where v = F (1 - u) / (F + k) gives S <= 1, so its
+      first-quadrant points with s <= r_max <= 2.5 have S <= 1 + 2.5 sqrt 2
+      < 4.6.  After leaving the box (10, 10) the reversed orbit therefore
+      meets the ray only beyond r_max: the hits with s <= r_max are those
+      of a run without the box, but crossings with s > r_max that such a
+      run records after the exit are dropped.  A list that ended on one of
+      those would read as 'escape' in dynamics._attractor_kind (its last
+      radius exceeds 0.9 r_max); the truncated list is read from its own
+      last radii instead.  The 200x200 criterion-10 map keeps every label
+      with this stop.
     - Node capture (time_sign > 0, automatic): CAPTURED once the state lies
       in the forward-invariant box B around (1, 0) of _node_box, shrunk by
       _CAPTURE_MARGIN, provided the ray misses B grown by the same share.
-      The orbit then stays in B and never meets the ray again.
-    - Settled sequence (settle_tol > 0): OK once the newest three radii
-      r0, r1, r2 satisfy r2 < settle_tol, or |r2 - r1| < settle_tol *
-      max(1, r2) and |r1 - r0| < settle_tol * max(1, r1).  Every earlier
-      triple failed the same test, so a caller that stops at the first such
-      triple (dynamics._attractor_kind) sees the same triple.
+      The orbit then stays in B and never meets the ray again, so the hits
+      are exactly those of a run without the stop.
+    - Settled sequence (always on): SETTLED once the newest three radii
+      r0, r1, r2 satisfy r2 < SETTLE_TOL, or |r2 - r1| < SETTLE_TOL *
+      max(1, r2) and |r1 - r0| < SETTLE_TOL * max(1, r1).  The test runs on
+      every new hit before the max_crossings test, so SETTLED ends the list
+      at its first settled triple and any other status means no triple of
+      the list settled; the hits are a prefix of those without the stop.
+      Callers that ask for fewer than three crossings never see it.
     """
     st = _Stepper(FIELD_PLANE, float(time_sign), x0, y0, k, F, rtol, atol,
                   max_step, quadrant_guard)
@@ -363,17 +378,17 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
                     if (s > s_min and th_t >= t_min
                             and (orient == 0 or (gdot > 0) == (orient > 0))):
                         hits.append((th_t, s, xh, yh))
+                        if len(hits) >= 3:
+                            r0, r1 = hits[-3][1], hits[-2][1]
+                            if s < SETTLE_TOL or (
+                                    abs(s - r1) < SETTLE_TOL * max(1.0, s)
+                                    and abs(r1 - r0) < SETTLE_TOL * max(1.0, r1)):
+                                return SETTLED, hits
                         if len(hits) >= max_crossings:
                             return OK, hits
-                        if settle_tol > 0.0 and len(hits) >= 3:
-                            r0, r1 = hits[-3][1], hits[-2][1]
-                            if s < settle_tol or (
-                                    abs(s - r1) < settle_tol * max(1.0, s)
-                                    and abs(r1 - r0) < settle_tol * max(1.0, r1)):
-                                return OK, hits
                 th_prev, gp = th, gn
         g_prev = g_now
-        if box_x > 0.0 and (st.x > box_x or st.y > box_y):
+        if box > 0.0 and (st.x > box or st.y > box):
             return BOX_EXIT, hits
         if capture and abs(1.0 - st.x) <= eps_in and 0.0 <= st.y <= delta_in:
             return CAPTURED, hits

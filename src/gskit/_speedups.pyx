@@ -7,7 +7,8 @@ variational propagation); see that module for the reference semantics and
 documentation.
 
 Status codes: 0 OK, 1 MAX_STEPS, 2 UNDERFLOW, 4 BOX_EXIT, 8 CAPTURED
-(ray_crossings only: inside the invariant box around the trivial node).
+(ray_crossings only: inside the invariant box around the trivial node),
+16 SETTLED (ray_crossings only: three section radii agree within SETTLE_TOL).
 """
 from libc.math cimport sqrt, fabs, fmin, fmax, INFINITY
 
@@ -18,6 +19,7 @@ MAX_STEPS = 1
 UNDERFLOW = 2
 BOX_EXIT = 4
 CAPTURED = 8
+SETTLED = 16
 
 FIELD_PLANE = 0
 FIELD_CHART_U = 1
@@ -41,6 +43,9 @@ cdef double D7 = 69997945.0/29380423.0
 # node capture: see _pure._CAPTURE_EPS and _pure._node_box
 cdef double CAPTURE_EPS = 0.5
 cdef double CAPTURE_MARGIN = 0.1
+# settled section radii: see _pure.SETTLE_TOL
+cdef double C_SETTLE_TOL = 1e-7
+SETTLE_TOL = C_SETTLE_TOL
 
 
 cdef inline void c_field(int fid, double sgn, double x, double y, double k, double F,
@@ -245,7 +250,7 @@ def ray_crossings(double x0, double y0, double k, double F, double cx, double cy
                   double t_max, double rtol, double atol, double max_step,
                   double s_min, double t_min, double time_sign,
                   bint quadrant_guard, long max_steps=20000000,
-                  double box_x=0.0, double box_y=0.0, double settle_tol=0.0):
+                  double box=0.0):
     cdef StepState st
     st_init(&st, 0, time_sign, x0, y0, k, F, rtol, atol, max_step,
             quadrant_guard, 0.0, 0.0)
@@ -298,18 +303,18 @@ def ray_crossings(double x0, double y0, double k, double F, double cx, double cy
                             and (orient == 0 or (gdot > 0) == (orient > 0))):
                         hits.append((th_t, s, xh, yh))
                         n = len(hits)
-                        if n >= max_crossings:
-                            return OK, hits
-                        if settle_tol > 0.0 and n >= 3:
+                        if n >= 3:
                             # explicit indices: wraparound is off
                             r0 = hits[n - 3][1]; r1 = hits[n - 2][1]
-                            if s < settle_tol or (
-                                    fabs(s - r1) < settle_tol * fmax(1.0, s)
-                                    and fabs(r1 - r0) < settle_tol * fmax(1.0, r1)):
-                                return OK, hits
+                            if s < C_SETTLE_TOL or (
+                                    fabs(s - r1) < C_SETTLE_TOL * fmax(1.0, s)
+                                    and fabs(r1 - r0) < C_SETTLE_TOL * fmax(1.0, r1)):
+                                return SETTLED, hits
+                        if n >= max_crossings:
+                            return OK, hits
                 th_prev = th; gp = gn
         g_prev = g_now
-        if box_x > 0.0 and (st.x > box_x or st.y > box_y):
+        if box > 0.0 and (st.x > box or st.y > box):
             return BOX_EXIT, hits
         if (capture and fabs(1.0 - st.x) <= eps_in
                 and 0.0 <= st.y <= delta_in):

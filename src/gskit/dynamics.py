@@ -21,8 +21,8 @@ from .errors import DomainError, NoReturn, StepUnderflow
 TRIVIAL_POINT = State(1.0, 0.0)
 
 # A radius sequence has settled when three successive radii agree to this
-# relative tolerance (or the newest falls below it); see _attractor_kind.
-SETTLE_TOL = 1e-7
+# relative tolerance (or the newest falls below it); the kernel applies it.
+SETTLE_TOL = kernels.SETTLE_TOL
 # Reversed-time probes stop once u or v exceeds this: the orbit can no longer
 # meet the section inside the admissible window (_pure.ray_crossings).
 ESCAPE_BOX = 10.0
@@ -174,15 +174,20 @@ def crossing_radii(a: Params, x0: float, y0: float, frame: SectionFrame,
     triple that settles within SETTLE_TOL, when a reversed orbit leaves the
     escape box (10, 10), or when a forward orbit is captured by the trivial
     node (derivations in gskit._pure.ray_crossings)."""
+    return _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign)[1]
+
+
+def _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign):
+    """(status, radii) of crossing_radii; status SETTLED says the radii
+    end at their first settled triple."""
     c, d = frame.center, frame.direction
     orient = frame.orientation if time_sign > 0 else -frame.orientation
     box = ESCAPE_BOX if time_sign < 0 else 0.0
-    _, hits = kernels.ray_crossings(
+    status, hits = kernels.ray_crossings(
         x0, y0, float(a.k), float(a.F), c.u, c.v, d[0], d[1],
         orient, n, t_max, settings.rel_tol, settings.abs_tol,
-        settings.max_step, 1e-12, 1e-9, time_sign, time_sign > 0,
-        box_x=box, box_y=box, settle_tol=SETTLE_TOL)
-    return [h[1] for h in hits]
+        settings.max_step, 1e-12, 1e-9, time_sign, time_sign > 0, box=box)
+    return status, [h[1] for h in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +398,12 @@ def probe_region(a: Params, settings: IntegratorSettings | None = None, *,
     scale = max(1e-4, 0.02 * frame.r_max)
 
     def probe(r0, sign_time):
-        radii = crossing_radii(a, frame.center.u + r0 * frame.direction[0],
-                               frame.center.v + r0 * frame.direction[1],
-                               frame, settings, n=max_rev, t_max=t_max,
-                               time_sign=sign_time)
-        return _attractor_kind(radii, frame.r_max)
+        status, radii = _section_radii(
+            a, frame.center.u + r0 * frame.direction[0],
+            frame.center.v + r0 * frame.direction[1], frame, settings,
+            max_rev, t_max, sign_time)
+        return _attractor_kind(radii, frame.r_max,
+                               status == kernels.SETTLED)
 
     if unstable:
         kind, r_star = probe(scale, 1.0)
@@ -417,18 +423,16 @@ def probe_region(a: Params, settings: IntegratorSettings | None = None, *,
     return RegionLabel(id="x", focus_label=rep.label)
 
 
-def _attractor_kind(radii: list, r_cap: float) -> tuple:
+def _attractor_kind(radii: list, r_cap: float, settled: bool) -> tuple:
     """Classify a radius sequence: converged to a cycle, fell into the
-    focus, or left the rotation region."""
+    focus, or left the rotation region.  settled says the kernel ended the
+    sequence at its first triple settled within SETTLE_TOL (status
+    SETTLED); otherwise no triple of it settled."""
+    if settled:
+        r = radii[-1]
+        return ("focus", 0.0) if r < SETTLE_TOL else ("cycle", r)
     if len(radii) < 3:
         return "escape", 0.0
-    for i in range(2, len(radii)):
-        r0, r1, r2 = radii[i - 2], radii[i - 1], radii[i]
-        if r2 < SETTLE_TOL:
-            return "focus", 0.0
-        if (abs(r2 - r1) < SETTLE_TOL * max(1.0, r2)
-                and abs(r1 - r0) < SETTLE_TOL * max(1.0, r1)):
-            return "cycle", r2
     tail = radii[-1]
     if tail > 0.9 * r_cap:
         return "escape", tail

@@ -7,9 +7,10 @@ picks the compiled one when present; set GSKIT_BACKEND=pure to force the
 fallback, and use use_backend() in tests/benchmarks to switch explicitly.
 
 Status codes, shared by both backends (documented in gskit._pure): OK,
-MAX_STEPS, UNDERFLOW, BOX_EXIT (left the stop box), and CAPTURED
-(ray_crossings only: the orbit entered an invariant box around the trivial
-node that the ray misses, so no further crossing can occur).
+MAX_STEPS, UNDERFLOW, BOX_EXIT (left the stop box), CAPTURED (ray_crossings
+only: the orbit entered an invariant box around the trivial node that the
+ray misses, so no further crossing can occur) and SETTLED (ray_crossings
+only: the newest three section radii agree within SETTLE_TOL).
 """
 from __future__ import annotations
 
@@ -56,6 +57,8 @@ MAX_STEPS = _pure.MAX_STEPS
 UNDERFLOW = _pure.UNDERFLOW
 BOX_EXIT = _pure.BOX_EXIT
 CAPTURED = _pure.CAPTURED
+SETTLED = _pure.SETTLED
+SETTLE_TOL = _pure.SETTLE_TOL
 
 FIELD_PLANE = _pure.FIELD_PLANE
 FIELD_CHART_U = _pure.FIELD_CHART_U

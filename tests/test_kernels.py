@@ -190,7 +190,7 @@ def _probe_args(k, F, time_sign, t_max=2e5, n=400):
 def test_reversed_probe_exits_escape_box(backend):
     # a label-4 cell: the reversed orbit from the stable focus blows up
     args, _ = _probe_args(0.055, 0.055, -1.0)
-    st, hits = kernels.ray_crossings(*args, box_x=10.0, box_y=10.0)
+    st, hits = kernels.ray_crossings(*args, box=10.0)
     st0, hits0 = kernels.ray_crossings(*args)
     assert st == kernels.BOX_EXIT
     assert st0 == kernels.UNDERFLOW
@@ -229,18 +229,37 @@ def test_forward_probe_captured_by_node(backend):
         assert s <= 0.0
 
 
-def test_settled_sequence_is_a_prefix(backend):
+def _first_settled(radii, tol):
+    """Index of the newest radius of the first triple settled within tol,
+    or None."""
+    for i in range(2, len(radii)):
+        r0, r1, r2 = radii[i - 2:i + 1]
+        if r2 < tol or (abs(r2 - r1) < tol * max(1.0, r2)
+                        and abs(r1 - r0) < tol * max(1.0, r1)):
+            return i
+    return None
+
+
+def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     # a label-2 cell: the reversed orbit settles onto the repelling cycle
-    from gskit import dynamics
+    from gskit import _pure, dynamics
 
     args, frame = _probe_args(0.06, 0.0465, -1.0)
-    st, hits = kernels.ray_crossings(*args, box_x=10.0, box_y=10.0,
-                                     settle_tol=dynamics.SETTLE_TOL)
-    st0, hits0 = kernels.ray_crossings(*args, box_x=10.0, box_y=10.0)
-    assert st == kernels.OK
-    assert 3 <= len(hits) < len(hits0)
-    assert hits == hits0[:len(hits)]
-    radii, radii0 = [h[1] for h in hits], [h[1] for h in hits0]
-    kind = dynamics._attractor_kind(radii, frame.r_max)
-    assert kind[0] == "cycle"
-    assert kind == dynamics._attractor_kind(radii0, frame.r_max)
+    st, hits = kernels.ray_crossings(*args, box=10.0)
+    assert st == kernels.SETTLED
+    radii = [h[1] for h in hits]
+    assert _first_settled(radii, kernels.SETTLE_TOL) == len(radii) - 1
+    assert dynamics._attractor_kind(radii, frame.r_max, True) == ("cycle", radii[-1])
+    # the pure kernel with a zero tolerance never settles: the full run
+    monkeypatch.setattr(_pure, "SETTLE_TOL", 0.0)
+    kernels.use_backend("pure")
+    st0, hits0 = kernels.ray_crossings(*args, box=10.0)
+    assert st0 != kernels.SETTLED and len(hits0) > len(hits)
+    if backend == "pure":
+        assert hits == hits0[:len(hits)]
+    else:
+        np.testing.assert_allclose(hits, hits0[:len(hits)], rtol=1e-9, atol=1e-12)
+    # the full run settles first at the same crossing, which is where a scan
+    # of its radii for the first settled triple stops
+    radii0 = [h[1] for h in hits0]
+    assert _first_settled(radii0, kernels.SETTLE_TOL) == len(radii) - 1
