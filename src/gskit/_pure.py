@@ -4,7 +4,11 @@ Dormand-Prince 5(4) with FSAL, Hairer's quartic dense output, a first-quadrant
 step guard, ray-crossing event location and variational (monodromy)
 propagation, specialized to the Gray-Scott kinetics and its two
 compactification charts.  gskit.kernels selects these only when the compiled
-twin in gskit._speedups is unavailable (or GSKIT_BACKEND=pure).
+twin in gskit._speedups is unavailable (or GSKIT_BACKEND=pure), and calls
+them with arguments already converted to float, int and bool, so the loops
+below run in Python float arithmetic.  Python floats raise OverflowError on
+``**`` where numpy scalars give inf; every error norm maps it to inf, so an
+overflowing trial step is rejected just the same.
 
 Shared status codes:
 
@@ -43,7 +47,6 @@ _CAPTURE_EPS = 0.5
 _CAPTURE_MARGIN = 0.1
 
 # Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
 _A21 = 0.2
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -86,12 +89,20 @@ def _jac_plane(sgn, u, v, k, F):
             sgn * (v * v), sgn * (2.0 * u * v - (F + k)))
 
 
+def _rms(a, b):
+    """sqrt((a^2 + b^2) / 2), inf where a square overflows."""
+    try:
+        return math.sqrt(0.5 * (a ** 2 + b ** 2))
+    except OverflowError:
+        return math.inf
+
+
 def _initial_step(fid, sgn, x, y, k, F, rtol, atol, max_step):
     fx, fy = field_eval(fid, sgn, x, y, k, F)
     sc_x = atol + rtol * abs(x)
     sc_y = atol + rtol * abs(y)
-    d0 = math.sqrt(0.5 * ((x / sc_x) ** 2 + (y / sc_y) ** 2))
-    d1 = math.sqrt(0.5 * ((fx / sc_x) ** 2 + (fy / sc_y) ** 2))
+    d0 = _rms(x / sc_x, y / sc_y)
+    d1 = _rms(fx / sc_x, fy / sc_y)
     h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     return min(h, max_step)
 
@@ -105,7 +116,7 @@ class _Stepper:
                  "r1y", "r2y", "r3y", "r4y", "r5y", "told")
 
     def __init__(self, fid, sgn, x0, y0, k, F, rtol, atol, max_step,
-                 quadrant_guard, fixed_step=0.0, first_step=0.0):
+                 quadrant_guard, fixed_step=0.0):
         self.fid = fid
         self.sgn = sgn
         self.k = k
@@ -121,8 +132,6 @@ class _Stepper:
         self.k1x, self.k1y = field_eval(fid, sgn, x0, y0, k, F)
         if fixed_step > 0.0:
             self.h = fixed_step
-        elif first_step > 0.0:
-            self.h = min(first_step, self.max_step)
         else:
             self.h = _initial_step(fid, sgn, x0, y0, k, F, rtol, atol, self.max_step)
         self.hold = 0.0
@@ -168,12 +177,7 @@ class _Stepper:
                 ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
                 sx = atol + rtol * max(abs(x), abs(xn))
                 sy = atol + rtol * max(abs(y), abs(yn))
-                try:
-                    err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
-                except OverflowError:
-                    # float ** overflows with an exception, not to inf; the
-                    # step is rejected either way
-                    err = math.inf
+                err = _rms(ex / sx, ey / sy)
             guard_bad = (self.quadrant_guard and self.fid == FIELD_PLANE
                          and (xn < -self.atol or yn < -self.atol))
             if (err <= 1.0 and not guard_bad) or fixed:
@@ -226,14 +230,14 @@ class _Stepper:
 
 def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
               time_sign, quadrant_guard, record, fixed_step=0.0,
-              box_x=0.0, box_y=0.0, first_step=0.0):
+              box_x=0.0, box_y=0.0):
     """Integrate to t_end (> 0; time_sign=-1 runs the reversed field).
 
     Returns (status, t_reached, x, y, ts, xs, ys); the sample lists are
     populated only when record is true.
     """
-    st = _Stepper(fid, float(time_sign), x0, y0, k, F, rtol, atol, max_step,
-                  quadrant_guard, fixed_step, first_step)
+    st = _Stepper(fid, time_sign, x0, y0, k, F, rtol, atol, max_step,
+                  quadrant_guard, fixed_step)
     ts, xs, ys = [], [], []
     if record:
         ts.append(0.0)
@@ -327,7 +331,7 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
       the list settled; the hits are a prefix of those without the stop.
       Callers that ask for fewer than three crossings never see it.
     """
-    st = _Stepper(FIELD_PLANE, float(time_sign), x0, y0, k, F, rtol, atol,
+    st = _Stepper(FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
                   max_step, quadrant_guard)
     hits = []
     capture = False
@@ -406,20 +410,19 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
     displacements to final displacements (monodromy when the orbit is
     periodic with period t_total).
     """
-    sgn = float(time_sign)
     y = [x0, y0, 1.0, 0.0, 0.0, 1.0]
 
     def rhs(s):
         u, v = s[0], s[1]
-        fu, fv = field_eval(FIELD_PLANE, sgn, u, v, k, F)
-        j11, j12, j21, j22 = _jac_plane(sgn, u, v, k, F)
+        fu, fv = field_eval(FIELD_PLANE, time_sign, u, v, k, F)
+        j11, j12, j21, j22 = _jac_plane(time_sign, u, v, k, F)
         return [fu, fv,
                 j11 * s[2] + j12 * s[4], j11 * s[3] + j12 * s[5],
                 j21 * s[2] + j22 * s[4], j21 * s[3] + j22 * s[5]]
 
     t = 0.0
     f1 = rhs(y)
-    h = min(_initial_step(FIELD_PLANE, sgn, x0, y0, k, F, rtol, atol,
+    h = min(_initial_step(FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
                           max_step if max_step > 0 else math.inf), 1e-2)
     hmax = max_step if max_step > 0 else math.inf
     steps = 0
@@ -440,11 +443,14 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
         k7 = rhs(yn)
         ks.append(k7)
         err = 0.0
-        for i in range(6):
-            ei = h * sum(e[j] * ks[j][i] for j in range(7))
-            sc = atol + rtol * max(abs(y[i]), abs(yn[i]))
-            err += (ei / sc) ** 2
-        err = math.sqrt(err / 6.0)
+        try:
+            for i in range(6):
+                ei = h * sum(e[j] * ks[j][i] for j in range(7))
+                sc = atol + rtol * max(abs(y[i]), abs(yn[i]))
+                err += (ei / sc) ** 2
+            err = math.sqrt(err / 6.0)
+        except OverflowError:
+            err = math.inf
         if err <= 1.0:
             t += h
             y = yn

@@ -25,7 +25,6 @@ FIELD_PLANE = 0
 FIELD_CHART_U = 1
 FIELD_CHART_V = 2
 
-cdef double C2 = 0.2, C3 = 0.3, C4 = 0.8, C5 = 8.0/9.0
 cdef double A21 = 0.2
 cdef double A31 = 3.0/40.0, A32 = 9.0/40.0
 cdef double A41 = 44.0/45.0, A42 = -56.0/15.0, A43 = 32.0/9.0
@@ -98,7 +97,7 @@ cdef double c_initial_step(int fid, double sgn, double x, double y, double k,
 
 cdef void st_init(StepState* st, int fid, double sgn, double x0, double y0,
                   double k, double F, double rtol, double atol, double max_step,
-                  bint quadrant_guard, double fixed_step, double first_step) nogil:
+                  bint quadrant_guard, double fixed_step) nogil:
     st.fid = fid; st.sgn = sgn; st.k = k; st.F = F
     st.rtol = rtol; st.atol = atol
     st.max_step = max_step if max_step > 0 else INFINITY
@@ -108,8 +107,6 @@ cdef void st_init(StepState* st, int fid, double sgn, double x0, double y0,
     c_field(fid, sgn, x0, y0, k, F, &st.k1x, &st.k1y)
     if fixed_step > 0.0:
         st.h = fixed_step
-    elif first_step > 0.0:
-        st.h = fmin(first_step, st.max_step)
     else:
         st.h = c_initial_step(fid, sgn, x0, y0, k, F, rtol, atol, st.max_step)
     st.told = 0.0; st.hold = 0.0
@@ -198,11 +195,10 @@ cdef inline void st_dense(StepState* st, double theta, double* ox, double* oy) n
 def integrate(int fid, double x0, double y0, double k, double F, double t_end,
               double rtol, double atol, double max_step, long max_steps,
               double time_sign, bint quadrant_guard, bint record,
-              double fixed_step=0.0, double box_x=0.0, double box_y=0.0,
-              double first_step=0.0):
+              double fixed_step=0.0, double box_x=0.0, double box_y=0.0):
     cdef StepState st
     st_init(&st, fid, time_sign, x0, y0, k, F, rtol, atol, max_step,
-            quadrant_guard, fixed_step, first_step)
+            quadrant_guard, fixed_step)
     ts = []; xs = []; ys = []
     if record:
         ts.append(0.0); xs.append(x0); ys.append(y0)
@@ -253,7 +249,7 @@ def ray_crossings(double x0, double y0, double k, double F, double cx, double cy
                   double box=0.0):
     cdef StepState st
     st_init(&st, 0, time_sign, x0, y0, k, F, rtol, atol, max_step,
-            quadrant_guard, 0.0, 0.0)
+            quadrant_guard, 0.0)
     hits = []
     cdef double g_prev = dx * (y0 - cy) - dy * (x0 - cx)
     cdef double g_now, th, th_prev, gp, gn, lo, hi, glo, mid, gm, thr

@@ -83,9 +83,9 @@ def integrate(p0: State, a: Params, t_end: float,
     if enforce_quadrant and not p0.in_first_quadrant(settings.abs_tol):
         raise DomainError(f"initial state {p0} outside the first quadrant")
     status, t, x, y, ts, xs, ys = kernels.integrate(
-        kernels.FIELD_PLANE, float(p0.u), float(p0.v), float(a.k), float(a.F),
-        float(t_end), settings.rel_tol, settings.abs_tol, settings.max_step,
-        max_steps, time_sign, enforce_quadrant, record, fixed_step)
+        kernels.FIELD_PLANE, p0.u, p0.v, a.k, a.F, t_end, settings.rel_tol,
+        settings.abs_tol, settings.max_step, max_steps, time_sign,
+        enforce_quadrant, record, fixed_step)
     if status == kernels.UNDERFLOW:
         raise StepUnderflow(f"step size underflow at t={t}")
     if not record:
@@ -154,7 +154,7 @@ def return_map(a: Params, r: float, frame: SectionFrame,
     x0 = c.u + r * d[0]
     y0 = c.v + r * d[1]
     status, hits = kernels.ray_crossings(
-        x0, y0, float(a.k), float(a.F), c.u, c.v, d[0], d[1],
+        x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
         frame.orientation, count, t_max, settings.rel_tol, settings.abs_tol,
         settings.max_step, 1e-12, 1e-9, 1.0, True)
     if len(hits) < count:
@@ -184,7 +184,7 @@ def _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign):
     orient = frame.orientation if time_sign > 0 else -frame.orientation
     box = ESCAPE_BOX if time_sign < 0 else 0.0
     status, hits = kernels.ray_crossings(
-        x0, y0, float(a.k), float(a.F), c.u, c.v, d[0], d[1],
+        x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
         orient, n, t_max, settings.rel_tol, settings.abs_tol,
         settings.max_step, 1e-12, 1e-9, time_sign, time_sign > 0, box=box)
     return status, [h[1] for h in hits]
@@ -228,7 +228,7 @@ def cycle_at_radius(a: Params, r: float, frame: SectionFrame,
     _, period = return_map(a, r, frame, settings)
     x0, y0 = c.u + r * d[0], c.v + r * d[1]
     status, _, _, m11, m12, m21, m22 = kernels.monodromy(
-        x0, y0, float(a.k), float(a.F), period,
+        x0, y0, a.k, a.F, period,
         settings.rel_tol, settings.abs_tol, settings.max_step)
     if status != kernels.OK:
         raise StepUnderflow("variational integration failed")

@@ -65,17 +65,48 @@ FIELD_CHART_U = _pure.FIELD_CHART_U
 FIELD_CHART_V = _pure.FIELD_CHART_V
 
 
-def integrate(*args, **kwargs):
-    return _impl.integrate(*args, **kwargs)
+# The kernel interface.  Each entry point converts its arguments once, here:
+# reals to float, counts and codes to int, flags to bool.  The pure kernels
+# then run in Python float arithmetic whatever the caller passed (a numpy
+# float64 would turn every stage, error norm and dense-output evaluation into
+# numpy scalar arithmetic), and the compiled kernels receive the C types
+# their signatures declare.
+
+def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
+              time_sign, quadrant_guard, record, fixed_step=0.0,
+              box_x=0.0, box_y=0.0):
+    """Integrate field fid from (x0, y0) over [0, t_end]; see
+    gskit._pure.integrate.  Returns (status, t, x, y, ts, xs, ys)."""
+    return _impl.integrate(int(fid), float(x0), float(y0), float(k), float(F),
+                           float(t_end), float(rtol), float(atol),
+                           float(max_step), int(max_steps), float(time_sign),
+                           bool(quadrant_guard), bool(record),
+                           float(fixed_step), float(box_x), float(box_y))
 
 
-def ray_crossings(*args, **kwargs):
-    return _impl.ray_crossings(*args, **kwargs)
+def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
+                  t_max, rtol, atol, max_step, s_min, t_min, time_sign,
+                  quadrant_guard, max_steps=20_000_000, box=0.0):
+    """Crossings of the ray {(cx,cy) + s (dx,dy) : s > s_min}; see
+    gskit._pure.ray_crossings.  Returns (status, hits)."""
+    return _impl.ray_crossings(float(x0), float(y0), float(k), float(F),
+                               float(cx), float(cy), float(dx), float(dy),
+                               int(orient), int(max_crossings), float(t_max),
+                               float(rtol), float(atol), float(max_step),
+                               float(s_min), float(t_min), float(time_sign),
+                               bool(quadrant_guard), int(max_steps), float(box))
 
 
-def monodromy(*args, **kwargs):
-    return _impl.monodromy(*args, **kwargs)
+def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
+              max_steps=20_000_000):
+    """State and variational matrix over [0, t_total]; see
+    gskit._pure.monodromy.  Returns (status, x, y, m11, m12, m21, m22)."""
+    return _impl.monodromy(float(x0), float(y0), float(k), float(F),
+                           float(t_total), float(rtol), float(atol),
+                           float(max_step), float(time_sign), int(max_steps))
 
 
-def field_eval(*args, **kwargs):
-    return _impl.field_eval(*args, **kwargs)
+def field_eval(fid, sgn, x, y, k, F):
+    """Vector field fid at (x, y), times sgn."""
+    return _impl.field_eval(int(fid), float(sgn), float(x), float(y),
+                            float(k), float(F))

@@ -37,10 +37,6 @@ def test_criterion_1_exact_checkpoints(battery):
     _assert_criterion(battery[1])
 
 
-def test_criterion_1_remaining_checkpoints_green(battery):
-    _assert_criterion(battery[1])
-
-
 def test_criterion_2_closed_form_consistency(battery):
     _assert_criterion(battery[2])
 
@@ -53,10 +49,6 @@ def test_criterion_4_lyapunov_sign_law(battery):
     # with mu = Re lambda, rows (mu, l1) and columns (k, F) the determinant
     # is +9*sqrt(2)/2 and its sign must match -mu_F * dl1/dk along the Hopf
     # curve, evaluated by a second route inside the battery
-    _assert_criterion(battery[4])
-
-
-def test_criterion_4_signs_and_l2_green(battery):
     _assert_criterion(battery[4])
 
 
@@ -77,10 +69,6 @@ def test_criterion_8_homoclinic_curve(battery):
     # branch (repelling newborn cycles, s = +1) and the splitting gap keeps
     # one sign below the Hopf curve; the fold tangency has exponent 2 in the
     # geometric pairing and 1/2 in the literal axis pairing (two-term fit)
-    _assert_criterion(battery[8])
-
-
-def test_criterion_8_bracketing_and_tangency_green(battery):
     _assert_criterion(battery[8])
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gskit import bautin, dynamics
+from gskit import bautin, dynamics, kernels
 from gskit.core import Params, State
 from gskit.equilibria import equilibria, hopf_F
 from gskit.errors import DomainError
@@ -212,3 +212,19 @@ def test_fast_map_csv_pinned():
     text = mapping.map_to_csv(labels, meta)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "34eec3a222a7c615b0a21ae8585bed3e30c1ffcf2e7c16428c246477b745ab10")
+
+
+def test_census_pinned():
+    # radii come from np.linspace; the kernels must compute in the same
+    # float arithmetic whatever scalar type reaches them (values recorded on
+    # the pure backend while its kernels still ran on numpy scalars)
+    backend = kernels.get_backend()
+    kernels.use_backend("pure")
+    try:
+        cycles = dynamics.limit_cycle_census(
+            Params(0.025, hopf_F(0.025) - 1e-5), n_scan=120)
+    finally:
+        kernels.use_backend(backend)
+    assert [(c.radius.hex(), c.period.hex(), c.nontrivial_multiplier.hex())
+            for c in cycles] == [("0x1.d5ca9498c3840p-7", "0x1.07f114bae954ap+8",
+                                  "0x1.f4f57d25a2c1cp-1")]

@@ -263,3 +263,72 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     # of its radii for the first settled triple stops
     radii0 = [h[1] for h in hits0]
     assert _first_settled(radii0, kernels.SETTLE_TOL) == len(radii) - 1
+
+
+# ---------------------------------------------------------------------------
+# the kernel interface: argument conversion at the kernels boundary
+# ---------------------------------------------------------------------------
+
+# one call per entry point, every argument as a Python scalar
+_CALLS = {
+    "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 0.0, 10**7,
+                  1.0, True, True),
+    "ray_crossings": (0.7, 0.2, 0.04, 0.02, 0.0, 0.25, 1.0, 0.0, 0, 4, 600.0,
+                      1e-11, 1e-13, 0.0, 1e-12, 1e-9, 1.0, True),
+    "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14, 0.0),
+    "field_eval": (1, -1.0, 0.3, 0.4, 0.05, 0.02),
+}
+
+
+def _as_numpy(args):
+    return tuple(np.float64(a) if type(a) is float else
+                 np.int64(a) if type(a) is int else
+                 np.bool_(a) if type(a) is bool else a for a in args)
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_numpy_arguments_give_the_same_result(backend, name):
+    fn = getattr(kernels, name)
+    assert fn(*_as_numpy(_CALLS[name])) == fn(*_CALLS[name])
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_pure_kernels_return_python_floats(name):
+    kernels.use_backend("pure")
+    try:
+        result = getattr(kernels, name)(*_as_numpy(_CALLS[name]))
+    finally:
+        kernels.use_backend(BACKENDS[0])
+    if name == "field_eval":
+        numbers = list(result)
+    elif name == "ray_crossings":
+        assert type(result[0]) is int and result[1]
+        numbers = [x for hit in result[1] for x in hit]
+    else:  # integrate: t, x, y and the samples; monodromy: x, y, the matrix
+        assert type(result[0]) is int
+        numbers = [x for v in result[1:] for x in (v if isinstance(v, list) else [v])]
+    assert all(type(x) is float for x in numbers)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reversed_blowup_status_does_not_depend_on_input_type(backend):
+    # a reversed-time blow-up: run in numpy scalar arithmetic it overflows
+    # with RuntimeWarnings; the conversion at the boundary runs both calls
+    # in Python floats
+    args = (0.3, 0.5, 0.055, 0.055, 2e4, 1e-11, 1e-14, 0.0, -1.0, 400000)
+    st = kernels.monodromy(*args)[0]
+    assert st == kernels.monodromy(*_as_numpy(args))[0] == kernels.UNDERFLOW
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_first_step_estimate_underflows(backend):
+    # at (3, 1e80) the field's squares in the first-step estimate overflow:
+    # the estimate is 0, so each kernel stops with UNDERFLOW
+    x0, y0, k, F = 3.0, 1e80, 0.055, 0.055
+    assert kernels.monodromy(x0, y0, k, F, 20.0, 1e-11, 1e-14, 0.0,
+                             -1.0)[0] == kernels.UNDERFLOW
+    assert kernels.integrate(0, x0, y0, k, F, 20.0, 1e-11, 1e-14, 0.0, 10**7,
+                             -1.0, False, False)[0] == kernels.UNDERFLOW
+    assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 0, 1, 20.0,
+                                 1e-11, 1e-14, 0.0, 1e-12, 0.0, -1.0,
+                                 False)[0] == kernels.UNDERFLOW
