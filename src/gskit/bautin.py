@@ -48,21 +48,6 @@ class HopfFrame:
     nu: float
 
 
-@dataclass(frozen=True)
-class GHReport:
-    gh_params: Params
-    gh_point: State
-    resultant_matches: bool
-    resultant_sign: int
-    roots: tuple
-    l1_left_sign: int
-    l1_right_sign: int
-    l2_sign: int
-    l2_value: float
-    param_map_det: float
-    param_map_det_sign: int
-
-
 def mu(a: Params) -> float:
     """Real part of the critical eigenvalue pair at the focus-type point."""
     eq = equilibria(a)
@@ -466,26 +451,3 @@ def bautin_polar_census(beta1: float, beta2: float) -> list:
         else:
             seen[-1] = (rho, "fold")
     return seen
-
-
-def gh_report(*, include_transversality: bool = True) -> GHReport:
-    loc = gh_locate()
-    l_left = l1_clw(Params(Fraction(25, 1296), Fraction(5, 1296)))
-    l_right = l1_clw(Params(Fraction(4, 81), Fraction(2, 81)))
-    _, c2 = l2_gh_exact()
-    l2_sign = c2.re.sign()
-    l2_val = l2_kuz(GH_PARAMS)
-    det = param_map_transversality() if include_transversality else float("nan")
-    return GHReport(
-        gh_params=Params(loc["gh"]["k"], loc["gh"]["F"]),
-        gh_point=loc["gh"]["point"],
-        resultant_matches=loc["matches_expected"],
-        resultant_sign=loc["sign"],
-        roots=tuple(loc["roots"]),
-        l1_left_sign=-1 if l_left < 0 else 1,
-        l1_right_sign=-1 if l_right < 0 else 1,
-        l2_sign=l2_sign,
-        l2_value=l2_val,
-        param_map_det=det,
-        param_map_det_sign=(0 if det == 0 else (1 if det > 0 else -1)) if det == det else 0,
-    )

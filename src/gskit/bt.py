@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Params, State, jacobian, vector_field
+from .core import Params, State, vector_field
 from .errors import SingularParameter
 from .ratmath import det_fraction_free
 
@@ -199,22 +199,6 @@ def transversality_matrix(u, v, k, F):
         (-2 * F * v, -2 * F * u + 2 * (F + k) * v, F + v * v,
          2 * F + k + v * (v - 2 * u)),
     )
-
-
-def trace_expr(u, v, k, F):
-    tr, _ = _trace_det(u, v, k, F)
-    return tr
-
-
-def det_expr(u, v, k, F):
-    _, det = _trace_det(u, v, k, F)
-    return det
-
-
-def _trace_det(u, v, k, F):
-    jac = jacobian((u, v), Params(k, F))
-    return (jac[0][0] + jac[1][1],
-            jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
 
 
 def bt_nondegeneracy(frame: BTFrame | None = None) -> BTReport:

@@ -262,13 +262,6 @@ def hopf_seed(k0: float) -> np.ndarray:
     return np.array([float(eq.p_mp.u), float(eq.p_mp.v), float(k0), F0])
 
 
-def neutral_saddle_seed(k0: float) -> np.ndarray:
-    from .equilibria import neutral_saddle_F
-    F0 = float(neutral_saddle_F(k0))
-    eq = equilibria(Params(k0, F0))
-    return np.array([float(eq.p_pm.u), float(eq.p_pm.v), float(k0), F0])
-
-
 def fold_seed(k0: float, branch: str = "lower") -> np.ndarray:
     up, lo = saddle_node_F(k0)
     F0 = float(up if branch == "upper" else lo)

@@ -44,9 +44,6 @@ class State:
     def in_first_quadrant(self, tol: float = 0.0) -> bool:
         return self.u >= -tol and self.v >= -tol
 
-    def as_tuple(self):
-        return (self.u, self.v)
-
 
 def _unpack(p) -> tuple:
     if isinstance(p, State):

@@ -43,7 +43,6 @@ class IntegratorSettings:
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
-TIGHT_SETTINGS = IntegratorSettings(rel_tol=1e-11, abs_tol=1e-14)
 
 
 @dataclass

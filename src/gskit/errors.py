@@ -33,10 +33,6 @@ class StepUnderflow(GSKitError):
     """Adaptive step size shrank below the minimum; the curve was lost."""
 
 
-class DomainExit(GSKitError):
-    """Continuation left the admissible parameter region."""
-
-
 class NoReturn(GSKitError):
     """A trajectory never returned to the Poincare section."""
 

@@ -115,7 +115,12 @@ def poincare_normal_form(quad_cubic: dict, i_omega, one, is_negligible):
             correction = Series({(j, k - 1): h * k}) if k >= 1 else Series()
             new = target.mul(den_inv)
             for _ in range(ORDER + 2):
+                prev = new
                 new = target.add(correction.mul(new.conj()).scale(-one)).mul(den_inv)
+                # each iterate is a function of the previous one alone, so a
+                # repeat is the value every later pass would return as well
+                if new.terms == prev.terms:
+                    break
             rhs = new.drop(j, k).prune(is_negligible)
     c1 = rhs.get(2, 1, zero)
     c2 = rhs.get(3, 2, zero)

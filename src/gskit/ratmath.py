@@ -79,17 +79,33 @@ def det_fraction_free(matrix: Sequence[Sequence]) -> Fraction:
 
 
 class Sqrt2:
-    """Element a + b*sqrt(2) of the real quadratic field Q(sqrt(2)).
+    """Element (p + q*sqrt(2))/d of the real quadratic field Q(sqrt(2)).
 
     Enough field arithmetic for exact fifth-order normal-form work at the
     generalized Hopf point, where the linearization frequency is 3*sqrt(2)/128.
+    The element is kept as integers with d > 0 and gcd(p, q, d) = 1, so each
+    result costs one gcd and equal values have equal (p, q, d).  The
+    coordinates a + b*sqrt(2) are read as Fractions through ``a`` and ``b``.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da * db // math.gcd(da, db)
+        # over the lcm of two reduced denominators, gcd(p, q, d) is already 1
+        self.p = a.numerator * (d // da)
+        self.q = b.numerator * (d // db)
+        self.d = d
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     @staticmethod
     def coerce(x) -> "Sqrt2":
@@ -99,12 +115,13 @@ class Sqrt2:
 
     def __add__(self, o):
         o = Sqrt2.coerce(o)
-        return Sqrt2(self.a + o.a, self.b + o.b)
+        d1, d2 = self.d, o.d
+        return _sqrt2(self.p * d2 + o.p * d1, self.q * d2 + o.q * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
+        return _sqrt2(-self.p, -self.q, self.d)
 
     def __sub__(self, o):
         return self + (-Sqrt2.coerce(o))
@@ -114,15 +131,20 @@ class Sqrt2:
 
     def __mul__(self, o):
         o = Sqrt2.coerce(o)
-        return Sqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        return _sqrt2(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Sqrt2":
-        n = self.a * self.a - 2 * self.b * self.b
+        # d / (p + q sqrt 2) = d (p - q sqrt 2) / (p^2 - 2 q^2)
+        p, q, d = self.p, self.q, self.d
+        n = p * p - 2 * q * q
         if n == 0:
             raise ZeroDivisionError("zero element of Q(sqrt 2)")
-        return Sqrt2(self.a / n, -self.b / n)
+        if n < 0:
+            return _sqrt2(-d * p, d * q, -n)
+        return _sqrt2(d * p, -d * q, n)
 
     def __truediv__(self, o):
         return self * Sqrt2.coerce(o).inverse()
@@ -132,24 +154,41 @@ class Sqrt2:
 
     def __eq__(self, o):
         o = Sqrt2.coerce(o)
-        return self.a == o.a and self.b == o.b
+        return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.p, self.q, self.d))
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        return 1 if float(self) > 0 else -1
+        """Exact sign of p + q*sqrt(2), without rounding."""
+        p, q = self.p, self.q
+        sp = (p > 0) - (p < 0)
+        sq = (q > 0) - (q < 0)
+        if sp == sq or sq == 0:
+            return sp
+        if sp == 0:
+            return sq
+        # opposite signs: the term of larger square wins
+        return sp if p * p > 2 * q * q else sq
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(2.0)
+        return self.p / self.d + self.q / self.d * math.sqrt(2.0)
 
     def __repr__(self):
         return f"Sqrt2({self.a}, {self.b})"
+
+
+def _sqrt2(p: int, q: int, d: int) -> Sqrt2:
+    """(p + q*sqrt(2))/d for d > 0, reduced by the common gcd."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = object.__new__(Sqrt2)
+    x.p, x.q, x.d = p, q, d
+    return x
 
 
 class FieldComplex:

@@ -61,12 +61,5 @@ class SvgCanvas:
             f'<polygon points="{_fmt(px)},{_fmt(py)} {_fmt(p1[0])},{_fmt(p1[1])} '
             f'{_fmt(p2[0])},{_fmt(p2[1])}" fill="{color}" stroke="none"/>')
 
-    def text(self, x: float, y: float, s: str, size: int = 14,
-             color: str = "black"):
-        px, py = self.to_px(x, y)
-        self.parts.append(f'<text x="{_fmt(px)}" y="{_fmt(py)}" '
-                          f'font-size="{size}" fill="{color}" '
-                          f'font-family="sans-serif">{s}</text>')
-
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"

@@ -142,6 +142,9 @@ def test_l2_exact_at_gh():
     assert c1.re.is_zero()
     assert c2.re == Sqrt2(Fr(81, 524288), 0)
     assert c2.re.sign() > 0
+    assert repr(c1) == "FieldComplex(Sqrt2(0, 0), Sqrt2(0, -81/16384))"
+    assert repr(c2) == ("FieldComplex(Sqrt2(81/524288, 0), "
+                        "Sqrt2(0, -7857/8388608))")
 
 
 def test_l2_float_matches_exact():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -57,6 +58,9 @@ def test_verify_commands_and_negative_controls():
     assert json.loads(out)["all_passed"] is False
     code, out = run_cli("verify-bautin")
     assert code == 0
+    # the whole report, exact checkpoints and float l2 alike, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4c1bc6cec4d61911d3aed9bdd1f61e3925d38139c567ab1b5cf5a65104ebe96a")
     code, out = run_cli("verify-bautin", "--mutate")
     assert code == 1
 

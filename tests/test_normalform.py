@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gskit.normalform import Series, poincare_normal_form
+from gskit.bautin import l2_kuz
+from gskit.core import Params
+from gskit.equilibria import hopf_F
+from gskit.normalform import ORDER, Series, poincare_normal_form
 from gskit.ratmath import FieldComplex, Sqrt2
 
 
@@ -75,3 +80,34 @@ def test_series_conjugation_and_product():
     prod = a.mul(a)
     assert prod.terms[(2, 0)] == (1 + 1j) ** 2
     assert prod.terms[(1, 1)] == 2 * (1 + 1j) * (2 - 1j)
+
+
+def _hex(c):
+    return f"{c.real.hex()},{c.imag.hex()}"
+
+
+def test_float_engine_outputs_pinned():
+    # SHA-256 over float.hex of c1, c2 and the residual series of seeded
+    # synthetic systems (dense, sparse, real and imaginary coefficients, so
+    # exact and signed zeros occur), then l2_kuz at points on the Hopf curve
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    monomials = [(j, m - j) for m in range(2, ORDER + 1) for j in range(m + 1)]
+    for i in range(40):
+        omega = float(rng.uniform(0.2, 3.0))
+        keep = rng.random(len(monomials)) < (0.3 if i % 2 else 1.0)
+        coeffs = {mk: complex(*rng.normal(size=2))
+                  for mk, on in zip(monomials, keep) if on}
+        if i % 4 == 2:
+            coeffs = {mk: complex(c.real, 0.0) for mk, c in coeffs.items()}
+        elif i % 4 == 3:
+            coeffs = {mk: complex(-0.0, c.imag) for mk, c in coeffs.items()}
+        c1, c2, rhs = poincare_normal_form(
+            coeffs, complex(0, omega), complex(1.0), lambda c: abs(c) < 1e-13)
+        h.update(f"{_hex(c1)};{_hex(c2)};".encode())
+        for m in sorted(rhs.terms):
+            h.update(f"{m}:{_hex(rhs.terms[m])};".encode())
+    for k in (0.012, 0.02, 0.03, 0.04, 0.05, 0.06):
+        h.update(l2_kuz(Params(k, hopf_F(k))).hex().encode())
+    assert h.hexdigest() == (
+        "f84d6324543c459060e64f26ebe1d4fca3d9b1943e17fabb9bf8b5e852949405")
