@@ -1,0 +1,621 @@
+/* Integration kernels of gskit in C99: the compiled twin of gskit/_pure.py.
+ *
+ * Every function below mirrors its namesake in _pure.py statement for
+ * statement, so that both backends return the same bits:
+ *
+ * - arithmetic keeps Python's operand order (a + b + c is (a + b) + c);
+ * - py_pow() stands wherever _pure writes **, and reproduces Python's
+ *   float power (special cases, sign of odd powers of negative bases);
+ * - py_min()/py_max() stand for Python's min()/max(), which keep the first
+ *   argument unless a later one compares smaller/larger, so a NaN never
+ *   replaces a number (fmin/fmax would);
+ * - where _pure maps the OverflowError of ** to inf, the code here checks
+ *   for an infinite power of a finite base;
+ * - a zero divisor that would raise ZeroDivisionError in Python returns
+ *   ZERO_DIVISION, which gskit.kernels raises as that error.
+ *
+ * It must be built with -ffp-contract=off (no fused multiply-add) and
+ * -fno-builtin (gcc would otherwise turn pow(a, 2) into a * a, which can
+ * differ from libm's pow in the last bit).  gskit.kernels compiles it with
+ * those flags on first import and calls it through ctypes; it uses no
+ * Python API.  Status codes and constants are those of _pure.py.
+ */
+#include <math.h>
+
+enum {
+    OK = 0, MAX_STEPS = 1, UNDERFLOW = 2, BOX_EXIT = 4, CAPTURED = 8,
+    SETTLED = 16,
+    /* C-only returns, never statuses of a finished call */
+    BUFFER_FULL = -1, BAD_FIELD = -2, ZERO_DIVISION = -3
+};
+
+enum { FIELD_PLANE = 0, FIELD_CHART_U = 1, FIELD_CHART_V = 2 };
+
+#define SETTLE_TOL 1e-7
+#define CAPTURE_EPS 0.5
+#define CAPTURE_MARGIN 0.1
+
+/* Dormand-Prince 5(4) tableau */
+static const double A21 = 0.2;
+static const double A31 = 3.0 / 40.0, A32 = 9.0 / 40.0;
+static const double A41 = 44.0 / 45.0, A42 = -56.0 / 15.0, A43 = 32.0 / 9.0;
+static const double A51 = 19372.0 / 6561.0, A52 = -25360.0 / 2187.0,
+                    A53 = 64448.0 / 6561.0, A54 = -212.0 / 729.0;
+static const double A61 = 9017.0 / 3168.0, A62 = -355.0 / 33.0,
+                    A63 = 46732.0 / 5247.0, A64 = 49.0 / 176.0,
+                    A65 = -5103.0 / 18656.0;
+static const double B1 = 35.0 / 384.0, B3 = 500.0 / 1113.0,
+                    B4 = 125.0 / 192.0, B5 = -2187.0 / 6784.0,
+                    B6 = 11.0 / 84.0;
+static const double E1 = 71.0 / 57600.0, E3 = -71.0 / 16695.0,
+                    E4 = 71.0 / 1920.0, E5 = -17253.0 / 339200.0,
+                    E6 = 22.0 / 525.0, E7 = -1.0 / 40.0;
+static const double D1 = -12715105075.0 / 11282082432.0;
+static const double D3 = 87487479700.0 / 32700410799.0;
+static const double D4 = -10690763975.0 / 1880347072.0;
+static const double D5 = 701980252875.0 / 199316789632.0;
+static const double D6 = -1453857185.0 / 822651844.0;
+static const double D7 = 69997945.0 / 29380423.0;
+
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+static int is_odd_integer(double y) { return fmod(fabs(y), 2.0) == 1.0; }
+
+/* x ** y for a finite nonzero y, as CPython's float_pow computes it; the
+ * bases used here never make Python raise ZeroDivisionError or return a
+ * complex number.  An overflow gives +-inf where Python raises. */
+static double py_pow(double x, double y)
+{
+    int negate = 0;
+    double r;
+    if (isnan(x))
+        return x;
+    if (isinf(x)) {
+        if (y > 0.0)
+            return is_odd_integer(y) ? x : fabs(x);
+        return is_odd_integer(y) ? copysign(0.0, x) : 0.0;
+    }
+    if (x == 0.0)
+        return is_odd_integer(y) ? x : 0.0;
+    if (x < 0.0) {
+        x = -x;
+        negate = is_odd_integer(y);
+    }
+    if (x == 1.0)
+        return negate ? -1.0 : 1.0;
+    r = pow(x, y);
+    return negate ? -r : r;
+}
+
+/* the OverflowError of x ** 2 in Python */
+static int pow_overflowed(double base, double result)
+{
+    return isinf(result) && isfinite(base);
+}
+
+static void field_eval(int fid, double sgn, double x, double y, double k,
+                       double F, double *fx, double *fy)
+{
+    if (fid == FIELD_PLANE) {
+        double uvv = x * y * y;
+        *fx = sgn * (-uvv + F * (1.0 - x));
+        *fy = sgn * (uvv - (F + k) * y);
+    } else if (fid == FIELD_CHART_U) {
+        double z = x, w = y;
+        *fx = sgn * (z * z * (1.0 + z) - k * z * w * w - F * z * w * w * w);
+        *fy = sgn * (z * z * w - F * py_pow(w, 4.0) + F * py_pow(w, 3.0));
+    } else {
+        double q = x, w = y;
+        *fx = sgn * (-q * (1.0 + q) + k * q * w * w + F * py_pow(w, 3.0));
+        *fy = sgn * (-q * w + (F + k) * py_pow(w, 3.0));
+    }
+}
+
+static void jac_plane(double sgn, double u, double v, double k, double F,
+                      double *j)
+{
+    j[0] = sgn * (-(F + v * v));
+    j[1] = sgn * (-2.0 * u * v);
+    j[2] = sgn * (v * v);
+    j[3] = sgn * (2.0 * u * v - (F + k));
+}
+
+static double rms(double a, double b)
+{
+    double a2 = py_pow(a, 2.0), b2;
+    if (pow_overflowed(a, a2))
+        return INFINITY;
+    b2 = py_pow(b, 2.0);
+    if (pow_overflowed(b, b2))
+        return INFINITY;
+    return sqrt(0.5 * (a2 + b2));
+}
+
+/* 0 on success, ZERO_DIVISION where Python divides by a zero scale */
+static int initial_step(int fid, double sgn, double x, double y, double k,
+                        double F, double rtol, double atol, double max_step,
+                        double *h_out)
+{
+    double fx, fy, sc_x, sc_y, d0, d1, h;
+    field_eval(fid, sgn, x, y, k, F, &fx, &fy);
+    sc_x = atol + rtol * fabs(x);
+    sc_y = atol + rtol * fabs(y);
+    if (sc_x == 0.0 || sc_y == 0.0)
+        return ZERO_DIVISION;
+    d0 = rms(x / sc_x, y / sc_y);
+    d1 = rms(fx / sc_x, fy / sc_y);
+    h = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
+    *h_out = py_min(h, max_step);
+    return 0;
+}
+
+/* _pure._Stepper: one DP54 integration with dense output for its last
+ * accepted step */
+typedef struct {
+    int fid;
+    double sgn, k, F, rtol, atol, max_step;
+    int quadrant_guard;
+    double fixed_step;
+    double t, x, y, h, k1x, k1y, hold, told;
+    double r1x, r2x, r3x, r4x, r5x, r1y, r2y, r3y, r4y, r5y;
+} Stepper;
+
+static int st_init(Stepper *st, int fid, double sgn, double x0, double y0,
+                   double k, double F, double rtol, double atol,
+                   double max_step, int quadrant_guard, double fixed_step)
+{
+    st->fid = fid;
+    st->sgn = sgn;
+    st->k = k;
+    st->F = F;
+    st->rtol = rtol;
+    st->atol = atol;
+    st->max_step = max_step > 0 ? max_step : INFINITY;
+    st->quadrant_guard = quadrant_guard;
+    st->fixed_step = fixed_step;
+    st->t = 0.0;
+    st->x = x0;
+    st->y = y0;
+    field_eval(fid, sgn, x0, y0, k, F, &st->k1x, &st->k1y);
+    if (fixed_step > 0.0)
+        st->h = fixed_step;
+    else if (initial_step(fid, sgn, x0, y0, k, F, rtol, atol, st->max_step,
+                          &st->h))
+        return ZERO_DIVISION;
+    st->hold = 0.0;
+    st->told = 0.0;
+    return 0;
+}
+
+/* Take one accepted step, not passing t_limit.  Returns status. */
+static int st_advance(Stepper *st, double t_limit)
+{
+    const int fid = st->fid;
+    const double sgn = st->sgn, k = st->k, F = st->F;
+    const double rtol = st->rtol, atol = st->atol;
+    const int fixed = st->fixed_step > 0.0;
+    int rejected = 0;
+    for (;;) {
+        double h = st->h, x, y, k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y;
+        double k5x, k5y, k6x, k6y, k7x, k7y, xn, yn, err, fac;
+        int guard_bad;
+        if (!fixed)
+            h = py_min(h, st->max_step);
+        if (st->t + h >= t_limit)
+            h = t_limit - st->t;
+        if (!(h > 1e-15 * py_max(1.0, fabs(st->t))))
+            return UNDERFLOW;
+        x = st->x;
+        y = st->y;
+        k1x = st->k1x;
+        k1y = st->k1y;
+        field_eval(fid, sgn, x + h * A21 * k1x, y + h * A21 * k1y, k, F,
+                   &k2x, &k2y);
+        field_eval(fid, sgn, x + h * (A31 * k1x + A32 * k2x),
+                   y + h * (A31 * k1y + A32 * k2y), k, F, &k3x, &k3y);
+        field_eval(fid, sgn, x + h * (A41 * k1x + A42 * k2x + A43 * k3x),
+                   y + h * (A41 * k1y + A42 * k2y + A43 * k3y), k, F,
+                   &k4x, &k4y);
+        field_eval(fid, sgn,
+                   x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x),
+                   y + h * (A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y),
+                   k, F, &k5x, &k5y);
+        field_eval(fid, sgn,
+                   x + h * (A61 * k1x + A62 * k2x + A63 * k3x
+                            + A64 * k4x + A65 * k5x),
+                   y + h * (A61 * k1y + A62 * k2y + A63 * k3y
+                            + A64 * k4y + A65 * k5y), k, F, &k6x, &k6y);
+        xn = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x);
+        yn = y + h * (B1 * k1y + B3 * k3y + B4 * k4y + B5 * k5y + B6 * k6y);
+        field_eval(fid, sgn, xn, yn, k, F, &k7x, &k7y);
+        if (fixed) {
+            err = 0.0;
+        } else {
+            double ex = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x
+                             + E6 * k6x + E7 * k7x);
+            double ey = h * (E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y
+                             + E6 * k6y + E7 * k7y);
+            double sx = atol + rtol * py_max(fabs(x), fabs(xn));
+            double sy = atol + rtol * py_max(fabs(y), fabs(yn));
+            if (sx == 0.0 || sy == 0.0)
+                return ZERO_DIVISION;
+            err = rms(ex / sx, ey / sy);
+        }
+        guard_bad = st->quadrant_guard && fid == FIELD_PLANE
+                    && (xn < -atol || yn < -atol);
+        if ((err <= 1.0 && !guard_bad) || fixed) {
+            double dx, bsx, dy, bsy;
+            if (st->quadrant_guard && fid == FIELD_PLANE) {
+                /* snap within-tolerance undershoot onto the invariant axes */
+                int snapped = 0;
+                if (-atol <= xn && xn < 0.0) {
+                    xn = 0.0;
+                    snapped = 1;
+                }
+                if (-atol <= yn && yn < 0.0) {
+                    yn = 0.0;
+                    snapped = 1;
+                }
+                if (snapped)
+                    field_eval(fid, sgn, xn, yn, k, F, &k7x, &k7y);
+            }
+            /* dense-output coefficients for this step */
+            dx = xn - x;
+            bsx = h * k1x - dx;
+            st->r1x = x;
+            st->r2x = dx;
+            st->r3x = bsx;
+            st->r4x = dx - h * k7x - bsx;
+            st->r5x = h * (D1 * k1x + D3 * k3x + D4 * k4x + D5 * k5x
+                           + D6 * k6x + D7 * k7x);
+            dy = yn - y;
+            bsy = h * k1y - dy;
+            st->r1y = y;
+            st->r2y = dy;
+            st->r3y = bsy;
+            st->r4y = dy - h * k7y - bsy;
+            st->r5y = h * (D1 * k1y + D3 * k3y + D4 * k4y + D5 * k5y
+                           + D6 * k6y + D7 * k7y);
+            st->told = st->t;
+            st->hold = h;
+            st->t += h;
+            st->x = xn;
+            st->y = yn;
+            st->k1x = k7x;
+            st->k1y = k7y;
+            if (!fixed) {
+                fac = err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 5.0;
+                if (rejected)
+                    fac = py_min(fac, 1.0);
+                st->h = h * py_min(5.0, py_max(0.2, fac));
+            }
+            return OK;
+        }
+        rejected = 1;
+        fac = err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 0.5;
+        if (guard_bad)
+            fac = py_min(fac, 0.5);
+        st->h = h * py_min(0.9, py_max(0.1, fac));
+    }
+}
+
+/* State at told + theta*hold inside the last accepted step. */
+static void st_dense(const Stepper *st, double theta, double *x, double *y)
+{
+    double th1 = 1.0 - theta;
+    *x = st->r1x + theta * (st->r2x + th1 * (st->r3x + theta * (st->r4x + th1 * st->r5x)));
+    *y = st->r1y + theta * (st->r2y + th1 * (st->r3y + theta * (st->r4y + th1 * st->r5y)));
+}
+
+int gs_field_eval(int fid, double sgn, double x, double y, double k, double F,
+                  double *out)
+{
+    if (fid < FIELD_PLANE || fid > FIELD_CHART_V)
+        return BAD_FIELD;
+    field_eval(fid, sgn, x, y, k, F, &out[0], &out[1]);
+    return OK;
+}
+
+/* _pure.integrate.  end receives (t, x, y); with record, the samples go to
+ * samples as (t, x, y) triples, at most cap of them, and *n counts them.
+ * Returns the status, or BUFFER_FULL when sample cap + 1 was due. */
+int gs_integrate(int fid, double x0, double y0, double k, double F,
+                 double t_end, double rtol, double atol, double max_step,
+                 long long max_steps, double time_sign, int quadrant_guard,
+                 int record, double fixed_step, double box_x, double box_y,
+                 double *end, double *samples, long long cap, long long *n)
+{
+    Stepper st;
+    long long steps = 0;
+    int status = OK;
+    *n = 0;
+    if (fid < FIELD_PLANE || fid > FIELD_CHART_V)
+        return BAD_FIELD;
+    if (st_init(&st, fid, time_sign, x0, y0, k, F, rtol, atol, max_step,
+                quadrant_guard, fixed_step))
+        return ZERO_DIVISION;
+    if (record) {
+        if (*n >= cap)
+            return BUFFER_FULL;
+        samples[0] = 0.0;
+        samples[1] = x0;
+        samples[2] = y0;
+        *n = 1;
+    }
+    while (st.t < t_end) {
+        status = st_advance(&st, t_end);
+        if (status != OK)
+            break;
+        if (record) {
+            if (*n >= cap)
+                return BUFFER_FULL;
+            samples[3 * *n] = st.t;
+            samples[3 * *n + 1] = st.x;
+            samples[3 * *n + 2] = st.y;
+            *n += 1;
+        }
+        if (box_x > 0.0 && (st.x > box_x || st.y > box_y)) {
+            status = BOX_EXIT;
+            break;
+        }
+        steps += 1;
+        if (steps >= max_steps) {
+            status = MAX_STEPS;
+            break;
+        }
+    }
+    end[0] = st.t;
+    end[1] = st.x;
+    end[2] = st.y;
+    return status;
+}
+
+/* _pure._node_box */
+static void node_box(double k, double F, double *eps, double *delta)
+{
+    *eps = CAPTURE_EPS;
+    *delta = 0.9 * py_min((F + k) / (1.0 + *eps),
+                          sqrt(F * *eps / (1.0 - *eps)));
+}
+
+/* _pure._ray_misses_box: 1 when {(cx,cy) + s (dx,dy) : s > s_min} misses
+ * the box */
+static int ray_misses_box(double cx, double cy, double dx, double dy,
+                          double s_min, double xlo, double xhi, double ylo,
+                          double yhi)
+{
+    double lo = s_min, hi = INFINITY;
+    const double c[2] = {cx, cy}, d[2] = {dx, dy};
+    const double blo[2] = {xlo, ylo}, bhi[2] = {xhi, yhi};
+    int i;
+    for (i = 0; i < 2; i++) {
+        double s1, s2;
+        if (d[i] == 0.0) {
+            if (!(blo[i] <= c[i] && c[i] <= bhi[i]))
+                return 1;
+            continue;
+        }
+        s1 = (blo[i] - c[i]) / d[i];
+        s2 = (bhi[i] - c[i]) / d[i];
+        lo = py_max(lo, py_min(s1, s2));
+        hi = py_min(hi, py_max(s1, s2));
+        if (lo > hi)
+            return 1;
+    }
+    return 0;
+}
+
+#define G_OF(x, y) (dx * ((y) - cy) - dy * ((x) - cx))
+
+/* _pure.ray_crossings.  Hits go to hits as (t, s, x, y) quadruples, at most
+ * cap of them, and *n counts them.  Returns the status, or BUFFER_FULL when
+ * hit cap + 1 was due. */
+int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
+                     double cy, double dx, double dy, int orient,
+                     long long max_crossings, double t_max, double rtol,
+                     double atol, double max_step, double s_min, double t_min,
+                     double time_sign, int quadrant_guard,
+                     long long max_steps, double box, double *hits,
+                     long long cap, long long *n)
+{
+    Stepper st;
+    int capture = 0;
+    double eps = 0.0, delta, eps_in = 0.0, delta_in = 0.0, g_prev;
+    long long steps = 0;
+    *n = 0;
+    if (st_init(&st, FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
+                max_step, quadrant_guard, 0.0))
+        return ZERO_DIVISION;
+    if (time_sign > 0 && F > 0.0 && F + k > 0.0) {
+        double grow;
+        node_box(k, F, &eps, &delta);
+        grow = 1.0 + CAPTURE_MARGIN;
+        capture = ray_misses_box(cx, cy, dx, dy, s_min,
+                                 1.0 - grow * eps, 1.0 + grow * eps,
+                                 -CAPTURE_MARGIN * delta, grow * delta);
+        eps_in = (1.0 - CAPTURE_MARGIN) * eps;
+        delta_in = (1.0 - CAPTURE_MARGIN) * delta;
+    }
+    g_prev = G_OF(x0, y0);
+    while (st.t < t_max) {
+        double g_now;
+        int status = st_advance(&st, t_max);
+        if (status != OK)
+            return status;
+        g_now = G_OF(st.x, st.y);
+        if ((g_prev < 0.0 && 0.0 <= g_now) || (g_prev > 0.0 && 0.0 >= g_now)
+                || g_prev == 0.0) {
+            /* subdivide the step; the interpolant may hold several roots */
+            const int nsub = 16;
+            double th_prev = 0.0, gp = g_prev;
+            int i;
+            for (i = 1; i <= nsub; i++) {
+                double th = (double)i / (double)nsub, xx, yy, gn;
+                st_dense(&st, th, &xx, &yy);
+                gn = G_OF(xx, yy);
+                if ((gp < 0.0 && 0.0 <= gn) || (gp > 0.0 && 0.0 >= gn)) {
+                    double lo = th_prev, hi = th, glo = gp;
+                    double thr, xh, yh, th_t, s, fx, fy, gdot;
+                    int it;
+                    for (it = 0; it < 60; it++) {
+                        double mid = 0.5 * (lo + hi), xm, ym, gm;
+                        st_dense(&st, mid, &xm, &ym);
+                        gm = G_OF(xm, ym);
+                        if ((glo < 0.0) == (gm < 0.0)) {
+                            lo = mid;
+                            glo = gm;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    thr = 0.5 * (lo + hi);
+                    st_dense(&st, thr, &xh, &yh);
+                    th_t = st.told + thr * st.hold;
+                    s = (xh - cx) * dx + (yh - cy) * dy;
+                    field_eval(FIELD_PLANE, st.sgn, xh, yh, k, F, &fx, &fy);
+                    gdot = dx * fy - dy * fx;
+                    if (s > s_min && th_t >= t_min
+                            && (orient == 0 || (gdot > 0) == (orient > 0))) {
+                        double *hit;
+                        if (*n >= cap)
+                            return BUFFER_FULL;
+                        hit = hits + 4 * *n;
+                        hit[0] = th_t;
+                        hit[1] = s;
+                        hit[2] = xh;
+                        hit[3] = yh;
+                        *n += 1;
+                        if (*n >= 3) {
+                            double r0 = hits[4 * (*n - 3) + 1];
+                            double r1 = hits[4 * (*n - 2) + 1];
+                            if (s < SETTLE_TOL
+                                    || (fabs(s - r1) < SETTLE_TOL * py_max(1.0, s)
+                                        && fabs(r1 - r0) < SETTLE_TOL * py_max(1.0, r1)))
+                                return SETTLED;
+                        }
+                        if (*n >= max_crossings)
+                            return OK;
+                    }
+                }
+                th_prev = th;
+                gp = gn;
+            }
+        }
+        g_prev = g_now;
+        if (box > 0.0 && (st.x > box || st.y > box))
+            return BOX_EXIT;
+        if (capture && fabs(1.0 - st.x) <= eps_in && 0.0 <= st.y
+                && st.y <= delta_in)
+            return CAPTURED;
+        steps += 1;
+        if (steps >= max_steps)
+            return MAX_STEPS;
+    }
+    return MAX_STEPS;
+}
+
+/* the variational right-hand side of _pure.monodromy */
+static void mono_rhs(double time_sign, double k, double F, const double *s,
+                     double *out)
+{
+    double j[4];
+    field_eval(FIELD_PLANE, time_sign, s[0], s[1], k, F, &out[0], &out[1]);
+    jac_plane(time_sign, s[0], s[1], k, F, j);
+    out[2] = j[0] * s[2] + j[1] * s[4];
+    out[3] = j[0] * s[3] + j[1] * s[5];
+    out[4] = j[2] * s[2] + j[3] * s[4];
+    out[5] = j[2] * s[3] + j[3] * s[5];
+}
+
+/* _pure.monodromy.  out receives (x, y, m11, m12, m21, m22). */
+int gs_monodromy(double x0, double y0, double k, double F, double t_total,
+                 double rtol, double atol, double max_step, double time_sign,
+                 long long max_steps, double *out)
+{
+    static const double a[5][5] = {
+        {0.2},
+        {3.0 / 40.0, 9.0 / 40.0},
+        {44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0},
+        {19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0},
+        {9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+         -5103.0 / 18656.0},
+    };
+    static const double b[6] = {35.0 / 384.0, 0.0, 500.0 / 1113.0,
+                                125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0};
+    static const double e[7] = {71.0 / 57600.0, 0.0, -71.0 / 16695.0,
+                                71.0 / 1920.0, -17253.0 / 339200.0,
+                                22.0 / 525.0, -1.0 / 40.0};
+    double y[6] = {x0, y0, 1.0, 0.0, 0.0, 1.0};
+    double ks[7][6], yy[6], yn[6];
+    double t = 0.0, h, hmax;
+    long long steps = 0;
+    int status = OK, i, j, r;
+    mono_rhs(time_sign, k, F, y, ks[0]);
+    if (initial_step(FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
+                     max_step > 0 ? max_step : INFINITY, &h))
+        return ZERO_DIVISION;
+    h = py_min(h, 1e-2);
+    hmax = max_step > 0 ? max_step : INFINITY;
+    while (t < t_total) {
+        double err;
+        h = py_min(py_min(h, hmax), t_total - t);
+        if (!(h > 1e-15 * py_max(1.0, t))) {
+            status = UNDERFLOW;
+            break;
+        }
+        for (r = 0; r < 5; r++) {
+            for (i = 0; i < 6; i++) {
+                double acc = 0.0;
+                for (j = 0; j <= r; j++)
+                    acc += a[r][j] * ks[j][i];
+                yy[i] = y[i] + h * acc;
+            }
+            mono_rhs(time_sign, k, F, yy, ks[r + 1]);
+        }
+        for (i = 0; i < 6; i++) {
+            double acc = 0.0;
+            for (j = 0; j < 6; j++)
+                acc += b[j] * ks[j][i];
+            yn[i] = y[i] + h * acc;
+        }
+        mono_rhs(time_sign, k, F, yn, ks[6]);
+        err = 0.0;
+        for (i = 0; i < 6; i++) {
+            double acc = 0.0, ei, sc, q, q2;
+            for (j = 0; j < 7; j++)
+                acc += e[j] * ks[j][i];
+            ei = h * acc;
+            sc = atol + rtol * py_max(fabs(y[i]), fabs(yn[i]));
+            if (sc == 0.0)
+                return ZERO_DIVISION;
+            q = ei / sc;
+            q2 = py_pow(q, 2.0);
+            if (pow_overflowed(q, q2)) {
+                err = INFINITY;
+                break;
+            }
+            err += q2;
+        }
+        if (i == 6)
+            err = sqrt(err / 6.0);
+        if (err <= 1.0) {
+            t += h;
+            for (i = 0; i < 6; i++) {
+                y[i] = yn[i];
+                ks[0][i] = ks[6][i];
+            }
+            h *= py_min(5.0, py_max(0.2, err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 5.0));
+        } else {
+            h *= py_min(0.9, py_max(0.1, 0.9 * py_pow(err, -0.2)));
+        }
+        steps += 1;
+        if (steps >= max_steps) {
+            status = MAX_STEPS;
+            break;
+        }
+    }
+    for (i = 0; i < 6; i++)
+        out[i] = y[i];
+    return status;
+}

@@ -3,19 +3,23 @@
 Dormand-Prince 5(4) with FSAL, Hairer's quartic dense output, a first-quadrant
 step guard, ray-crossing event location and variational (monodromy)
 propagation, specialized to the Gray-Scott kinetics and its two
-compactification charts.  gskit.kernels selects these only when the compiled
-twin in gskit._speedups is unavailable (or GSKIT_BACKEND=pure), and calls
+compactification charts.  gskit/_kernel.c is their C twin, statement for
+statement, and returns the same bits; gskit.kernels selects these only when
+that twin could not be built or loaded (or GSKIT_BACKEND=pure), and calls
 them with arguments already converted to float, int and bool, so the loops
 below run in Python float arithmetic.  Python floats raise OverflowError on
-``**`` where numpy scalars give inf; every error norm maps it to inf, so an
-overflowing trial step is rejected just the same.
+``**`` where C's pow returns inf; every error norm maps it to inf, so an
+overflowing trial step is rejected just the same, and the chart fields map
+it to the signed inf of C.  A change here needs its mirror in _kernel.c:
+the backend-parity tests compare the two by equality.
 
 Shared status codes:
 
 - 0 ``OK``: reached t_end (integrate), or found the requested crossings
   (ray_crossings);
 - 1 ``MAX_STEPS``: the step budget, or for ray_crossings t_max, ran out;
-- 2 ``UNDERFLOW``: the step size fell below 1e-15 * max(1, |t|);
+- 2 ``UNDERFLOW``: the step size fell below 1e-15 * max(1, |t|), or is nan
+  (a first-step estimate from a non-finite field);
 - 4 ``BOX_EXIT``: the state left the stop box (integrate: {x <= box_x,
   y <= box_y}; ray_crossings: {x <= box, y <= box});
 - 8 ``CAPTURED``: ray_crossings only; the state entered a forward-invariant
@@ -76,12 +80,21 @@ def field_eval(fid: int, sgn: float, x: float, y: float, k: float, F: float):
     if fid == FIELD_CHART_U:
         z, w = x, y
         return (sgn * (z * z * (1.0 + z) - k * z * w * w - F * z * w * w * w),
-                sgn * (z * z * w - F * w ** 4 + F * w ** 3))
+                sgn * (z * z * w - F * _pow(w, 4) + F * _pow(w, 3)))
     if fid == FIELD_CHART_V:
         q, w = x, y
-        return (sgn * (-q * (1.0 + q) + k * q * w * w + F * w ** 3),
-                sgn * (-q * w + (F + k) * w ** 3))
+        return (sgn * (-q * (1.0 + q) + k * q * w * w + F * _pow(w, 3)),
+                sgn * (-q * w + (F + k) * _pow(w, 3)))
     raise ValueError(f"unknown field id {fid}")
+
+
+def _pow(w, n):
+    """w ** n for an integer n > 0; where ** raises OverflowError, the
+    signed inf that C's pow returns."""
+    try:
+        return w ** n
+    except OverflowError:
+        return -math.inf if w < 0 and n % 2 else math.inf
 
 
 def _jac_plane(sgn, u, v, k, F):
@@ -149,7 +162,8 @@ class _Stepper:
                 h = min(h, self.max_step)
             if self.t + h >= t_limit:
                 h = t_limit - self.t
-            if h <= 1e-15 * max(1.0, abs(self.t)):
+            # `not >` also stops a nan step, which every trial would reject
+            if not h > 1e-15 * max(1.0, abs(self.t)):
                 return UNDERFLOW
             x, y = self.x, self.y
             k1x, k1y = self.k1x, self.k1y
@@ -402,6 +416,18 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
     return MAX_STEPS, hits
 
 
+def _dot(coef, ks, i):
+    """sum(coef[j] * ks[j][i]), accumulated left to right from 0.0.
+
+    Not sum(): since Python 3.12 it adds floats with compensated summation,
+    which would tie the result to the interpreter version.  A zero
+    coefficient still contributes its product (0.0 * inf is nan)."""
+    acc = 0.0
+    for j, c in enumerate(coef):
+        acc += c * ks[j][i]
+    return acc
+
+
 def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
               max_steps=20_000_000):
     """Propagate the state and the 2x2 variational matrix over [0, t_total].
@@ -432,20 +458,18 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
     e = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
     while t < t_total:
         h = min(h, hmax, t_total - t)
-        if h <= 1e-15 * max(1.0, t):
+        if not h > 1e-15 * max(1.0, t):
             return UNDERFLOW, y[0], y[1], y[2], y[3], y[4], y[5]
         ks = [f1]
         for row in a:
-            yy = [y[i] + h * sum(row[j] * ks[j][i] for j in range(len(row)))
-                  for i in range(6)]
-            ks.append(rhs(yy))
-        yn = [y[i] + h * sum(b[j] * ks[j][i] for j in range(6)) for i in range(6)]
+            ks.append(rhs([y[i] + h * _dot(row, ks, i) for i in range(6)]))
+        yn = [y[i] + h * _dot(b, ks, i) for i in range(6)]
         k7 = rhs(yn)
         ks.append(k7)
         err = 0.0
         try:
             for i in range(6):
-                ei = h * sum(e[j] * ks[j][i] for j in range(7))
+                ei = h * _dot(e, ks, i)
                 sc = atol + rtol * max(abs(y[i]), abs(yn[i]))
                 err += (ei / sc) ** 2
             err = math.sqrt(err / 6.0)

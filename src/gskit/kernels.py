@@ -1,10 +1,19 @@
-"""Kernel backend selection: compiled extension with pure-Python fallback.
+"""Kernel backend selection: a C twin built on first import, with the
+pure-Python reference as fallback.
 
-The compiled module gskit._speedups implements the hot loops (adaptive
-Dormand-Prince stepping, ray-crossing event location, variational
-propagation); gskit._pure is the behaviorally identical reference.  Import
-picks the compiled one when present; set GSKIT_BACKEND=pure to force the
-fallback, and use use_backend() in tests/benchmarks to switch explicitly.
+gskit._pure holds the reference kernels (adaptive Dormand-Prince stepping,
+ray-crossing event location, variational propagation).  _kernel.c, next to
+this file, mirrors them statement for statement in plain C99, so the two
+backends return the same bits.  On first import the C source is compiled
+with gcc into the user cache directory ($XDG_CACHE_HOME or ~/.cache, else a
+private directory under the system temporary directory), under a name keyed
+by the SHA-256 of the source, the compiler and its flags; later imports load
+the cached library.  The library is written under a temporary name and
+renamed into place, so processes that import at the same time are safe.
+
+When the build or the load fails, the pure backend is used and the reason
+is kept in COMPILED_ERROR.  GSKIT_BACKEND=pure forces the pure backend;
+use_backend() switches explicitly (tests, benchmarks).
 
 Status codes, shared by both backends (documented in gskit._pure): OK,
 MAX_STEPS, UNDERFLOW, BOX_EXIT (left the stop box), CAPTURED (ray_crossings
@@ -14,18 +23,189 @@ only: the newest three section radii agree within SETTLE_TOL).
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import tempfile
+from pathlib import Path
 
 from . import _pure
 
-_FORCED = os.environ.get("GSKIT_BACKEND", "").strip().lower()
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CC = "gcc"
+# -ffp-contract=off: no fused multiply-add; -fno-builtin: pow(a, 2) stays a
+# libm call, as Python's a ** 2 is.  Both are needed for bit-identity.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 
-try:
-    from . import _speedups as _compiled
-except ImportError:
-    _compiled = None
+# C-only returns of _kernel.c, never the status of a finished call
+_BUFFER_FULL = -1
+_BAD_FIELD = -2
+_ZERO_DIVISION = -3
 
-if _FORCED == "pure" or _compiled is None:
+# first capacity, in hits or samples, of a result buffer; a call that fills
+# it runs again with one eight times larger
+_FIRST_CAP = 4096
+
+
+def _private_dir(path: Path) -> bool:
+    """Create path if needed; True when this user can write it and, where
+    the system has user ids, owns it."""
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except OSError:
+        return False
+    owned = not hasattr(os, "getuid") or path.stat().st_uid == os.getuid()
+    return owned and os.access(path, os.W_OK)
+
+
+def _cache_dir() -> Path:
+    """A writable directory for the built library."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    path = Path(base, "gskit")
+    if _private_dir(path):
+        return path
+    # the shared temporary directory is writable by everyone: use a private
+    # directory there, and only one this user owns
+    path = Path(tempfile.gettempdir(),
+                f"gskit-{os.getuid()}" if hasattr(os, "getuid") else "gskit")
+    if _private_dir(path):
+        return path
+    raise OSError("no writable cache directory for the compiled kernels")
+
+
+def _build() -> Path:
+    """Path of the library built from _kernel.c; compiles it on a cache miss."""
+    source = _SOURCE.read_bytes()
+    cmd = (_CC,) + _CFLAGS
+    key = hashlib.sha256(source + "\0".join(cmd).encode()).hexdigest()[:16]
+    cache = _cache_dir()
+    lib = cache / f"_kernel-{key}.so"
+    if lib.exists():
+        return lib
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(dir=cache, prefix=f"{lib.name}.", suffix=".tmp")
+    os.close(fd)
+    try:
+        # the compiler reads the very bytes that were hashed
+        proc = subprocess.run([*cmd, "-x", "c", "-o", tmp, "-", "-lm"],
+                              input=source, capture_output=True, timeout=300)
+        if proc.returncode != 0:
+            raise OSError(f"{_CC} exited with status {proc.returncode}: "
+                          f"{proc.stderr.decode(errors='replace').strip()[-1000:]}")
+        os.replace(tmp, lib)
+    except subprocess.TimeoutExpired as exc:
+        raise OSError(f"{_CC} did not finish: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def _raise_for(status: int, fid: int = _pure.FIELD_PLANE) -> int:
+    """The status of a finished C call; raises what the pure kernel raises
+    where the C kernel reports an error instead."""
+    if status == _BAD_FIELD:
+        raise ValueError(f"unknown field id {fid}")
+    if status == _ZERO_DIVISION:
+        raise ZeroDivisionError("float division by zero")
+    return status
+
+
+class _CKernels:
+    """The C twin in _kernel.c.  Each method takes the arguments of its
+    namesake in gskit._pure, already converted, and builds the same Python
+    ints, floats, lists and tuples."""
+
+    BACKEND_NAME = "compiled"
+
+    def __init__(self, lib: ctypes.CDLL):
+        d, i, ll = ctypes.c_double, ctypes.c_int, ctypes.c_longlong
+        buf, count = ctypes.POINTER(d), ctypes.POINTER(ll)
+        sig = {
+            "gs_field_eval": [i, d, d, d, d, d, buf],
+            "gs_integrate": [i, d, d, d, d, d, d, d, d, ll, d, i, i, d, d, d,
+                             buf, buf, ll, count],
+            "gs_ray_crossings": [d, d, d, d, d, d, d, d, i, ll, d, d, d, d, d,
+                                 d, d, i, ll, d, buf, ll, count],
+            "gs_monodromy": [d, d, d, d, d, d, d, d, d, ll, buf],
+        }
+        for name, argtypes in sig.items():
+            fn = getattr(lib, name)
+            fn.argtypes = argtypes
+            fn.restype = i
+        self._lib = lib
+
+    def field_eval(self, fid, sgn, x, y, k, F):
+        out = (ctypes.c_double * 2)()
+        _raise_for(self._lib.gs_field_eval(fid, sgn, x, y, k, F, out), fid)
+        return out[0], out[1]
+
+    def integrate(self, fid, x0, y0, k, F, t_end, rtol, atol, max_step,
+                  max_steps, time_sign, quadrant_guard, record, fixed_step,
+                  box_x, box_y):
+        end = (ctypes.c_double * 3)()
+        n = ctypes.c_longlong()
+        bound = max(max_steps, 1) + 1     # samples a call can record
+        cap = min(bound, _FIRST_CAP) if record else 0
+        while True:
+            samples = (ctypes.c_double * (3 * cap))() if record else None
+            status = self._lib.gs_integrate(
+                fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
+                time_sign, quadrant_guard, record, fixed_step, box_x, box_y,
+                end, samples, cap, ctypes.byref(n))
+            if status != _BUFFER_FULL:
+                break
+            cap = min(8 * cap, bound)
+        _raise_for(status, fid)
+        if record:
+            m = 3 * n.value
+            ts, xs, ys = samples[0:m:3], samples[1:m:3], samples[2:m:3]
+        else:
+            ts, xs, ys = [], [], []
+        return status, end[0], end[1], end[2], ts, xs, ys
+
+    def ray_crossings(self, x0, y0, k, F, cx, cy, dx, dy, orient,
+                      max_crossings, t_max, rtol, atol, max_step, s_min,
+                      t_min, time_sign, quadrant_guard, max_steps, box):
+        n = ctypes.c_longlong()
+        bound = max(max_crossings, 1)     # hits a call can return
+        cap = min(bound, _FIRST_CAP)
+        while True:
+            hits = (ctypes.c_double * (4 * cap))()
+            status = self._lib.gs_ray_crossings(
+                x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings, t_max,
+                rtol, atol, max_step, s_min, t_min, time_sign, quadrant_guard,
+                max_steps, box, hits, cap, ctypes.byref(n))
+            if status != _BUFFER_FULL:
+                break
+            cap = min(8 * cap, bound)
+        _raise_for(status)
+        h = hits[:4 * n.value]
+        return status, list(zip(h[0::4], h[1::4], h[2::4], h[3::4]))
+
+    def monodromy(self, x0, y0, k, F, t_total, rtol, atol, max_step,
+                  time_sign, max_steps):
+        out = (ctypes.c_double * 6)()
+        status = _raise_for(self._lib.gs_monodromy(
+            x0, y0, k, F, t_total, rtol, atol, max_step, time_sign, max_steps,
+            out))
+        return (status, *out)
+
+
+def _load():
+    """(the C kernels, None), or (None, why they could not be built or
+    loaded)."""
+    try:
+        return _CKernels(ctypes.CDLL(str(_build()))), None
+    except OSError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+_compiled, COMPILED_ERROR = _load()
+
+if os.environ.get("GSKIT_BACKEND", "").strip().lower() == "pure" or _compiled is None:
     _impl = _pure
 else:
     _impl = _compiled
@@ -46,7 +226,7 @@ def use_backend(name: str) -> None:
         _impl = _pure
     elif name == "compiled":
         if _compiled is None:
-            raise RuntimeError("compiled kernels are not available")
+            raise RuntimeError(f"compiled kernels are not available: {COMPILED_ERROR}")
         _impl = _compiled
     else:
         raise ValueError(f"unknown backend {name!r}")
@@ -69,8 +249,8 @@ FIELD_CHART_V = _pure.FIELD_CHART_V
 # reals to float, counts and codes to int, flags to bool.  The pure kernels
 # then run in Python float arithmetic whatever the caller passed (a numpy
 # float64 would turn every stage, error norm and dense-output evaluation into
-# numpy scalar arithmetic), and the compiled kernels receive the C types
-# their signatures declare.
+# numpy scalar arithmetic), and the C kernels receive the C types their
+# signatures declare.
 
 def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
               time_sign, quadrant_guard, record, fixed_step=0.0,

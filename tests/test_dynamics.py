@@ -216,15 +216,18 @@ def test_fast_map_csv_pinned():
 
 def test_census_pinned():
     # radii come from np.linspace; the kernels must compute in the same
-    # float arithmetic whatever scalar type reaches them (values recorded on
-    # the pure backend while its kernels still ran on numpy scalars)
+    # float arithmetic whatever scalar type reaches them, and both backends
+    # the same bits (values recorded on the pure backend while its kernels
+    # still ran on numpy scalars)
     backend = kernels.get_backend()
-    kernels.use_backend("pure")
     try:
-        cycles = dynamics.limit_cycle_census(
-            Params(0.025, hopf_F(0.025) - 1e-5), n_scan=120)
+        for name in kernels.available_backends():
+            kernels.use_backend(name)
+            cycles = dynamics.limit_cycle_census(
+                Params(0.025, hopf_F(0.025) - 1e-5), n_scan=120)
+            assert [(c.radius.hex(), c.period.hex(),
+                     c.nontrivial_multiplier.hex()) for c in cycles] == [
+                ("0x1.d5ca9498c3840p-7", "0x1.07f114bae954ap+8",
+                 "0x1.f4f57d25a2c1cp-1")], name
     finally:
         kernels.use_backend(backend)
-    assert [(c.radius.hex(), c.period.hex(), c.nontrivial_multiplier.hex())
-            for c in cycles] == [("0x1.d5ca9498c3840p-7", "0x1.07f114bae954ap+8",
-                                  "0x1.f4f57d25a2c1cp-1")]

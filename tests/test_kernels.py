@@ -1,14 +1,24 @@
-import importlib.util
+import json
 import math
+import os
+import shutil
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gskit import kernels
 from gskit.core import Params, vector_field
 from gskit.dynamics import from_chart_u, from_chart_v, to_chart_u, to_chart_v
+from gskit.errors import DomainError
 
 BACKENDS = kernels.available_backends()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(params=BACKENDS)
@@ -18,12 +28,101 @@ def backend(request):
     kernels.use_backend(BACKENDS[0])
 
 
-@pytest.mark.skipif(importlib.util.find_spec("Cython") is None,
-                    reason="Cython is not installed; the compiled kernels are "
-                           "built only where Cython is importable")
-def test_compiled_backend_is_built():
-    # the extension is part of the build; the pure twin is the fallback
-    assert "compiled" in BACKENDS
+# one call per entry point, every argument as a Python scalar
+_CALLS = {
+    "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 0.0, 10**7,
+                  1.0, True, True),
+    "ray_crossings": (0.7, 0.2, 0.04, 0.02, 0.0, 0.25, 1.0, 0.0, 0, 4, 600.0,
+                      1e-11, 1e-13, 0.0, 1e-12, 1e-9, 1.0, True),
+    "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14, 0.0),
+    "field_eval": (1, -1.0, 0.3, 0.4, 0.05, 0.02),
+}
+
+
+def _bits(value):
+    """value with every float replaced by its IEEE bit pattern, so that ==
+    tells nan from nan only by its bits and 0.0 from -0.0."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_bits(v) for v in value)
+    return value
+
+
+def _on_each_backend(fn, *args):
+    """{backend: bit patterns of fn(*args)} over the available backends."""
+    results = {}
+    try:
+        for b in BACKENDS:
+            kernels.use_backend(b)
+            results[b] = _bits(fn(*args))
+    finally:
+        kernels.use_backend(BACKENDS[0])
+    return results
+
+
+# ---------------------------------------------------------------------------
+# building and selecting the C kernels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler on PATH")
+def test_compiled_backend_loads():
+    # wherever gcc is on PATH the C twin builds on first import and is the
+    # default backend
+    assert "compiled" in BACKENDS, kernels.COMPILED_ERROR
+    assert kernels.COMPILED_ERROR is None
+
+
+def test_failed_build_falls_back_to_pure(monkeypatch, tmp_path):
+    # a compiler that cannot run: the loader reports why instead of raising
+    missing = str(tmp_path / "no-such-gcc")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(kernels, "_CC", missing)
+    impl, reason = kernels._load()
+    assert impl is None and missing in reason
+    assert not list((tmp_path / "cache" / "gskit").iterdir())
+
+
+def _import_in_subprocess(env):
+    code = ("from gskit import kernels; "
+            "print(kernels.get_backend(), kernels.available_backends(), "
+            "kernels.COMPILED_ERROR)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_without_compiler_runs_pure(tmp_path):
+    # no gcc on PATH and an empty cache: import still succeeds, on the pure
+    # backend, and says why
+    out = _import_in_subprocess({"PATH": str(tmp_path),
+                                 "XDG_CACHE_HOME": str(tmp_path / "cache")})
+    assert out.startswith("pure ('pure',) FileNotFoundError")
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler on PATH")
+def test_concurrent_first_imports_share_one_build(tmp_path):
+    # more processes than cores import at once with an empty cache: each
+    # compiles under a temporary name and renames it into place, so all of
+    # them load the C kernels and the cache ends with one library
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "XDG_CACHE_HOME": str(tmp_path)}
+    code = "from gskit import kernels; print(kernels.get_backend())"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for _ in range(4)]
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0] * 4, [err for _, err in outs]
+    assert [out for out, _ in outs] == ["compiled\n"] * 4
+    files = [f.name for f in (tmp_path / "gskit").iterdir()]
+    assert len(files) == 1 and files[0].endswith(".so"), files
+
+
+def test_backend_forced_pure():
+    out = _import_in_subprocess({"GSKIT_BACKEND": "pure"})
+    assert out.startswith("pure ")
 
 
 def test_integrate_reaches_t_end(backend):
@@ -35,18 +134,10 @@ def test_integrate_reaches_t_end(backend):
 
 
 def test_backends_agree():
-    results = []
-    for b in BACKENDS:
-        kernels.use_backend(b)
-        st, t, x, y, *_ = kernels.integrate(0, 0.8, 0.2, 0.05, 0.025, 50.0,
-                                            1e-11, 1e-14, 0.0, 10**7, 1.0, True,
-                                            False)
-        results.append((st, t, x, y))
-    kernels.use_backend(BACKENDS[0])
-    for r in results[1:]:
-        assert r[0] == results[0][0]
-        assert r[2] == pytest.approx(results[0][2], abs=1e-12)
-        assert r[3] == pytest.approx(results[0][3], abs=1e-12)
+    # every returned number, samples and hit tuples included, is equal
+    for name, args in _CALLS.items():
+        results = _on_each_backend(getattr(kernels, name), *args)
+        assert all(r == results["pure"] for r in results.values()), name
 
 
 def test_fixed_step_convergence_order(backend):
@@ -255,10 +346,7 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     kernels.use_backend("pure")
     st0, hits0 = kernels.ray_crossings(*args, box=10.0)
     assert st0 != kernels.SETTLED and len(hits0) > len(hits)
-    if backend == "pure":
-        assert hits == hits0[:len(hits)]
-    else:
-        np.testing.assert_allclose(hits, hits0[:len(hits)], rtol=1e-9, atol=1e-12)
+    assert hits == hits0[:len(hits)]
     # the full run settles first at the same crossing, which is where a scan
     # of its radii for the first settled triple stops
     radii0 = [h[1] for h in hits0]
@@ -269,15 +357,6 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
 # the kernel interface: argument conversion at the kernels boundary
 # ---------------------------------------------------------------------------
 
-# one call per entry point, every argument as a Python scalar
-_CALLS = {
-    "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 0.0, 10**7,
-                  1.0, True, True),
-    "ray_crossings": (0.7, 0.2, 0.04, 0.02, 0.0, 0.25, 1.0, 0.0, 0, 4, 600.0,
-                      1e-11, 1e-13, 0.0, 1e-12, 1e-9, 1.0, True),
-    "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14, 0.0),
-    "field_eval": (1, -1.0, 0.3, 0.4, 0.05, 0.02),
-}
 
 
 def _as_numpy(args):
@@ -332,3 +411,133 @@ def test_overflowing_first_step_estimate_underflows(backend):
     assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 0, 1, 20.0,
                                  1e-11, 1e-14, 0.0, 1e-12, 0.0, -1.0,
                                  False)[0] == kernels.UNDERFLOW
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_first_step_underflows(backend):
+    # at (1, inf) the field holds inf - inf, so the first-step estimate is
+    # nan and every trial step would be rejected: each kernel stops at once
+    x0, y0, k, F = 1.0, math.inf, 0.05, 0.02
+    assert kernels.integrate(0, x0, y0, k, F, 10.0, 1e-8, 1e-11, 0.0, 1000,
+                             1.0, False, False)[0] == kernels.UNDERFLOW
+    assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 0, 1, 10.0,
+                                 1e-8, 1e-11, 0.0, 1e-12, 0.0, 1.0,
+                                 False)[0] == kernels.UNDERFLOW
+    assert kernels.monodromy(x0, y0, k, F, 10.0, 1e-8, 1e-11,
+                             0.0)[0] == kernels.UNDERFLOW
+
+
+@pytest.mark.parametrize("fid, w, expected", [
+    (1, -1e80, (None, -math.inf)),        # w ** 4 overflows
+    (1, 1e110, (-math.inf, math.nan)),    # both: -F inf + F inf
+    (2, -1e110, (-math.inf, -math.inf)),  # w ** 3 overflows, negative
+    (2, 1e110, (math.inf, math.inf)),
+])
+def test_chart_field_power_overflow_is_signed_inf(backend, fid, w, expected):
+    # Python's ** raises OverflowError where C's pow returns the signed inf;
+    # both backends give the inf
+    got = kernels.field_eval(fid, 1.0, 0.5, w, 0.05, 0.02)
+    for g, e in zip(got, expected):
+        if e is None:
+            assert math.isfinite(g)
+        elif math.isnan(e):
+            assert math.isnan(g)
+        else:
+            assert g == e
+
+
+# ---------------------------------------------------------------------------
+# exact parity of the two backends on random inputs
+# ---------------------------------------------------------------------------
+
+def _section_ray(k, F):
+    """Center and direction of the section ray of probe_region at (k, F), or
+    a fixed ray off the node where there is no focus-type equilibrium."""
+    from gskit import dynamics
+
+    try:
+        frame = dynamics.section_frame(Params(k, F))
+    except DomainError:
+        return (0.5, 0.25), (0.0, 1.0), 1
+    return (frame.center.u, frame.center.v), frame.direction, frame.orientation
+
+
+_STATUSES = {kernels.OK, kernels.MAX_STEPS, kernels.UNDERFLOW,
+             kernels.BOX_EXIT, kernels.CAPTURED, kernels.SETTLED}
+
+
+def test_backends_agree_on_random_inputs():
+    # all four entry points, compared by ==; the explicit examples make sure
+    # that the statuses reached include every status a kernel can return
+    seen = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(k=st.floats(0.0, 0.08), F=st.floats(0.0, 0.08),
+           x0=st.floats(0.0, 1.5),
+           y0=st.one_of(st.floats(0.0, 1.5), st.floats(1e3, 1e200)),
+           time_sign=st.sampled_from([1.0, -1.0]),
+           rtol=st.floats(1e-11, 1e-6),
+           fid=st.sampled_from([kernels.FIELD_PLANE, kernels.FIELD_CHART_U,
+                                kernels.FIELD_CHART_V]),
+           t_end=st.floats(0.0, 400.0),
+           max_steps=st.sampled_from([40, 4000]),
+           box=st.sampled_from([0.0, 10.0]))
+    # SETTLED: a reversed probe settles onto the repelling cycle (label 2)
+    @example(k=0.06, F=0.0465, x0=0.4194542937169253, y0=0.24730967009262803,
+             time_sign=-1.0, rtol=1e-8, fid=0, t_end=100.0, max_steps=4000,
+             box=10.0)
+    # CAPTURED: a forward probe ends at the trivial node (label 1)
+    @example(k=0.05, F=0.02, x0=0.42793139587617207, y0=0.15979898987322322,
+             time_sign=1.0, rtol=1e-8, fid=0, t_end=100.0, max_steps=4000,
+             box=0.0)
+    # BOX_EXIT, and UNDERFLOW without the box: a reversed blow-up (label 4)
+    @example(k=0.055, F=0.055, x0=0.3225368776732832, y0=0.32987048957087495,
+             time_sign=-1.0, rtol=1e-8, fid=0, t_end=2e3, max_steps=4000,
+             box=10.0)
+    @example(k=0.055, F=0.055, x0=0.3225368776732832, y0=0.32987048957087495,
+             time_sign=-1.0, rtol=1e-8, fid=0, t_end=2e3, max_steps=4000,
+             box=0.0)
+    def agree(k, F, x0, y0, time_sign, rtol, fid, t_end, max_steps, box):
+        atol = 1e-3 * rtol
+        (cx, cy), (dx, dy), orient = _section_ray(k, F)
+        calls = {
+            "integrate": (fid, x0, y0, k, F, t_end, rtol, atol, 0.0,
+                          max_steps, time_sign, time_sign > 0, True, 0.0,
+                          box, box),
+            "ray_crossings": (x0, y0, k, F, cx, cy, dx, dy,
+                              orient if time_sign > 0 else -orient, 400,
+                              2e5, rtol, atol, 0.0, 1e-12, 1e-9, time_sign,
+                              time_sign > 0, max_steps, box),
+            "monodromy": (x0, y0, k, F, t_end, rtol, atol, 0.0, time_sign,
+                          max_steps),
+            "field_eval": (fid, time_sign, x0, y0, k, F),
+        }
+        for name, args in calls.items():
+            results = _on_each_backend(getattr(kernels, name), *args)
+            assert all(r == results["pure"] for r in results.values()), name
+            if name != "field_eval":
+                seen.add(results["pure"][0])
+
+    agree()
+    assert seen == _STATUSES
+
+
+@pytest.mark.parametrize("workload", ["map", "cycles", "portrait"])
+@pytest.mark.skipif("compiled" not in BACKENDS,
+                    reason=f"the C kernels did not build: {kernels.COMPILED_ERROR}")
+def test_benchmark_outputs_on_compiled_backend(monkeypatch, workload):
+    # perfbench compares its byte digests (map CSV, portrait SVG and CSV,
+    # trajectory sample counts) only on the backend its reference was
+    # recorded on; run those checks here on the C kernels
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    entries = json.loads((ROOT / "perfbench" / "reference.json").read_text())["entries"]
+    kernels.use_backend("compiled")
+    out = []
+    try:
+        workloads.RUNNERS[workload](workloads.select(workload, 1), out)
+    finally:
+        kernels.use_backend(BACKENDS[0])
+    attempted, failed, msgs = workloads.check(out, entries, same_backend=True)
+    assert attempted > 0 and failed == 0, msgs
