@@ -1,10 +1,12 @@
-"""Independent oracles for the double-zero coefficients and the Hopf types.
+"""Independent oracles for the double-zero coefficients, the Hopf types and
+the cycle census.
 
-Nothing here imports gskit: the field is written out again, the Jordan chain
-is built by sympy from the raw field, and the dynamics are integrated by
-scipy.  These tests justify the targets of acceptance criteria 1, 4 and 8
-(b20 = -1/16, s = +1, a subcritical Hopf branch near the double-zero point)
-without sharing code with the routes they check.
+The oracles share no code with gskit: the field is written out again, the
+Jordan chain is built by sympy from the raw field, and the dynamics are
+integrated by scipy.  These tests justify the targets of acceptance criteria
+1, 4 and 8 (b20 = -1/16, s = +1, a subcritical Hopf branch near the
+double-zero point) without sharing code with the routes they check.  The
+census test imports gskit only for the cycles it checks.
 """
 import math
 
@@ -131,3 +133,58 @@ def test_hopf_supercritical_at_small_k():
     assert np.ptp(last) < 1e-6 * last.mean()
     u, v = sol.y[:, -1]
     assert abs(u - 1) > 0.5
+
+
+def _cycle_by_dop853(k, F, cycle, frame):
+    """(period, nontrivial multiplier) of the cycle through the census's
+    section point, by scipy's DOP853 at rtol 1e-13.  The period is the first
+    return to the section ray; the multiplier is det M(T) by Liouville's
+    formula, exp of the divergence integrated along the orbit, so no
+    variational equation is shared with gskit."""
+    from scipy.integrate import solve_ivp
+
+    x0, y0, T = cycle.section_point.u, cycle.section_point.v, cycle.period
+    cx, cy = frame.center.u, frame.center.v
+    dx, dy = frame.direction
+
+    def rhs(t, z):
+        u, v = z[0], z[1]
+        return (*_field(u, v, k, F), (-v * v - F) + (2 * u * v - F - k))
+
+    def section(t, z):
+        return dx * (z[1] - cy) - dy * (z[0] - cx)
+    section.direction = frame.orientation
+
+    sol = solve_ivp(rhs, (0.0, 1.5 * T), [x0, y0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-15, events=section)
+    assert sol.status == 0
+    returns = [(t, z) for t, z in zip(sol.t_events[0], sol.y_events[0])
+               if t > 0.5 * T and (z[0] - cx) * dx + (z[1] - cy) * dy > 0]
+    t_ret, z_ret = returns[0]
+    return t_ret, math.exp(z_ret[2])
+
+
+# (k, F - F_hopf(k), cycle stabilities inner to outer): the pinned census
+# point and points on both sides of the generalized-Hopf point k = 9/256,
+# including the two-cycle wedge at k = 0.034
+_CENSUS_POINTS = [(0.025, -1e-5, "s"), (0.025, -3e-5, "s"), (0.034, -2e-6, "su"),
+                  (0.034, 1e-5, "u"), (0.04, 1e-5, "u"), (0.04, 3e-5, "u")]
+
+
+@pytest.mark.parametrize("k, dF, stabilities", _CENSUS_POINTS)
+def test_census_cycles_match_dop853(k, dF, stabilities):
+    # period and Floquet multiplier of every census cycle agree with DOP853
+    # within 1e-8 relative, ten times the census rel_tol of 1e-9
+    pytest.importorskip("scipy")
+    from gskit import dynamics
+    from gskit.core import Params
+
+    F = _hopf_F(k) + dF
+    a = Params(k, F)
+    frame = dynamics.section_frame(a)
+    cycles = dynamics.limit_cycle_census(a, n_scan=120)
+    assert "".join("s" if c.stable else "u" for c in cycles) == stabilities
+    for c in cycles:
+        period, multiplier = _cycle_by_dop853(k, F, c, frame)
+        assert c.period == pytest.approx(period, rel=1e-8, abs=0)
+        assert c.nontrivial_multiplier == pytest.approx(multiplier, rel=1e-8, abs=0)
