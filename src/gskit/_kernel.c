@@ -1,7 +1,9 @@
 /* Integration kernels of gskit in C99: the compiled twin of gskit/_pure.py.
  *
  * Every function below mirrors its namesake in _pure.py statement for
- * statement, so that both backends return the same bits:
+ * statement, so that both backends return the same bits; as there, one
+ * step controller picks every step, and max_steps counts accepted steps.
+ * To keep the bits:
  *
  * - arithmetic keeps Python's operand order (a + b + c is (a + b) + c);
  * - py_pow() stands wherever _pure writes **, and reproduces Python's
@@ -21,6 +23,7 @@
  * Python API.  Status codes and constants are those of _pure.py.
  */
 #include <math.h>
+#include <string.h>
 
 enum {
     OK = 0, MAX_STEPS = 1, UNDERFLOW = 2, BOX_EXIT = 4, CAPTURED = 8,
@@ -112,15 +115,6 @@ static void field_eval(int fid, double sgn, double x, double y, double k,
     }
 }
 
-static void jac_plane(double sgn, double u, double v, double k, double F,
-                      double *j)
-{
-    j[0] = sgn * (-(F + v * v));
-    j[1] = sgn * (-2.0 * u * v);
-    j[2] = sgn * (v * v);
-    j[3] = sgn * (2.0 * u * v - (F + k));
-}
-
 static double rms(double a, double b)
 {
     double a2 = py_pow(a, 2.0), b2;
@@ -132,172 +126,203 @@ static double rms(double a, double b)
     return sqrt(0.5 * (a2 + b2));
 }
 
-/* 0 on success, ZERO_DIVISION where Python divides by a zero scale */
-static int initial_step(int fid, double sgn, double x, double y, double k,
-                        double F, double rtol, double atol, double max_step,
-                        double *h_out)
+/* _pure._Controller, embedded first in both steppers.  trial() returns 1
+ * when ctl_judge() accepts its step, 0 when it rejects it, or
+ * ZERO_DIVISION where Python divides by a zero scale. */
+typedef struct Controller {
+    double rtol, atol, max_step, fixed_step, t, h;
+    long long steps;
+    int rejected;
+    int (*trial)(struct Controller *c, double h);
+} Controller;
+
+/* _Controller._start: 0, or ZERO_DIVISION */
+static int ctl_start(Controller *c, double x0, double y0, double fx,
+                     double fy, double rtol, double atol, double max_step,
+                     double fixed_step)
 {
-    double fx, fy, sc_x, sc_y, d0, d1, h;
-    field_eval(fid, sgn, x, y, k, F, &fx, &fy);
-    sc_x = atol + rtol * fabs(x);
-    sc_y = atol + rtol * fabs(y);
-    if (sc_x == 0.0 || sc_y == 0.0)
-        return ZERO_DIVISION;
-    d0 = rms(x / sc_x, y / sc_y);
-    d1 = rms(fx / sc_x, fy / sc_y);
-    h = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
-    *h_out = py_min(h, max_step);
+    c->rtol = rtol;
+    c->atol = atol;
+    c->max_step = max_step > 0 ? max_step : INFINITY;
+    c->fixed_step = fixed_step;
+    c->t = 0.0;
+    c->steps = 0;
+    if (fixed_step > 0.0) {
+        c->h = fixed_step;
+    } else {
+        double sc_x = atol + rtol * fabs(x0), sc_y = atol + rtol * fabs(y0);
+        double d0, d1, h;
+        if (sc_x == 0.0 || sc_y == 0.0)
+            return ZERO_DIVISION;
+        d0 = rms(x0 / sc_x, y0 / sc_y);
+        d1 = rms(fx / sc_x, fy / sc_y);
+        h = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
+        c->h = py_min(h, c->max_step);
+    }
     return 0;
 }
 
-/* _pure._Stepper: one DP54 integration with dense output for its last
- * accepted step */
+/* Take one accepted step, not passing t_limit.  Returns status. */
+static int ctl_advance(Controller *c, double t_limit)
+{
+    c->rejected = 0;
+    for (;;) {
+        double h = c->h;
+        int accepted;
+        if (!(c->fixed_step > 0.0))
+            h = py_min(h, c->max_step);
+        if (c->t + h >= t_limit)
+            h = t_limit - c->t;
+        /* `!(>)` also stops a nan step, which every trial would reject */
+        if (!(h > 1e-15 * py_max(1.0, fabs(c->t))))
+            return UNDERFLOW;
+        accepted = c->trial(c, h);
+        if (accepted == ZERO_DIVISION)
+            return ZERO_DIVISION;
+        if (accepted) {
+            c->t += h;
+            c->steps += 1;
+            return OK;
+        }
+    }
+}
+
+/* _Controller._judge: 1 when the step is accepted, else 0 */
+static int ctl_judge(Controller *c, double h, double err, int guard_bad)
+{
+    double fac;
+    if (c->fixed_step > 0.0)
+        return 1;
+    if (err <= 1.0 && !guard_bad) {
+        fac = err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 5.0;
+        if (c->rejected)
+            fac = py_min(fac, 1.0);
+        c->h = h * py_min(5.0, py_max(0.2, fac));
+        return 1;
+    }
+    c->rejected = 1;
+    fac = err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 0.5;
+    if (guard_bad)
+        fac = py_min(fac, 0.5);
+    c->h = h * py_min(0.9, py_max(0.1, fac));
+    return 0;
+}
+
+/* _pure._Stepper: one DP54 integration of a 2-D field with dense output
+ * for its last accepted step */
 typedef struct {
+    Controller c;
     int fid;
-    double sgn, k, F, rtol, atol, max_step;
+    double sgn, k, F;
     int quadrant_guard;
-    double fixed_step;
-    double t, x, y, h, k1x, k1y, hold, told;
+    double x, y, k1x, k1y, hold, told;
     double r1x, r2x, r3x, r4x, r5x, r1y, r2y, r3y, r4y, r5y;
 } Stepper;
+
+/* _Stepper._trial */
+static int st_trial(Controller *c, double h)
+{
+    Stepper *st = (Stepper *)c;
+    const int fid = st->fid;
+    const double sgn = st->sgn, k = st->k, F = st->F;
+    const double rtol = c->rtol, atol = c->atol;
+    const double x = st->x, y = st->y, k1x = st->k1x, k1y = st->k1y;
+    double k2x, k2y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y;
+    double xn, yn, err, dx, bsx, dy, bsy;
+    int guard_bad;
+    field_eval(fid, sgn, x + h * A21 * k1x, y + h * A21 * k1y, k, F,
+               &k2x, &k2y);
+    field_eval(fid, sgn, x + h * (A31 * k1x + A32 * k2x),
+               y + h * (A31 * k1y + A32 * k2y), k, F, &k3x, &k3y);
+    field_eval(fid, sgn, x + h * (A41 * k1x + A42 * k2x + A43 * k3x),
+               y + h * (A41 * k1y + A42 * k2y + A43 * k3y), k, F,
+               &k4x, &k4y);
+    field_eval(fid, sgn,
+               x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x),
+               y + h * (A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y),
+               k, F, &k5x, &k5y);
+    field_eval(fid, sgn,
+               x + h * (A61 * k1x + A62 * k2x + A63 * k3x
+                        + A64 * k4x + A65 * k5x),
+               y + h * (A61 * k1y + A62 * k2y + A63 * k3y
+                        + A64 * k4y + A65 * k5y), k, F, &k6x, &k6y);
+    xn = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x);
+    yn = y + h * (B1 * k1y + B3 * k3y + B4 * k4y + B5 * k5y + B6 * k6y);
+    field_eval(fid, sgn, xn, yn, k, F, &k7x, &k7y);
+    if (c->fixed_step > 0.0) {
+        err = 0.0;
+    } else {
+        double ex = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x
+                         + E6 * k6x + E7 * k7x);
+        double ey = h * (E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y
+                         + E6 * k6y + E7 * k7y);
+        double sx = atol + rtol * py_max(fabs(x), fabs(xn));
+        double sy = atol + rtol * py_max(fabs(y), fabs(yn));
+        if (sx == 0.0 || sy == 0.0)
+            return ZERO_DIVISION;
+        err = rms(ex / sx, ey / sy);
+    }
+    guard_bad = st->quadrant_guard && fid == FIELD_PLANE
+                && (xn < -atol || yn < -atol);
+    if (!ctl_judge(c, h, err, guard_bad))
+        return 0;
+    if (st->quadrant_guard && fid == FIELD_PLANE) {
+        /* snap within-tolerance undershoot onto the invariant axes */
+        int snapped = 0;
+        if (-atol <= xn && xn < 0.0) {
+            xn = 0.0;
+            snapped = 1;
+        }
+        if (-atol <= yn && yn < 0.0) {
+            yn = 0.0;
+            snapped = 1;
+        }
+        if (snapped)
+            field_eval(fid, sgn, xn, yn, k, F, &k7x, &k7y);
+    }
+    /* dense-output coefficients for this step */
+    dx = xn - x;
+    bsx = h * k1x - dx;
+    st->r1x = x;
+    st->r2x = dx;
+    st->r3x = bsx;
+    st->r4x = dx - h * k7x - bsx;
+    st->r5x = h * (D1 * k1x + D3 * k3x + D4 * k4x + D5 * k5x
+                   + D6 * k6x + D7 * k7x);
+    dy = yn - y;
+    bsy = h * k1y - dy;
+    st->r1y = y;
+    st->r2y = dy;
+    st->r3y = bsy;
+    st->r4y = dy - h * k7y - bsy;
+    st->r5y = h * (D1 * k1y + D3 * k3y + D4 * k4y + D5 * k5y
+                   + D6 * k6y + D7 * k7y);
+    st->told = c->t;
+    st->hold = h;
+    st->x = xn;
+    st->y = yn;
+    st->k1x = k7x;
+    st->k1y = k7y;
+    return 1;
+}
 
 static int st_init(Stepper *st, int fid, double sgn, double x0, double y0,
                    double k, double F, double rtol, double atol,
                    double max_step, int quadrant_guard, double fixed_step)
 {
+    st->c.trial = st_trial;
     st->fid = fid;
     st->sgn = sgn;
     st->k = k;
     st->F = F;
-    st->rtol = rtol;
-    st->atol = atol;
-    st->max_step = max_step > 0 ? max_step : INFINITY;
     st->quadrant_guard = quadrant_guard;
-    st->fixed_step = fixed_step;
-    st->t = 0.0;
     st->x = x0;
     st->y = y0;
-    field_eval(fid, sgn, x0, y0, k, F, &st->k1x, &st->k1y);
-    if (fixed_step > 0.0)
-        st->h = fixed_step;
-    else if (initial_step(fid, sgn, x0, y0, k, F, rtol, atol, st->max_step,
-                          &st->h))
-        return ZERO_DIVISION;
     st->hold = 0.0;
     st->told = 0.0;
-    return 0;
-}
-
-/* Take one accepted step, not passing t_limit.  Returns status. */
-static int st_advance(Stepper *st, double t_limit)
-{
-    const int fid = st->fid;
-    const double sgn = st->sgn, k = st->k, F = st->F;
-    const double rtol = st->rtol, atol = st->atol;
-    const int fixed = st->fixed_step > 0.0;
-    int rejected = 0;
-    for (;;) {
-        double h = st->h, x, y, k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y;
-        double k5x, k5y, k6x, k6y, k7x, k7y, xn, yn, err, fac;
-        int guard_bad;
-        if (!fixed)
-            h = py_min(h, st->max_step);
-        if (st->t + h >= t_limit)
-            h = t_limit - st->t;
-        if (!(h > 1e-15 * py_max(1.0, fabs(st->t))))
-            return UNDERFLOW;
-        x = st->x;
-        y = st->y;
-        k1x = st->k1x;
-        k1y = st->k1y;
-        field_eval(fid, sgn, x + h * A21 * k1x, y + h * A21 * k1y, k, F,
-                   &k2x, &k2y);
-        field_eval(fid, sgn, x + h * (A31 * k1x + A32 * k2x),
-                   y + h * (A31 * k1y + A32 * k2y), k, F, &k3x, &k3y);
-        field_eval(fid, sgn, x + h * (A41 * k1x + A42 * k2x + A43 * k3x),
-                   y + h * (A41 * k1y + A42 * k2y + A43 * k3y), k, F,
-                   &k4x, &k4y);
-        field_eval(fid, sgn,
-                   x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x),
-                   y + h * (A51 * k1y + A52 * k2y + A53 * k3y + A54 * k4y),
-                   k, F, &k5x, &k5y);
-        field_eval(fid, sgn,
-                   x + h * (A61 * k1x + A62 * k2x + A63 * k3x
-                            + A64 * k4x + A65 * k5x),
-                   y + h * (A61 * k1y + A62 * k2y + A63 * k3y
-                            + A64 * k4y + A65 * k5y), k, F, &k6x, &k6y);
-        xn = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x);
-        yn = y + h * (B1 * k1y + B3 * k3y + B4 * k4y + B5 * k5y + B6 * k6y);
-        field_eval(fid, sgn, xn, yn, k, F, &k7x, &k7y);
-        if (fixed) {
-            err = 0.0;
-        } else {
-            double ex = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x
-                             + E6 * k6x + E7 * k7x);
-            double ey = h * (E1 * k1y + E3 * k3y + E4 * k4y + E5 * k5y
-                             + E6 * k6y + E7 * k7y);
-            double sx = atol + rtol * py_max(fabs(x), fabs(xn));
-            double sy = atol + rtol * py_max(fabs(y), fabs(yn));
-            if (sx == 0.0 || sy == 0.0)
-                return ZERO_DIVISION;
-            err = rms(ex / sx, ey / sy);
-        }
-        guard_bad = st->quadrant_guard && fid == FIELD_PLANE
-                    && (xn < -atol || yn < -atol);
-        if ((err <= 1.0 && !guard_bad) || fixed) {
-            double dx, bsx, dy, bsy;
-            if (st->quadrant_guard && fid == FIELD_PLANE) {
-                /* snap within-tolerance undershoot onto the invariant axes */
-                int snapped = 0;
-                if (-atol <= xn && xn < 0.0) {
-                    xn = 0.0;
-                    snapped = 1;
-                }
-                if (-atol <= yn && yn < 0.0) {
-                    yn = 0.0;
-                    snapped = 1;
-                }
-                if (snapped)
-                    field_eval(fid, sgn, xn, yn, k, F, &k7x, &k7y);
-            }
-            /* dense-output coefficients for this step */
-            dx = xn - x;
-            bsx = h * k1x - dx;
-            st->r1x = x;
-            st->r2x = dx;
-            st->r3x = bsx;
-            st->r4x = dx - h * k7x - bsx;
-            st->r5x = h * (D1 * k1x + D3 * k3x + D4 * k4x + D5 * k5x
-                           + D6 * k6x + D7 * k7x);
-            dy = yn - y;
-            bsy = h * k1y - dy;
-            st->r1y = y;
-            st->r2y = dy;
-            st->r3y = bsy;
-            st->r4y = dy - h * k7y - bsy;
-            st->r5y = h * (D1 * k1y + D3 * k3y + D4 * k4y + D5 * k5y
-                           + D6 * k6y + D7 * k7y);
-            st->told = st->t;
-            st->hold = h;
-            st->t += h;
-            st->x = xn;
-            st->y = yn;
-            st->k1x = k7x;
-            st->k1y = k7y;
-            if (!fixed) {
-                fac = err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 5.0;
-                if (rejected)
-                    fac = py_min(fac, 1.0);
-                st->h = h * py_min(5.0, py_max(0.2, fac));
-            }
-            return OK;
-        }
-        rejected = 1;
-        fac = err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 0.5;
-        if (guard_bad)
-            fac = py_min(fac, 0.5);
-        st->h = h * py_min(0.9, py_max(0.1, fac));
-    }
+    field_eval(fid, sgn, x0, y0, k, F, &st->k1x, &st->k1y);
+    return ctl_start(&st->c, x0, y0, st->k1x, st->k1y, rtol, atol, max_step,
+                     fixed_step);
 }
 
 /* State at told + theta*hold inside the last accepted step. */
@@ -323,11 +348,10 @@ int gs_field_eval(int fid, double sgn, double x, double y, double k, double F,
 int gs_integrate(int fid, double x0, double y0, double k, double F,
                  double t_end, double rtol, double atol, double max_step,
                  long long max_steps, double time_sign, int quadrant_guard,
-                 int record, double fixed_step, double box_x, double box_y,
-                 double *end, double *samples, long long cap, long long *n)
+                 int record, double fixed_step, double box, double *end,
+                 double *samples, long long cap, long long *n)
 {
     Stepper st;
-    long long steps = 0;
     int status = OK;
     *n = 0;
     if (fid < FIELD_PLANE || fid > FIELD_CHART_V)
@@ -343,29 +367,28 @@ int gs_integrate(int fid, double x0, double y0, double k, double F,
         samples[2] = y0;
         *n = 1;
     }
-    while (st.t < t_end) {
-        status = st_advance(&st, t_end);
+    while (st.c.t < t_end) {
+        status = ctl_advance(&st.c, t_end);
         if (status != OK)
             break;
         if (record) {
             if (*n >= cap)
                 return BUFFER_FULL;
-            samples[3 * *n] = st.t;
+            samples[3 * *n] = st.c.t;
             samples[3 * *n + 1] = st.x;
             samples[3 * *n + 2] = st.y;
             *n += 1;
         }
-        if (box_x > 0.0 && (st.x > box_x || st.y > box_y)) {
+        if (box > 0.0 && (st.x > box || st.y > box)) {
             status = BOX_EXIT;
             break;
         }
-        steps += 1;
-        if (steps >= max_steps) {
+        if (st.c.steps >= max_steps) {
             status = MAX_STEPS;
             break;
         }
     }
-    end[0] = st.t;
+    end[0] = st.c.t;
     end[1] = st.x;
     end[2] = st.y;
     return status;
@@ -422,7 +445,6 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
     Stepper st;
     int capture = 0;
     double eps = 0.0, delta, eps_in = 0.0, delta_in = 0.0, g_prev;
-    long long steps = 0;
     *n = 0;
     if (st_init(&st, FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
                 max_step, quadrant_guard, 0.0))
@@ -438,9 +460,9 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
         delta_in = (1.0 - CAPTURE_MARGIN) * delta;
     }
     g_prev = G_OF(x0, y0);
-    while (st.t < t_max) {
+    while (st.c.t < t_max) {
         double g_now;
-        int status = st_advance(&st, t_max);
+        int status = ctl_advance(&st.c, t_max);
         if (status != OK)
             return status;
         g_now = G_OF(st.x, st.y);
@@ -508,24 +530,76 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
         if (capture && fabs(1.0 - st.x) <= eps_in && 0.0 <= st.y
                 && st.y <= delta_in)
             return CAPTURED;
-        steps += 1;
-        if (steps >= max_steps)
+        if (st.c.steps >= max_steps)
             return MAX_STEPS;
     }
     return MAX_STEPS;
 }
 
-/* the variational right-hand side of _pure.monodromy */
-static void mono_rhs(double time_sign, double k, double F, const double *s,
-                     double *out)
+/* _pure._Variational: the plane field and its 2x2 variational matrix,
+ * s = (x, y, m11, m12, m21, m22), with the error norm over all six */
+typedef struct {
+    Controller c;
+    double sgn, k, F, s[6], f1[6];
+} Variational;
+
+/* _Variational._rhs */
+static void var_rhs(const Variational *vs, const double *s, double *out)
 {
-    double j[4];
-    field_eval(FIELD_PLANE, time_sign, s[0], s[1], k, F, &out[0], &out[1]);
-    jac_plane(time_sign, s[0], s[1], k, F, j);
-    out[2] = j[0] * s[2] + j[1] * s[4];
-    out[3] = j[0] * s[3] + j[1] * s[5];
-    out[4] = j[2] * s[2] + j[3] * s[4];
-    out[5] = j[2] * s[3] + j[3] * s[5];
+    const double sgn = vs->sgn, k = vs->k, F = vs->F, u = s[0], v = s[1];
+    /* the Jacobian of the plane field */
+    const double j11 = sgn * (-(F + v * v)), j12 = sgn * (-2.0 * u * v);
+    const double j21 = sgn * (v * v), j22 = sgn * (2.0 * u * v - (F + k));
+    field_eval(FIELD_PLANE, sgn, u, v, k, F, &out[0], &out[1]);
+    out[2] = j11 * s[2] + j12 * s[4];
+    out[3] = j11 * s[3] + j12 * s[5];
+    out[4] = j21 * s[2] + j22 * s[4];
+    out[5] = j21 * s[3] + j22 * s[5];
+}
+
+/* out = rhs(s + h * (sum)), sum written for component i */
+#define VAR_STAGE(out, sum)                  \
+    do {                                     \
+        for (i = 0; i < 6; i++)              \
+            a[i] = s[i] + h * (sum);         \
+        var_rhs(vs, a, out);                 \
+    } while (0)
+
+/* _Variational._trial */
+static int var_trial(Controller *c, double h)
+{
+    Variational *vs = (Variational *)c;
+    const double *s = vs->s, *k1 = vs->f1;
+    double k2[6], k3[6], k4[6], k5[6], k6[6], k7[6], a[6], sn[6], err = 0.0;
+    int i;
+    VAR_STAGE(k2, A21 * k1[i]);
+    VAR_STAGE(k3, A31 * k1[i] + A32 * k2[i]);
+    VAR_STAGE(k4, A41 * k1[i] + A42 * k2[i] + A43 * k3[i]);
+    VAR_STAGE(k5, A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i]);
+    VAR_STAGE(k6, A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i]
+                  + A65 * k5[i]);
+    for (i = 0; i < 6; i++)
+        sn[i] = s[i] + h * (B1 * k1[i] + B3 * k3[i] + B4 * k4[i] + B5 * k5[i]
+                            + B6 * k6[i]);
+    var_rhs(vs, sn, k7);
+    for (i = 0; i < 6; i++) {
+        double ei = h * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i]
+                         + E6 * k6[i] + E7 * k7[i]);
+        double sc = c->atol + c->rtol * py_max(fabs(s[i]), fabs(sn[i])), q, q2;
+        if (sc == 0.0)
+            return ZERO_DIVISION;
+        q = ei / sc;
+        q2 = py_pow(q, 2.0);
+        if (pow_overflowed(q, q2))
+            break;
+        err += q2;
+    }
+    err = i == 6 ? sqrt(err / 6.0) : INFINITY;
+    if (!ctl_judge(c, h, err, 0))
+        return 0;
+    memcpy(vs->s, sn, sizeof sn);
+    memcpy(vs->f1, k7, sizeof k7);
+    return 1;
 }
 
 /* _pure.monodromy.  out receives (x, y, m11, m12, m21, m22). */
@@ -533,89 +607,23 @@ int gs_monodromy(double x0, double y0, double k, double F, double t_total,
                  double rtol, double atol, double max_step, double time_sign,
                  long long max_steps, double *out)
 {
-    static const double a[5][5] = {
-        {0.2},
-        {3.0 / 40.0, 9.0 / 40.0},
-        {44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0},
-        {19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0},
-        {9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-         -5103.0 / 18656.0},
-    };
-    static const double b[6] = {35.0 / 384.0, 0.0, 500.0 / 1113.0,
-                                125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0};
-    static const double e[7] = {71.0 / 57600.0, 0.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0};
-    double y[6] = {x0, y0, 1.0, 0.0, 0.0, 1.0};
-    double ks[7][6], yy[6], yn[6];
-    double t = 0.0, h, hmax;
-    long long steps = 0;
-    int status = OK, i, j, r;
-    mono_rhs(time_sign, k, F, y, ks[0]);
-    if (initial_step(FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
-                     max_step > 0 ? max_step : INFINITY, &h))
+    const double s0[6] = {x0, y0, 1.0, 0.0, 0.0, 1.0};
+    Variational vs;
+    int status = OK;
+    vs.c.trial = var_trial;
+    vs.sgn = time_sign;
+    vs.k = k;
+    vs.F = F;
+    memcpy(vs.s, s0, sizeof s0);
+    var_rhs(&vs, vs.s, vs.f1);
+    if (ctl_start(&vs.c, x0, y0, vs.f1[0], vs.f1[1], rtol, atol, max_step,
+                  0.0))
         return ZERO_DIVISION;
-    h = py_min(h, 1e-2);
-    hmax = max_step > 0 ? max_step : INFINITY;
-    while (t < t_total) {
-        double err;
-        h = py_min(py_min(h, hmax), t_total - t);
-        if (!(h > 1e-15 * py_max(1.0, t))) {
-            status = UNDERFLOW;
-            break;
-        }
-        for (r = 0; r < 5; r++) {
-            for (i = 0; i < 6; i++) {
-                double acc = 0.0;
-                for (j = 0; j <= r; j++)
-                    acc += a[r][j] * ks[j][i];
-                yy[i] = y[i] + h * acc;
-            }
-            mono_rhs(time_sign, k, F, yy, ks[r + 1]);
-        }
-        for (i = 0; i < 6; i++) {
-            double acc = 0.0;
-            for (j = 0; j < 6; j++)
-                acc += b[j] * ks[j][i];
-            yn[i] = y[i] + h * acc;
-        }
-        mono_rhs(time_sign, k, F, yn, ks[6]);
-        err = 0.0;
-        for (i = 0; i < 6; i++) {
-            double acc = 0.0, ei, sc, q, q2;
-            for (j = 0; j < 7; j++)
-                acc += e[j] * ks[j][i];
-            ei = h * acc;
-            sc = atol + rtol * py_max(fabs(y[i]), fabs(yn[i]));
-            if (sc == 0.0)
-                return ZERO_DIVISION;
-            q = ei / sc;
-            q2 = py_pow(q, 2.0);
-            if (pow_overflowed(q, q2)) {
-                err = INFINITY;
-                break;
-            }
-            err += q2;
-        }
-        if (i == 6)
-            err = sqrt(err / 6.0);
-        if (err <= 1.0) {
-            t += h;
-            for (i = 0; i < 6; i++) {
-                y[i] = yn[i];
-                ks[0][i] = ks[6][i];
-            }
-            h *= py_min(5.0, py_max(0.2, err > 1e-30 ? 0.9 * py_pow(err, -0.2) : 5.0));
-        } else {
-            h *= py_min(0.9, py_max(0.1, 0.9 * py_pow(err, -0.2)));
-        }
-        steps += 1;
-        if (steps >= max_steps) {
+    while (status == OK && vs.c.t < t_total) {
+        status = ctl_advance(&vs.c, t_total);
+        if (status == OK && vs.c.steps >= max_steps)
             status = MAX_STEPS;
-            break;
-        }
     }
-    for (i = 0; i < 6; i++)
-        out[i] = y[i];
+    memcpy(out, vs.s, sizeof vs.s);
     return status;
 }

@@ -3,11 +3,13 @@
 Dormand-Prince 5(4) with FSAL, Hairer's quartic dense output, a first-quadrant
 step guard, ray-crossing event location and variational (monodromy)
 propagation, specialized to the Gray-Scott kinetics and its two
-compactification charts.  gskit/_kernel.c is their C twin, statement for
-statement, and returns the same bits; gskit.kernels selects these only when
-that twin could not be built or loaded (or GSKIT_BACKEND=pure), and calls
-them with arguments already converted to float, int and bool, so the loops
-below run in Python float arithmetic.  Python floats raise OverflowError on
+compactification charts.  One step rule, _Controller, picks every step of
+integrate, ray_crossings and monodromy; max_steps counts accepted steps.
+gskit/_kernel.c is their C twin, statement for statement, and returns the
+same bits; gskit.kernels selects these only when that twin could not be
+built or loaded (or GSKIT_BACKEND=pure), and calls them with arguments
+already converted to float, int and bool, so the loops below run in
+Python float arithmetic.  Python floats raise OverflowError on
 ``**`` where C's pow returns inf; every error norm maps it to inf, so an
 overflowing trial step is rejected just the same, and the chart fields map
 it to the signed inf of C.  A change here needs its mirror in _kernel.c:
@@ -17,11 +19,12 @@ Shared status codes:
 
 - 0 ``OK``: reached t_end (integrate), or found the requested crossings
   (ray_crossings);
-- 1 ``MAX_STEPS``: the step budget, or for ray_crossings t_max, ran out;
+- 1 ``MAX_STEPS``: max_steps accepted steps were taken, or for
+  ray_crossings t_max was reached;
 - 2 ``UNDERFLOW``: the step size fell below 1e-15 * max(1, |t|), or is nan
   (a first-step estimate from a non-finite field);
-- 4 ``BOX_EXIT``: the state left the stop box (integrate: {x <= box_x,
-  y <= box_y}; ray_crossings: {x <= box, y <= box});
+- 4 ``BOX_EXIT``: integrate and ray_crossings with box > 0: the state left
+  the stop box {x <= box, y <= box};
 - 8 ``CAPTURED``: ray_crossings only; the state entered a forward-invariant
   box around the trivial node (1, 0) that the ray misses;
 - 16 ``SETTLED``: ray_crossings only; the newest three section radii
@@ -97,11 +100,6 @@ def _pow(w, n):
         return -math.inf if w < 0 and n % 2 else math.inf
 
 
-def _jac_plane(sgn, u, v, k, F):
-    return (sgn * (-(F + v * v)), sgn * (-2.0 * u * v),
-            sgn * (v * v), sgn * (2.0 * u * v - (F + k)))
-
-
 def _rms(a, b):
     """sqrt((a^2 + b^2) / 2), inf where a square overflows."""
     try:
@@ -110,129 +108,145 @@ def _rms(a, b):
         return math.inf
 
 
-def _initial_step(fid, sgn, x, y, k, F, rtol, atol, max_step):
-    fx, fy = field_eval(fid, sgn, x, y, k, F)
-    sc_x = atol + rtol * abs(x)
-    sc_y = atol + rtol * abs(y)
-    d0 = _rms(x / sc_x, y / sc_y)
-    d1 = _rms(fx / sc_x, fy / sc_y)
-    h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    return min(h, max_step)
+class _Controller:
+    """The DP54 step controller (Hairer, Norsett & Wanner, Solving ODEs I,
+    section II.4).  A subclass's _trial(h) runs the stages and error norm
+    of one step, asks _judge() whether it is accepted, and if so makes it
+    the current state; `steps` counts accepted steps."""
 
+    __slots__ = ("rtol", "atol", "max_step", "fixed_step", "t", "h", "steps",
+                 "rejected")
 
-class _Stepper:
-    """One DP54 integration; exposes dense output for the last step."""
-
-    __slots__ = ("fid", "sgn", "k", "F", "rtol", "atol", "max_step",
-                 "quadrant_guard", "fixed_step", "t", "x", "y", "h",
-                 "k1x", "k1y", "hold", "r1x", "r2x", "r3x", "r4x", "r5x",
-                 "r1y", "r2y", "r3y", "r4y", "r5y", "told")
-
-    def __init__(self, fid, sgn, x0, y0, k, F, rtol, atol, max_step,
-                 quadrant_guard, fixed_step=0.0):
-        self.fid = fid
-        self.sgn = sgn
-        self.k = k
-        self.F = F
-        self.rtol = rtol
-        self.atol = atol
+    def _start(self, x0, y0, fx, fy, rtol, atol, max_step, fixed_step):
+        """Start at t = 0 from (x0, y0), where the field is (fx, fy)."""
+        self.rtol, self.atol = rtol, atol
         self.max_step = max_step if max_step > 0 else math.inf
-        self.quadrant_guard = quadrant_guard
         self.fixed_step = fixed_step
-        self.t = 0.0
-        self.x = x0
-        self.y = y0
-        self.k1x, self.k1y = field_eval(fid, sgn, x0, y0, k, F)
+        self.t, self.steps = 0.0, 0
         if fixed_step > 0.0:
             self.h = fixed_step
         else:
-            self.h = _initial_step(fid, sgn, x0, y0, k, F, rtol, atol, self.max_step)
-        self.hold = 0.0
-        self.told = 0.0
+            sc_x = atol + rtol * abs(x0)
+            sc_y = atol + rtol * abs(y0)
+            d0 = _rms(x0 / sc_x, y0 / sc_y)
+            d1 = _rms(fx / sc_x, fy / sc_y)
+            h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+            self.h = min(h, self.max_step)
 
     def advance(self, t_limit: float) -> int:
         """Take one accepted step, not passing t_limit.  Returns status."""
-        fid, sgn, k, F = self.fid, self.sgn, self.k, self.F
-        rtol, atol = self.rtol, self.atol
-        fixed = self.fixed_step > 0.0
-        rejected = 0
+        self.rejected = False
         while True:
             h = self.h
-            if not fixed:
+            if not self.fixed_step > 0.0:
                 h = min(h, self.max_step)
             if self.t + h >= t_limit:
                 h = t_limit - self.t
             # `not >` also stops a nan step, which every trial would reject
             if not h > 1e-15 * max(1.0, abs(self.t)):
                 return UNDERFLOW
-            x, y = self.x, self.y
-            k1x, k1y = self.k1x, self.k1y
-            k2x, k2y = field_eval(fid, sgn, x + h * _A21 * k1x, y + h * _A21 * k1y, k, F)
-            k3x, k3y = field_eval(fid, sgn, x + h * (_A31 * k1x + _A32 * k2x),
-                                  y + h * (_A31 * k1y + _A32 * k2y), k, F)
-            k4x, k4y = field_eval(fid, sgn, x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-                                  y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y), k, F)
-            k5x, k5y = field_eval(fid, sgn,
-                                  x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
-                                  y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
-                                  k, F)
-            k6x, k6y = field_eval(fid, sgn,
-                                  x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
-                                           + _A64 * k4x + _A65 * k5x),
-                                  y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
-                                           + _A64 * k4y + _A65 * k5y), k, F)
-            xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
-            yn = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
-            k7x, k7y = field_eval(fid, sgn, xn, yn, k, F)
-            if fixed:
-                err = 0.0
-            else:
-                ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
-                ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
-                sx = atol + rtol * max(abs(x), abs(xn))
-                sy = atol + rtol * max(abs(y), abs(yn))
-                err = _rms(ex / sx, ey / sy)
-            guard_bad = (self.quadrant_guard and self.fid == FIELD_PLANE
-                         and (xn < -self.atol or yn < -self.atol))
-            if (err <= 1.0 and not guard_bad) or fixed:
-                if self.quadrant_guard and self.fid == FIELD_PLANE:
-                    # snap within-tolerance undershoot onto the invariant axes
-                    snapped = False
-                    if -self.atol <= xn < 0.0:
-                        xn, snapped = 0.0, True
-                    if -self.atol <= yn < 0.0:
-                        yn, snapped = 0.0, True
-                    if snapped:
-                        k7x, k7y = field_eval(fid, sgn, xn, yn, k, F)
-                # dense-output coefficients for this step
-                dx = xn - x
-                bsx = h * k1x - dx
-                self.r1x, self.r2x, self.r3x = x, dx, bsx
-                self.r4x = dx - h * k7x - bsx
-                self.r5x = h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x
-                                + _D6 * k6x + _D7 * k7x)
-                dy = yn - y
-                bsy = h * k1y - dy
-                self.r1y, self.r2y, self.r3y = y, dy, bsy
-                self.r4y = dy - h * k7y - bsy
-                self.r5y = h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y
-                                + _D6 * k6y + _D7 * k7y)
-                self.told = self.t
-                self.hold = h
+            if self._trial(h):
                 self.t += h
-                self.x, self.y = xn, yn
-                self.k1x, self.k1y = k7x, k7y
-                if not fixed:
-                    fac = 0.9 * err ** -0.2 if err > 1e-30 else 5.0
-                    if rejected:
-                        fac = min(fac, 1.0)
-                    self.h = h * min(5.0, max(0.2, fac))
+                self.steps += 1
                 return OK
-            rejected = 1
-            fac = 0.9 * err ** -0.2 if err > 1e-30 else 0.5
-            if guard_bad:
-                fac = min(fac, 0.5)
-            self.h = h * min(0.9, max(0.1, fac))
+
+    def _judge(self, h, err, guard_bad):
+        """True when the step of size h is accepted; sets the next size."""
+        if self.fixed_step > 0.0:
+            return True
+        if err <= 1.0 and not guard_bad:
+            fac = 0.9 * err ** -0.2 if err > 1e-30 else 5.0
+            if self.rejected:
+                fac = min(fac, 1.0)
+            self.h = h * min(5.0, max(0.2, fac))
+            return True
+        self.rejected = True
+        fac = 0.9 * err ** -0.2 if err > 1e-30 else 0.5
+        if guard_bad:
+            fac = min(fac, 0.5)
+        self.h = h * min(0.9, max(0.1, fac))
+        return False
+
+
+class _Stepper(_Controller):
+    """One DP54 integration of a 2-D field; exposes dense output for the
+    last step."""
+
+    __slots__ = ("fid", "sgn", "k", "F", "quadrant_guard", "x", "y", "k1x",
+                 "k1y", "hold", "told", "r1x", "r2x", "r3x", "r4x", "r5x",
+                 "r1y", "r2y", "r3y", "r4y", "r5y")
+
+    def __init__(self, fid, sgn, x0, y0, k, F, rtol, atol, max_step,
+                 quadrant_guard, fixed_step=0.0):
+        self.fid, self.sgn, self.k, self.F = fid, sgn, k, F
+        self.quadrant_guard = quadrant_guard
+        self.x, self.y = x0, y0
+        self.hold = self.told = 0.0
+        self.k1x, self.k1y = field_eval(fid, sgn, x0, y0, k, F)
+        self._start(x0, y0, self.k1x, self.k1y, rtol, atol, max_step,
+                    fixed_step)
+
+    def _trial(self, h):
+        """One step of size h, 2-component error norm; True when accepted."""
+        fid, sgn, k, F = self.fid, self.sgn, self.k, self.F
+        rtol, atol = self.rtol, self.atol
+        x, y, k1x, k1y = self.x, self.y, self.k1x, self.k1y
+        k2x, k2y = field_eval(fid, sgn, x + h * _A21 * k1x, y + h * _A21 * k1y, k, F)
+        k3x, k3y = field_eval(fid, sgn, x + h * (_A31 * k1x + _A32 * k2x),
+                              y + h * (_A31 * k1y + _A32 * k2y), k, F)
+        k4x, k4y = field_eval(fid, sgn, x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+                              y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y), k, F)
+        k5x, k5y = field_eval(fid, sgn,
+                              x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x),
+                              y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y + _A54 * k4y),
+                              k, F)
+        k6x, k6y = field_eval(fid, sgn,
+                              x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
+                                       + _A64 * k4x + _A65 * k5x),
+                              y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
+                                       + _A64 * k4y + _A65 * k5y), k, F)
+        xn = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
+        yn = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y + _B6 * k6y)
+        k7x, k7y = field_eval(fid, sgn, xn, yn, k, F)
+        if self.fixed_step > 0.0:
+            err = 0.0
+        else:
+            ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
+            ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
+            sx = atol + rtol * max(abs(x), abs(xn))
+            sy = atol + rtol * max(abs(y), abs(yn))
+            err = _rms(ex / sx, ey / sy)
+        guard_bad = (self.quadrant_guard and fid == FIELD_PLANE
+                     and (xn < -atol or yn < -atol))
+        if not self._judge(h, err, guard_bad):
+            return False
+        if self.quadrant_guard and fid == FIELD_PLANE:
+            # snap within-tolerance undershoot onto the invariant axes
+            snapped = False
+            if -atol <= xn < 0.0:
+                xn, snapped = 0.0, True
+            if -atol <= yn < 0.0:
+                yn, snapped = 0.0, True
+            if snapped:
+                k7x, k7y = field_eval(fid, sgn, xn, yn, k, F)
+        # dense-output coefficients for this step
+        dx = xn - x
+        bsx = h * k1x - dx
+        self.r1x, self.r2x, self.r3x = x, dx, bsx
+        self.r4x = dx - h * k7x - bsx
+        self.r5x = h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x
+                        + _D6 * k6x + _D7 * k7x)
+        dy = yn - y
+        bsy = h * k1y - dy
+        self.r1y, self.r2y, self.r3y = y, dy, bsy
+        self.r4y = dy - h * k7y - bsy
+        self.r5y = h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y
+                        + _D6 * k6y + _D7 * k7y)
+        self.told = self.t
+        self.hold = h
+        self.x, self.y = xn, yn
+        self.k1x, self.k1y = k7x, k7y
+        return True
 
     def dense(self, theta: float):
         """State at told + theta*hold inside the last accepted step."""
@@ -243,8 +257,7 @@ class _Stepper:
 
 
 def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
-              time_sign, quadrant_guard, record, fixed_step=0.0,
-              box_x=0.0, box_y=0.0):
+              time_sign, quadrant_guard, record, fixed_step=0.0, box=0.0):
     """Integrate to t_end (> 0; time_sign=-1 runs the reversed field).
 
     Returns (status, t_reached, x, y, ts, xs, ys); the sample lists are
@@ -252,12 +265,7 @@ def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
     """
     st = _Stepper(fid, time_sign, x0, y0, k, F, rtol, atol, max_step,
                   quadrant_guard, fixed_step)
-    ts, xs, ys = [], [], []
-    if record:
-        ts.append(0.0)
-        xs.append(x0)
-        ys.append(y0)
-    steps = 0
+    ts, xs, ys = ([0.0], [x0], [y0]) if record else ([], [], [])
     while st.t < t_end:
         status = st.advance(t_end)
         if status != OK:
@@ -266,10 +274,9 @@ def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
             ts.append(st.t)
             xs.append(st.x)
             ys.append(st.y)
-        if box_x > 0.0 and (st.x > box_x or st.y > box_y):
+        if box > 0.0 and (st.x > box or st.y > box):
             return BOX_EXIT, st.t, st.x, st.y, ts, xs, ys
-        steps += 1
-        if steps >= max_steps:
+        if st.steps >= max_steps:
             return MAX_STEPS, st.t, st.x, st.y, ts, xs, ys
     return OK, st.t, st.x, st.y, ts, xs, ys
 
@@ -362,7 +369,6 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
         return dx * (y - cy) - dy * (x - cx)
 
     g_prev = g_of(x0, y0)
-    steps = 0
     while st.t < t_max:
         status = st.advance(t_max)
         if status != OK:
@@ -410,22 +416,60 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
             return BOX_EXIT, hits
         if capture and abs(1.0 - st.x) <= eps_in and 0.0 <= st.y <= delta_in:
             return CAPTURED, hits
-        steps += 1
-        if steps >= max_steps:
+        if st.steps >= max_steps:
             return MAX_STEPS, hits
     return MAX_STEPS, hits
 
 
-def _dot(coef, ks, i):
-    """sum(coef[j] * ks[j][i]), accumulated left to right from 0.0.
+class _Variational(_Controller):
+    """One DP54 integration of the plane field and its 2x2 variational
+    matrix, s = (x, y, m11, m12, m21, m22), with the error norm over all
+    six: at a rest point the state's error estimate is 0."""
 
-    Not sum(): since Python 3.12 it adds floats with compensated summation,
-    which would tie the result to the interpreter version.  A zero
-    coefficient still contributes its product (0.0 * inf is nan)."""
-    acc = 0.0
-    for j, c in enumerate(coef):
-        acc += c * ks[j][i]
-    return acc
+    __slots__ = ("sgn", "k", "F", "s", "f1")
+
+    def __init__(self, x0, y0, k, F, rtol, atol, max_step, sgn):
+        self.sgn, self.k, self.F = sgn, k, F
+        self.s = [x0, y0, 1.0, 0.0, 0.0, 1.0]
+        self.f1 = self._rhs(self.s)
+        self._start(x0, y0, self.f1[0], self.f1[1], rtol, atol, max_step, 0.0)
+
+    def _rhs(self, s):
+        sgn, k, F, u, v = self.sgn, self.k, self.F, s[0], s[1]
+        # the Jacobian of the plane field
+        j11, j12 = sgn * (-(F + v * v)), sgn * (-2.0 * u * v)
+        j21, j22 = sgn * (v * v), sgn * (2.0 * u * v - (F + k))
+        fu, fv = field_eval(FIELD_PLANE, sgn, u, v, k, F)
+        return [fu, fv,
+                j11 * s[2] + j12 * s[4], j11 * s[3] + j12 * s[5],
+                j21 * s[2] + j22 * s[4], j21 * s[3] + j22 * s[5]]
+
+    def _trial(self, h):
+        """One step of size h, 6-component error norm; True when accepted."""
+        rhs, s, k1, six = self._rhs, self.s, self.f1, range(6)
+        k2 = rhs([s[i] + h * (_A21 * k1[i]) for i in six])
+        k3 = rhs([s[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in six])
+        k4 = rhs([s[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in six])
+        k5 = rhs([s[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
+                  for i in six])
+        k6 = rhs([s[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i]
+                              + _A65 * k5[i]) for i in six])
+        sn = [s[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i]
+                          + _B6 * k6[i]) for i in six]
+        k7 = rhs(sn)
+        err = 0.0
+        try:
+            for i in six:
+                ei = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
+                          + _E6 * k6[i] + _E7 * k7[i])
+                err += (ei / (self.atol + self.rtol * max(abs(s[i]), abs(sn[i])))) ** 2
+            err = math.sqrt(err / 6.0)
+        except OverflowError:
+            err = math.inf
+        if not self._judge(h, err, False):
+            return False
+        self.s, self.f1 = sn, k7
+        return True
 
 
 def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
@@ -436,53 +480,10 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
     displacements to final displacements (monodromy when the orbit is
     periodic with period t_total).
     """
-    y = [x0, y0, 1.0, 0.0, 0.0, 1.0]
-
-    def rhs(s):
-        u, v = s[0], s[1]
-        fu, fv = field_eval(FIELD_PLANE, time_sign, u, v, k, F)
-        j11, j12, j21, j22 = _jac_plane(time_sign, u, v, k, F)
-        return [fu, fv,
-                j11 * s[2] + j12 * s[4], j11 * s[3] + j12 * s[5],
-                j21 * s[2] + j22 * s[4], j21 * s[3] + j22 * s[5]]
-
-    t = 0.0
-    f1 = rhs(y)
-    h = min(_initial_step(FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
-                          max_step if max_step > 0 else math.inf), 1e-2)
-    hmax = max_step if max_step > 0 else math.inf
-    steps = 0
-    a = ((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
-         (_A61, _A62, _A63, _A64, _A65))
-    b = (_B1, 0.0, _B3, _B4, _B5, _B6)
-    e = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
-    while t < t_total:
-        h = min(h, hmax, t_total - t)
-        if not h > 1e-15 * max(1.0, t):
-            return UNDERFLOW, y[0], y[1], y[2], y[3], y[4], y[5]
-        ks = [f1]
-        for row in a:
-            ks.append(rhs([y[i] + h * _dot(row, ks, i) for i in range(6)]))
-        yn = [y[i] + h * _dot(b, ks, i) for i in range(6)]
-        k7 = rhs(yn)
-        ks.append(k7)
-        err = 0.0
-        try:
-            for i in range(6):
-                ei = h * _dot(e, ks, i)
-                sc = atol + rtol * max(abs(y[i]), abs(yn[i]))
-                err += (ei / sc) ** 2
-            err = math.sqrt(err / 6.0)
-        except OverflowError:
-            err = math.inf
-        if err <= 1.0:
-            t += h
-            y = yn
-            f1 = k7
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 1e-30 else 5.0))
-        else:
-            h *= min(0.9, max(0.1, 0.9 * err ** -0.2))
-        steps += 1
-        if steps >= max_steps:
-            return MAX_STEPS, y[0], y[1], y[2], y[3], y[4], y[5]
-    return OK, y[0], y[1], y[2], y[3], y[4], y[5]
+    st = _Variational(x0, y0, k, F, rtol, atol, max_step, time_sign)
+    status = OK
+    while status == OK and st.t < t_total:
+        status = st.advance(t_total)
+        if status == OK and st.steps >= max_steps:
+            status = MAX_STEPS
+    return (status, *st.s)

@@ -31,7 +31,7 @@ import numpy as np
 from . import bautin, bt, continuation, dynamics
 from .core import Params, State, jacobian, vector_field
 from .equilibria import equilibria, hopf_F, saddle_node_F
-from .errors import GSKitError, NoReturn
+from .errors import GSKitError
 
 
 @dataclass
@@ -265,36 +265,10 @@ def criterion_5(ctx: BatteryContext) -> CriterionResult:
 
 
 def _locate_t_curve_F(ctx: BatteryContext, k: float) -> tuple:
-    """(F_below_T, F_two_cycles, F_above) bracketing the fold-of-cycles at k."""
-    if k in ctx.t_curve_cache:
-        return ctx.t_curve_cache[k]
-    Fh = float(hopf_F(k))
-
-    def ncycles(F):
-        try:
-            return len(dynamics.limit_cycle_census(Params(k, F), n_scan=200))
-        except NoReturn:
-            return -1
-
-    lo_off, hi_off = None, 1e-6
-    off = 2e-6
-    while off < 3e-4:
-        if ncycles(Fh - off) != 2:
-            lo_off = off
-            break
-        hi_off = off
-        off *= 1.7
-    if lo_off is None:
-        raise GSKitError(f"no lower edge of the two-cycle band found at k={k}")
-    for _ in range(20):
-        mid = 0.5 * (lo_off + hi_off)
-        if ncycles(Fh - mid) == 2:
-            hi_off = mid
-        else:
-            lo_off = mid
-    out = (Fh - lo_off, Fh - 0.5 * hi_off, Fh)
-    ctx.t_curve_cache[k] = out
-    return out
+    """continuation.lpc_bracket(k), cached in the battery context."""
+    if k not in ctx.t_curve_cache:
+        ctx.t_curve_cache[k] = continuation.lpc_bracket(k)
+    return ctx.t_curve_cache[k]
 
 
 def criterion_6(ctx: BatteryContext) -> CriterionResult:

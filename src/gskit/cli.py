@@ -252,7 +252,7 @@ def cmd_continue(args, cfg) -> int:
         seed = continuation.fold_seed(args.k0, args.branch)
         result = continuation.continue_curve("fold", seed, direction=args.direction)
     elif kind == "lpc":
-        _, F_mid, _ = acceptance._locate_t_curve_F(acceptance.BatteryContext(), args.k0)
+        _, F_mid, _ = continuation.lpc_bracket(args.k0)
         seed = continuation.lpc_seed_from_region3(Params(args.k0, F_mid))
         result = continuation.lpc_curve(seed, max_points=args.n)
     elif kind == "homoclinic":

@@ -22,8 +22,9 @@ import numpy as np
 from . import bautin, dynamics, kernels
 from .core import Params, jacobian, vector_field
 from .equilibria import equilibria, hopf_F, saddle_node_F
-from .errors import (BracketNotFound, NewtonDiverged, SaddleMissing,
-                     SectionMiss, SeedInvalid)
+from .errors import (BracketNotFound, DomainError, NewtonDiverged,
+                     NoReturn, NotOnHopfCurve, SaddleMissing, SectionMiss,
+                     SeedInvalid)
 
 CycleRepr = dynamics.CycleRepr
 
@@ -279,7 +280,7 @@ def _l1_test(z):
         return None
     try:
         return bautin._l1_extended(Params(k, F))
-    except Exception:
+    except (DomainError, NotOnHopfCurve):
         return None
 
 
@@ -384,6 +385,41 @@ def _lpc_residual_factory(settings):
         return np.array([g0, gp])
 
     return res
+
+
+def lpc_bracket(k: float) -> tuple:
+    """(F_below, F_two_cycles, F_hopf) bracketing the fold-of-cycles curve
+    at k, below the Hopf curve: the census (n_scan 200) finds two cycles at
+    F_two_cycles and not two at F_below.  The lower edge of the two-cycle
+    band is stepped out from F_hopf - 2e-6 and then bisected 20 times.
+
+    Raises BracketNotFound when the band shows no lower edge within 3e-4
+    below the Hopf curve."""
+    Fh = float(hopf_F(k))
+
+    def ncycles(F):
+        try:
+            return len(dynamics.limit_cycle_census(Params(k, F), n_scan=200))
+        except NoReturn:
+            return -1
+
+    lo_off, hi_off = None, 1e-6
+    off = 2e-6
+    while off < 3e-4:
+        if ncycles(Fh - off) != 2:
+            lo_off = off
+            break
+        hi_off = off
+        off *= 1.7
+    if lo_off is None:
+        raise BracketNotFound(f"no lower edge of the two-cycle band found at k={k}")
+    for _ in range(20):
+        mid = 0.5 * (lo_off + hi_off)
+        if ncycles(Fh - mid) == 2:
+            hi_off = mid
+        else:
+            lo_off = mid
+    return Fh - lo_off, Fh - 0.5 * hi_off, Fh
 
 
 def lpc_seed_from_region3(a: Params, *,

@@ -521,7 +521,7 @@ def manifold_from_infinity(a: Params, *, offset: float = 1e-6,
     status, t, q, w, *_ = kernels.integrate(
         kernels.FIELD_CHART_V, q0, w0, k, F, t_chart,
         settings.rel_tol, settings.abs_tol, 0.0, 50_000_000, 1.0, False, False,
-        0.0, 0.75, 0.75)
+        0.0, 0.75)
     if status != kernels.BOX_EXIT:
         return None, "none"
     u, v = from_chart_v(q, w)
@@ -610,7 +610,7 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
     if with_cycles:
         try:
             cycles = limit_cycle_census(a, settings)
-        except Exception:
+        except (DomainError, NoReturn, StepUnderflow):
             cycles = []
         for c in cycles:
             traj = integrate(c.section_point, a, c.period,

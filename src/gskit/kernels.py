@@ -15,11 +15,8 @@ When the build or the load fails, the pure backend is used and the reason
 is kept in COMPILED_ERROR.  GSKIT_BACKEND=pure forces the pure backend;
 use_backend() switches explicitly (tests, benchmarks).
 
-Status codes, shared by both backends (documented in gskit._pure): OK,
-MAX_STEPS, UNDERFLOW, BOX_EXIT (left the stop box), CAPTURED (ray_crossings
-only: the orbit entered an invariant box around the trivial node that the
-ray misses, so no further crossing can occur) and SETTLED (ray_crossings
-only: the newest three section radii agree within SETTLE_TOL).
+The status codes (OK, MAX_STEPS, UNDERFLOW, BOX_EXIT, CAPTURED, SETTLED) are
+those of gskit._pure, which documents them.
 """
 from __future__ import annotations
 
@@ -30,6 +27,8 @@ import tempfile
 from pathlib import Path
 
 from . import _pure
+from ._pure import (BOX_EXIT, CAPTURED, FIELD_CHART_U, FIELD_CHART_V,
+                    FIELD_PLANE, MAX_STEPS, OK, SETTLE_TOL, SETTLED, UNDERFLOW)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "gcc"
@@ -103,7 +102,7 @@ def _build() -> Path:
     return lib
 
 
-def _raise_for(status: int, fid: int = _pure.FIELD_PLANE) -> int:
+def _raise_for(status: int, fid: int = FIELD_PLANE) -> int:
     """The status of a finished C call; raises what the pure kernel raises
     where the C kernel reports an error instead."""
     if status == _BAD_FIELD:
@@ -125,7 +124,7 @@ class _CKernels:
         buf, count = ctypes.POINTER(d), ctypes.POINTER(ll)
         sig = {
             "gs_field_eval": [i, d, d, d, d, d, buf],
-            "gs_integrate": [i, d, d, d, d, d, d, d, d, ll, d, i, i, d, d, d,
+            "gs_integrate": [i, d, d, d, d, d, d, d, d, ll, d, i, i, d, d,
                              buf, buf, ll, count],
             "gs_ray_crossings": [d, d, d, d, d, d, d, d, i, ll, d, d, d, d, d,
                                  d, d, i, ll, d, buf, ll, count],
@@ -144,27 +143,23 @@ class _CKernels:
 
     def integrate(self, fid, x0, y0, k, F, t_end, rtol, atol, max_step,
                   max_steps, time_sign, quadrant_guard, record, fixed_step,
-                  box_x, box_y):
+                  box):
         end = (ctypes.c_double * 3)()
         n = ctypes.c_longlong()
-        bound = max(max_steps, 1) + 1     # samples a call can record
-        cap = min(bound, _FIRST_CAP) if record else 0
+        bound = max(max_steps, 1) + 1 if record else 0   # samples a call can record
+        cap = min(bound, _FIRST_CAP)
         while True:
-            samples = (ctypes.c_double * (3 * cap))() if record else None
+            samples = (ctypes.c_double * (3 * cap))()
             status = self._lib.gs_integrate(
                 fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
-                time_sign, quadrant_guard, record, fixed_step, box_x, box_y,
-                end, samples, cap, ctypes.byref(n))
+                time_sign, quadrant_guard, record, fixed_step, box, end,
+                samples, cap, ctypes.byref(n))
             if status != _BUFFER_FULL:
                 break
             cap = min(8 * cap, bound)
         _raise_for(status, fid)
-        if record:
-            m = 3 * n.value
-            ts, xs, ys = samples[0:m:3], samples[1:m:3], samples[2:m:3]
-        else:
-            ts, xs, ys = [], [], []
-        return status, end[0], end[1], end[2], ts, xs, ys
+        s = samples[:3 * n.value]
+        return status, end[0], end[1], end[2], s[0::3], s[1::3], s[2::3]
 
     def ray_crossings(self, x0, y0, k, F, cx, cy, dx, dy, orient,
                       max_crossings, t_max, rtol, atol, max_step, s_min,
@@ -232,19 +227,6 @@ def use_backend(name: str) -> None:
         raise ValueError(f"unknown backend {name!r}")
 
 
-OK = _pure.OK
-MAX_STEPS = _pure.MAX_STEPS
-UNDERFLOW = _pure.UNDERFLOW
-BOX_EXIT = _pure.BOX_EXIT
-CAPTURED = _pure.CAPTURED
-SETTLED = _pure.SETTLED
-SETTLE_TOL = _pure.SETTLE_TOL
-
-FIELD_PLANE = _pure.FIELD_PLANE
-FIELD_CHART_U = _pure.FIELD_CHART_U
-FIELD_CHART_V = _pure.FIELD_CHART_V
-
-
 # The kernel interface.  Each entry point converts its arguments once, here:
 # reals to float, counts and codes to int, flags to bool.  The pure kernels
 # then run in Python float arithmetic whatever the caller passed (a numpy
@@ -253,15 +235,14 @@ FIELD_CHART_V = _pure.FIELD_CHART_V
 # signatures declare.
 
 def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
-              time_sign, quadrant_guard, record, fixed_step=0.0,
-              box_x=0.0, box_y=0.0):
+              time_sign, quadrant_guard, record, fixed_step=0.0, box=0.0):
     """Integrate field fid from (x0, y0) over [0, t_end]; see
     gskit._pure.integrate.  Returns (status, t, x, y, ts, xs, ys)."""
     return _impl.integrate(int(fid), float(x0), float(y0), float(k), float(F),
                            float(t_end), float(rtol), float(atol),
                            float(max_step), int(max_steps), float(time_sign),
                            bool(quadrant_guard), bool(record),
-                           float(fixed_step), float(box_x), float(box_y))
+                           float(fixed_step), float(box))
 
 
 def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
@@ -280,7 +261,8 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
 def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
               max_steps=20_000_000):
     """State and variational matrix over [0, t_total]; see
-    gskit._pure.monodromy.  Returns (status, x, y, m11, m12, m21, m22)."""
+    gskit._pure.monodromy.  Returns (status, x, y, m11, m12, m21, m22).
+    One step rule serves all kernels; max_steps counts accepted steps."""
     return _impl.monodromy(float(x0), float(y0), float(k), float(F),
                            float(t_total), float(rtol), float(atol),
                            float(max_step), float(time_sign), int(max_steps))

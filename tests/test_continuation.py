@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gskit import dynamics
+from gskit import bautin, continuation, dynamics
 from gskit.continuation import (continue_curve, fold_seed, homoclinic_F,
-                                homoclinic_curve, hopf_seed, lpc_curve,
-                                lpc_seed_from_region3, newton_bt,
+                                homoclinic_curve, hopf_seed, lpc_bracket,
+                                lpc_curve, lpc_seed_from_region3, newton_bt,
                                 separatrix_splitting, shoot_cycle)
 from gskit.core import Params
 from gskit.equilibria import hopf_F, saddle_node_F
-from gskit.errors import BracketNotFound, SaddleMissing, SeedInvalid
+from gskit.errors import (BracketNotFound, DomainError, NotOnHopfCurve,
+                          SaddleMissing, SeedInvalid)
 
 
 def test_newton_double_zero_from_spec_seed():
@@ -174,6 +175,34 @@ def test_lpc_detection_agrees_with_cycle_collision():
             lo = mid
     F_collision = 0.5 * (lo + hi)
     assert abs(F_lpc - F_collision) < 1e-6
+
+
+def test_lpc_bracket_two_cycle_band():
+    # the fold-of-cycles bracket at criterion 6's k: two cycles at F_mid,
+    # not two at F_below
+    k = 0.034
+    F_below, F_mid, Fh = lpc_bracket(k)
+    assert F_below < F_mid < Fh == float(hopf_F(k))
+    assert len(dynamics.limit_cycle_census(Params(k, F_mid), n_scan=200)) == 2
+    assert len(dynamics.limit_cycle_census(Params(k, F_below), n_scan=200)) != 2
+
+
+@pytest.mark.parametrize("error", [DomainError, NotOnHopfCurve, RuntimeError])
+def test_l1_test_failures(monkeypatch, error):
+    # the Lyapunov-coefficient test function reads a toolkit error of
+    # bautin as undefined; any other error is a bug and propagates
+    z = hopf_seed(0.03)
+    assert continuation._l1_test(z) is not None
+
+    def l1(a):
+        raise error("l1 failed")
+
+    monkeypatch.setattr(bautin, "_l1_extended", l1)
+    if error is RuntimeError:
+        with pytest.raises(RuntimeError, match="l1 failed"):
+            continuation._l1_test(z)
+    else:
+        assert continuation._l1_test(z) is None
 
 
 def test_bracket_not_found_reported():

@@ -6,7 +6,7 @@ import pytest
 from gskit import bautin, dynamics, kernels
 from gskit.core import Params, State
 from gskit.equilibria import equilibria, hopf_F
-from gskit.errors import DomainError
+from gskit.errors import DomainError, NoReturn, StepUnderflow
 
 
 def test_integrate_constant_at_equilibrium():
@@ -200,6 +200,23 @@ def test_render_portrait_single_attractor_outside():
     assert len(meta["equilibria"]) == 1
 
 
+@pytest.mark.parametrize("error", [NoReturn, StepUnderflow, DomainError, RuntimeError])
+def test_render_portrait_census_failures(monkeypatch, error):
+    # a toolkit error of the census draws no cycle; any other error is a bug
+    # and propagates
+    def census(*args, **kwargs):
+        raise error("census failed")
+
+    monkeypatch.setattr(dynamics, "limit_cycle_census", census)
+    a = Params(0.034, float(hopf_F(0.034)) - 2e-6)
+    spec = dynamics.PortraitSpec(seeds_per_side=1, t_end=10.0)
+    if error is RuntimeError:
+        with pytest.raises(RuntimeError, match="census failed"):
+            dynamics.render_portrait(a, spec)
+    else:
+        assert dynamics.render_portrait(a, spec)[2]["cycles"] == []
+
+
 def test_fast_map_csv_pinned():
     # 20x20 fast map over the criterion-10 window; the digest was recorded
     # before ray_crossings gained its early stops, which must not move a label
@@ -217,8 +234,10 @@ def test_fast_map_csv_pinned():
 def test_census_pinned():
     # radii come from np.linspace; the kernels must compute in the same
     # float arithmetic whatever scalar type reaches them, and both backends
-    # the same bits (values recorded on the pure backend while its kernels
-    # still ran on numpy scalars)
+    # the same bits (radius and period recorded on the pure backend while
+    # its kernels still ran on numpy scalars; the multiplier since monodromy
+    # runs on the shared step controller, within the DOP853 oracle of
+    # test_oracles.py)
     backend = kernels.get_backend()
     try:
         for name in kernels.available_backends():
@@ -228,6 +247,6 @@ def test_census_pinned():
             assert [(c.radius.hex(), c.period.hex(),
                      c.nontrivial_multiplier.hex()) for c in cycles] == [
                 ("0x1.d5ca9498c3840p-7", "0x1.07f114bae954ap+8",
-                 "0x1.f4f57d25a2c1cp-1")], name
+                 "0x1.f4f57d25a3956p-1")], name
     finally:
         kernels.use_backend(backend)
