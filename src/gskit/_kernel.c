@@ -102,7 +102,7 @@ static void field_eval(int fid, double sgn, double x, double y, double k,
 {
     if (fid == FIELD_PLANE) {
         double uvv = x * y * y;
-        *fx = sgn * (-uvv + F * (1.0 - x));
+        *fx = sgn * (F * (1.0 - x) - uvv);
         *fy = sgn * (uvv - (F + k) * y);
     } else if (fid == FIELD_CHART_U) {
         double z = x, w = y;
@@ -110,8 +110,8 @@ static void field_eval(int fid, double sgn, double x, double y, double k,
         *fy = sgn * (z * z * w - F * py_pow(w, 4.0) + F * py_pow(w, 3.0));
     } else {
         double q = x, w = y;
-        *fx = sgn * (-q * (1.0 + q) + k * q * w * w + F * py_pow(w, 3.0));
-        *fy = sgn * (-q * w + (F + k) * py_pow(w, 3.0));
+        *fx = sgn * (k * q * w * w - q * (1.0 + q) + F * py_pow(w, 3.0));
+        *fy = sgn * ((F + k) * py_pow(w, 3.0) - q * w);
     }
 }
 

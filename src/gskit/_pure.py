@@ -79,15 +79,15 @@ FIELD_CHART_V = 2   # u = q/w, v = 1/w; state (q, w), time rescaled by w^2
 def field_eval(fid: int, sgn: float, x: float, y: float, k: float, F: float):
     if fid == FIELD_PLANE:
         uvv = x * y * y
-        return sgn * (-uvv + F * (1.0 - x)), sgn * (uvv - (F + k) * y)
+        return sgn * (F * (1.0 - x) - uvv), sgn * (uvv - (F + k) * y)
     if fid == FIELD_CHART_U:
         z, w = x, y
         return (sgn * (z * z * (1.0 + z) - k * z * w * w - F * z * w * w * w),
                 sgn * (z * z * w - F * _pow(w, 4) + F * _pow(w, 3)))
     if fid == FIELD_CHART_V:
         q, w = x, y
-        return (sgn * (-q * (1.0 + q) + k * q * w * w + F * _pow(w, 3)),
-                sgn * (-q * w + (F + k) * _pow(w, 3)))
+        return (sgn * (k * q * w * w - q * (1.0 + q) + F * _pow(w, 3)),
+                sgn * ((F + k) * _pow(w, 3) - q * w))
     raise ValueError(f"unknown field id {fid}")
 
 

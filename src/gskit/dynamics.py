@@ -562,6 +562,12 @@ class PortraitSpec:
     t_end: float = 3000.0
     max_samples: int = 4000
 
+# numpy's scalar repr around a float's repr: "np.float64(" and ")" under
+# numpy 2, empty under numpy 1.  Portrait CSV fields keep this spelling
+# because the benchmark reference pins the CSV's digest; writing bare floats
+# waits for a benchmark change that records that digest again.
+_NP_REPR_PRE, _NP_REPR_POST = repr(np.float64(0.5)).split("0.5")
+
 EQ_COLORS = {
     "saddle": "#cc0000",
     "stable-node": "#2e7d32",
@@ -578,7 +584,9 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
 
     Fixed seed grid, arrowheads at a fixed arc fraction, equilibria colored
     by class (the saddle as a red dot), detected cycles overlaid as closed
-    curves.  Identical inputs give byte-identical output.
+    curves.  Identical inputs give byte-identical output.  Each CSV field
+    is numpy's scalar repr of the sample (np.float64(0.1) under numpy 2),
+    the spelling the benchmark reference's CSV digest pins.
     """
     from .svgplot import SvgCanvas
 
@@ -592,6 +600,7 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
         for j in range(n):
             seeds.append(State(x0 + (x1 - x0) * (i + 0.5) / n,
                                y0 + (y1 - y0) * (j + 0.5) / n))
+    pre, post = _NP_REPR_PRE, _NP_REPR_POST
     for idx, s0 in enumerate(seeds):
         traj = integrate(s0, a, spec.t_end, settings, record=True)
         u, v, t = traj.u, traj.v, traj.t
@@ -599,13 +608,15 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
             step = len(u) // spec.max_samples + 1
             u, v, t = u[::step], v[::step], t[::step]
         canvas.polyline(u, v, color="#9bbcd9", width=0.8)
+        # per-sample arithmetic and repr run on Python floats, several times
+        # faster than on numpy scalars
+        u, v, t = u.tolist(), v.tolist(), t.tolist()
         mid = len(u) // 3
         if mid + 1 < len(u):
-            canvas.arrow(float(u[mid]), float(v[mid]),
-                         float(u[mid + 1] - u[mid]), float(v[mid + 1] - v[mid]),
-                         color="#9bbcd9")
-        for tt, uu, vv in zip(t, u, v):
-            csv_lines.append(f"{idx},{tt!r},{uu!r},{vv!r}")
+            canvas.arrow(u[mid], v[mid], u[mid + 1] - u[mid],
+                         v[mid + 1] - v[mid], color="#9bbcd9")
+        csv_lines.extend(f"{idx},{pre}{tt!r}{post},{pre}{uu!r}{post},"
+                         f"{pre}{vv!r}{post}" for tt, uu, vv in zip(t, u, v))
     cycles = []
     if with_cycles:
         try:

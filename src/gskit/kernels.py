@@ -10,6 +10,8 @@ private directory under the system temporary directory), under a name keyed
 by the SHA-256 of the source, the compiler and its flags; later imports load
 the cached library.  The library is written under a temporary name and
 renamed into place, so processes that import at the same time are safe.
+A build removes the libraries of other source versions from the cache, so
+switching between two versions of gskit that share a cache recompiles.
 
 When the build or the load fails, the pure backend is used and the reason
 is kept in COMPILED_ERROR.  GSKIT_BACKEND=pure forces the pure backend;
@@ -99,6 +101,14 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # keep one library per cache: those built from other versions of
+    # _kernel.c are never loaded again by this source
+    for old in cache.glob("_kernel-*.so"):
+        if old != lib:
+            try:
+                old.unlink()
+            except OSError:
+                pass
     return lib
 
 

@@ -5,6 +5,8 @@ element order, no timestamps or library version strings.
 """
 from __future__ import annotations
 
+import numpy as np
+
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
@@ -29,8 +31,14 @@ class SvgCanvas:
 
     def polyline(self, xs, ys, color: str = "#3465a4", width: float = 1.0,
                  closed: bool = False):
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                       for px, py in (self.to_px(x, y) for x, y in zip(xs, ys)))
+        # to_px on whole arrays runs the IEEE operations of the scalar path,
+        # so every point gets the same bits; overflow and inf - inf give inf
+        # and nan silently, as they do in Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            px, py = self.to_px(np.asarray(xs, dtype=float),
+                                np.asarray(ys, dtype=float))
+        pts = " ".join(f"{_fmt(a)},{_fmt(b)}"
+                       for a, b in zip(px.tolist(), py.tolist()))
         tag = "polygon" if closed else "polyline"
         self.parts.append(f'<{tag} points="{pts}" fill="none" '
                           f'stroke="{color}" stroke-width="{_fmt(width)}"/>')

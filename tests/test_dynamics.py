@@ -200,6 +200,45 @@ def test_render_portrait_single_attractor_outside():
     assert len(meta["equilibria"]) == 1
 
 
+def test_render_portrait_same_bytes_on_each_backend():
+    # both backends return the same bits, so the same SVG and CSV text,
+    # cycles included
+    k = 0.034
+    a = Params(k, float(hopf_F(k)) - 2e-6)
+    spec = dynamics.PortraitSpec(seeds_per_side=2, t_end=400.0,
+                                 window=((0.0, 0.0), (1.05, 0.4)))
+    backend = kernels.get_backend()
+    try:
+        outputs = {}
+        for name in kernels.available_backends():
+            kernels.use_backend(name)
+            svg, csv_text, meta = dynamics.render_portrait(a, spec)
+            outputs[name] = (svg, csv_text)
+    finally:
+        kernels.use_backend(backend)
+    assert len(meta["cycles"]) == 2
+    assert all(out == outputs["pure"] for out in outputs.values())
+
+
+def test_render_portrait_csv_fields_are_numpy_scalar_reprs(monkeypatch):
+    # each CSV field is spelled as numpy spells the float64 scalar, for
+    # signed zeros, exponents, subnormals and non-finite samples too
+    values = [0.0, -0.0, 1e-05, 1e16, 5e-324, math.inf, math.nan]
+
+    def integrate(*args, **kwargs):
+        samples = np.array(values)
+        return dynamics.Trajectory(t=samples, u=samples, v=samples[::-1],
+                                   status=kernels.OK)
+
+    monkeypatch.setattr(dynamics, "integrate", integrate)
+    spec = dynamics.PortraitSpec(seeds_per_side=1, t_end=1.0)
+    _, csv_text, _ = dynamics.render_portrait(Params(0.07, 0.02), spec,
+                                              with_cycles=False)
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+    assert rows == [["0", repr(np.float64(t)), repr(np.float64(u)),
+                     repr(np.float64(v))]
+                    for t, u, v in zip(values, values, values[::-1])]
+
 @pytest.mark.parametrize("error", [NoReturn, StepUnderflow, DomainError, RuntimeError])
 def test_render_portrait_census_failures(monkeypatch, error):
     # a toolkit error of the census draws no cycle; any other error is a bug

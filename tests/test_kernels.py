@@ -122,6 +122,16 @@ def test_concurrent_first_imports_share_one_build(tmp_path):
     assert len(files) == 1 and files[0].endswith(".so"), files
 
 
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler on PATH")
+def test_build_removes_stale_libraries(monkeypatch, tmp_path):
+    # a library of another _kernel.c version is removed by the next build
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "gskit"
+    cache.mkdir()
+    (cache / "_kernel-0000000000000000.so").write_bytes(b"stale")
+    lib = kernels._build()
+    assert [f.name for f in cache.iterdir()] == [lib.name]
+
 def test_backend_forced_pure():
     out = _import_in_subprocess({"GSKIT_BACKEND": "pure"})
     assert out.startswith("pure ")
@@ -428,6 +438,29 @@ def test_nan_first_step_underflows(backend):
     assert kernels.monodromy(x0, y0, k, F, 10.0, 1e-8, 1e-11,
                              0.0)[0] == kernels.UNDERFLOW
 
+
+
+def test_fixed_step_blowup_returns_the_same_nan():
+    # the first fixed step reaches (inf, -inf) and the next gives nan; the
+    # two backends return the same nan, sign bit included
+    args = (0, 0.2249, 1.62e9, 0.05, 0.03, 5.0, 1e-8, 1e-11, 0.0, 100, -1.0,
+            False, True, 0.1, 0.0)
+    results = _on_each_backend(kernels.integrate, *args)
+    assert math.isnan(struct.unpack("<d", results["pure"][2])[0])
+    assert all(r == results["pure"] for r in results.values())
+
+
+@pytest.mark.parametrize("fid", [0, 1, 2])
+@pytest.mark.parametrize("x, y", [
+    (math.nan, 0.5), (-math.nan, 0.5), (0.5, math.nan), (0.5, -math.nan),
+    (math.inf, 0.0), (0.0, math.inf), (math.inf, -math.inf),
+])
+def test_field_nan_bits_agree(fid, x, y):
+    # where one input is nan, or inf meets 0 or -inf, each component is the
+    # same nan on both backends
+    for sgn in (1.0, -1.0):
+        results = _on_each_backend(kernels.field_eval, fid, sgn, x, y, 0.05, 0.03)
+        assert all(r == results["pure"] for r in results.values()), sgn
 
 @pytest.mark.parametrize("fid, w, expected", [
     (1, -1e80, (None, -math.inf)),        # w ** 4 overflows
