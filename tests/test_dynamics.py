@@ -239,6 +239,7 @@ def test_render_portrait_csv_fields_are_numpy_scalar_reprs(monkeypatch):
                      repr(np.float64(v))]
                     for t, u, v in zip(values, values, values[::-1])]
 
+
 @pytest.mark.parametrize("error", [NoReturn, StepUnderflow, DomainError, RuntimeError])
 def test_render_portrait_census_failures(monkeypatch, error):
     # a toolkit error of the census draws no cycle; any other error is a bug

@@ -132,6 +132,7 @@ def test_build_removes_stale_libraries(monkeypatch, tmp_path):
     lib = kernels._build()
     assert [f.name for f in cache.iterdir()] == [lib.name]
 
+
 def test_backend_forced_pure():
     out = _import_in_subprocess({"GSKIT_BACKEND": "pure"})
     assert out.startswith("pure ")
@@ -439,7 +440,6 @@ def test_nan_first_step_underflows(backend):
                              0.0)[0] == kernels.UNDERFLOW
 
 
-
 def test_fixed_step_blowup_returns_the_same_nan():
     # the first fixed step reaches (inf, -inf) and the next gives nan; the
     # two backends return the same nan, sign bit included
@@ -461,6 +461,7 @@ def test_field_nan_bits_agree(fid, x, y):
     for sgn in (1.0, -1.0):
         results = _on_each_backend(kernels.field_eval, fid, sgn, x, y, 0.05, 0.03)
         assert all(r == results["pure"] for r in results.values()), sgn
+
 
 @pytest.mark.parametrize("fid, w, expected", [
     (1, -1e80, (None, -math.inf)),        # w ** 4 overflows
