@@ -2,8 +2,10 @@
  *
  * Every function below mirrors its namesake in _pure.py statement for
  * statement, so that both backends return the same bits; as there, one
- * step controller picks every step, and max_steps counts accepted steps.
- * To keep the bits:
+ * step controller picks every step, max_steps (STEP_LIMIT for
+ * gs_ray_crossings and gs_monodromy) counts accepted steps, and the
+ * arguments are those the callers vary, the rest being fixed here as in
+ * _pure.py.  To keep the bits:
  *
  * - arithmetic keeps Python's operand order (a + b + c is (a + b) + c);
  * - py_pow() stands wherever _pure writes **, and reproduces Python's
@@ -32,8 +34,10 @@ enum {
     BUFFER_FULL = -1, BAD_FIELD = -2, ZERO_DIVISION = -3
 };
 
-enum { FIELD_PLANE = 0, FIELD_CHART_U = 1, FIELD_CHART_V = 2 };
+enum { FIELD_PLANE = 0, FIELD_CHART_V = 2 };
 
+#define S_MIN 1e-12
+#define STEP_LIMIT 20000000LL
 #define SETTLE_TOL 1e-7
 #define CAPTURE_EPS 0.5
 #define CAPTURE_MARGIN 0.1
@@ -104,10 +108,6 @@ static void field_eval(int fid, double sgn, double x, double y, double k,
         double uvv = x * y * y;
         *fx = sgn * (F * (1.0 - x) - uvv);
         *fy = sgn * (uvv - (F + k) * y);
-    } else if (fid == FIELD_CHART_U) {
-        double z = x, w = y;
-        *fx = sgn * (z * z * (1.0 + z) - k * z * w * w - F * z * w * w * w);
-        *fy = sgn * (z * z * w - F * py_pow(w, 4.0) + F * py_pow(w, 3.0));
     } else {
         double q = x, w = y;
         *fx = sgn * (k * q * w * w - q * (1.0 + q) + F * py_pow(w, 3.0));
@@ -130,7 +130,7 @@ static double rms(double a, double b)
  * when ctl_judge() accepts its step, 0 when it rejects it, or
  * ZERO_DIVISION where Python divides by a zero scale. */
 typedef struct Controller {
-    double rtol, atol, max_step, fixed_step, t, h;
+    double rtol, atol, fixed_step, t, h;
     long long steps;
     int rejected;
     int (*trial)(struct Controller *c, double h);
@@ -138,12 +138,10 @@ typedef struct Controller {
 
 /* _Controller._start: 0, or ZERO_DIVISION */
 static int ctl_start(Controller *c, double x0, double y0, double fx,
-                     double fy, double rtol, double atol, double max_step,
-                     double fixed_step)
+                     double fy, double rtol, double atol, double fixed_step)
 {
     c->rtol = rtol;
     c->atol = atol;
-    c->max_step = max_step > 0 ? max_step : INFINITY;
     c->fixed_step = fixed_step;
     c->t = 0.0;
     c->steps = 0;
@@ -151,13 +149,12 @@ static int ctl_start(Controller *c, double x0, double y0, double fx,
         c->h = fixed_step;
     } else {
         double sc_x = atol + rtol * fabs(x0), sc_y = atol + rtol * fabs(y0);
-        double d0, d1, h;
+        double d0, d1;
         if (sc_x == 0.0 || sc_y == 0.0)
             return ZERO_DIVISION;
         d0 = rms(x0 / sc_x, y0 / sc_y);
         d1 = rms(fx / sc_x, fy / sc_y);
-        h = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
-        c->h = py_min(h, c->max_step);
+        c->h = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
     }
     return 0;
 }
@@ -169,8 +166,6 @@ static int ctl_advance(Controller *c, double t_limit)
     for (;;) {
         double h = c->h;
         int accepted;
-        if (!(c->fixed_step > 0.0))
-            h = py_min(h, c->max_step);
         if (c->t + h >= t_limit)
             h = t_limit - c->t;
         /* `!(>)` also stops a nan step, which every trial would reject */
@@ -214,7 +209,7 @@ typedef struct {
     Controller c;
     int fid;
     double sgn, k, F;
-    int quadrant_guard;
+    int guard;
     double x, y, k1x, k1y, hold, told;
     double r1x, r2x, r3x, r4x, r5x, r1y, r2y, r3y, r4y, r5y;
 } Stepper;
@@ -262,11 +257,10 @@ static int st_trial(Controller *c, double h)
             return ZERO_DIVISION;
         err = rms(ex / sx, ey / sy);
     }
-    guard_bad = st->quadrant_guard && fid == FIELD_PLANE
-                && (xn < -atol || yn < -atol);
+    guard_bad = st->guard && (xn < -atol || yn < -atol);
     if (!ctl_judge(c, h, err, guard_bad))
         return 0;
-    if (st->quadrant_guard && fid == FIELD_PLANE) {
+    if (st->guard) {
         /* snap within-tolerance undershoot onto the invariant axes */
         int snapped = 0;
         if (-atol <= xn && xn < 0.0) {
@@ -308,20 +302,21 @@ static int st_trial(Controller *c, double h)
 
 static int st_init(Stepper *st, int fid, double sgn, double x0, double y0,
                    double k, double F, double rtol, double atol,
-                   double max_step, int quadrant_guard, double fixed_step)
+                   double fixed_step)
 {
     st->c.trial = st_trial;
     st->fid = fid;
     st->sgn = sgn;
     st->k = k;
     st->F = F;
-    st->quadrant_guard = quadrant_guard;
+    /* the first-quadrant guard: the plane field, forward in time */
+    st->guard = fid == FIELD_PLANE && sgn > 0;
     st->x = x0;
     st->y = y0;
     st->hold = 0.0;
     st->told = 0.0;
     field_eval(fid, sgn, x0, y0, k, F, &st->k1x, &st->k1y);
-    return ctl_start(&st->c, x0, y0, st->k1x, st->k1y, rtol, atol, max_step,
+    return ctl_start(&st->c, x0, y0, st->k1x, st->k1y, rtol, atol,
                      fixed_step);
 }
 
@@ -333,10 +328,16 @@ static void st_dense(const Stepper *st, double theta, double *x, double *y)
     *y = st->r1y + theta * (st->r2y + th1 * (st->r3y + theta * (st->r4y + th1 * st->r5y)));
 }
 
+/* the ids field_eval knows; _pure.field_eval raises ValueError on others */
+static int known_field(int fid)
+{
+    return fid == FIELD_PLANE || fid == FIELD_CHART_V;
+}
+
 int gs_field_eval(int fid, double sgn, double x, double y, double k, double F,
                   double *out)
 {
-    if (fid < FIELD_PLANE || fid > FIELD_CHART_V)
+    if (!known_field(fid))
         return BAD_FIELD;
     field_eval(fid, sgn, x, y, k, F, &out[0], &out[1]);
     return OK;
@@ -346,18 +347,16 @@ int gs_field_eval(int fid, double sgn, double x, double y, double k, double F,
  * samples as (t, x, y) triples, at most cap of them, and *n counts them.
  * Returns the status, or BUFFER_FULL when sample cap + 1 was due. */
 int gs_integrate(int fid, double x0, double y0, double k, double F,
-                 double t_end, double rtol, double atol, double max_step,
-                 long long max_steps, double time_sign, int quadrant_guard,
-                 int record, double fixed_step, double box, double *end,
-                 double *samples, long long cap, long long *n)
+                 double t_end, double rtol, double atol, long long max_steps,
+                 double time_sign, int record, double fixed_step, double box,
+                 double *end, double *samples, long long cap, long long *n)
 {
     Stepper st;
     int status = OK;
     *n = 0;
-    if (fid < FIELD_PLANE || fid > FIELD_CHART_V)
+    if (!known_field(fid))
         return BAD_FIELD;
-    if (st_init(&st, fid, time_sign, x0, y0, k, F, rtol, atol, max_step,
-                quadrant_guard, fixed_step))
+    if (st_init(&st, fid, time_sign, x0, y0, k, F, rtol, atol, fixed_step))
         return ZERO_DIVISION;
     if (record) {
         if (*n >= cap)
@@ -402,13 +401,12 @@ static void node_box(double k, double F, double *eps, double *delta)
                           sqrt(F * *eps / (1.0 - *eps)));
 }
 
-/* _pure._ray_misses_box: 1 when {(cx,cy) + s (dx,dy) : s > s_min} misses
+/* _pure._ray_misses_box: 1 when {(cx,cy) + s (dx,dy) : s > S_MIN} misses
  * the box */
 static int ray_misses_box(double cx, double cy, double dx, double dy,
-                          double s_min, double xlo, double xhi, double ylo,
-                          double yhi)
+                          double xlo, double xhi, double ylo, double yhi)
 {
-    double lo = s_min, hi = INFINITY;
+    double lo = S_MIN, hi = INFINITY;
     const double c[2] = {cx, cy}, d[2] = {dx, dy};
     const double blo[2] = {xlo, ylo}, bhi[2] = {xhi, yhi};
     int i;
@@ -437,23 +435,20 @@ static int ray_misses_box(double cx, double cy, double dx, double dy,
 int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
                      double cy, double dx, double dy, int orient,
                      long long max_crossings, double t_max, double rtol,
-                     double atol, double max_step, double s_min, double t_min,
-                     double time_sign, int quadrant_guard,
-                     long long max_steps, double box, double *hits,
-                     long long cap, long long *n)
+                     double atol, double t_min, double time_sign, double box,
+                     double *hits, long long cap, long long *n)
 {
     Stepper st;
     int capture = 0;
     double eps = 0.0, delta, eps_in = 0.0, delta_in = 0.0, g_prev;
     *n = 0;
-    if (st_init(&st, FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
-                max_step, quadrant_guard, 0.0))
+    if (st_init(&st, FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol, 0.0))
         return ZERO_DIVISION;
     if (time_sign > 0 && F > 0.0 && F + k > 0.0) {
         double grow;
         node_box(k, F, &eps, &delta);
         grow = 1.0 + CAPTURE_MARGIN;
-        capture = ray_misses_box(cx, cy, dx, dy, s_min,
+        capture = ray_misses_box(cx, cy, dx, dy,
                                  1.0 - grow * eps, 1.0 + grow * eps,
                                  -CAPTURE_MARGIN * delta, grow * delta);
         eps_in = (1.0 - CAPTURE_MARGIN) * eps;
@@ -497,8 +492,8 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
                     s = (xh - cx) * dx + (yh - cy) * dy;
                     field_eval(FIELD_PLANE, st.sgn, xh, yh, k, F, &fx, &fy);
                     gdot = dx * fy - dy * fx;
-                    if (s > s_min && th_t >= t_min
-                            && (orient == 0 || (gdot > 0) == (orient > 0))) {
+                    if (s > S_MIN && th_t >= t_min
+                            && (gdot > 0) == (orient > 0)) {
                         double *hit;
                         if (*n >= cap)
                             return BUFFER_FULL;
@@ -530,7 +525,7 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
         if (capture && fabs(1.0 - st.x) <= eps_in && 0.0 <= st.y
                 && st.y <= delta_in)
             return CAPTURED;
-        if (st.c.steps >= max_steps)
+        if (st.c.steps >= STEP_LIMIT)
             return MAX_STEPS;
     }
     return MAX_STEPS;
@@ -540,17 +535,17 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
  * s = (x, y, m11, m12, m21, m22), with the error norm over all six */
 typedef struct {
     Controller c;
-    double sgn, k, F, s[6], f1[6];
+    double k, F, s[6], f1[6];
 } Variational;
 
 /* _Variational._rhs */
 static void var_rhs(const Variational *vs, const double *s, double *out)
 {
-    const double sgn = vs->sgn, k = vs->k, F = vs->F, u = s[0], v = s[1];
+    const double k = vs->k, F = vs->F, u = s[0], v = s[1];
     /* the Jacobian of the plane field */
-    const double j11 = sgn * (-(F + v * v)), j12 = sgn * (-2.0 * u * v);
-    const double j21 = sgn * (v * v), j22 = sgn * (2.0 * u * v - (F + k));
-    field_eval(FIELD_PLANE, sgn, u, v, k, F, &out[0], &out[1]);
+    const double j11 = -(F + v * v), j12 = -2.0 * u * v;
+    const double j21 = v * v, j22 = 2.0 * u * v - (F + k);
+    field_eval(FIELD_PLANE, 1.0, u, v, k, F, &out[0], &out[1]);
     out[2] = j11 * s[2] + j12 * s[4];
     out[3] = j11 * s[3] + j12 * s[5];
     out[4] = j21 * s[2] + j22 * s[4];
@@ -604,24 +599,21 @@ static int var_trial(Controller *c, double h)
 
 /* _pure.monodromy.  out receives (x, y, m11, m12, m21, m22). */
 int gs_monodromy(double x0, double y0, double k, double F, double t_total,
-                 double rtol, double atol, double max_step, double time_sign,
-                 long long max_steps, double *out)
+                 double rtol, double atol, double *out)
 {
     const double s0[6] = {x0, y0, 1.0, 0.0, 0.0, 1.0};
     Variational vs;
     int status = OK;
     vs.c.trial = var_trial;
-    vs.sgn = time_sign;
     vs.k = k;
     vs.F = F;
     memcpy(vs.s, s0, sizeof s0);
     var_rhs(&vs, vs.s, vs.f1);
-    if (ctl_start(&vs.c, x0, y0, vs.f1[0], vs.f1[1], rtol, atol, max_step,
-                  0.0))
+    if (ctl_start(&vs.c, x0, y0, vs.f1[0], vs.f1[1], rtol, atol, 0.0))
         return ZERO_DIVISION;
     while (status == OK && vs.c.t < t_total) {
         status = ctl_advance(&vs.c, t_total);
-        if (status == OK && vs.c.steps >= max_steps)
+        if (status == OK && vs.c.steps >= STEP_LIMIT)
             status = MAX_STEPS;
     }
     memcpy(out, vs.s, sizeof vs.s);

@@ -2,9 +2,13 @@
 
 Dormand-Prince 5(4) with FSAL, Hairer's quartic dense output, a first-quadrant
 step guard, ray-crossing event location and variational (monodromy)
-propagation, specialized to the Gray-Scott kinetics and its two
-compactification charts.  One step rule, _Controller, picks every step of
+propagation, specialized to the Gray-Scott kinetics and its compactification
+chart at v = +inf.  One step rule, _Controller, picks every step of
 integrate, ray_crossings and monodromy; max_steps counts accepted steps.
+Steps are not capped in size: the error control alone sets them.  The
+first-quadrant guard is on exactly when the plane field runs forward in
+time; ray_crossings and monodromy integrate the plane field, the latter
+forward only.
 gskit/_kernel.c is their C twin, statement for statement, and returns the
 same bits; gskit.kernels selects these only when that twin could not be
 built or loaded (or GSKIT_BACKEND=pure), and calls them with arguments
@@ -19,8 +23,8 @@ Shared status codes:
 
 - 0 ``OK``: reached t_end (integrate), or found the requested crossings
   (ray_crossings);
-- 1 ``MAX_STEPS``: max_steps accepted steps were taken, or for
-  ray_crossings t_max was reached;
+- 1 ``MAX_STEPS``: max_steps accepted steps (STEP_LIMIT for ray_crossings
+  and monodromy) were taken, or for ray_crossings t_max was reached;
 - 2 ``UNDERFLOW``: the step size fell below 1e-15 * max(1, |t|), or is nan
   (a first-step estimate from a non-finite field);
 - 4 ``BOX_EXIT``: integrate and ray_crossings with box > 0: the state left
@@ -42,6 +46,11 @@ UNDERFLOW = 2
 BOX_EXIT = 4
 CAPTURED = 8
 SETTLED = 16
+
+# ray_crossings keeps only crossings farther than this along its ray
+S_MIN = 1e-12
+# ray_crossings and monodromy stop with MAX_STEPS after this many steps
+STEP_LIMIT = 20_000_000
 
 # ray_crossings ends with SETTLED once three successive section radii agree to
 # this relative tolerance, or the newest falls below it.
@@ -72,7 +81,6 @@ _D6 = -1453857185.0 / 822651844.0
 _D7 = 69997945.0 / 29380423.0
 
 FIELD_PLANE = 0
-FIELD_CHART_U = 1   # u = 1/w, v = z/w; state (z, w), time rescaled by w^2
 FIELD_CHART_V = 2   # u = q/w, v = 1/w; state (q, w), time rescaled by w^2
 
 
@@ -80,10 +88,6 @@ def field_eval(fid: int, sgn: float, x: float, y: float, k: float, F: float):
     if fid == FIELD_PLANE:
         uvv = x * y * y
         return sgn * (F * (1.0 - x) - uvv), sgn * (uvv - (F + k) * y)
-    if fid == FIELD_CHART_U:
-        z, w = x, y
-        return (sgn * (z * z * (1.0 + z) - k * z * w * w - F * z * w * w * w),
-                sgn * (z * z * w - F * _pow(w, 4) + F * _pow(w, 3)))
     if fid == FIELD_CHART_V:
         q, w = x, y
         return (sgn * (k * q * w * w - q * (1.0 + q) + F * _pow(w, 3)),
@@ -114,13 +118,11 @@ class _Controller:
     of one step, asks _judge() whether it is accepted, and if so makes it
     the current state; `steps` counts accepted steps."""
 
-    __slots__ = ("rtol", "atol", "max_step", "fixed_step", "t", "h", "steps",
-                 "rejected")
+    __slots__ = ("rtol", "atol", "fixed_step", "t", "h", "steps", "rejected")
 
-    def _start(self, x0, y0, fx, fy, rtol, atol, max_step, fixed_step):
+    def _start(self, x0, y0, fx, fy, rtol, atol, fixed_step):
         """Start at t = 0 from (x0, y0), where the field is (fx, fy)."""
         self.rtol, self.atol = rtol, atol
-        self.max_step = max_step if max_step > 0 else math.inf
         self.fixed_step = fixed_step
         self.t, self.steps = 0.0, 0
         if fixed_step > 0.0:
@@ -130,16 +132,13 @@ class _Controller:
             sc_y = atol + rtol * abs(y0)
             d0 = _rms(x0 / sc_x, y0 / sc_y)
             d1 = _rms(fx / sc_x, fy / sc_y)
-            h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-            self.h = min(h, self.max_step)
+            self.h = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
 
     def advance(self, t_limit: float) -> int:
         """Take one accepted step, not passing t_limit.  Returns status."""
         self.rejected = False
         while True:
             h = self.h
-            if not self.fixed_step > 0.0:
-                h = min(h, self.max_step)
             if self.t + h >= t_limit:
                 h = t_limit - self.t
             # `not >` also stops a nan step, which every trial would reject
@@ -172,19 +171,18 @@ class _Stepper(_Controller):
     """One DP54 integration of a 2-D field; exposes dense output for the
     last step."""
 
-    __slots__ = ("fid", "sgn", "k", "F", "quadrant_guard", "x", "y", "k1x",
-                 "k1y", "hold", "told", "r1x", "r2x", "r3x", "r4x", "r5x",
-                 "r1y", "r2y", "r3y", "r4y", "r5y")
+    __slots__ = ("fid", "sgn", "k", "F", "guard", "x", "y", "k1x", "k1y",
+                 "hold", "told", "r1x", "r2x", "r3x", "r4x", "r5x", "r1y",
+                 "r2y", "r3y", "r4y", "r5y")
 
-    def __init__(self, fid, sgn, x0, y0, k, F, rtol, atol, max_step,
-                 quadrant_guard, fixed_step=0.0):
+    def __init__(self, fid, sgn, x0, y0, k, F, rtol, atol, fixed_step=0.0):
         self.fid, self.sgn, self.k, self.F = fid, sgn, k, F
-        self.quadrant_guard = quadrant_guard
+        # the first-quadrant guard: the plane field, forward in time
+        self.guard = fid == FIELD_PLANE and sgn > 0
         self.x, self.y = x0, y0
         self.hold = self.told = 0.0
         self.k1x, self.k1y = field_eval(fid, sgn, x0, y0, k, F)
-        self._start(x0, y0, self.k1x, self.k1y, rtol, atol, max_step,
-                    fixed_step)
+        self._start(x0, y0, self.k1x, self.k1y, rtol, atol, fixed_step)
 
     def _trial(self, h):
         """One step of size h, 2-component error norm; True when accepted."""
@@ -216,11 +214,10 @@ class _Stepper(_Controller):
             sx = atol + rtol * max(abs(x), abs(xn))
             sy = atol + rtol * max(abs(y), abs(yn))
             err = _rms(ex / sx, ey / sy)
-        guard_bad = (self.quadrant_guard and fid == FIELD_PLANE
-                     and (xn < -atol or yn < -atol))
+        guard_bad = self.guard and (xn < -atol or yn < -atol)
         if not self._judge(h, err, guard_bad):
             return False
-        if self.quadrant_guard and fid == FIELD_PLANE:
+        if self.guard:
             # snap within-tolerance undershoot onto the invariant axes
             snapped = False
             if -atol <= xn < 0.0:
@@ -256,15 +253,14 @@ class _Stepper(_Controller):
         return x, y
 
 
-def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
-              time_sign, quadrant_guard, record, fixed_step=0.0, box=0.0):
+def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps, time_sign,
+              record, fixed_step=0.0, box=0.0):
     """Integrate to t_end (> 0; time_sign=-1 runs the reversed field).
 
     Returns (status, t_reached, x, y, ts, xs, ys); the sample lists are
     populated only when record is true.
     """
-    st = _Stepper(fid, time_sign, x0, y0, k, F, rtol, atol, max_step,
-                  quadrant_guard, fixed_step)
+    st = _Stepper(fid, time_sign, x0, y0, k, F, rtol, atol, fixed_step)
     ts, xs, ys = ([0.0], [x0], [y0]) if record else ([], [], [])
     while st.t < t_end:
         status = st.advance(t_end)
@@ -296,9 +292,9 @@ def _node_box(k, F):
     return eps, delta
 
 
-def _ray_misses_box(cx, cy, dx, dy, s_min, xlo, xhi, ylo, yhi):
-    """Slab test: True when {(cx,cy) + s (dx,dy) : s > s_min} misses the box."""
-    lo, hi = s_min, math.inf
+def _ray_misses_box(cx, cy, dx, dy, xlo, xhi, ylo, yhi):
+    """Slab test: True when {(cx,cy) + s (dx,dy) : s > S_MIN} misses the box."""
+    lo, hi = S_MIN, math.inf
     for c, d, blo, bhi in ((cx, dx, xlo, xhi), (cy, dy, ylo, yhi)):
         if d == 0.0:
             if not blo <= c <= bhi:
@@ -313,14 +309,13 @@ def _ray_misses_box(cx, cy, dx, dy, s_min, xlo, xhi, ylo, yhi):
 
 
 def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
-                  t_max, rtol, atol, max_step, s_min, t_min, time_sign,
-                  quadrant_guard, max_steps=20_000_000, box=0.0):
-    """Crossings of the ray {(cx,cy) + s (dx,dy) : s > s_min}.
+                  t_max, rtol, atol, t_min, time_sign, box=0.0):
+    """Crossings of the ray {(cx,cy) + s (dx,dy) : s > S_MIN}.
 
     Integrates the plane field (reversed when time_sign=-1) and locates sign
     changes of g = dx*(y-cy) - dy*(x-cx) with the dense interpolant.  orient
-    filters by crossing direction: +1 keeps g increasing, -1 decreasing,
-    0 both.  Returns (status, hits) with hits a list of (t, s, x, y);
+    keeps the crossings of one direction: +1 where g increases, -1 where it
+    decreases.  Returns (status, hits) with hits a list of (t, s, x, y);
     status OK means max_crossings were found.
 
     Three early stops end the integration once the outcome is decided:
@@ -352,14 +347,13 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
       the list settled; the hits are a prefix of those without the stop.
       Callers that ask for fewer than three crossings never see it.
     """
-    st = _Stepper(FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol,
-                  max_step, quadrant_guard)
+    st = _Stepper(FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol)
     hits = []
     capture = False
     if time_sign > 0 and F > 0.0 and F + k > 0.0:
         eps, delta = _node_box(k, F)
         grow = 1.0 + _CAPTURE_MARGIN
-        capture = _ray_misses_box(cx, cy, dx, dy, s_min,
+        capture = _ray_misses_box(cx, cy, dx, dy,
                                   1.0 - grow * eps, 1.0 + grow * eps,
                                   -_CAPTURE_MARGIN * delta, grow * delta)
         eps_in = (1.0 - _CAPTURE_MARGIN) * eps
@@ -399,8 +393,8 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
                     s = (xh - cx) * dx + (yh - cy) * dy
                     fx, fy = field_eval(FIELD_PLANE, st.sgn, xh, yh, k, F)
                     gdot = dx * fy - dy * fx
-                    if (s > s_min and th_t >= t_min
-                            and (orient == 0 or (gdot > 0) == (orient > 0))):
+                    if (s > S_MIN and th_t >= t_min
+                            and (gdot > 0) == (orient > 0)):
                         hits.append((th_t, s, xh, yh))
                         if len(hits) >= 3:
                             r0, r1 = hits[-3][1], hits[-2][1]
@@ -416,7 +410,7 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
             return BOX_EXIT, hits
         if capture and abs(1.0 - st.x) <= eps_in and 0.0 <= st.y <= delta_in:
             return CAPTURED, hits
-        if st.steps >= max_steps:
+        if st.steps >= STEP_LIMIT:
             return MAX_STEPS, hits
     return MAX_STEPS, hits
 
@@ -426,20 +420,20 @@ class _Variational(_Controller):
     matrix, s = (x, y, m11, m12, m21, m22), with the error norm over all
     six: at a rest point the state's error estimate is 0."""
 
-    __slots__ = ("sgn", "k", "F", "s", "f1")
+    __slots__ = ("k", "F", "s", "f1")
 
-    def __init__(self, x0, y0, k, F, rtol, atol, max_step, sgn):
-        self.sgn, self.k, self.F = sgn, k, F
+    def __init__(self, x0, y0, k, F, rtol, atol):
+        self.k, self.F = k, F
         self.s = [x0, y0, 1.0, 0.0, 0.0, 1.0]
         self.f1 = self._rhs(self.s)
-        self._start(x0, y0, self.f1[0], self.f1[1], rtol, atol, max_step, 0.0)
+        self._start(x0, y0, self.f1[0], self.f1[1], rtol, atol, 0.0)
 
     def _rhs(self, s):
-        sgn, k, F, u, v = self.sgn, self.k, self.F, s[0], s[1]
+        k, F, u, v = self.k, self.F, s[0], s[1]
         # the Jacobian of the plane field
-        j11, j12 = sgn * (-(F + v * v)), sgn * (-2.0 * u * v)
-        j21, j22 = sgn * (v * v), sgn * (2.0 * u * v - (F + k))
-        fu, fv = field_eval(FIELD_PLANE, sgn, u, v, k, F)
+        j11, j12 = -(F + v * v), -2.0 * u * v
+        j21, j22 = v * v, 2.0 * u * v - (F + k)
+        fu, fv = field_eval(FIELD_PLANE, 1.0, u, v, k, F)
         return [fu, fv,
                 j11 * s[2] + j12 * s[4], j11 * s[3] + j12 * s[5],
                 j21 * s[2] + j22 * s[4], j21 * s[3] + j22 * s[5]]
@@ -472,18 +466,18 @@ class _Variational(_Controller):
         return True
 
 
-def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
-              max_steps=20_000_000):
-    """Propagate the state and the 2x2 variational matrix over [0, t_total].
+def monodromy(x0, y0, k, F, t_total, rtol, atol):
+    """Propagate the state and the 2x2 variational matrix forward over
+    [0, t_total].
 
     Returns (status, x, y, m11, m12, m21, m22); the matrix maps initial
     displacements to final displacements (monodromy when the orbit is
     periodic with period t_total).
     """
-    st = _Variational(x0, y0, k, F, rtol, atol, max_step, time_sign)
+    st = _Variational(x0, y0, k, F, rtol, atol)
     status = OK
     while status == OK and st.t < t_total:
         status = st.advance(t_total)
-        if status == OK and st.steps >= max_steps:
+        if status == OK and st.steps >= STEP_LIMIT:
             status = MAX_STEPS
     return (status, *st.s)

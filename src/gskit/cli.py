@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -332,7 +331,8 @@ def cmd_map(args, cfg) -> int:
 
 def cmd_repro(args, cfg) -> int:
     numbers = set(args.only) if args.only else None
-    results = acceptance.run_battery(numbers, grid=args.grid)
+    results = acceptance.run_battery(numbers, grid=args.grid,
+                                     threads=cfg.threads or None)
     sys.stdout.write(acceptance.format_battery(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
@@ -437,8 +437,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if cfg.threads:
-            os.environ.setdefault("GSKIT_THREADS", str(cfg.threads))
         return args.fn(args, cfg)
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")

@@ -290,14 +290,14 @@ def _det_test(z):
 
 def continue_curve(kind: str, seed, settings: ContinuationSettings | None = None,
                    *, direction: float = 1.0, k_floor: float = 1e-4,
-                   detect_events: bool = True, **kwargs) -> CurveResult:
-    """Continue one of the bifurcation curves.
+                   detect_events: bool = True) -> CurveResult:
+    """Continue the fold or the Hopf curve of equilibria.
 
     kind 'fold' or 'hopf': seed is the extended vector (u, v, k, F) (see
     hopf_seed / fold_seed).  The Hopf run monitors det (double-zero point,
     terminal) and the first Lyapunov coefficient (generalized Hopf,
-    recorded); both are located by on-curve bisection.  kind 'lpc' and
-    'homoclinic' delegate to lpc_curve / homoclinic_curve.
+    recorded); both are located by on-curve bisection.  Cycle curves have
+    their own entry points, lpc_curve and homoclinic_curve.
     """
     settings = settings or ContinuationSettings()
     if kind == "fold":
@@ -313,10 +313,6 @@ def continue_curve(kind: str, seed, settings: ContinuationSettings | None = None
                            _equilibrium_point, tests,
                            lambda z: z[2] > k_floor and z[3] > 1e-7,
                            direction)
-    if kind == "lpc":
-        return lpc_curve(seed, settings=settings, **kwargs)
-    if kind == "homoclinic":
-        return homoclinic_curve(seed, **kwargs)
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
@@ -522,8 +518,8 @@ def _splitting_once(a: Params, eps: float, settings) -> float:
         want = orient if time_sign > 0 else -orient
         status, hits = kernels.ray_crossings(
             x0[0], x0[1], a.k, a.F, c[0], c[1], d[0], d[1],
-            want, 1, t_cap, settings.rel_tol, settings.abs_tol,
-            settings.max_step, 1e-12, 0.0, time_sign, time_sign > 0)
+            want, 1, t_cap, settings.rel_tol, settings.abs_tol, 0.0,
+            time_sign)
         if not hits:
             return None
         return hits[0][1]

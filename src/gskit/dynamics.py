@@ -32,7 +32,6 @@ ESCAPE_BOX = 10.0
 class IntegratorSettings:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_step: float = 0.0          # 0 disables the cap
     scheme: str = "dp54"           # embedded explicit 5(4) pair
 
     def __post_init__(self):
@@ -75,16 +74,14 @@ class CycleRepr:
 
 def integrate(p0: State, a: Params, t_end: float,
               settings: IntegratorSettings = DEFAULT_SETTINGS, *,
-              record: bool = True, enforce_quadrant: bool = True,
-              time_sign: float = 1.0, max_steps: int = 20_000_000,
-              fixed_step: float = 0.0) -> Trajectory:
-    """Adaptive trajectory of the kinetics from p0 over [0, t_end]."""
-    if enforce_quadrant and not p0.in_first_quadrant(settings.abs_tol):
+              record: bool = True, fixed_step: float = 0.0) -> Trajectory:
+    """Adaptive trajectory of the kinetics from p0, a first-quadrant state,
+    over [0, t_end]."""
+    if not p0.in_first_quadrant(settings.abs_tol):
         raise DomainError(f"initial state {p0} outside the first quadrant")
     status, t, x, y, ts, xs, ys = kernels.integrate(
         kernels.FIELD_PLANE, p0.u, p0.v, a.k, a.F, t_end, settings.rel_tol,
-        settings.abs_tol, settings.max_step, max_steps, time_sign,
-        enforce_quadrant, record, fixed_step)
+        settings.abs_tol, kernels.STEP_LIMIT, 1.0, record, fixed_step)
     if status == kernels.UNDERFLOW:
         raise StepUnderflow(f"step size underflow at t={t}")
     if not record:
@@ -143,49 +140,41 @@ def section_frame(a: Params, *, window: float = 2.5) -> SectionFrame:
 
 
 def return_map(a: Params, r: float, frame: SectionFrame,
-               settings: IntegratorSettings = DEFAULT_SETTINGS, *,
-               t_max: float = 2e5, count: int = 1) -> tuple:
-    """Return radius and time after `count` full revolutions from radius r.
+               settings: IntegratorSettings = DEFAULT_SETTINGS) -> tuple:
+    """Return radius and time after one full revolution from radius r.
 
-    Raises NoReturn when the trajectory stops crossing the section.
+    Raises NoReturn when the trajectory does not cross the section again
+    before t = 2e5.
     """
     c, d = frame.center, frame.direction
     x0 = c.u + r * d[0]
     y0 = c.v + r * d[1]
     status, hits = kernels.ray_crossings(
         x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
-        frame.orientation, count, t_max, settings.rel_tol, settings.abs_tol,
-        settings.max_step, 1e-12, 1e-9, 1.0, True)
-    if len(hits) < count:
-        raise NoReturn(f"no return from r={r} at {a} (status {status}, "
-                       f"{len(hits)} crossings)")
-    t, s, _, _ = hits[count - 1]
+        frame.orientation, 1, 2e5, settings.rel_tol, settings.abs_tol,
+        1e-9, 1.0)
+    if not hits:
+        raise NoReturn(f"no return from r={r} at {a} (status {status})")
+    t, s, _, _ = hits[0]
     return s, t
 
 
-def crossing_radii(a: Params, x0: float, y0: float, frame: SectionFrame,
-                   settings: IntegratorSettings = DEFAULT_SETTINGS, *,
-                   n: int = 200, t_max: float = 4e5,
-                   time_sign: float = 1.0) -> list:
-    """Successive section radii of the orbit through (x0, y0).
+def _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign):
+    """(status, radii): the successive section radii, at most n, of the
+    orbit through (x0, y0), forward or (time_sign < 0) reversed in time.
 
     The list ends early once _attractor_kind can decide it: at the first
-    triple that settles within SETTLE_TOL, when a reversed orbit leaves the
-    escape box (10, 10), or when a forward orbit is captured by the trivial
-    node (derivations in gskit._pure.ray_crossings)."""
-    return _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign)[1]
-
-
-def _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign):
-    """(status, radii) of crossing_radii; status SETTLED says the radii
-    end at their first settled triple."""
+    triple that settles within SETTLE_TOL (status SETTLED), when a reversed
+    orbit leaves the escape box (10, 10), or when a forward orbit is
+    captured by the trivial node (derivations in
+    gskit._pure.ray_crossings)."""
     c, d = frame.center, frame.direction
     orient = frame.orientation if time_sign > 0 else -frame.orientation
     box = ESCAPE_BOX if time_sign < 0 else 0.0
     status, hits = kernels.ray_crossings(
         x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
-        orient, n, t_max, settings.rel_tol, settings.abs_tol,
-        settings.max_step, 1e-12, 1e-9, time_sign, time_sign > 0, box=box)
+        orient, n, t_max, settings.rel_tol, settings.abs_tol, 1e-9,
+        time_sign, box=box)
     return status, [h[1] for h in hits]
 
 
@@ -227,8 +216,7 @@ def cycle_at_radius(a: Params, r: float, frame: SectionFrame,
     _, period = return_map(a, r, frame, settings)
     x0, y0 = c.u + r * d[0], c.v + r * d[1]
     status, _, _, m11, m12, m21, m22 = kernels.monodromy(
-        x0, y0, a.k, a.F, period,
-        settings.rel_tol, settings.abs_tol, settings.max_step)
+        x0, y0, a.k, a.F, period, settings.rel_tol, settings.abs_tol)
     if status != kernels.OK:
         raise StepUnderflow("variational integration failed")
     mult = m11 * m22 - m12 * m21
@@ -239,9 +227,7 @@ def cycle_at_radius(a: Params, r: float, frame: SectionFrame,
 
 def limit_cycle_census(a: Params,
                        settings: IntegratorSettings = DEFAULT_SETTINGS, *,
-                       n_scan: int = 400, r_min_frac: float = 1e-4,
-                       r_max: float | None = None,
-                       frame: SectionFrame | None = None) -> list:
+                       n_scan: int = 400) -> list:
     """All limit cycles around the focus-type point, ordered by amplitude.
 
     Scans the return-map displacement along the section ray, brackets sign
@@ -252,11 +238,9 @@ def limit_cycle_census(a: Params,
     d = discriminants(a)
     if d.delta <= 0:
         return []
-    frame = frame or section_frame(a)
+    frame = section_frame(a)
     cap = frame.r_max * 0.98
-    if r_max is not None:
-        cap = min(cap, r_max)
-    r_lo = max(cap * r_min_frac, 1e-8)
+    r_lo = max(cap * 1e-4, 1e-8)
 
     def g(r):
         return return_map(a, r, frame, settings)[0] - r
@@ -321,7 +305,7 @@ REGION_SIGNATURES = {
 @dataclass(frozen=True)
 class RegionLabel:
     id: str                      # 'outside', '1'..'5', or 'x' (unrecognized)
-    boundary: tuple = ()         # subset of ('SN', 'H+', 'H-', 'T', 'P')
+    boundary: tuple = ()         # subset of ('SN', 'H+', 'H-')
     cycles: int = 0
     focus_label: str = ""
 
@@ -335,17 +319,15 @@ def _signature_id(unstable: bool, stability: str) -> str:
 
 def classify_region(a: Params,
                     settings: IntegratorSettings = DEFAULT_SETTINGS, *,
-                    curves: dict | None = None, boundary_tol: float = 1e-10,
-                    curve_tol: float = 1e-4, census_kwargs: dict | None = None
-                    ) -> RegionLabel:
+                    boundary_tol: float = 1e-10,
+                    census_kwargs: dict | None = None) -> RegionLabel:
     """Label the parameter point by equilibria, focus stability and census.
 
     The signature table is REGION_SIGNATURES: regions 1-5 are
     (unstable, no cycle), (stable, one repelling cycle), (unstable, stable
     inner + repelling outer), (stable, no cycle), (unstable, one stable
-    cycle).  `curves` may carry polylines {'T': [(k,F)...], 'P': [...]} for
-    boundary tagging; the fold and Hopf boundaries are tagged from closed
-    forms.
+    cycle).  The fold (SN) and Hopf (H+, H-) boundaries are tagged from
+    closed forms.
     """
     d = discriminants(a)
     tags = []
@@ -362,20 +344,9 @@ def classify_region(a: Params,
     cycles = limit_cycle_census(a, settings, **(census_kwargs or {}))
     stability = "".join("s" if c.stable else "u" for c in cycles)
     unstable = float(rep.trace) > 0
-    if curves:
-        kf = (float(a.k), float(a.F))
-        for tag in ("T", "P"):
-            poly = curves.get(tag)
-            if poly and _near_polyline(kf, poly, curve_tol):
-                tags.append(tag)
     return RegionLabel(id=_signature_id(unstable, stability),
                        boundary=tuple(tags), cycles=len(cycles),
                        focus_label=rep.label)
-
-
-def _near_polyline(pt, poly, tol) -> bool:
-    px, py = pt
-    return any((px - q[0]) ** 2 + (py - q[1]) ** 2 <= tol * tol for q in poly)
 
 
 def probe_region(a: Params, settings: IntegratorSettings | None = None, *,
@@ -447,15 +418,6 @@ def _attractor_kind(radii: list, r_cap: float, settled: bool) -> tuple:
 # Poincare compactification
 # ---------------------------------------------------------------------------
 
-def to_chart_u(u: float, v: float) -> tuple:
-    """(z, w) = (v/u, 1/u); valid for u > 0."""
-    return v / u, 1.0 / u
-
-
-def from_chart_u(z: float, w: float) -> tuple:
-    return 1.0 / w, z / w
-
-
 def to_chart_v(u: float, v: float) -> tuple:
     """(q, w) = (u/v, 1/v); valid for v > 0."""
     return u / v, 1.0 / v
@@ -520,8 +482,7 @@ def manifold_from_infinity(a: Params, *, offset: float = 1e-6,
     q0 = F * w0 ** 3 - F * (3 * F + 2 * k) * w0 ** 5
     status, t, q, w, *_ = kernels.integrate(
         kernels.FIELD_CHART_V, q0, w0, k, F, t_chart,
-        settings.rel_tol, settings.abs_tol, 0.0, 50_000_000, 1.0, False, False,
-        0.0, 0.75)
+        settings.rel_tol, settings.abs_tol, 50_000_000, 1.0, False, 0.0, 0.75)
     if status != kernels.BOX_EXIT:
         return None, "none"
     u, v = from_chart_v(q, w)

@@ -2,7 +2,9 @@
 pure-Python reference as fallback.
 
 gskit._pure holds the reference kernels (adaptive Dormand-Prince stepping,
-ray-crossing event location, variational propagation).  _kernel.c, next to
+ray-crossing event location, variational propagation) and documents the
+settings they fix: no cap on the step size, the first-quadrant guard on
+the plane field in forward time, S_MIN and STEP_LIMIT.  _kernel.c, next to
 this file, mirrors them statement for statement in plain C99, so the two
 backends return the same bits.  On first import the C source is compiled
 with gcc into the user cache directory ($XDG_CACHE_HOME or ~/.cache, else a
@@ -29,8 +31,8 @@ import tempfile
 from pathlib import Path
 
 from . import _pure
-from ._pure import (BOX_EXIT, CAPTURED, FIELD_CHART_U, FIELD_CHART_V,
-                    FIELD_PLANE, MAX_STEPS, OK, SETTLE_TOL, SETTLED, UNDERFLOW)
+from ._pure import (BOX_EXIT, CAPTURED, FIELD_CHART_V, FIELD_PLANE,
+                    MAX_STEPS, OK, SETTLE_TOL, SETTLED, STEP_LIMIT, UNDERFLOW)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "gcc"
@@ -134,11 +136,11 @@ class _CKernels:
         buf, count = ctypes.POINTER(d), ctypes.POINTER(ll)
         sig = {
             "gs_field_eval": [i, d, d, d, d, d, buf],
-            "gs_integrate": [i, d, d, d, d, d, d, d, d, ll, d, i, i, d, d,
-                             buf, buf, ll, count],
+            "gs_integrate": [i, d, d, d, d, d, d, d, ll, d, i, d, d, buf, buf,
+                             ll, count],
             "gs_ray_crossings": [d, d, d, d, d, d, d, d, i, ll, d, d, d, d, d,
-                                 d, d, i, ll, d, buf, ll, count],
-            "gs_monodromy": [d, d, d, d, d, d, d, d, d, ll, buf],
+                                 d, buf, ll, count],
+            "gs_monodromy": [d, d, d, d, d, d, d, buf],
         }
         for name, argtypes in sig.items():
             fn = getattr(lib, name)
@@ -151,9 +153,8 @@ class _CKernels:
         _raise_for(self._lib.gs_field_eval(fid, sgn, x, y, k, F, out), fid)
         return out[0], out[1]
 
-    def integrate(self, fid, x0, y0, k, F, t_end, rtol, atol, max_step,
-                  max_steps, time_sign, quadrant_guard, record, fixed_step,
-                  box):
+    def integrate(self, fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
+                  time_sign, record, fixed_step, box):
         end = (ctypes.c_double * 3)()
         n = ctypes.c_longlong()
         bound = max(max_steps, 1) + 1 if record else 0   # samples a call can record
@@ -161,9 +162,8 @@ class _CKernels:
         while True:
             samples = (ctypes.c_double * (3 * cap))()
             status = self._lib.gs_integrate(
-                fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
-                time_sign, quadrant_guard, record, fixed_step, box, end,
-                samples, cap, ctypes.byref(n))
+                fid, x0, y0, k, F, t_end, rtol, atol, max_steps, time_sign,
+                record, fixed_step, box, end, samples, cap, ctypes.byref(n))
             if status != _BUFFER_FULL:
                 break
             cap = min(8 * cap, bound)
@@ -172,8 +172,7 @@ class _CKernels:
         return status, end[0], end[1], end[2], s[0::3], s[1::3], s[2::3]
 
     def ray_crossings(self, x0, y0, k, F, cx, cy, dx, dy, orient,
-                      max_crossings, t_max, rtol, atol, max_step, s_min,
-                      t_min, time_sign, quadrant_guard, max_steps, box):
+                      max_crossings, t_max, rtol, atol, t_min, time_sign, box):
         n = ctypes.c_longlong()
         bound = max(max_crossings, 1)     # hits a call can return
         cap = min(bound, _FIRST_CAP)
@@ -181,8 +180,7 @@ class _CKernels:
             hits = (ctypes.c_double * (4 * cap))()
             status = self._lib.gs_ray_crossings(
                 x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings, t_max,
-                rtol, atol, max_step, s_min, t_min, time_sign, quadrant_guard,
-                max_steps, box, hits, cap, ctypes.byref(n))
+                rtol, atol, t_min, time_sign, box, hits, cap, ctypes.byref(n))
             if status != _BUFFER_FULL:
                 break
             cap = min(8 * cap, bound)
@@ -190,12 +188,10 @@ class _CKernels:
         h = hits[:4 * n.value]
         return status, list(zip(h[0::4], h[1::4], h[2::4], h[3::4]))
 
-    def monodromy(self, x0, y0, k, F, t_total, rtol, atol, max_step,
-                  time_sign, max_steps):
+    def monodromy(self, x0, y0, k, F, t_total, rtol, atol):
         out = (ctypes.c_double * 6)()
         status = _raise_for(self._lib.gs_monodromy(
-            x0, y0, k, F, t_total, rtol, atol, max_step, time_sign, max_steps,
-            out))
+            x0, y0, k, F, t_total, rtol, atol, out))
         return (status, *out)
 
 
@@ -244,41 +240,38 @@ def use_backend(name: str) -> None:
 # numpy scalar arithmetic), and the C kernels receive the C types their
 # signatures declare.
 
-def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_step, max_steps,
-              time_sign, quadrant_guard, record, fixed_step=0.0, box=0.0):
-    """Integrate field fid from (x0, y0) over [0, t_end]; see
-    gskit._pure.integrate.  Returns (status, t, x, y, ts, xs, ys)."""
+def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps, time_sign,
+              record, fixed_step=0.0, box=0.0):
+    """Integrate field fid (FIELD_PLANE or FIELD_CHART_V) from (x0, y0)
+    over [0, t_end]; see gskit._pure.integrate.  Returns (status, t, x, y,
+    ts, xs, ys)."""
     return _impl.integrate(int(fid), float(x0), float(y0), float(k), float(F),
                            float(t_end), float(rtol), float(atol),
-                           float(max_step), int(max_steps), float(time_sign),
-                           bool(quadrant_guard), bool(record),
+                           int(max_steps), float(time_sign), bool(record),
                            float(fixed_step), float(box))
 
 
 def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
-                  t_max, rtol, atol, max_step, s_min, t_min, time_sign,
-                  quadrant_guard, max_steps=20_000_000, box=0.0):
-    """Crossings of the ray {(cx,cy) + s (dx,dy) : s > s_min}; see
-    gskit._pure.ray_crossings.  Returns (status, hits)."""
+                  t_max, rtol, atol, t_min, time_sign, box=0.0):
+    """Crossings of the ray {(cx,cy) + s (dx,dy) : s > S_MIN} in the
+    direction orient (+1 or -1); see gskit._pure.ray_crossings.  Returns
+    (status, hits)."""
     return _impl.ray_crossings(float(x0), float(y0), float(k), float(F),
                                float(cx), float(cy), float(dx), float(dy),
                                int(orient), int(max_crossings), float(t_max),
-                               float(rtol), float(atol), float(max_step),
-                               float(s_min), float(t_min), float(time_sign),
-                               bool(quadrant_guard), int(max_steps), float(box))
+                               float(rtol), float(atol), float(t_min),
+                               float(time_sign), float(box))
 
 
-def monodromy(x0, y0, k, F, t_total, rtol, atol, max_step, time_sign=1.0,
-              max_steps=20_000_000):
-    """State and variational matrix over [0, t_total]; see
-    gskit._pure.monodromy.  Returns (status, x, y, m11, m12, m21, m22).
-    One step rule serves all kernels; max_steps counts accepted steps."""
+def monodromy(x0, y0, k, F, t_total, rtol, atol):
+    """State and variational matrix forward over [0, t_total]; see
+    gskit._pure.monodromy.  Returns (status, x, y, m11, m12, m21, m22)."""
     return _impl.monodromy(float(x0), float(y0), float(k), float(F),
-                           float(t_total), float(rtol), float(atol),
-                           float(max_step), float(time_sign), int(max_steps))
+                           float(t_total), float(rtol), float(atol))
 
 
 def field_eval(fid, sgn, x, y, k, F):
-    """Vector field fid at (x, y), times sgn."""
+    """Vector field fid (FIELD_PLANE or FIELD_CHART_V) at (x, y), times
+    sgn; ValueError for any other id."""
     return _impl.field_eval(int(fid), float(sgn), float(x), float(y),
                             float(k), float(F))

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+from gskit import mapping
 from gskit.cli import main
 
 
@@ -130,6 +134,36 @@ def test_config_file_roundtrip(tmp_path):
     bad.write_text("nonsense = 1\n")
     code, _ = run_cli("--config", str(bad), "eq", "--k", "0.05", "--F", "0.02")
     assert code == 2
+
+
+def test_threads_setting_is_an_argument(monkeypatch, tmp_path):
+    # the config's threads reach the maps of `map` and of `repro` criterion
+    # 10 as an argument: main() leaves the environment as it found it, and
+    # both commands resolve the same worker count over GSKIT_THREADS
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 3\n")
+    monkeypatch.delenv("GSKIT_THREADS", raising=False)
+    before = dict(os.environ)
+    assert run_cli("--config", str(cfg), "eq", "--k", "0.05", "--F", "0.02")[0] == 0
+    assert dict(os.environ) == before
+
+    class Stop(Exception):
+        pass
+
+    budgets = []
+
+    def region_map(*args, threads=None, **kwargs):
+        budgets.append(mapping.thread_budget(threads))
+        raise Stop
+
+    monkeypatch.setattr(mapping, "region_map", region_map)
+    monkeypatch.setenv("GSKIT_THREADS", "1")
+    before = dict(os.environ)
+    for argv in (("map", "--grid", "2x2"), ("repro", "--only", "10")):
+        with pytest.raises(Stop):
+            main(["--config", str(cfg), *argv])
+        assert dict(os.environ) == before
+    assert budgets == [3, 3]
 
 
 def test_console_script_entry_point():

@@ -65,6 +65,14 @@ def test_invalid_seed_rejected():
         continue_curve("hopf", np.array([0.5, 0.3, 0.03, 0.02]))
 
 
+@pytest.mark.parametrize("kind", ["lpc", "homoclinic", "neutral"])
+def test_continue_curve_takes_equilibrium_curves_only(kind):
+    # cycle curves have their own entry points, lpc_curve and
+    # homoclinic_curve; continue_curve knows only 'fold' and 'hopf'
+    with pytest.raises(ValueError, match="unknown curve kind"):
+        continue_curve(kind, hopf_seed(0.03))
+
+
 def test_shoot_cycle_stable_supercritical_side():
     k = 0.02
     a = Params(k, float(hopf_F(k)) - 2e-5)

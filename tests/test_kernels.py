@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gskit import kernels
 from gskit.core import Params, vector_field
-from gskit.dynamics import from_chart_u, from_chart_v, to_chart_u, to_chart_v
+from gskit.dynamics import from_chart_v, to_chart_v
 from gskit.errors import DomainError
 
 BACKENDS = kernels.available_backends()
@@ -30,12 +30,12 @@ def backend(request):
 
 # one call per entry point, every argument as a Python scalar
 _CALLS = {
-    "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 0.0, 10**7,
-                  1.0, True, True),
-    "ray_crossings": (0.7, 0.2, 0.04, 0.02, 0.0, 0.25, 1.0, 0.0, 0, 4, 600.0,
-                      1e-11, 1e-13, 0.0, 1e-12, 1e-9, 1.0, True),
-    "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14, 0.0),
-    "field_eval": (1, -1.0, 0.3, 0.4, 0.05, 0.02),
+    "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 10**7, 1.0,
+                  True),
+    "ray_crossings": (0.7, 0.2, 0.04, 0.02, 0.0, 0.25, 1.0, 0.0, 1, 4, 600.0,
+                      1e-11, 1e-13, 1e-9, 1.0),
+    "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14),
+    "field_eval": (2, -1.0, 0.3, 0.4, 0.05, 0.02),
 }
 
 
@@ -140,7 +140,7 @@ def test_backend_forced_pure():
 
 def test_integrate_reaches_t_end(backend):
     st, t, x, y, *_ = kernels.integrate(0, 0.9, 0.1, 0.07, 0.02, 1500.0,
-                                        1e-10, 1e-13, 0.0, 10**7, 1.0, True, False)
+                                        1e-10, 1e-13, 10**7, 1.0, False)
     assert st == kernels.OK and t == 1500.0
     # Delta < 0 here: the only attractor is (1, 0)
     assert abs(x - 1.0) < 1e-6 and abs(y) < 1e-9
@@ -155,13 +155,11 @@ def test_backends_agree():
 
 def test_fixed_step_convergence_order(backend):
     args = (0, 0.6, 0.25, 0.046, 0.026)
-    ref = kernels.integrate(*args, 40.0, 1e-13, 1e-16, 0.0, 10**7, 1.0,
-                            True, False)
+    ref = kernels.integrate(*args, 40.0, 1e-13, 1e-16, 10**7, 1.0, False)
     errs = []
     for h in (0.2, 0.1):
-        st, t, x, y, *_ = kernels.integrate(*args, 40.0, 1e-9, 1e-12, 0.0,
-                                            10**7, 1.0, True, False,
-                                            fixed_step=h)
+        st, t, x, y, *_ = kernels.integrate(*args, 40.0, 1e-9, 1e-12, 10**7,
+                                            1.0, False, fixed_step=h)
         errs.append(math.hypot(x - ref[2], y - ref[3]))
     order = math.log2(errs[0] / errs[1])
     assert order >= 4.5
@@ -179,9 +177,12 @@ def test_dense_output_against_scipy(backend):
     sol = solve_ivp(rhs, [0, 600.0], [0.7, 0.2], rtol=1e-11, atol=1e-13,
                     dense_output=True)
     # crossings of the horizontal line v = 0.25 through the spiral region
-    st, hits = kernels.ray_crossings(0.7, 0.2, k, F, 0.0, 0.25, 1.0, 0.0,
-                                     0, 4, 600.0, 1e-11, 1e-13, 0.0,
-                                     1e-12, 1e-9, 1.0, True)
+    hits = []
+    for orient in (1, -1):
+        st, h = kernels.ray_crossings(0.7, 0.2, k, F, 0.0, 0.25, 1.0, 0.0,
+                                      orient, 4, 600.0, 1e-11, 1e-13, 1e-9,
+                                      1.0)
+        hits += h
     assert hits
     for t, s, x, y in hits:
         ref = sol.sol(t)
@@ -193,8 +194,7 @@ def test_quadrant_guard_snaps_to_axis(backend):
     # from a state with tiny v the orbit hugs the invariant axis; samples
     # must never dip below -abs_tol
     st, t, x, y, ts, xs, ys = kernels.integrate(
-        0, 0.4, 1e-10, 0.05, 0.01, 2000.0, 1e-9, 1e-12, 0.0, 10**7, 1.0,
-        True, True)
+        0, 0.4, 1e-10, 0.05, 0.01, 2000.0, 1e-9, 1e-12, 10**7, 1.0, True)
     assert st == kernels.OK
     assert min(ys) >= -1e-12
     assert min(xs) >= -1e-12
@@ -205,7 +205,7 @@ def test_monodromy_matches_exact_linear_flow(backend):
     # -F and -(F+k)
     k, F, T = 0.06, 0.04, 12.5
     st, x, y, m11, m12, m21, m22 = kernels.monodromy(1.0, 0.0, k, F, T,
-                                                     1e-12, 1e-14, 0.0)
+                                                     1e-12, 1e-14)
     assert st == kernels.OK
     assert m11 == pytest.approx(math.exp(-F * T), rel=1e-9)
     assert m22 == pytest.approx(math.exp(-(F + k) * T), rel=1e-9)
@@ -216,9 +216,9 @@ def test_monodromy_fundamental_property(backend):
     # M(2T) = M(T over the translated segment) M(T): check det via Liouville
     k, F = 0.03, 0.055
     x0, y0 = 0.55, 0.22
-    st, x1, y1, *m1 = kernels.monodromy(x0, y0, k, F, 7.0, 1e-12, 1e-14, 0.0)
-    st2, x2, y2, *m2 = kernels.monodromy(x1, y1, k, F, 7.0, 1e-12, 1e-14, 0.0)
-    st3, x3, y3, *m3 = kernels.monodromy(x0, y0, k, F, 14.0, 1e-12, 1e-14, 0.0)
+    st, x1, y1, *m1 = kernels.monodromy(x0, y0, k, F, 7.0, 1e-12, 1e-14)
+    st2, x2, y2, *m2 = kernels.monodromy(x1, y1, k, F, 7.0, 1e-12, 1e-14)
+    st3, x3, y3, *m3 = kernels.monodromy(x0, y0, k, F, 14.0, 1e-12, 1e-14)
     a1 = np.array(m1).reshape(2, 2)
     a2 = np.array(m2).reshape(2, 2)
     a3 = np.array(m3).reshape(2, 2)
@@ -234,14 +234,6 @@ def test_chart_fields_consistent_with_plane(backend):
         u = float(rng.uniform(0.2, 2.0))
         v = float(rng.uniform(0.2, 2.0))
         du, dv = kernels.field_eval(0, 1.0, u, v, k, F)
-        # u-direction chart
-        z, w = to_chart_u(u, v)
-        dz = (dv * u - v * du) / (u * u)
-        dw = -du / (u * u)
-        fz, fw = kernels.field_eval(1, 1.0, z, w, k, F)
-        assert fz == pytest.approx(dz * w * w * u * u / (u * u), rel=1e-10) or \
-            fz == pytest.approx(dz * w * w, rel=1e-10)
-        assert fw == pytest.approx(dw * w * w, rel=1e-10)
         # v-direction chart
         q, w2 = to_chart_v(u, v)
         dq = (du * v - u * dv) / (v * v)
@@ -256,9 +248,7 @@ def test_chart_roundtrip_identity():
     for _ in range(100):
         u = float(rng.uniform(0.01, 3.0))
         v = float(rng.uniform(0.01, 3.0))
-        zu = from_chart_u(*to_chart_u(u, v))
         zv = from_chart_v(*to_chart_v(u, v))
-        assert abs(zu[0] - u) <= 1e-12 * max(1, u) and abs(zu[1] - v) <= 1e-12 * max(1, v)
         assert abs(zv[0] - u) <= 1e-12 * max(1, u) and abs(zv[1] - v) <= 1e-12 * max(1, v)
 
 
@@ -266,10 +256,9 @@ def test_backward_time_integration(backend):
     # forward then backward returns to the start
     k, F = 0.05, 0.028
     st, t, x, y, *_ = kernels.integrate(0, 0.6, 0.2, k, F, 20.0, 1e-12,
-                                        1e-14, 0.0, 10**7, 1.0, True, False)
+                                        1e-14, 10**7, 1.0, False)
     st2, t2, x2, y2, *_ = kernels.integrate(0, x, y, k, F, 20.0, 1e-12,
-                                            1e-14, 0.0, 10**7, -1.0, False,
-                                            False)
+                                            1e-14, 10**7, -1.0, False)
     assert abs(x2 - 0.6) < 1e-9 and abs(y2 - 0.2) < 1e-9
 
 
@@ -286,8 +275,7 @@ def _probe_args(k, F, time_sign, t_max=2e5, n=400):
     r0 = max(1e-4, 0.02 * frame.r_max)
     orient = frame.orientation if time_sign > 0 else -frame.orientation
     args = (c.u + r0 * d[0], c.v + r0 * d[1], k, F, c.u, c.v, d[0], d[1],
-            orient, n, t_max, 1e-8, 1e-11, 0.0, 1e-12, 1e-9, time_sign,
-            time_sign > 0)
+            orient, n, t_max, 1e-8, 1e-11, 1e-9, time_sign)
     return args, frame
 
 
@@ -311,17 +299,16 @@ def test_forward_probe_captured_by_node(backend):
     assert st == kernels.CAPTURED
     x0, y0, _, _, cx, cy, dx, dy, _, _, t_max, rtol, atol = args[:13]
     eps, delta = _pure._node_box(k, F)
-    assert _pure._ray_misses_box(cx, cy, dx, dy, 1e-12, 1 - eps, 1 + eps,
-                                 0.0, delta)
+    assert _pure._ray_misses_box(cx, cy, dx, dy, 1 - eps, 1 + eps, 0.0, delta)
     # the same stepper run by integrate reaches the capture state
     _, _, _, _, _, xs, ys = kernels.integrate(
-        0, x0, y0, k, F, t_max, rtol, atol, 0.0, 10**7, 1.0, True, True)
+        0, x0, y0, k, F, t_max, rtol, atol, 10**7, 1.0, True)
     shrink = 1.0 - _pure._CAPTURE_MARGIN
     i = next(i for i in range(1, len(xs))
              if abs(1.0 - xs[i]) <= shrink * eps and 0.0 <= ys[i] <= shrink * delta)
     # from there the orbit stays in the invariant box and never meets the ray
     _, _, _, _, _, xs, ys = kernels.integrate(
-        0, xs[i], ys[i], k, F, t_max, rtol, atol, 0.0, 10**7, 1.0, True, True)
+        0, xs[i], ys[i], k, F, t_max, rtol, atol, 10**7, 1.0, True)
     xs, ys = np.asarray(xs), np.asarray(ys)
     assert np.all(np.abs(1.0 - xs) <= eps) and np.all((ys >= 0) & (ys <= delta))
     g = dx * (ys - cy) - dy * (xs - cx)
@@ -404,12 +391,12 @@ def test_pure_kernels_return_python_floats(name):
 
 @pytest.mark.filterwarnings("error")
 def test_reversed_blowup_status_does_not_depend_on_input_type(backend):
-    # a reversed-time blow-up: run in numpy scalar arithmetic it overflows
-    # with RuntimeWarnings; the conversion at the boundary runs both calls
-    # in Python floats
-    args = (0.3, 0.5, 0.055, 0.055, 2e4, 1e-11, 1e-14, 0.0, -1.0, 400000)
-    st = kernels.monodromy(*args)[0]
-    assert st == kernels.monodromy(*_as_numpy(args))[0] == kernels.UNDERFLOW
+    # a reversed-time blow-up without a stop box: run in numpy scalar
+    # arithmetic it overflows with RuntimeWarnings; the conversion at the
+    # boundary runs both calls in Python floats
+    args = (0, 0.3, 0.5, 0.055, 0.055, 2e4, 1e-11, 1e-14, 400000, -1.0, False)
+    st = kernels.integrate(*args)[0]
+    assert st == kernels.integrate(*_as_numpy(args))[0] == kernels.UNDERFLOW
 
 
 @pytest.mark.filterwarnings("error")
@@ -417,13 +404,13 @@ def test_overflowing_first_step_estimate_underflows(backend):
     # at (3, 1e80) the field's squares in the first-step estimate overflow:
     # the estimate is 0, so each kernel stops with UNDERFLOW
     x0, y0, k, F = 3.0, 1e80, 0.055, 0.055
-    assert kernels.monodromy(x0, y0, k, F, 20.0, 1e-11, 1e-14, 0.0,
-                             -1.0)[0] == kernels.UNDERFLOW
-    assert kernels.integrate(0, x0, y0, k, F, 20.0, 1e-11, 1e-14, 0.0, 10**7,
-                             -1.0, False, False)[0] == kernels.UNDERFLOW
-    assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 0, 1, 20.0,
-                                 1e-11, 1e-14, 0.0, 1e-12, 0.0, -1.0,
-                                 False)[0] == kernels.UNDERFLOW
+    assert kernels.monodromy(x0, y0, k, F, 20.0, 1e-11,
+                             1e-14)[0] == kernels.UNDERFLOW
+    assert kernels.integrate(0, x0, y0, k, F, 20.0, 1e-11, 1e-14, 10**7,
+                             -1.0, False)[0] == kernels.UNDERFLOW
+    assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 1, 1, 20.0,
+                                 1e-11, 1e-14, 0.0,
+                                 -1.0)[0] == kernels.UNDERFLOW
 
 
 @pytest.mark.filterwarnings("error")
@@ -431,26 +418,26 @@ def test_nan_first_step_underflows(backend):
     # at (1, inf) the field holds inf - inf, so the first-step estimate is
     # nan and every trial step would be rejected: each kernel stops at once
     x0, y0, k, F = 1.0, math.inf, 0.05, 0.02
-    assert kernels.integrate(0, x0, y0, k, F, 10.0, 1e-8, 1e-11, 0.0, 1000,
-                             1.0, False, False)[0] == kernels.UNDERFLOW
-    assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 0, 1, 10.0,
-                                 1e-8, 1e-11, 0.0, 1e-12, 0.0, 1.0,
-                                 False)[0] == kernels.UNDERFLOW
-    assert kernels.monodromy(x0, y0, k, F, 10.0, 1e-8, 1e-11,
-                             0.0)[0] == kernels.UNDERFLOW
+    assert kernels.integrate(0, x0, y0, k, F, 10.0, 1e-8, 1e-11, 1000, 1.0,
+                             False)[0] == kernels.UNDERFLOW
+    assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 1, 1, 10.0,
+                                 1e-8, 1e-11, 0.0,
+                                 1.0)[0] == kernels.UNDERFLOW
+    assert kernels.monodromy(x0, y0, k, F, 10.0, 1e-8,
+                             1e-11)[0] == kernels.UNDERFLOW
 
 
 def test_fixed_step_blowup_returns_the_same_nan():
     # the first fixed step reaches (inf, -inf) and the next gives nan; the
     # two backends return the same nan, sign bit included
-    args = (0, 0.2249, 1.62e9, 0.05, 0.03, 5.0, 1e-8, 1e-11, 0.0, 100, -1.0,
-            False, True, 0.1, 0.0)
+    args = (0, 0.2249, 1.62e9, 0.05, 0.03, 5.0, 1e-8, 1e-11, 100, -1.0, True,
+            0.1, 0.0)
     results = _on_each_backend(kernels.integrate, *args)
     assert math.isnan(struct.unpack("<d", results["pure"][2])[0])
     assert all(r == results["pure"] for r in results.values())
 
 
-@pytest.mark.parametrize("fid", [0, 1, 2])
+@pytest.mark.parametrize("fid", [0, 2])
 @pytest.mark.parametrize("x, y", [
     (math.nan, 0.5), (-math.nan, 0.5), (0.5, math.nan), (0.5, -math.nan),
     (math.inf, 0.0), (0.0, math.inf), (math.inf, -math.inf),
@@ -463,9 +450,20 @@ def test_field_nan_bits_agree(fid, x, y):
         assert all(r == results["pure"] for r in results.values()), sgn
 
 
+@pytest.mark.parametrize("fid", [-1, 1, 3])
+def test_unknown_field_id_raises(backend, fid):
+    # only FIELD_PLANE and FIELD_CHART_V are fields; every other id raises,
+    # at the entry point and inside the integrator alike
+    with pytest.raises(ValueError, match="unknown field id"):
+        kernels.field_eval(fid, 1.0, 0.3, 0.4, 0.05, 0.02)
+    with pytest.raises(ValueError, match="unknown field id"):
+        kernels.integrate(fid, 0.3, 0.4, 0.05, 0.02, 1.0, 1e-8, 1e-11, 100,
+                          1.0, True)
+
+
 @pytest.mark.parametrize("fid, w, expected", [
-    (1, -1e80, (None, -math.inf)),        # w ** 4 overflows
-    (1, 1e110, (-math.inf, math.nan)),    # both: -F inf + F inf
+    (2, -1e80, (None, None)),             # w ** 3 = -1e240 is finite
+    (2, -1e160, (math.nan, -math.inf)),   # k q w w - ... + F w ** 3: inf - inf
     (2, -1e110, (-math.inf, -math.inf)),  # w ** 3 overflows, negative
     (2, 1e110, (math.inf, math.inf)),
 ])
@@ -513,18 +511,17 @@ def test_backends_agree_on_random_inputs():
            y0=st.one_of(st.floats(0.0, 1.5), st.floats(1e3, 1e200)),
            time_sign=st.sampled_from([1.0, -1.0]),
            rtol=st.floats(1e-11, 1e-6),
-           fid=st.sampled_from([kernels.FIELD_PLANE, kernels.FIELD_CHART_U,
-                                kernels.FIELD_CHART_V]),
+           fid=st.sampled_from([kernels.FIELD_PLANE, kernels.FIELD_CHART_V]),
            t_end=st.floats(0.0, 400.0),
            max_steps=st.sampled_from([40, 4000]),
            box=st.sampled_from([0.0, 10.0]))
     # SETTLED: a reversed probe settles onto the repelling cycle (label 2)
     @example(k=0.06, F=0.0465, x0=0.4194542937169253, y0=0.24730967009262803,
-             time_sign=-1.0, rtol=1e-8, fid=0, t_end=100.0, max_steps=4000,
+             time_sign=-1.0, rtol=1e-8, fid=0, t_end=3e3, max_steps=4000,
              box=10.0)
     # CAPTURED: a forward probe ends at the trivial node (label 1)
     @example(k=0.05, F=0.02, x0=0.42793139587617207, y0=0.15979898987322322,
-             time_sign=1.0, rtol=1e-8, fid=0, t_end=100.0, max_steps=4000,
+             time_sign=1.0, rtol=1e-8, fid=0, t_end=400.0, max_steps=4000,
              box=0.0)
     # BOX_EXIT, and UNDERFLOW without the box: a reversed blow-up (label 4)
     @example(k=0.055, F=0.055, x0=0.3225368776732832, y0=0.32987048957087495,
@@ -537,17 +534,21 @@ def test_backends_agree_on_random_inputs():
         atol = 1e-3 * rtol
         (cx, cy), (dx, dy), orient = _section_ray(k, F)
         calls = {
-            "integrate": (fid, x0, y0, k, F, t_end, rtol, atol, 0.0,
-                          max_steps, time_sign, time_sign > 0, True, 0.0,
-                          box),
-            "ray_crossings": (x0, y0, k, F, cx, cy, dx, dy,
-                              orient if time_sign > 0 else -orient, 400,
-                              2e5, rtol, atol, 0.0, 1e-12, 1e-9, time_sign,
-                              time_sign > 0, max_steps, box),
-            "monodromy": (x0, y0, k, F, t_end, rtol, atol, 0.0, time_sign,
-                          max_steps),
+            "integrate": (fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
+                          time_sign, True, 0.0, box),
             "field_eval": (fid, time_sign, x0, y0, k, F),
         }
+        # ray_crossings and monodromy take no step budget, so t_end bounds
+        # their runs; forward from v >= 1e3 the plane field is stiff (rate
+        # -v^2), and they would step up to STEP_LIMIT times even so: minutes
+        # per call on the pure backend
+        if y0 <= 1.5 or time_sign < 0:
+            calls["ray_crossings"] = (x0, y0, k, F, cx, cy, dx, dy,
+                                      orient if time_sign > 0 else -orient,
+                                      400, t_end, rtol, atol, 1e-9, time_sign,
+                                      box)
+        if y0 <= 1.5:
+            calls["monodromy"] = (x0, y0, k, F, t_end, rtol, atol)
         for name, args in calls.items():
             results = _on_each_backend(getattr(kernels, name), *args)
             assert all(r == results["pure"] for r in results.values()), name
