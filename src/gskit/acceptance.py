@@ -55,11 +55,8 @@ class CriterionResult:
 
 @dataclass
 class BatteryContext:
-    """Shared expensive artifacts reused across criteria."""
-    hopf_runs: dict = field(default_factory=dict)
-    fold_runs: dict = field(default_factory=dict)
-    lpc_run: object = None
-    homoclinic_run: object = None
+    """Expensive artifacts shared by criteria: the fold-of-cycles bracket
+    at k = 0.034 serves criteria 6 and 7."""
     t_curve_cache: dict = field(default_factory=dict)
 
 
@@ -225,11 +222,10 @@ def criterion_5(ctx: BatteryContext) -> CriterionResult:
     """Continuation against closed forms; organizing points detected."""
     t0 = time.perf_counter()
     checks = []
-    up = ctx.hopf_runs.get("up") or continuation.continue_curve(
+    up = continuation.continue_curve(
         "hopf", continuation.hopf_seed(0.03), direction=+1.0)
-    down = ctx.hopf_runs.get("down") or continuation.continue_curve(
+    down = continuation.continue_curve(
         "hopf", continuation.hopf_seed(0.03), direction=-1.0)
-    ctx.hopf_runs.update({"up": up, "down": down})
     pts = [(k, F) for run in (up, down)
            for k, F in zip(run.k_values(), run.F_values())
            if 1e-3 <= k <= 0.0615]
@@ -238,14 +234,9 @@ def criterion_5(ctx: BatteryContext) -> CriterionResult:
     checks.append(Check("hopf_vs_closed_form",
                         err_h <= 1e-8 and len(pts) >= 100,
                         f"max err {err_h:.2e} over {len(pts)} abscissae"))
-    folds = []
-    for branch, direction in (("lower", 1.0), ("lower", -1.0), ("upper", 1.0)):
-        key = (branch, direction)
-        run = ctx.fold_runs.get(key) or continuation.continue_curve(
-            "fold", continuation.fold_seed(0.03, branch), direction=direction,
-            detect_events=False)
-        ctx.fold_runs[key] = run
-        folds.append(run)
+    folds = [continuation.continue_curve("fold", continuation.fold_seed(0.03, branch),
+                                         direction=direction, detect_events=False)
+             for branch, direction in (("lower", 1.0), ("lower", -1.0), ("upper", 1.0))]
     fpts = [(k, F) for run in folds
             for k, F in zip(run.k_values(), run.F_values()) if F > 1e-6]
     fpts = fpts[:: max(1, len(fpts) // 100)]
@@ -290,8 +281,6 @@ def criterion_6(ctx: BatteryContext) -> CriterionResult:
 
 def _lpc_toward_gh(ctx: BatteryContext):
     """Fold-of-cycles polyline continued toward the generalized Hopf point."""
-    if ctx.lpc_run is not None:
-        return ctx.lpc_run
     k_seed = 0.0345
     _, F_mid, _ = _locate_t_curve_F(ctx, k_seed)
     seed = continuation.lpc_seed_from_region3(Params(k_seed, F_mid))
@@ -301,7 +290,6 @@ def _lpc_toward_gh(ctx: BatteryContext):
         run = continuation.lpc_curve(seed, max_points=60,
                                      k_bounds=(5e-3, 9 / 256 - 5e-5),
                                      direction=-1.0)
-    ctx.lpc_run = run
     return run
 
 
@@ -343,8 +331,7 @@ def criterion_8(ctx: BatteryContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = []
     k_grid = np.linspace(0.058, 0.0624, 8)
-    run = ctx.homoclinic_run or continuation.homoclinic_curve(k_grid, f_tol=1e-8)
-    ctx.homoclinic_run = run
+    run = continuation.homoclinic_curve(k_grid, f_tol=1e-8)
     ok_brackets = (len(run.points) == len(k_grid)
                    and all(p.aux["bracket_width"] <= 1e-8 for p in run.points))
     checks.append(Check("bisection_to_1e-8", ok_brackets,
@@ -461,7 +448,7 @@ def criterion_10(ctx: BatteryContext, *, grid: int = 200,
     labels, _ = region_map((1e-9, 0.07), (1e-9, 0.07), grid, grid,
                            threads=threads)
     present = {lab for row in labels for lab in row}
-    adj = adjacency(labels, min_pairs=2)
+    adj = adjacency(labels)
     required = {frozenset(p) for p in
                 (("outside", "4"), ("outside", "1"), ("4", "2"), ("2", "1"))}
     missing = {tuple(sorted(p)) for p in required if p not in adj}
@@ -494,11 +481,7 @@ def criterion_10(ctx: BatteryContext, *, grid: int = 200,
         Fh = float(hopf_F(k0))
         col = []
         for dF in np.linspace(-1.0e-5, 4e-6, 22):
-            lab = dynamics.classify_region(
-                Params(k0, Fh + dF),
-                dynamics.IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13),
-                census_kwargs={"n_scan": 120}).id
-            col.append(lab)
+            col.append(dynamics.classify_region(Params(k0, Fh + dF)).id)
         strip_labels.update(col)
         # cells landing on the Hopf line itself are nonhyperbolic; drop them
         filtered = [lab for lab in col if lab != "x"]

@@ -57,14 +57,16 @@ def mu(a: Params) -> float:
     return float(jac[0][0] + jac[1][1]) / 2.0
 
 
-def hopf_frame(a: Params, *, trace_tol: float = 1e-10) -> HopfFrame:
+def hopf_frame(a: Params) -> HopfFrame:
+    """The focus-type point at a with its frequency; raises NotOnHopfCurve
+    unless its trace is within 1e-10 of zero and its determinant positive."""
     eq = equilibria(a)
     if eq.p_mp is None:
         raise NotOnHopfCurve(f"no focus-type equilibrium at {a}")
     jac = jacobian(eq.p_mp, a)
     tr = jac[0][0] + jac[1][1]
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    if abs(float(tr)) > trace_tol or not det > 0:
+    if abs(float(tr)) > 1e-10 or not det > 0:
         raise NotOnHopfCurve(f"trace {tr}, det {det} at {a}")
     nu = float(a.F) - float(hopf_F(float(a.k)))
     return HopfFrame(params=a, point=eq.p_mp, omega0=math.sqrt(float(det)), nu=nu)
@@ -116,12 +118,12 @@ def clw_bracket(b, c, d, beta2, p: dict):
             - (beta2 + 3 * d * d) * (p["fxx"] * p["fxy"] - p["gxy"] * p["gyy"]))
 
 
-def l1_clw(a: Params, *, trace_tol: float = 1e-10):
+def l1_clw(a: Params):
     """First Lyapunov coefficient on the Hopf curve, rational bracket form.
 
     Negative means the Hopf bifurcation sheds attracting cycles.  Exact
     (Fraction) inputs on the curve give exact output."""
-    frame = hopf_frame(a, trace_tol=trace_tol)
+    frame = hopf_frame(a)
     pt = frame.point
     jac = jacobian(pt, a)
     b_, c_, d_ = jac[0][1], jac[1][0], jac[1][1]
@@ -217,10 +219,10 @@ def _l1_extended(a: Params) -> float:
     return c1.real / om
 
 
-def l1_kuz(a: Params, *, trace_tol: float = 1e-10) -> float:
+def l1_kuz(a: Params) -> float:
     """First Lyapunov coefficient via the complex eigenvector projection,
     normalized as Re(c1)/omega."""
-    hopf_frame(a, trace_tol=trace_tol)
+    hopf_frame(a)
     return _l1_extended(a)
 
 
@@ -239,13 +241,13 @@ def _monomial_coeffs(a: Params):
     }
 
 
-def l2_kuz(a: Params, *, trace_tol: float = 1e-10) -> float:
+def l2_kuz(a: Params) -> float:
     """Second Lyapunov coefficient Re(c2)/omega via the order-5 reduction.
 
     Well defined (independent of reduction choices) where Re(c1) = 0; away
     from that locus it is the standard fifth-order resonant coefficient of
     this reduction."""
-    hopf_frame(a, trace_tol=trace_tol)
+    hopf_frame(a)
     om, coeffs = _monomial_coeffs(a)
     scale = max(abs(c) for c in coeffs.values())
     c1, c2, _ = poincare_normal_form(
@@ -391,9 +393,10 @@ def gh_locate() -> dict:
 # Parameter-map transversality at GH
 # ---------------------------------------------------------------------------
 
-def param_map_jacobian(gh: Params = GH_PARAMS, h: float = 1e-6):
-    """Central-difference Jacobian of (k, F) -> (mu, l1) at gh."""
-    k0, F0 = float(gh.k), float(gh.F)
+def param_map_jacobian(h: float = 1e-6):
+    """Central-difference Jacobian of (k, F) -> (mu, l1) at the generalized
+    Hopf point, with step h."""
+    k0, F0 = float(GH_PARAMS.k), float(GH_PARAMS.F)
 
     def both(k, F):
         a = Params(k, F)
@@ -407,15 +410,12 @@ def param_map_jacobian(gh: Params = GH_PARAMS, h: float = 1e-6):
             (lk1 - lk0) / (2 * h), (lF1 - lF0) / (2 * h))
 
 
-def param_map_transversality(gh: Params = GH_PARAMS, *, h: float = 1e-6,
-                             check_tol: float = 0.05) -> float:
+def param_map_transversality() -> float:
     """Determinant of the (mu, l1) parameter map at the generalized Hopf
-    point, with a step-halving stability check (relative 5% by default)."""
-    if (abs(float(gh.k) - 9 / 256) > 1e-8 or abs(float(gh.F) - 3 / 256) > 1e-8):
-        raise DomainError("transversality is evaluated at the generalized Hopf point")
-    d1 = _det4(param_map_jacobian(gh, h))
-    d2 = _det4(param_map_jacobian(gh, h / 2))
-    if abs(d1 - d2) > check_tol * max(abs(d1), abs(d2)):
+    point, at steps 1e-6 and 5e-7, which must agree within 5% (relative)."""
+    d1 = _det4(param_map_jacobian(1e-6))
+    d2 = _det4(param_map_jacobian(1e-6 / 2))
+    if abs(d1 - d2) > 0.05 * max(abs(d1), abs(d2)):
         raise DomainError(f"finite-difference determinant unstable: {d1} vs {d2}")
     return d2
 

@@ -201,15 +201,14 @@ def transversality_matrix(u, v, k, F):
     )
 
 
-def bt_nondegeneracy(frame: BTFrame | None = None) -> BTReport:
+def bt_nondegeneracy() -> BTReport:
     """Checkpoint report at the double-zero point, fully exact.
 
     The quadratic coefficients evaluate to a20 = -1/2, b20 = -1/16, b11 = 0,
     so s = sign(b20 (a20 + b11)) = +1 and the Hopf branch emanating from the
     point sheds repelling cycles; the 4x4 transversality determinant is
-    -1/512.
+    -1/512.  The report carries the reference Jordan frame.
     """
-    frame = frame or jordan_basis()
     zero = (Fraction(0), Fraction(0))
     a20, b20, b11 = bt_coefficients(zero)
     quantity = b20 * (a20 + b11)
@@ -217,7 +216,7 @@ def bt_nondegeneracy(frame: BTFrame | None = None) -> BTReport:
     det = det_fraction_free(transversality_matrix(
         BT_POINT.u, BT_POINT.v, BT_PARAMS.k, BT_PARAMS.F))
     return BTReport(a20=a20, b20=b20, b11=b11, s=s,
-                    transversality_det=det, frame=frame)
+                    transversality_det=det, frame=jordan_basis())
 
 
 def coefficients_in_frame(frame: BTFrame, alpha=(Fraction(0), Fraction(0))):

@@ -30,20 +30,6 @@ CycleRepr = dynamics.CycleRepr
 
 
 @dataclass(frozen=True)
-class ContinuationSettings:
-    ds0: float = 2e-3
-    ds_min: float = 1e-10
-    ds_max: float = 5e-3
-    corrector_tol: float = 1e-10
-    newton_max: int = 8
-    max_points: int = 4000
-    grow: float = 1.4
-    shrink: float = 0.4
-    fd_step: float = 1e-7
-    seed_residual_max: float = 1e-6
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     params: Params
     aux: dict
@@ -99,124 +85,142 @@ def _tangent(res, z, eps, prev=None):
     return t / np.linalg.norm(t)
 
 
-def _correct(res, z_pred, t, settings: ContinuationSettings):
-    """Newton on [R(z); t.(z - z_pred)] = 0.  Returns (z, iterations) or None."""
-    z = z_pred.copy()
-    for it in range(settings.newton_max):
+@dataclass(frozen=True)
+class _Engine:
+    """Step control of one continuation problem; run() traces its curve.
+
+    Every problem takes at most 8 Newton corrections per step, shrinks a
+    failed step by 0.4 down to 1e-10, and grows the step by 1.4 after a
+    correction of at most 3 iterations."""
+
+    ds0: float
+    ds_max: float
+    corrector_tol: float
+    max_points: int
+    fd_step: float
+    seed_residual_max: float
+
+    def correct(self, res, z_pred, t):
+        """Newton on [R(z); t.(z - z_pred)] = 0.  Returns (z, iterations) or None."""
+        z = z_pred.copy()
+        for it in range(8):
+            f = res(z)
+            g = np.append(f, t @ (z - z_pred))
+            if np.max(np.abs(f)) < self.corrector_tol and abs(g[-1]) < 1e-12:
+                return z, it
+            J = _fd_jacobian(res, z, f, self.fd_step)
+            Ja = np.vstack([J, t])
+            try:
+                dz = np.linalg.solve(Ja, -g)
+            except np.linalg.LinAlgError:
+                return None
+            z = z + dz
+            if not np.all(np.isfinite(z)):
+                return None
         f = res(z)
-        g = np.append(f, t @ (z - z_pred))
-        if np.max(np.abs(f)) < settings.corrector_tol and abs(g[-1]) < 1e-12:
-            return z, it
-        J = _fd_jacobian(res, z, f, settings.fd_step)
-        Ja = np.vstack([J, t])
-        try:
-            dz = np.linalg.solve(Ja, -g)
-        except np.linalg.LinAlgError:
-            return None
-        z = z + dz
-        if not np.all(np.isfinite(z)):
-            return None
-    f = res(z)
-    if np.max(np.abs(f)) < settings.corrector_tol:
-        return z, settings.newton_max
-    return None
+        if np.max(np.abs(f)) < self.corrector_tol:
+            return z, 8
+        return None
 
+    def bisect_event(self, res, fn, za, zb):
+        """Refine a test-function sign change between on-curve points za, zb
+        until their (k, F) coordinates agree to 1e-9 (at most 80 halvings)."""
+        fa = fn(za)
+        for _ in range(80):
+            gap = max(abs(za[i] - zb[i]) for i in (2, 3))
+            if gap < 1e-9:
+                break
+            zm_pred = 0.5 * (za + zb)
+            t = zb - za
+            n = np.linalg.norm(t)
+            if n == 0:
+                break
+            t = t / n
+            sol = self.correct(res, zm_pred, t)
+            if sol is None:
+                break
+            zm = sol[0]
+            fm = fn(zm)
+            if fm is None or not np.isfinite(fm):
+                break
+            if (fa < 0) == (fm < 0):
+                za, fa = zm, fm
+            else:
+                zb = zm
+        return 0.5 * (za + zb)
 
-def _bisect_event(res, fn, za, zb, settings, *, param_idx=(2, 3),
-                  tol=1e-9, max_iter=80):
-    """Refine a test-function sign change between on-curve points za, zb."""
-    fa = fn(za)
-    for _ in range(max_iter):
-        gap = max(abs(za[i] - zb[i]) for i in param_idx)
-        if gap < tol:
-            break
-        zm_pred = 0.5 * (za + zb)
-        t = zb - za
-        n = np.linalg.norm(t)
-        if n == 0:
-            break
-        t = t / n
-        sol = _correct(res, zm_pred, t, settings)
+    def run(self, kind, res, z0, make_point, test_functions, domain_ok,
+            direction=1.0):
+        f0 = res(z0)
+        if np.max(np.abs(f0)) > self.seed_residual_max:
+            raise SeedInvalid(f"seed residual {np.max(np.abs(f0)):.2e} for {kind}")
+        sol = self.correct(res, z0.copy(), _tangent(res, z0, self.fd_step))
         if sol is None:
-            break
-        zm = sol[0]
-        fm = fn(zm)
-        if fm is None or not np.isfinite(fm):
-            break
-        if (fa < 0) == (fm < 0):
-            za, fa = zm, fm
-        else:
-            zb = zm
-    return 0.5 * (za + zb)
-
-
-def _run_engine(kind, res, z0, settings, make_point, test_functions,
-                domain_ok, direction=1.0):
-    f0 = res(z0)
-    if np.max(np.abs(f0)) > settings.seed_residual_max:
-        raise SeedInvalid(f"seed residual {np.max(np.abs(f0)):.2e} for {kind}")
-    sol = _correct(res, z0.copy(), _tangent(res, z0, settings.fd_step), settings)
-    if sol is None:
-        raise SeedInvalid(f"seed failed to correct for {kind}")
-    z = sol[0]
-    t = _tangent(res, z, settings.fd_step)
-    t = t * direction
-    points = [make_point(z, t, 0.0)]
-    events = []
-    zs = [z]
-    ds = settings.ds0
-    tests = {name: fn(z) for name, fn, _terminal in test_functions}
-    status = "max_points"
-    while len(points) < settings.max_points:
-        accepted = None
-        while True:
-            z_pred = z + ds * t
-            sol = _correct(res, z_pred, t, settings)
-            if sol is not None:
-                accepted = sol
-                break
-            ds *= settings.shrink
-            if ds < settings.ds_min:
-                status = "step_underflow"
-                break
-        if accepted is None:
-            break
-        z_new, iters = accepted
-        # test functions: bisect sign changes before committing
-        stop = False
-        for name, fn, terminal in test_functions:
-            old = tests.get(name)
-            new = fn(z_new)
-            if (old is not None and new is not None
-                    and np.isfinite(old) and np.isfinite(new)
-                    and (old < 0) != (new < 0)):
-                z_ev = _bisect_event(res, fn, z.copy(), z_new.copy(), settings)
-                pt = make_point(z_ev, t, ds)
-                events.append(CurveEvent(name=name, params=pt.params,
-                                         aux=pt.aux, terminal=terminal))
-                if terminal:
-                    points.append(pt)
-                    stop = True
-            tests[name] = new
-        if stop:
-            status = "event"
-            break
-        if not domain_ok(z_new):
-            status = "domain_exit"
-            break
-        if len(zs) >= 2:
-            t_new = z_new - z
-            t_new = t_new / np.linalg.norm(t_new)
-        else:
-            t_new = _tangent(res, z_new, settings.fd_step, prev=t)
-        points.append(make_point(z_new, t_new, ds))
-        zs.append(z_new)
-        z, t = z_new, t_new
-        if iters <= 3:
-            ds = min(ds * settings.grow, settings.ds_max)
-    else:
+            raise SeedInvalid(f"seed failed to correct for {kind}")
+        z = sol[0]
+        t = _tangent(res, z, self.fd_step)
+        t = t * direction
+        points = [make_point(z, t, 0.0)]
+        events = []
+        zs = [z]
+        ds = self.ds0
+        tests = {name: fn(z) for name, fn, _terminal in test_functions}
         status = "max_points"
-    return CurveResult(kind=kind, points=points, events=events, status=status)
+        while len(points) < self.max_points:
+            accepted = None
+            while True:
+                z_pred = z + ds * t
+                sol = self.correct(res, z_pred, t)
+                if sol is not None:
+                    accepted = sol
+                    break
+                ds *= 0.4
+                if ds < 1e-10:
+                    status = "step_underflow"
+                    break
+            if accepted is None:
+                break
+            z_new, iters = accepted
+            # test functions: bisect sign changes before committing
+            stop = False
+            for name, fn, terminal in test_functions:
+                old = tests.get(name)
+                new = fn(z_new)
+                if (old is not None and new is not None
+                        and np.isfinite(old) and np.isfinite(new)
+                        and (old < 0) != (new < 0)):
+                    z_ev = self.bisect_event(res, fn, z.copy(), z_new.copy())
+                    pt = make_point(z_ev, t, ds)
+                    events.append(CurveEvent(name=name, params=pt.params,
+                                             aux=pt.aux, terminal=terminal))
+                    if terminal:
+                        points.append(pt)
+                        stop = True
+                tests[name] = new
+            if stop:
+                status = "event"
+                break
+            if not domain_ok(z_new):
+                status = "domain_exit"
+                break
+            if len(zs) >= 2:
+                t_new = z_new - z
+                t_new = t_new / np.linalg.norm(t_new)
+            else:
+                t_new = _tangent(res, z_new, self.fd_step, prev=t)
+            points.append(make_point(z_new, t_new, ds))
+            zs.append(z_new)
+            z, t = z_new, t_new
+            if iters <= 3:
+                ds = min(ds * 1.4, self.ds_max)
+        else:
+            status = "max_points"
+        return CurveResult(kind=kind, points=points, events=events, status=status)
+
+
+# Fold and Hopf curves of equilibria
+_EQUILIBRIUM_ENGINE = _Engine(ds0=2e-3, ds_max=5e-3, corrector_tol=1e-10,
+                              max_points=4000, fd_step=1e-7, seed_residual_max=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +292,28 @@ def _det_test(z):
     return _trace_det_z(z)[1]
 
 
-def continue_curve(kind: str, seed, settings: ContinuationSettings | None = None,
-                   *, direction: float = 1.0, k_floor: float = 1e-4,
+def continue_curve(kind: str, seed, *, direction: float = 1.0,
                    detect_events: bool = True) -> CurveResult:
     """Continue the fold or the Hopf curve of equilibria.
 
     kind 'fold' or 'hopf': seed is the extended vector (u, v, k, F) (see
     hopf_seed / fold_seed).  The Hopf run monitors det (double-zero point,
     terminal) and the first Lyapunov coefficient (generalized Hopf,
-    recorded); both are located by on-curve bisection.  Cycle curves have
-    their own entry points, lpc_curve and homoclinic_curve.
+    recorded); both are located by on-curve bisection.  Both curves stop
+    at k = 1e-4.  Cycle curves have their own entry points, lpc_curve and
+    homoclinic_curve.
     """
-    settings = settings or ContinuationSettings()
     if kind == "fold":
         tests = [("bt_trace", lambda z: _trace_det_z(z)[0], True)] if detect_events else []
-        return _run_engine("fold", _fold_res, np.asarray(seed, float), settings,
-                           _equilibrium_point, tests,
-                           lambda z: z[2] > k_floor and z[3] > 1e-6 and z[1] > 0,
-                           direction)
+        return _EQUILIBRIUM_ENGINE.run(
+            "fold", _fold_res, np.asarray(seed, float), _equilibrium_point, tests,
+            lambda z: z[2] > 1e-4 and z[3] > 1e-6 and z[1] > 0, direction)
     if kind == "hopf":
         tests = ([("bt_det", _det_test, True), ("gh_l1", _l1_test, False)]
                  if detect_events else [])
-        return _run_engine("hopf", _hopf_res, np.asarray(seed, float), settings,
-                           _equilibrium_point, tests,
-                           lambda z: z[2] > k_floor and z[3] > 1e-7,
-                           direction)
+        return _EQUILIBRIUM_ENGINE.run(
+            "hopf", _hopf_res, np.asarray(seed, float), _equilibrium_point, tests,
+            lambda z: z[2] > 1e-4 and z[3] > 1e-7, direction)
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
@@ -320,13 +321,12 @@ def continue_curve(kind: str, seed, settings: ContinuationSettings | None = None
 # Cycle shooting
 # ---------------------------------------------------------------------------
 
-def shoot_cycle(a: Params, guess: CycleRepr | float, *,
-                settings: dynamics.IntegratorSettings = dynamics.DEFAULT_SETTINGS,
-                tol: float = 1e-10, max_iter: int = 30) -> CycleRepr:
+def shoot_cycle(a: Params, guess: CycleRepr | float) -> CycleRepr:
     """Newton on the return-map displacement, seeded from a CycleRepr or a
-    plain section radius; return time is solved by event location inside the
-    kernels.  The result carries the period and the nontrivial Floquet
-    multiplier from variational integration over one period."""
+    plain section radius, until the displacement is below 1e-10 (at most 30
+    steps); return time is solved by event location inside the kernels.
+    The result carries the period and the nontrivial Floquet multiplier
+    from variational integration over one period."""
     frame = dynamics.section_frame(a)
     if isinstance(guess, CycleRepr):
         r = guess.radius
@@ -334,11 +334,11 @@ def shoot_cycle(a: Params, guess: CycleRepr | float, *,
         r = float(guess)
 
     def g(rr):
-        return dynamics.return_map(a, rr, frame, settings)[0] - rr
+        return dynamics.return_map(a, rr, frame)[0] - rr
 
     fr = g(r)
-    for _ in range(max_iter):
-        if abs(fr) < tol:
+    for _ in range(30):
+        if abs(fr) < 1e-10:
             break
         dr = 1e-6 * max(abs(r), 1e-3)
         slope = (g(r + dr) - fr) / dr
@@ -355,14 +355,18 @@ def shoot_cycle(a: Params, guess: CycleRepr | float, *,
         r, fr = r_new, fr_new
     else:
         raise NewtonDiverged(f"no convergence, residual {fr:.2e}")
-    return dynamics.cycle_at_radius(a, r, frame, settings)
+    return dynamics.cycle_at_radius(a, r, frame)
 
 
 # ---------------------------------------------------------------------------
 # Fold-of-cycles (limit point of cycles) curve
 # ---------------------------------------------------------------------------
 
-def _lpc_residual_factory(settings):
+# Integrator tolerances of the fold-of-cycles and homoclinic curves
+_CYCLE_CURVE_SETTINGS = dynamics.IntegratorSettings(rel_tol=1e-11, abs_tol=1e-14)
+
+
+def _lpc_residual():
     cache = {}
 
     def res(z):
@@ -374,7 +378,7 @@ def _lpc_residual_factory(settings):
             frame = dynamics.section_frame(a)
             cache[key] = frame
         def g(rr):
-            return dynamics.return_map(a, rr, frame, settings)[0] - rr
+            return dynamics.return_map(a, rr, frame, _CYCLE_CURVE_SETTINGS)[0] - rr
         dr = 1e-6 * max(abs(r), 1e-3)
         g0 = g(r)
         gp = (g(r + dr) - g(r - dr)) / (2 * dr)
@@ -418,30 +422,21 @@ def lpc_bracket(k: float) -> tuple:
     return Fh - lo_off, Fh - 0.5 * hi_off, Fh
 
 
-def lpc_seed_from_region3(a: Params, *,
-                          settings: dynamics.IntegratorSettings | None = None
-                          ) -> np.ndarray:
+def lpc_seed_from_region3(a: Params) -> np.ndarray:
     """Seed (r, k, F) for the fold-of-cycles system from a two-cycle point."""
-    settings = settings or dynamics.DEFAULT_SETTINGS
-    cycles = dynamics.limit_cycle_census(a, settings)
+    cycles = dynamics.limit_cycle_census(a)
     if len(cycles) < 2:
         raise SeedInvalid(f"census found {len(cycles)} cycles at {a}; need 2")
     return np.array([0.5 * (cycles[0].radius + cycles[1].radius),
                      float(a.k), float(a.F)])
 
 
-def lpc_curve(seed, *, settings: ContinuationSettings | None = None,
-              integrator: dynamics.IntegratorSettings | None = None,
-              max_points: int = 120, k_bounds: tuple = (5e-3, 9 / 256),
+def lpc_curve(seed, *, max_points: int = 120, k_bounds: tuple = (5e-3, 9 / 256),
               direction: float = 1.0) -> CurveResult:
     """Continue the fold-of-cycles curve {return displacement = 0,
     radial derivative = 0} in (radius, k, F) from a region-3 seed."""
-    settings = settings or ContinuationSettings(
-        ds0=2e-4, ds_max=2e-3, corrector_tol=5e-9, fd_step=1e-6,
-        max_points=max_points, seed_residual_max=0.05)
-    integrator = integrator or dynamics.IntegratorSettings(rel_tol=1e-11,
-                                                           abs_tol=1e-14)
-    res = _lpc_residual_factory(integrator)
+    engine = _Engine(ds0=2e-4, ds_max=2e-3, corrector_tol=5e-9,
+                     max_points=max_points, fd_step=1e-6, seed_residual_max=0.05)
 
     def make_point(z, t, ds):
         r, k, F = z
@@ -450,11 +445,11 @@ def lpc_curve(seed, *, settings: ContinuationSettings | None = None,
                           tangent=tuple(float(x) for x in t),
                           arc_step=float(ds))
 
-    return _run_engine("lpc", res, np.asarray(seed, float), settings,
-                       make_point, [],
-                       lambda z: (z[0] > 1e-7 and k_bounds[0] < z[1] < k_bounds[1]
-                                  and z[2] > 1e-7),
-                       direction=direction)
+    return engine.run("lpc", _lpc_residual(), np.asarray(seed, float),
+                      make_point, [],
+                      lambda z: (z[0] > 1e-7 and k_bounds[0] < z[1] < k_bounds[1]
+                                 and z[2] > 1e-7),
+                      direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -477,32 +472,28 @@ def _saddle_eigenframe(a: Params):
     return eq, ps, w[iu], w[is_], eu / np.linalg.norm(eu), es / np.linalg.norm(es)
 
 
-def separatrix_splitting(a: Params, *, eps: float = 1e-7,
-                         settings: dynamics.IntegratorSettings | None = None,
-                         richardson_tol: float = 1e-6,
-                         validate: bool = False) -> float:
+def separatrix_splitting(a: Params, *, validate: bool = False) -> float:
     """Signed gap between the saddle separatrices on the section ray.
 
-    The unstable branch is launched eps along its eigenvector toward the
+    The unstable branch is launched 1e-7 along its eigenvector toward the
     focus side and integrated forward to the ray anchored at the focus-type
     point (directed away from the saddle); the stable branch is integrated
     backward.  The difference of the hit radii vanishes exactly on a
     homoclinic loop and changes sign across it.  With validate=True the
-    offset is halved and the two gaps must agree to richardson_tol.
+    offset is halved and the two gaps must agree to 1e-6, the Richardson
+    check that the gap no longer depends on the offset.
     """
-    gap = _splitting_once(a, eps, settings)
+    gap = _splitting_once(a, 1e-7)
     if validate:
-        gap2 = _splitting_once(a, eps / 2, settings)
-        if abs(gap - gap2) > richardson_tol:
+        gap2 = _splitting_once(a, 1e-7 / 2)
+        if abs(gap - gap2) > 1e-6:
             raise SectionMiss(
                 f"offset-halving check failed: {gap} vs {gap2} at {a}")
         return gap2
     return gap
 
 
-def _splitting_once(a: Params, eps: float, settings) -> float:
-    settings = settings or dynamics.IntegratorSettings(rel_tol=1e-11,
-                                                       abs_tol=1e-14)
+def _splitting_once(a: Params, eps: float) -> float:
     eq, ps, lu, ls, eu, es = _saddle_eigenframe(a)
     c = np.array([float(eq.p_mp.u), float(eq.p_mp.v)])
     pvec = np.array([float(ps.u), float(ps.v)])
@@ -518,8 +509,8 @@ def _splitting_once(a: Params, eps: float, settings) -> float:
         want = orient if time_sign > 0 else -orient
         status, hits = kernels.ray_crossings(
             x0[0], x0[1], a.k, a.F, c[0], c[1], d[0], d[1],
-            want, 1, t_cap, settings.rel_tol, settings.abs_tol, 0.0,
-            time_sign)
+            want, 1, t_cap, _CYCLE_CURVE_SETTINGS.rel_tol,
+            _CYCLE_CURVE_SETTINGS.abs_tol, 0.0, time_sign)
         if not hits:
             return None
         return hits[0][1]
@@ -539,27 +530,25 @@ def _splitting_once(a: Params, eps: float, settings) -> float:
     return s_u - s_s
 
 
-def homoclinic_F(k: float, *, f_tol: float = 1e-8,
-                 settings: dynamics.IntegratorSettings | None = None,
-                 bracket_fracs: tuple = (0.005, 0.02, 0.05, 0.1, 0.2, 0.35, 0.55),
-                 eps: float = 1e-7) -> tuple:
+def homoclinic_F(k: float, *, f_tol: float = 1e-8) -> tuple:
     """Bisect the splitting gap in F at fixed k.  Returns (F, bracket_width).
 
     The search starts just above the Hopf curve (the newborn cycle side) and
-    expands toward the upper fold branch until the gap changes sign.
+    expands toward the upper fold branch, through the fractions 0.005-0.55
+    of the Hopf-to-fold span, until the gap changes sign.
     """
     Fh = float(hopf_F(k))
     Fu = float(saddle_node_F(k)[0])
     span = Fu - Fh
 
     def gap(F):
-        return separatrix_splitting(Params(k, F), eps=eps, settings=settings)
+        return separatrix_splitting(Params(k, F))
 
     lo = Fh + 1e-4 * span
     glo = gap(lo)
     hi = None
     prev, gprev = lo, glo
-    for frac in bracket_fracs:
+    for frac in (0.005, 0.02, 0.05, 0.1, 0.2, 0.35, 0.55):
         Fp = Fh + frac * span
         gp = gap(Fp)
         if (gprev < 0) != (gp < 0):
@@ -578,9 +567,7 @@ def homoclinic_F(k: float, *, f_tol: float = 1e-8,
     return 0.5 * (lo + hi), hi - lo
 
 
-def homoclinic_curve(k_values, *, f_tol: float = 1e-8,
-                     settings: dynamics.IntegratorSettings | None = None
-                     ) -> CurveResult:
+def homoclinic_curve(k_values, *, f_tol: float = 1e-8) -> CurveResult:
     """Homoclinic curve over a grid of k values by per-k bisection.
 
     Bracket exhaustion at some k terminates the curve there (recorded in the
@@ -589,7 +576,7 @@ def homoclinic_curve(k_values, *, f_tol: float = 1e-8,
     status = "ok"
     for k in k_values:
         try:
-            F, width = homoclinic_F(float(k), f_tol=f_tol, settings=settings)
+            F, width = homoclinic_F(float(k), f_tol=f_tol)
         except (BracketNotFound, SaddleMissing, SectionMiss) as exc:
             status = f"terminated at k={float(k)}: {type(exc).__name__}"
             break
@@ -603,8 +590,7 @@ def homoclinic_curve(k_values, *, f_tol: float = 1e-8,
 # Double-zero point by Newton on the extended regular system
 # ---------------------------------------------------------------------------
 
-def newton_bt(start: tuple = (0.05, 0.05), *, tol: float = 1e-12,
-              max_iter: int = 60) -> tuple:
+def newton_bt(start: tuple = (0.05, 0.05)) -> tuple:
     """Newton on {trace = 0, det = 0} over the focus-branch graph.
 
     The nontrivial equilibrium set is the graph (u, v) -> (k, F) =
@@ -613,7 +599,8 @@ def newton_bt(start: tuple = (0.05, 0.05), *, tol: float = 1e-12,
     positive on-branch factor u v^3/(1-u): that removes the spurious
     boundary continuum at v = 0 and leaves the double-zero point as the
     unique interior root, with a nonsingular Jacobian (quadratic
-    convergence).  Returns (u, v, k, F)."""
+    convergence), to a residual below 1e-12 within 60 steps.  Returns
+    (u, v, k, F)."""
     k0, F0 = start
     eq = equilibria(Params(k0, F0))
     if eq.p_mp is None:
@@ -629,8 +616,8 @@ def newton_bt(start: tuple = (0.05, 0.05), *, tol: float = 1e-12,
 
     z = np.array([float(eq.p_mp.u), float(eq.p_mp.v)])
     g = residual(z)
-    for _ in range(max_iter):
-        if np.max(np.abs(g)) < tol:
+    for _ in range(60):
+        if np.max(np.abs(g)) < 1e-12:
             break
         J = np.empty((2, 2))
         h = 1e-8

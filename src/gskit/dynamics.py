@@ -42,6 +42,10 @@ class IntegratorSettings:
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
+# probe_region's probes and render_portrait's trajectories
+_PROBE_SETTINGS = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-11)
+# classify_region's census and render_portrait's cycle overlay
+_CENSUS_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13)
 
 
 @dataclass
@@ -103,9 +107,10 @@ class SectionFrame:
     saddle: State | None
 
 
-def section_frame(a: Params, *, window: float = 2.5) -> SectionFrame:
+def section_frame(a: Params) -> SectionFrame:
     """Section ray through the focus-type point, perpendicular to the real
-    part of its leading eigenvector and pointing away from the saddle."""
+    part of its leading eigenvector and pointing away from the saddle.  The
+    ray ends at the quadrant boundary, or at radius 2.5 before it."""
     eq = equilibria(a)
     if eq.p_mp is None:
         raise DomainError(f"no focus-type equilibrium at {a}")
@@ -130,7 +135,7 @@ def section_frame(a: Params, *, window: float = 2.5) -> SectionFrame:
     f = vector_field(probe, a)
     orient = 1 if (d[0] * f[1] - d[1] * f[0]) > 0 else -1
     # cap the ray at the quadrant boundary / sanity window
-    r_cap = window
+    r_cap = 2.5
     for comp, dcomp in ((c.u, d[0]), (c.v, d[1])):
         if dcomp < 0:
             r_cap = min(r_cap, -comp / dcomp)
@@ -317,21 +322,19 @@ def _signature_id(unstable: bool, stability: str) -> str:
     return "x"
 
 
-def classify_region(a: Params,
-                    settings: IntegratorSettings = DEFAULT_SETTINGS, *,
-                    boundary_tol: float = 1e-10,
-                    census_kwargs: dict | None = None) -> RegionLabel:
+def classify_region(a: Params) -> RegionLabel:
     """Label the parameter point by equilibria, focus stability and census.
 
     The signature table is REGION_SIGNATURES: regions 1-5 are
     (unstable, no cycle), (stable, one repelling cycle), (unstable, stable
     inner + repelling outer), (stable, no cycle), (unstable, one stable
-    cycle).  The fold (SN) and Hopf (H+, H-) boundaries are tagged from
-    closed forms.
+    cycle).  The census scans 120 radii at rel/abs tolerances 1e-10/1e-13.
+    The fold (SN) and Hopf (H+, H-) boundaries are tagged from closed forms
+    where |Delta| or the focus trace is at most 1e-10.
     """
     d = discriminants(a)
     tags = []
-    if abs(float(d.delta)) <= boundary_tol:
+    if abs(float(d.delta)) <= 1e-10:
         tags.append("SN")
         return RegionLabel(id="outside" if d.delta < 0 else "SN-degenerate",
                            boundary=tuple(tags))
@@ -339,9 +342,9 @@ def classify_region(a: Params,
         return RegionLabel(id="outside", boundary=tuple(tags))
     eq = equilibria(a)
     rep = classify(eq.p_mp, a)
-    if abs(float(rep.trace)) <= boundary_tol:
+    if abs(float(rep.trace)) <= 1e-10:
         tags.append("H-" if float(a.k) < 9 / 256 else "H+")
-    cycles = limit_cycle_census(a, settings, **(census_kwargs or {}))
+    cycles = limit_cycle_census(a, _CENSUS_SETTINGS, n_scan=120)
     stability = "".join("s" if c.stable else "u" for c in cycles)
     unstable = float(rep.trace) > 0
     return RegionLabel(id=_signature_id(unstable, stability),
@@ -349,15 +352,14 @@ def classify_region(a: Params,
                        focus_label=rep.label)
 
 
-def probe_region(a: Params, settings: IntegratorSettings | None = None, *,
-                 t_max: float = 2e5, max_rev: int = 400) -> RegionLabel:
+def probe_region(a: Params) -> RegionLabel:
     """Fast decision-tree classifier used by the parameter-plane map.
 
     Replaces the full census with one or two attractor probes (forward from
-    the focus side, backward across a detected cycle); validated against
-    classify_region on sampled cells.
+    the focus side, backward across a detected cycle), each at most 400
+    section crossings or 2e5 time units; validated against classify_region
+    on sampled cells.
     """
-    settings = settings or IntegratorSettings(rel_tol=1e-8, abs_tol=1e-11)
     d = discriminants(a)
     if d.delta <= 0:
         return RegionLabel(id="outside")
@@ -370,8 +372,8 @@ def probe_region(a: Params, settings: IntegratorSettings | None = None, *,
     def probe(r0, sign_time):
         status, radii = _section_radii(
             a, frame.center.u + r0 * frame.direction[0],
-            frame.center.v + r0 * frame.direction[1], frame, settings,
-            max_rev, t_max, sign_time)
+            frame.center.v + r0 * frame.direction[1], frame, _PROBE_SETTINGS,
+            400, 2e5, sign_time)
         return _attractor_kind(radii, frame.r_max,
                                status == kernels.SETTLED)
 
@@ -459,35 +461,34 @@ def infinity_fixed_points(a: Params) -> tuple:
     )
 
 
-def manifold_from_infinity(a: Params, *, offset: float = 1e-6,
-                           w_resume: float = 0.02,
-                           settings: IntegratorSettings = DEFAULT_SETTINGS,
-                           t_chart: float = 1e6, t_plane: float = 5e4) -> tuple:
+def manifold_from_infinity(a: Params) -> tuple:
     """Follow the center-unstable branch of the degenerate saddle at
     (u=0, v=+inf) into the finite plane.
 
     Returns (entry_state, attractor_tag); the attractor tag names the finite
     limit set reached ('p0', 'p_mp', or 'none').
 
-    The branch leaves the fixed point along the center eigendirection (the
-    `offset` point (0, offset) relaxes onto it immediately, the transverse
-    eigenvalue being -1), but between w = offset and w ~ 1e-2 the drift
-    w' ~ (F+k) w^3 makes the chart system impossibly stiff for an explicit
-    scheme.  The flow is monotone in w on that stretch, so integration
-    resumes on the same branch at w_resume using the manifold expansion
+    The branch leaves the fixed point along the center eigendirection (a
+    point (0, 1e-6) relaxes onto it immediately, the transverse eigenvalue
+    being -1), but between w = 1e-6 and w ~ 1e-2 the drift w' ~ (F+k) w^3
+    makes the chart system impossibly stiff for an explicit scheme.  The
+    flow is monotone in w on that stretch, so integration starts on the
+    same branch at w = 0.02 using the manifold expansion
     q = F w^3 - F (3F + 2k) w^5 + O(w^7) (relative truncation ~ w^4, and the
-    transverse direction contracts it further)."""
+    transverse direction contracts it further).  The chart run lasts at
+    most 1e6 time units, and the plane run from where it leaves the chart
+    5e4."""
     k, F = float(a.k), float(a.F)
-    w0 = max(float(offset), w_resume)
+    w0 = 0.02
     q0 = F * w0 ** 3 - F * (3 * F + 2 * k) * w0 ** 5
     status, t, q, w, *_ = kernels.integrate(
-        kernels.FIELD_CHART_V, q0, w0, k, F, t_chart,
-        settings.rel_tol, settings.abs_tol, 50_000_000, 1.0, False, 0.0, 0.75)
+        kernels.FIELD_CHART_V, q0, w0, k, F, 1e6, DEFAULT_SETTINGS.rel_tol,
+        DEFAULT_SETTINGS.abs_tol, 50_000_000, 1.0, False, 0.0, 0.75)
     if status != kernels.BOX_EXIT:
         return None, "none"
     u, v = from_chart_v(q, w)
     entry = State(float(u), float(v))
-    traj = integrate(entry, a, t_plane, settings, record=False)
+    traj = integrate(entry, a, 5e4, record=False)
     end = traj.final
     eq = equilibria(a)
     cands = [("p0", TRIVIAL_POINT)]
@@ -499,12 +500,10 @@ def manifold_from_infinity(a: Params, *, offset: float = 1e-6,
     return entry, "none"
 
 
-def compactified_portrait(a: Params, *,
-                          settings: IntegratorSettings = DEFAULT_SETTINGS
-                          ) -> PortraitData:
+def compactified_portrait(a: Params) -> PortraitData:
     eq = equilibria(a)
     reports = [(pt, classify(pt, a)) for pt in eq.all_points()]
-    entry, attractor = manifold_from_infinity(a, settings=settings)
+    entry, attractor = manifold_from_infinity(a)
     return PortraitData(params=a, equilibria_reports=reports,
                         infinity_points=infinity_fixed_points(a),
                         manifold_entry=entry, manifold_attractor=attractor)
@@ -538,9 +537,7 @@ EQ_COLORS = {
 }
 
 
-def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
-                    settings: IntegratorSettings | None = None,
-                    with_cycles: bool = True) -> tuple:
+def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec()) -> tuple:
     """Deterministic phase portrait: (svg_text, csv_text, metadata).
 
     Fixed seed grid, arrowheads at a fixed arc fraction, equilibria colored
@@ -551,7 +548,6 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
     """
     from .svgplot import SvgCanvas
 
-    settings = settings or IntegratorSettings(rel_tol=1e-8, abs_tol=1e-11)
     (x0, y0), (x1, y1) = spec.window
     canvas = SvgCanvas(spec.width, spec.height, spec.window)
     csv_lines = ["trajectory,t,u,v"]
@@ -563,7 +559,7 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
                                y0 + (y1 - y0) * (j + 0.5) / n))
     pre, post = _NP_REPR_PRE, _NP_REPR_POST
     for idx, s0 in enumerate(seeds):
-        traj = integrate(s0, a, spec.t_end, settings, record=True)
+        traj = integrate(s0, a, spec.t_end, _PROBE_SETTINGS, record=True)
         u, v, t = traj.u, traj.v, traj.t
         if len(u) > spec.max_samples:
             step = len(u) // spec.max_samples + 1
@@ -578,18 +574,15 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec(), *,
                          v[mid + 1] - v[mid], color="#9bbcd9")
         csv_lines.extend(f"{idx},{pre}{tt!r}{post},{pre}{uu!r}{post},"
                          f"{pre}{vv!r}{post}" for tt, uu, vv in zip(t, u, v))
-    cycles = []
-    if with_cycles:
-        try:
-            cycles = limit_cycle_census(a, settings)
-        except (DomainError, NoReturn, StepUnderflow):
-            cycles = []
-        for c in cycles:
-            traj = integrate(c.section_point, a, c.period,
-                             IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13),
-                             record=True)
-            color = "#1a5fb4" if c.stable else "#a51d2d"
-            canvas.polyline(traj.u, traj.v, color=color, width=2.0, closed=True)
+    try:
+        cycles = limit_cycle_census(a, _PROBE_SETTINGS)
+    except (DomainError, NoReturn, StepUnderflow):
+        cycles = []
+    for c in cycles:
+        traj = integrate(c.section_point, a, c.period, _CENSUS_SETTINGS,
+                         record=True)
+        color = "#1a5fb4" if c.stable else "#a51d2d"
+        canvas.polyline(traj.u, traj.v, color=color, width=2.0, closed=True)
     eq = equilibria(a)
     meta_eq = []
     for pt in eq.all_points():

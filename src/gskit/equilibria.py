@@ -94,17 +94,16 @@ def _zero_like(a: Params):
     return Fraction(0) if a.is_exact() else 0.0
 
 
-def classify(p: State, a: Params, *, nonhyperbolic_tol: float = 1e-11,
-             residual_tol: float = 1e-10) -> StabilityReport:
+def classify(p: State, a: Params) -> StabilityReport:
     """Stability report for an equilibrium p of the kinetics at a.
 
-    Raises NotAnEquilibrium when the field residual at p exceeds
-    residual_tol.  Nonhyperbolic tagging uses nonhyperbolic_tol on the
-    determinant and trace; exact zeros tag regardless of tolerance.
+    Raises NotAnEquilibrium when the field residual at p exceeds 1e-10.
+    A determinant, then a trace, within 1e-11 of zero tags the point
+    nonhyperbolic; exact zeros tag regardless of tolerance.
     """
     f = vector_field(p, a)
-    if max(abs(float(f[0])), abs(float(f[1]))) > residual_tol:
-        raise NotAnEquilibrium(f"residual {f} at {p} exceeds {residual_tol}")
+    if max(abs(float(f[0])), abs(float(f[1]))) > 1e-10:
+        raise NotAnEquilibrium(f"residual {f} at {p} exceeds 1e-10")
     tr, det = trace_det(jet(p, a).jacobian)
     disc = tr * tr - 4 * det
     trf, detf, discf = float(tr), float(det), float(disc)
@@ -114,11 +113,11 @@ def classify(p: State, a: Params, *, nonhyperbolic_tol: float = 1e-11,
     else:
         r = math.sqrt(-discf)
         eigs = (complex(trf / 2, -r / 2), complex(trf / 2, r / 2))
-    if abs(detf) <= nonhyperbolic_tol:
+    if abs(detf) <= 1e-11:
         label = "nonhyperbolic(fold)"
     elif detf < 0:
         label = "saddle"
-    elif abs(trf) <= nonhyperbolic_tol:
+    elif abs(trf) <= 1e-11:
         label = "nonhyperbolic(hopf)"
     elif discf < 0:
         label = "stable-spiral" if trf < 0 else "unstable-spiral"
@@ -183,9 +182,10 @@ def p_mp_trace_det_disc(k: float, F: float) -> tuple:
     return tr, det, tr * tr - 4 * det
 
 
-def disc_curve_F(k: float, *, cells: int = 512, tol: float = 1e-11) -> list:
+def disc_curve_F(k: float) -> list:
     """Roots in F of disc(Df(p_mp)) = 0 between the lower fold branch and
-    the Hopf curve, by scan-and-bisect.  Empty list when no sign change."""
+    the Hopf curve, by a 512-cell scan and bisection to 1e-11.  Empty list
+    when no sign change."""
     _require_curve_domain(k, strict_upper=True)
     k = float(k)
     lo = float(saddle_node_F(k)[1])
@@ -198,15 +198,15 @@ def disc_curve_F(k: float, *, cells: int = 512, tol: float = 1e-11) -> list:
     span = hi - lo
     prev_F = lo + span * 1e-9
     prev = disc(prev_F)
-    for i in range(1, cells + 1):
-        cur_F = lo + span * (i / cells) if i < cells else hi - span * 1e-9
+    for i in range(1, 513):
+        cur_F = lo + span * (i / 512) if i < 512 else hi - span * 1e-9
         cur = disc(cur_F)
         if prev == 0.0:
             roots.append(prev_F)
         elif prev * cur < 0:
             a_, b_ = prev_F, cur_F
             fa = prev
-            while b_ - a_ > tol:
+            while b_ - a_ > 1e-11:
                 m = 0.5 * (a_ + b_)
                 fm = disc(m)
                 if fm == 0.0:

@@ -10,7 +10,6 @@ classifier (fast=False).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,10 +38,7 @@ def _classify_cell(args):
         if fast:
             lab = dynamics.probe_region(Params(k, F))
         else:
-            lab = dynamics.classify_region(
-                Params(k, F),
-                dynamics.IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13),
-                census_kwargs={"n_scan": 120})
+            lab = dynamics.classify_region(Params(k, F))
         return lab.id
     except GSKitError:
         return "x"
@@ -67,6 +63,10 @@ def region_map(k_range: tuple, F_range: tuple, nk: int, nF: int, *,
     nthreads = min(thread_budget(threads), nk)
     columns = {}
     if nthreads > 1:
+        # imported here, so that single-worker maps and the other commands
+        # do not load the pool and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nthreads) as pool:
             for j, col in pool.map(_classify_column, jobs, chunksize=4):
                 columns[j] = col
@@ -80,8 +80,8 @@ def region_map(k_range: tuple, F_range: tuple, nk: int, nF: int, *,
     return labels, meta
 
 
-def adjacency(labels: list, *, min_pairs: int = 2) -> set:
-    """Set of frozenset label pairs that share at least min_pairs cell edges."""
+def adjacency(labels: list) -> set:
+    """Set of frozenset label pairs that share at least two cell edges."""
     counts = {}
     nF = len(labels)
     nk = len(labels[0]) if nF else 0
@@ -95,7 +95,7 @@ def adjacency(labels: list, *, min_pairs: int = 2) -> set:
                     if a != b:
                         key = frozenset((a, b))
                         counts[key] = counts.get(key, 0) + 1
-    return {k for k, n in counts.items() if n >= min_pairs}
+    return {k for k, n in counts.items() if n >= 2}
 
 
 def map_to_csv(labels: list, meta: dict) -> str:

@@ -251,10 +251,7 @@ def resultant(p: IntPoly, q: IntPoly):
     then a polynomial in that variable.  Res(x - a, x - b) = a - b under
     this orientation.
     """
-    det = _det_bareiss_ring(sylvester_matrix(p, q))
-    if isinstance(det, IntPoly):
-        return det
-    return det
+    return _det_bareiss_ring(sylvester_matrix(p, q))
 
 
 def rational_roots_with_multiplicity(p: IntPoly) -> list:

@@ -232,8 +232,7 @@ def test_render_portrait_csv_fields_are_numpy_scalar_reprs(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate", integrate)
     spec = dynamics.PortraitSpec(seeds_per_side=1, t_end=1.0)
-    _, csv_text, _ = dynamics.render_portrait(Params(0.07, 0.02), spec,
-                                              with_cycles=False)
+    _, csv_text, _ = dynamics.render_portrait(Params(0.07, 0.02), spec)
     rows = [line.split(",") for line in csv_text.splitlines()[1:]]
     assert rows == [["0", repr(np.float64(t)), repr(np.float64(u)),
                      repr(np.float64(v))]

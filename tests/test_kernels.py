@@ -561,18 +561,25 @@ def test_backends_agree_on_random_inputs():
     assert seen == _STATUSES
 
 
-@pytest.mark.parametrize("workload", ["map", "cycles", "portrait"])
-@pytest.mark.skipif("compiled" not in BACKENDS,
-                    reason=f"the C kernels did not build: {kernels.COMPILED_ERROR}")
+_NEEDS_C = pytest.mark.skipif(
+    "compiled" not in BACKENDS,
+    reason=f"the C kernels did not build: {kernels.COMPILED_ERROR}")
+
+
+@pytest.mark.parametrize("workload", [
+    *(pytest.param(w, marks=_NEEDS_C) for w in ("map", "cycles", "portrait")),
+    "verify"])
 def test_benchmark_outputs_on_compiled_backend(monkeypatch, workload):
     # perfbench compares its byte digests (map CSV, portrait SVG and CSV,
     # trajectory sample counts) only on the backend its reference was
-    # recorded on; run those checks here on the C kernels
+    # recorded on; run those checks here on the C kernels.  verify makes no
+    # kernel call, so it runs on the active backend, C kernels or not
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
     entries = json.loads((ROOT / "perfbench" / "reference.json").read_text())["entries"]
-    kernels.use_backend("compiled")
+    if workload != "verify":
+        kernels.use_backend("compiled")
     out = []
     try:
         workloads.RUNNERS[workload](workloads.select(workload, 1), out)
