@@ -348,7 +348,7 @@ int gs_field_eval(int fid, double sgn, double x, double y, double k, double F,
  * Returns the status, or BUFFER_FULL when sample cap + 1 was due. */
 int gs_integrate(int fid, double x0, double y0, double k, double F,
                  double t_end, double rtol, double atol, long long max_steps,
-                 double time_sign, int record, double fixed_step, double box,
+                 int record, double fixed_step, double box,
                  double *end, double *samples, long long cap, long long *n)
 {
     Stepper st;
@@ -356,7 +356,7 @@ int gs_integrate(int fid, double x0, double y0, double k, double F,
     *n = 0;
     if (!known_field(fid))
         return BAD_FIELD;
-    if (st_init(&st, fid, time_sign, x0, y0, k, F, rtol, atol, fixed_step))
+    if (st_init(&st, fid, 1.0, x0, y0, k, F, rtol, atol, fixed_step))
         return ZERO_DIVISION;
     if (record) {
         if (*n >= cap)

@@ -8,7 +8,7 @@ integrate, ray_crossings and monodromy; max_steps counts accepted steps.
 Steps are not capped in size: the error control alone sets them.  The
 first-quadrant guard is on exactly when the plane field runs forward in
 time; ray_crossings and monodromy integrate the plane field, the latter
-forward only.
+forward only, as does integrate.
 gskit/_kernel.c is their C twin, statement for statement, and returns the
 same bits; gskit.kernels selects these only when that twin could not be
 built or loaded (or GSKIT_BACKEND=pure), and calls them with arguments
@@ -253,14 +253,14 @@ class _Stepper(_Controller):
         return x, y
 
 
-def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps, time_sign,
+def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
               record, fixed_step=0.0, box=0.0):
-    """Integrate to t_end (> 0; time_sign=-1 runs the reversed field).
+    """Integrate forward to t_end (> 0).
 
     Returns (status, t_reached, x, y, ts, xs, ys); the sample lists are
     populated only when record is true.
     """
-    st = _Stepper(fid, time_sign, x0, y0, k, F, rtol, atol, fixed_step)
+    st = _Stepper(fid, 1.0, x0, y0, k, F, rtol, atol, fixed_step)
     ts, xs, ys = ([0.0], [x0], [y0]) if record else ([], [], [])
     while st.t < t_end:
         status = st.advance(t_end)

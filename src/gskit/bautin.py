@@ -1,6 +1,5 @@
 """Generalized Hopf (Bautin) point: Lyapunov coefficients, exact resultant
-localization, transversality of the parameter map, and the polar normal-form
-cycle census.
+localization, and transversality of the parameter map.
 
 Two independent routes compute the first Lyapunov coefficient:
 
@@ -24,28 +23,16 @@ sign switch at y = 1/2, i.e. (k, F) = (9/256, 3/256)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Params, State, jacobian, jet
 from .equilibria import equilibria, hopf_F
 from .errors import DomainError, NotOnHopfCurve
 from .normalform import poincare_normal_form
-from .poly import BiPoly, IntPoly, rational_roots_with_multiplicity, resultant
-from .ratmath import FieldComplex, Sqrt2, sqrt_exact
+from .poly import IntPoly, rational_roots_with_multiplicity, resultant
+from .ratmath import FieldComplex, Sqrt2
 
 GH_PARAMS = Params(Fraction(9, 256), Fraction(3, 256))
-GH_POINT = State(Fraction(1, 4), Fraction(3, 16))
-
-
-@dataclass(frozen=True)
-class HopfFrame:
-    """A parameter point on the Hopf curve with its critical frequency."""
-
-    params: Params
-    point: State
-    omega0: float
-    nu: float
 
 
 def mu(a: Params) -> float:
@@ -57,8 +44,8 @@ def mu(a: Params) -> float:
     return float(jac[0][0] + jac[1][1]) / 2.0
 
 
-def hopf_frame(a: Params) -> HopfFrame:
-    """The focus-type point at a with its frequency; raises NotOnHopfCurve
+def hopf_point(a: Params) -> State:
+    """The focus-type point at a, on the Hopf curve; raises NotOnHopfCurve
     unless its trace is within 1e-10 of zero and its determinant positive."""
     eq = equilibria(a)
     if eq.p_mp is None:
@@ -68,18 +55,7 @@ def hopf_frame(a: Params) -> HopfFrame:
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     if abs(float(tr)) > 1e-10 or not det > 0:
         raise NotOnHopfCurve(f"trace {tr}, det {det} at {a}")
-    nu = float(a.F) - float(hopf_F(float(a.k)))
-    return HopfFrame(params=a, point=eq.p_mp, omega0=math.sqrt(float(det)), nu=nu)
-
-
-def hopf_offset_F(k, nu):
-    """F as a function of (k, nu); nu = 0 is the Hopf curve and the map is
-    an affine shift in F at fixed k."""
-    if not (0 < k <= Fraction(1, 16)):
-        raise DomainError(f"k={k} outside (0, 1/16]")
-    sk = sqrt_exact(k)
-    inner = sqrt_exact(1 - 4 * sk)
-    return nu - (sk * (-1 + inner + 2 * sk)) / 2
+    return eq.p_mp
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +78,7 @@ def _partials(point, a: Params):
 def clw_bracket(b, c, d, beta2, p: dict):
     """The trace-free-linear-part first-focal-value bracket.
 
-    Generic over the arithmetic: floats, Fractions, or BiPoly elements.
+    Generic over the arithmetic: floats, Fractions, or any ring elements.
     l1 = b * bracket / (4 * beta2) equals Re(c1) of the complex reduction.
     """
     return (beta2 * (b * (p["fxxx"] + p["gxxy"]) + 2 * d * (p["fxxy"] + p["gxyy"])
@@ -123,42 +99,12 @@ def l1_clw(a: Params):
 
     Negative means the Hopf bifurcation sheds attracting cycles.  Exact
     (Fraction) inputs on the curve give exact output."""
-    frame = hopf_frame(a)
-    pt = frame.point
+    pt = hopf_point(a)
     jac = jacobian(pt, a)
     b_, c_, d_ = jac[0][1], jac[1][0], jac[1][1]
     beta2 = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     s = clw_bracket(b_, c_, d_, beta2, _partials(pt, a))
     return b_ * s / (4 * beta2)
-
-
-def restricted_l1_bracket() -> tuple:
-    """Exact on-curve restriction of the bracket in (x, y) coordinates.
-
-    Returns (numerator, prefactor, beta2) as BiPoly elements: on the Hopf
-    curve l1_clw = prefactor * numerator / (4 * beta2) with
-    prefactor = b = -x(1-y) and beta2 = x^2 y (1-y)^2 / 4, both sign-definite
-    for 0 < k < 1/16, so the zero set of l1 is the zero set of `numerator`.
-    """
-    x, y = BiPoly.x(), BiPoly.y()
-    one = BiPoly.const(1)
-    u = (one - y) * Fraction(1, 2)
-    v = x
-    F = x * (one - 2 * x - y) * Fraction(1, 2)
-    fk = x * (one - y) * Fraction(1, 2)       # F + k on the curve
-    b_ = -2 * u * v
-    c_ = v * v
-    d_ = fk
-    beta2 = (v * v - F) * fk
-    p = {
-        "fxx": BiPoly.const(0), "fxy": -2 * v, "fyy": -2 * u,
-        "gxx": BiPoly.const(0), "gxy": 2 * v, "gyy": 2 * u,
-        "fxxx": BiPoly.const(0), "fxxy": BiPoly.const(0),
-        "fxyy": BiPoly.const(-2), "fyyy": BiPoly.const(0),
-        "gxxx": BiPoly.const(0), "gxxy": BiPoly.const(0),
-        "gxyy": BiPoly.const(2), "gyyy": BiPoly.const(0),
-    }
-    return clw_bracket(b_, c_, d_, beta2, p), b_, beta2
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +168,7 @@ def _l1_extended(a: Params) -> float:
 def l1_kuz(a: Params) -> float:
     """First Lyapunov coefficient via the complex eigenvector projection,
     normalized as Re(c1)/omega."""
-    hopf_frame(a)
+    hopf_point(a)
     return _l1_extended(a)
 
 
@@ -247,7 +193,7 @@ def l2_kuz(a: Params) -> float:
     Well defined (independent of reduction choices) where Re(c1) = 0; away
     from that locus it is the standard fifth-order resonant coefficient of
     this reduction."""
-    hopf_frame(a)
+    hopf_point(a)
     om, coeffs = _monomial_coeffs(a)
     scale = max(abs(c) for c in coeffs.values())
     c1, c2, _ = poincare_normal_form(
@@ -422,32 +368,3 @@ def param_map_transversality() -> float:
 
 def _det4(j):
     return j[0] * j[3] - j[1] * j[2]
-
-
-# ---------------------------------------------------------------------------
-# Polar normal form census
-# ---------------------------------------------------------------------------
-
-def bautin_polar_census(beta1: float, beta2: float) -> list:
-    """Positive cycle radii of rho' = rho (beta1 + beta2 rho^2 + rho^4) with
-    stability from the sign of the radial derivative at the root."""
-    disc = beta2 * beta2 - 4 * beta1
-    out = []
-    if disc < 0:
-        return out
-    sq = math.sqrt(disc)
-    for s in ((-beta2 - sq) / 2, (-beta2 + sq) / 2):
-        if s > 0:
-            rho = math.sqrt(s)
-            deriv = beta1 + 3 * beta2 * s + 5 * s * s
-            stability = "stable" if deriv < 0 else ("unstable" if deriv > 0 else "fold")
-            out.append((rho, stability))
-        elif s == 0:
-            out.append((0.0, "fold"))
-    seen = []
-    for rho, st in sorted(out):
-        if not seen or abs(rho - seen[-1][0]) > 0:
-            seen.append((rho, st))
-        else:
-            seen[-1] = (rho, "fold")
-    return seen

@@ -5,21 +5,13 @@ The organizing point sits at (k, F) = (1/16, 1/16) with equilibrium
 linearization, the quadratic normal-form coefficient family, the sign s
 deciding the local portrait, and the 4x4 transversality determinant, all
 over Fractions so the checkpoint values carry zero rounding error.
-
-Two expansions of the field appear:
-
-* ``shifted_field`` moves the origin to the fixed point (1/2, 1/4) and the
-  parameters by (1/16, 1/16); it commutes with the original field.
-* ``unfolding_field`` expands around the parameter-dependent base point
-  (1/2, k/(2(F+k))), the family along which the quadratic coefficient
-  closed forms below are taken.  Both coincide at alpha = 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Params, State, vector_field
+from .core import Params, State
 from .errors import SingularParameter
 from .ratmath import det_fraction_free
 
@@ -133,42 +125,6 @@ def _all_zero(r):
     return r == 0
 
 
-def shifted_field(x, alpha):
-    """Field in coordinates centered at (1/2, 1/4) with parameter offsets
-    alpha = (F - 1/16, k - 1/16).  Identical to composing the original field
-    with the shift."""
-    a1, a2 = alpha
-    _guard(a1, a2)
-    p = (x[0] + Fraction(1, 2), x[1] + Fraction(1, 4))
-    return vector_field(p, Params(a2 + Fraction(1, 16), a1 + Fraction(1, 16)))
-
-
-def base_point(alpha) -> State:
-    """Base point (1/2, k/(2(F+k))) of the coefficient-family expansion."""
-    a1, a2 = alpha
-    _guard(a1, a2)
-    k = a2 + Fraction(1, 16)
-    fk = a1 + a2 + Fraction(1, 8)
-    return State(Fraction(1, 2), k / (2 * fk))
-
-
-def unfolding_field(x, alpha):
-    """Field expanded around the moving base point; equals shifted_field at
-    alpha = 0."""
-    a1, a2 = alpha
-    bp = base_point(alpha)
-    p = (x[0] + bp.u, x[1] + bp.v)
-    return vector_field(p, Params(a2 + Fraction(1, 16), a1 + Fraction(1, 16)))
-
-
-def projected_component(y1, y2, alpha, w, frame: BTFrame | None = None):
-    """<unfolding_field(y1 v0 + y2 v1, alpha), w> for w in {frame.w0, frame.w1}."""
-    frame = frame or jordan_basis()
-    x = (y1 * frame.v0[0] + y2 * frame.v1[0], y1 * frame.v0[1] + y2 * frame.v1[1])
-    f = unfolding_field(x, alpha)
-    return f[0] * w[0] + f[1] * w[1]
-
-
 def _guard(a1, a2):
     if 8 * a2 + 8 * a1 + 1 == 0:
         raise SingularParameter("parameter offsets hit 8*a2 + 8*a1 + 1 = 0")
@@ -179,7 +135,7 @@ def bt_coefficients(alpha):
 
     a20 and b11 follow the closed forms of the moving-point expansion;
     b20 = a20 / 8 (the projected second components are proportional).  Each
-    equals the corresponding second partial of projected_component at y = 0.
+    equals the second partial at y = 0 of <f(base + y1 v0 + y2 v1), w>.
     """
     a1, a2 = alpha
     _guard(a1, a2)
@@ -217,23 +173,3 @@ def bt_nondegeneracy() -> BTReport:
         BT_POINT.u, BT_POINT.v, BT_PARAMS.k, BT_PARAMS.F))
     return BTReport(a20=a20, b20=b20, b11=b11, s=s,
                     transversality_det=det, frame=jordan_basis())
-
-
-def coefficients_in_frame(frame: BTFrame, alpha=(Fraction(0), Fraction(0))):
-    """(a20, b20, b11) recomputed in an arbitrary admissible frame by exact
-    second differences of the projected components (the field is cubic, so
-    central differences are exact)."""
-    h = Fraction(1, 64)
-
-    def d2_11(w):
-        return (projected_component(h, 0, alpha, w, frame)
-                - 2 * projected_component(0, 0, alpha, w, frame)
-                + projected_component(-h, 0, alpha, w, frame)) / (h * h)
-
-    def d2_12(w):
-        return (projected_component(h, h, alpha, w, frame)
-                - projected_component(h, -h, alpha, w, frame)
-                - projected_component(-h, h, alpha, w, frame)
-                + projected_component(-h, -h, alpha, w, frame)) / (4 * h * h)
-
-    return d2_11(frame.w0), d2_11(frame.w1), d2_12(frame.w1)

@@ -1,4 +1,4 @@
-"""Predictor-corrector continuation of bifurcation curves, cycle shooting,
+"""Predictor-corrector continuation of bifurcation curves,
 the fold-of-cycles curve, and the homoclinic curve via separatrix splitting.
 
 Equilibrium curves (fold, Hopf/neutral-saddle) live in the extended space
@@ -25,8 +25,6 @@ from .equilibria import equilibria, hopf_F, saddle_node_F
 from .errors import (BracketNotFound, DomainError, NewtonDiverged,
                      NoReturn, NotOnHopfCurve, SaddleMissing, SectionMiss,
                      SeedInvalid)
-
-CycleRepr = dynamics.CycleRepr
 
 
 @dataclass(frozen=True)
@@ -315,47 +313,6 @@ def continue_curve(kind: str, seed, *, direction: float = 1.0,
             "hopf", _hopf_res, np.asarray(seed, float), _equilibrium_point, tests,
             lambda z: z[2] > 1e-4 and z[3] > 1e-7, direction)
     raise ValueError(f"unknown curve kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Cycle shooting
-# ---------------------------------------------------------------------------
-
-def shoot_cycle(a: Params, guess: CycleRepr | float) -> CycleRepr:
-    """Newton on the return-map displacement, seeded from a CycleRepr or a
-    plain section radius, until the displacement is below 1e-10 (at most 30
-    steps); return time is solved by event location inside the kernels.
-    The result carries the period and the nontrivial Floquet multiplier
-    from variational integration over one period."""
-    frame = dynamics.section_frame(a)
-    if isinstance(guess, CycleRepr):
-        r = guess.radius
-    else:
-        r = float(guess)
-
-    def g(rr):
-        return dynamics.return_map(a, rr, frame)[0] - rr
-
-    fr = g(r)
-    for _ in range(30):
-        if abs(fr) < 1e-10:
-            break
-        dr = 1e-6 * max(abs(r), 1e-3)
-        slope = (g(r + dr) - fr) / dr
-        if slope == 0:
-            raise NewtonDiverged("flat return map")
-        step = -fr / slope
-        cap = 0.2 * max(abs(r), 1e-2)
-        if abs(step) > cap:
-            step = math.copysign(cap, step)
-        r_new = r + step
-        if r_new <= 0 or r_new >= frame.r_max:
-            raise NewtonDiverged(f"left the section ray at r={r_new}")
-        fr_new = g(r_new)
-        r, fr = r_new, fr_new
-    else:
-        raise NewtonDiverged(f"no convergence, residual {fr:.2e}")
-    return dynamics.cycle_at_radius(a, r, frame)
 
 
 # ---------------------------------------------------------------------------

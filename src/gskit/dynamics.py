@@ -1,5 +1,5 @@
 """Trajectories, Poincare return maps, limit-cycle census, parameter-region
-classification and Poincare-compactified portraits.
+classification, the manifold from infinity and phase portraits.
 
 The Poincare section used throughout is the ray anchored at the focus-type
 equilibrium, directed away from the saddle and perpendicular to the real
@@ -85,7 +85,7 @@ def integrate(p0: State, a: Params, t_end: float,
         raise DomainError(f"initial state {p0} outside the first quadrant")
     status, t, x, y, ts, xs, ys = kernels.integrate(
         kernels.FIELD_PLANE, p0.u, p0.v, a.k, a.F, t_end, settings.rel_tol,
-        settings.abs_tol, kernels.STEP_LIMIT, 1.0, record, fixed_step)
+        settings.abs_tol, kernels.STEP_LIMIT, record, fixed_step)
     if status == kernels.UNDERFLOW:
         raise StepUnderflow(f"step size underflow at t={t}")
     if not record:
@@ -164,8 +164,8 @@ def return_map(a: Params, r: float, frame: SectionFrame,
     return s, t
 
 
-def _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign):
-    """(status, radii): the successive section radii, at most n, of the
+def _section_radii(a, x0, y0, frame, time_sign):
+    """(status, radii): the successive section radii, at most 400, of the
     orbit through (x0, y0), forward or (time_sign < 0) reversed in time.
 
     The list ends early once _attractor_kind can decide it: at the first
@@ -178,8 +178,8 @@ def _section_radii(a, x0, y0, frame, settings, n, t_max, time_sign):
     box = ESCAPE_BOX if time_sign < 0 else 0.0
     status, hits = kernels.ray_crossings(
         x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
-        orient, n, t_max, settings.rel_tol, settings.abs_tol, 1e-9,
-        time_sign, box=box)
+        orient, 400, 2e5, _PROBE_SETTINGS.rel_tol, _PROBE_SETTINGS.abs_tol,
+        1e-9, time_sign, box=box)
     return status, [h[1] for h in hits]
 
 
@@ -372,8 +372,7 @@ def probe_region(a: Params) -> RegionLabel:
     def probe(r0, sign_time):
         status, radii = _section_radii(
             a, frame.center.u + r0 * frame.direction[0],
-            frame.center.v + r0 * frame.direction[1], frame, _PROBE_SETTINGS,
-            400, 2e5, sign_time)
+            frame.center.v + r0 * frame.direction[1], frame, sign_time)
         return _attractor_kind(radii, frame.r_max,
                                status == kernels.SETTLED)
 
@@ -420,45 +419,8 @@ def _attractor_kind(radii: list, r_cap: float, settled: bool) -> tuple:
 # Poincare compactification
 # ---------------------------------------------------------------------------
 
-def to_chart_v(u: float, v: float) -> tuple:
-    """(q, w) = (u/v, 1/v); valid for v > 0."""
-    return u / v, 1.0 / v
-
-
 def from_chart_v(q: float, w: float) -> tuple:
     return q / w, 1.0 / w
-
-
-@dataclass(frozen=True)
-class InfinityPoint:
-    direction: str
-    chart: str
-    eigenvalues: tuple
-    degenerate_saddle: bool
-
-
-@dataclass
-class PortraitData:
-    params: Params
-    equilibria_reports: list
-    infinity_points: tuple
-    manifold_entry: State | None
-    manifold_attractor: str | None
-
-
-def infinity_fixed_points(a: Params) -> tuple:
-    """The two fixed directions at infinity for every parameter value.
-
-    In the v-direction chart, (q, w) = (0, 0) has eigenvalues (-1, 0): a
-    semi-hyperbolic (degenerate) saddle whose center-unstable branch enters
-    the finite plane.  In the u-direction chart the origin is fully
-    degenerate (nilpotent)."""
-    return (
-        InfinityPoint(direction="u=0, v=+inf", chart="v", eigenvalues=(-1.0, 0.0),
-                      degenerate_saddle=True),
-        InfinityPoint(direction="u=+inf, v=0", chart="u", eigenvalues=(0.0, 0.0),
-                      degenerate_saddle=False),
-    )
 
 
 def manifold_from_infinity(a: Params) -> tuple:
@@ -483,7 +445,7 @@ def manifold_from_infinity(a: Params) -> tuple:
     q0 = F * w0 ** 3 - F * (3 * F + 2 * k) * w0 ** 5
     status, t, q, w, *_ = kernels.integrate(
         kernels.FIELD_CHART_V, q0, w0, k, F, 1e6, DEFAULT_SETTINGS.rel_tol,
-        DEFAULT_SETTINGS.abs_tol, 50_000_000, 1.0, False, 0.0, 0.75)
+        DEFAULT_SETTINGS.abs_tol, 50_000_000, False, 0.0, 0.75)
     if status != kernels.BOX_EXIT:
         return None, "none"
     u, v = from_chart_v(q, w)
@@ -498,15 +460,6 @@ def manifold_from_infinity(a: Params) -> tuple:
         if math.hypot(end.u - float(pt.u), end.v - float(pt.v)) < 1e-3:
             return entry, name
     return entry, "none"
-
-
-def compactified_portrait(a: Params) -> PortraitData:
-    eq = equilibria(a)
-    reports = [(pt, classify(pt, a)) for pt in eq.all_points()]
-    entry, attractor = manifold_from_infinity(a)
-    return PortraitData(params=a, equilibria_reports=reports,
-                        infinity_points=infinity_fixed_points(a),
-                        manifold_entry=entry, manifold_attractor=attractor)
 
 
 # ---------------------------------------------------------------------------

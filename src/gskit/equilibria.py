@@ -2,8 +2,7 @@
 
 Everything here is algebra on the kinetics: the discriminant that counts
 nontrivial equilibria, their coordinates, the saddle-node / Hopf / neutral
-saddle curve parameterizations, the Jacobian discriminant curve, and the
-resultant surface whose singular set projects onto the fold curve.
+saddle curve parameterizations, and the Jacobian discriminant curve.
 """
 from __future__ import annotations
 
@@ -219,18 +218,3 @@ def disc_curve_F(k: float) -> list:
             roots.append(0.5 * (a_ + b_))
         prev_F, prev = cur_F, cur
     return roots
-
-
-def surface_G(k: Number, F: Number, v: Number) -> Number:
-    """Nontrivial factor of the resultant surface: F(F+k) - F v + (F+k) v^2."""
-    return F * (F + k) - F * v + (F + k) * v * v
-
-
-def singular_set_residual(k: Number, F: Number, v: Number) -> Number:
-    """Vertical-tangency condition on the surface: -F + 2(F+k) v."""
-    return -F + 2 * (F + k) * v
-
-
-def fold_defect(k: Number, F: Number) -> Number:
-    """Residual of the fold-curve relation 4(F+k)^2 - F (zero on the curve)."""
-    return 4 * (F + k) * (F + k) - F

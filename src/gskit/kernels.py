@@ -136,7 +136,7 @@ class _CKernels:
         buf, count = ctypes.POINTER(d), ctypes.POINTER(ll)
         sig = {
             "gs_field_eval": [i, d, d, d, d, d, buf],
-            "gs_integrate": [i, d, d, d, d, d, d, d, ll, d, i, d, d, buf, buf,
+            "gs_integrate": [i, d, d, d, d, d, d, d, ll, i, d, d, buf, buf,
                              ll, count],
             "gs_ray_crossings": [d, d, d, d, d, d, d, d, i, ll, d, d, d, d, d,
                                  d, buf, ll, count],
@@ -154,7 +154,7 @@ class _CKernels:
         return out[0], out[1]
 
     def integrate(self, fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
-                  time_sign, record, fixed_step, box):
+                  record, fixed_step, box):
         end = (ctypes.c_double * 3)()
         n = ctypes.c_longlong()
         bound = max(max_steps, 1) + 1 if record else 0   # samples a call can record
@@ -162,7 +162,7 @@ class _CKernels:
         while True:
             samples = (ctypes.c_double * (3 * cap))()
             status = self._lib.gs_integrate(
-                fid, x0, y0, k, F, t_end, rtol, atol, max_steps, time_sign,
+                fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
                 record, fixed_step, box, end, samples, cap, ctypes.byref(n))
             if status != _BUFFER_FULL:
                 break
@@ -240,14 +240,14 @@ def use_backend(name: str) -> None:
 # numpy scalar arithmetic), and the C kernels receive the C types their
 # signatures declare.
 
-def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps, time_sign,
+def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
               record, fixed_step=0.0, box=0.0):
     """Integrate field fid (FIELD_PLANE or FIELD_CHART_V) from (x0, y0)
     over [0, t_end]; see gskit._pure.integrate.  Returns (status, t, x, y,
     ts, xs, ys)."""
     return _impl.integrate(int(fid), float(x0), float(y0), float(k), float(F),
                            float(t_end), float(rtol), float(atol),
-                           int(max_steps), float(time_sign), bool(record),
+                           int(max_steps), bool(record),
                            float(fixed_step), float(box))
 
 

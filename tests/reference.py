@@ -1,0 +1,161 @@
+"""Reference implementations that more than one test module compares
+against.  The file name does not match test_*.py, so pytest imports it from
+the tests that use it and collects nothing here.
+
+- BiPoly: exact polynomials in (x, y) on the Hopf curve in the coordinates
+  x = sqrt(k), y = sqrt(1 - 4 sqrt(k)) (test_poly, test_bautin);
+- bautin_polar_census: the cycle census of the truncated polar normal form
+  at the generalized Hopf point (test_bautin, test_dynamics).
+"""
+import math
+from fractions import Fraction
+
+from gskit.poly import IntPoly
+
+
+class BiPoly:
+    """Polynomial in (x, y) over Fractions, reduced modulo y^2 = 1 - 4x.
+
+    Elements represent rational functions restricted to the curve
+    y = sqrt(1 - 4x); after every product the y-degree is folded back below
+    2, so an element is P0(x) + P1(x)*y with exact coefficients.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for (i, j), c in terms.items():
+                c = Fraction(c)
+                if c:
+                    self.terms[(i, j)] = self.terms.get((i, j), Fraction(0)) + c
+            self._reduce()
+
+    @staticmethod
+    def const(c):
+        return BiPoly({(0, 0): Fraction(c)})
+
+    @staticmethod
+    def x():
+        return BiPoly({(1, 0): Fraction(1)})
+
+    @staticmethod
+    def y():
+        return BiPoly({(0, 1): Fraction(1)})
+
+    def _reduce(self):
+        # fold y^2 -> 1 - 4x until y-degree <= 1
+        changed = True
+        while changed:
+            changed = False
+            for (i, j), c in list(self.terms.items()):
+                if j >= 2 and c:
+                    del self.terms[(i, j)]
+                    self._add_term(i, j - 2, c)
+                    self._add_term(i + 1, j - 2, -4 * c)
+                    changed = True
+        self.terms = {m: c for m, c in self.terms.items() if c}
+
+    def _add_term(self, i, j, c):
+        self.terms[(i, j)] = self.terms.get((i, j), Fraction(0)) + c
+
+    def __add__(self, other):
+        other = BiPoly._coerce(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return BiPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return BiPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-BiPoly._coerce(other))
+
+    def __rsub__(self, other):
+        return BiPoly._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = BiPoly._coerce(other)
+        out = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                m = (i1 + i2, j1 + j2)
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        return BiPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = BiPoly.const(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, BiPoly):
+            return other
+        return BiPoly.const(other)
+
+    def __eq__(self, other):
+        return self.terms == BiPoly._coerce(other).terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def evaluate(self, x, y):
+        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
+        for (i, j), c in self.terms.items():
+            acc = acc + c * x ** i * y ** j
+        return acc
+
+    def y_split(self) -> tuple:
+        """Return (P0, P1) with self = P0(x) + P1(x)*y as IntPoly in x."""
+        deg = max((i for (i, _j) in self.terms), default=0)
+        p0 = [Fraction(0)] * (deg + 1)
+        p1 = [Fraction(0)] * (deg + 1)
+        for (i, j), c in self.terms.items():
+            (p0 if j == 0 else p1)[i] = c
+        return IntPoly(p0, "x"), IntPoly(p1, "x")
+
+    def __repr__(self):
+        if not self.terms:
+            return "BiPoly(0)"
+        bits = [f"({c})*x^{i}*y^{j}" for (i, j), c in sorted(self.terms.items())]
+        return "BiPoly(" + " + ".join(bits) + ")"
+
+
+def bautin_polar_census(beta1: float, beta2: float) -> list:
+    """Positive cycle radii of rho' = rho (beta1 + beta2 rho^2 + rho^4) with
+    stability from the sign of the radial derivative at the root."""
+    disc = beta2 * beta2 - 4 * beta1
+    out = []
+    if disc < 0:
+        return out
+    sq = math.sqrt(disc)
+    for s in ((-beta2 - sq) / 2, (-beta2 + sq) / 2):
+        if s > 0:
+            rho = math.sqrt(s)
+            deriv = beta1 + 3 * beta2 * s + 5 * s * s
+            stability = "stable" if deriv < 0 else ("unstable" if deriv > 0 else "fold")
+            out.append((rho, stability))
+        elif s == 0:
+            out.append((0.0, "fold"))
+    seen = []
+    for rho, st in sorted(out):
+        if not seen or abs(rho - seen[-1][0]) > 0:
+            seen.append((rho, st))
+        else:
+            seen[-1] = (rho, "fold")
+    return seen

@@ -1,29 +1,49 @@
 import math
+from fractions import Fraction
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
-from gskit.bautin import (GH_PARAMS, bautin_polar_census,
-                          expected_resultant, gh_locate, hopf_offset_F,
-                          l1_clw, l1_kuz, l2_gh_exact, l2_kuz, mu,
+from gskit.bautin import (GH_PARAMS, clw_bracket, expected_resultant,
+                          gh_locate, l1_clw, l1_kuz, l2_gh_exact, l2_kuz, mu,
                           param_map_jacobian, param_map_transversality,
-                          q1_poly, q2_poly, restricted_l1_bracket)
+                          q1_poly, q2_poly)
 from gskit.core import Params
 from gskit.equilibria import hopf_F
 from gskit.errors import NotOnHopfCurve
-from gskit.poly import BiPoly, IntPoly, resultant
+from gskit.poly import IntPoly, resultant
 from gskit.ratmath import Sqrt2
+from reference import BiPoly, bautin_polar_census
 
 
-def test_hopf_offset_examples():
-    assert hopf_offset_F(Fr(9, 256), 0) == Fr(3, 256)
-    assert hopf_offset_F(Fr(1, 16), 0) == Fr(1, 16)
-    # affine shift in F at fixed k (exact where the curve point is rational)
-    for k in (Fr(25, 1296), Fr(9, 256)):
-        assert hopf_offset_F(k, Fr(1, 50)) - hopf_offset_F(k, 0) == Fr(1, 50)
-    d = hopf_offset_F(0.01, 0.02) - hopf_offset_F(0.01, 0.0)
-    assert d == pytest.approx(0.02, abs=1e-15)
+def restricted_l1_bracket() -> tuple:
+    """Exact on-curve restriction of the bracket in (x, y) coordinates.
+
+    Returns (numerator, prefactor, beta2) as BiPoly elements: on the Hopf
+    curve l1_clw = prefactor * numerator / (4 * beta2) with
+    prefactor = b = -x(1-y) and beta2 = x^2 y (1-y)^2 / 4, both sign-definite
+    for 0 < k < 1/16, so the zero set of l1 is the zero set of `numerator`.
+    """
+    x, y = BiPoly.x(), BiPoly.y()
+    one = BiPoly.const(1)
+    u = (one - y) * Fraction(1, 2)
+    v = x
+    F = x * (one - 2 * x - y) * Fraction(1, 2)
+    fk = x * (one - y) * Fraction(1, 2)       # F + k on the curve
+    b_ = -2 * u * v
+    c_ = v * v
+    d_ = fk
+    beta2 = (v * v - F) * fk
+    p = {
+        "fxx": BiPoly.const(0), "fxy": -2 * v, "fyy": -2 * u,
+        "gxx": BiPoly.const(0), "gxy": 2 * v, "gyy": 2 * u,
+        "fxxx": BiPoly.const(0), "fxxy": BiPoly.const(0),
+        "fxyy": BiPoly.const(-2), "fyyy": BiPoly.const(0),
+        "gxxx": BiPoly.const(0), "gxxy": BiPoly.const(0),
+        "gxyy": BiPoly.const(2), "gyyy": BiPoly.const(0),
+    }
+    return clw_bracket(b_, c_, d_, beta2, p), b_, beta2
 
 
 def test_l1_requires_hopf_curve():

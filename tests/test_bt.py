@@ -1,15 +1,75 @@
+from fractions import Fraction
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 
-from gskit.bt import (A0, BT_PARAMS, BT_POINT, base_point, bt_coefficients,
-                      bt_nondegeneracy, coefficients_in_frame, jordan_basis,
-                      projected_component, shifted_field, transversality_matrix,
-                      unfolding_field)
-from gskit.core import Params, vector_field
+from gskit.bt import (A0, BT_PARAMS, BT_POINT, BTFrame, _guard, bt_coefficients,
+                      bt_nondegeneracy, jordan_basis, transversality_matrix)
+from gskit.core import Params, State, vector_field
 from gskit.errors import SingularParameter
 from gskit.ratmath import det_fraction_free
+
+# ---------------------------------------------------------------------------
+# The exact-difference route to the quadratic coefficients: the field shifted
+# to the double-zero point, and expanded around the moving base point and
+# projected onto a Jordan frame
+# ---------------------------------------------------------------------------
+
+def shifted_field(x, alpha):
+    """Field in coordinates centered at (1/2, 1/4) with parameter offsets
+    alpha = (F - 1/16, k - 1/16).  Identical to composing the original field
+    with the shift."""
+    a1, a2 = alpha
+    _guard(a1, a2)
+    p = (x[0] + Fraction(1, 2), x[1] + Fraction(1, 4))
+    return vector_field(p, Params(a2 + Fraction(1, 16), a1 + Fraction(1, 16)))
+
+
+def base_point(alpha) -> State:
+    """Base point (1/2, k/(2(F+k))) of the coefficient-family expansion."""
+    a1, a2 = alpha
+    _guard(a1, a2)
+    k = a2 + Fraction(1, 16)
+    fk = a1 + a2 + Fraction(1, 8)
+    return State(Fraction(1, 2), k / (2 * fk))
+
+
+def unfolding_field(x, alpha):
+    """Field expanded around the moving base point; equals shifted_field at
+    alpha = 0."""
+    a1, a2 = alpha
+    bp = base_point(alpha)
+    p = (x[0] + bp.u, x[1] + bp.v)
+    return vector_field(p, Params(a2 + Fraction(1, 16), a1 + Fraction(1, 16)))
+
+
+def projected_component(y1, y2, alpha, w, frame: BTFrame | None = None):
+    """<unfolding_field(y1 v0 + y2 v1, alpha), w> for w in {frame.w0, frame.w1}."""
+    frame = frame or jordan_basis()
+    x = (y1 * frame.v0[0] + y2 * frame.v1[0], y1 * frame.v0[1] + y2 * frame.v1[1])
+    f = unfolding_field(x, alpha)
+    return f[0] * w[0] + f[1] * w[1]
+
+
+def coefficients_in_frame(frame: BTFrame, alpha=(Fraction(0), Fraction(0))):
+    """(a20, b20, b11) recomputed in an arbitrary admissible frame by exact
+    second differences of the projected components (the field is cubic, so
+    central differences are exact)."""
+    h = Fraction(1, 64)
+
+    def d2_11(w):
+        return (projected_component(h, 0, alpha, w, frame)
+                - 2 * projected_component(0, 0, alpha, w, frame)
+                + projected_component(-h, 0, alpha, w, frame)) / (h * h)
+
+    def d2_12(w):
+        return (projected_component(h, h, alpha, w, frame)
+                - projected_component(h, -h, alpha, w, frame)
+                - projected_component(-h, h, alpha, w, frame)
+                + projected_component(-h, -h, alpha, w, frame)) / (4 * h * h)
+
+    return d2_11(frame.w0), d2_11(frame.w1), d2_12(frame.w1)
 
 
 def test_shifted_field_zero_at_origin():

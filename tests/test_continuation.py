@@ -7,7 +7,7 @@ from gskit import bautin, continuation, dynamics
 from gskit.continuation import (continue_curve, fold_seed, homoclinic_F,
                                 homoclinic_curve, hopf_seed, lpc_bracket,
                                 lpc_curve, lpc_seed_from_region3, newton_bt,
-                                separatrix_splitting, shoot_cycle)
+                                separatrix_splitting)
 from gskit.core import Params
 from gskit.equilibria import hopf_F, saddle_node_F
 from gskit.errors import (BracketNotFound, DomainError, NotOnHopfCurve,
@@ -71,21 +71,6 @@ def test_continue_curve_takes_equilibrium_curves_only(kind):
     # homoclinic_curve; continue_curve knows only 'fold' and 'hopf'
     with pytest.raises(ValueError, match="unknown curve kind"):
         continue_curve(kind, hopf_seed(0.03))
-
-
-def test_shoot_cycle_stable_supercritical_side():
-    k = 0.02
-    a = Params(k, float(hopf_F(k)) - 2e-5)
-    cyc = shoot_cycle(a, 0.015)
-    assert 0.0 < cyc.nontrivial_multiplier < 1.0
-    assert cyc.period > 100
-
-
-def test_shoot_cycle_unstable_subcritical_side():
-    k = 0.05
-    a = Params(k, float(hopf_F(k)) + 3e-4)
-    cyc = shoot_cycle(a, 0.02)
-    assert cyc.nontrivial_multiplier > 1.0
 
 
 def test_cycle_amplitude_square_root_law():

@@ -4,12 +4,30 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from gskit.core import Params, State
+from gskit.core import Number, Params, State
 from gskit.equilibria import (classify, disc_curve_F, discriminants, equilibria,
-                              fold_defect, hopf_F, neutral_saddle_F,
-                              p_mp_trace_det_disc, saddle_node_F,
-                              singular_set_residual, surface_G)
+                              hopf_F, neutral_saddle_F, p_mp_trace_det_disc,
+                              saddle_node_F)
 from gskit.errors import DomainError, NotAnEquilibrium
+
+# ---------------------------------------------------------------------------
+# The resultant surface of the equilibrium conditions, whose singular set
+# projects onto the fold curve
+# ---------------------------------------------------------------------------
+
+def surface_G(k: Number, F: Number, v: Number) -> Number:
+    """Nontrivial factor of the resultant surface: F(F+k) - F v + (F+k) v^2."""
+    return F * (F + k) - F * v + (F + k) * v * v
+
+
+def singular_set_residual(k: Number, F: Number, v: Number) -> Number:
+    """Vertical-tangency condition on the surface: -F + 2(F+k) v."""
+    return -F + 2 * (F + k) * v
+
+
+def fold_defect(k: Number, F: Number) -> Number:
+    """Residual of the fold-curve relation 4(F+k)^2 - F (zero on the curve)."""
+    return 4 * (F + k) * (F + k) - F
 
 
 def test_discriminants_exact_values():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gskit import kernels
 from gskit.core import Params, vector_field
-from gskit.dynamics import from_chart_v, to_chart_v
+from gskit.dynamics import from_chart_v
 from gskit.errors import DomainError
 
 BACKENDS = kernels.available_backends()
@@ -30,8 +30,7 @@ def backend(request):
 
 # one call per entry point, every argument as a Python scalar
 _CALLS = {
-    "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 10**7, 1.0,
-                  True),
+    "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 10**7, True),
     "ray_crossings": (0.7, 0.2, 0.04, 0.02, 0.0, 0.25, 1.0, 0.0, 1, 4, 600.0,
                       1e-11, 1e-13, 1e-9, 1.0),
     "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14),
@@ -140,7 +139,7 @@ def test_backend_forced_pure():
 
 def test_integrate_reaches_t_end(backend):
     st, t, x, y, *_ = kernels.integrate(0, 0.9, 0.1, 0.07, 0.02, 1500.0,
-                                        1e-10, 1e-13, 10**7, 1.0, False)
+                                        1e-10, 1e-13, 10**7, False)
     assert st == kernels.OK and t == 1500.0
     # Delta < 0 here: the only attractor is (1, 0)
     assert abs(x - 1.0) < 1e-6 and abs(y) < 1e-9
@@ -155,11 +154,11 @@ def test_backends_agree():
 
 def test_fixed_step_convergence_order(backend):
     args = (0, 0.6, 0.25, 0.046, 0.026)
-    ref = kernels.integrate(*args, 40.0, 1e-13, 1e-16, 10**7, 1.0, False)
+    ref = kernels.integrate(*args, 40.0, 1e-13, 1e-16, 10**7, False)
     errs = []
     for h in (0.2, 0.1):
         st, t, x, y, *_ = kernels.integrate(*args, 40.0, 1e-9, 1e-12, 10**7,
-                                            1.0, False, fixed_step=h)
+                                            False, fixed_step=h)
         errs.append(math.hypot(x - ref[2], y - ref[3]))
     order = math.log2(errs[0] / errs[1])
     assert order >= 4.5
@@ -194,7 +193,7 @@ def test_quadrant_guard_snaps_to_axis(backend):
     # from a state with tiny v the orbit hugs the invariant axis; samples
     # must never dip below -abs_tol
     st, t, x, y, ts, xs, ys = kernels.integrate(
-        0, 0.4, 1e-10, 0.05, 0.01, 2000.0, 1e-9, 1e-12, 10**7, 1.0, True)
+        0, 0.4, 1e-10, 0.05, 0.01, 2000.0, 1e-9, 1e-12, 10**7, True)
     assert st == kernels.OK
     assert min(ys) >= -1e-12
     assert min(xs) >= -1e-12
@@ -235,7 +234,7 @@ def test_chart_fields_consistent_with_plane(backend):
         v = float(rng.uniform(0.2, 2.0))
         du, dv = kernels.field_eval(0, 1.0, u, v, k, F)
         # v-direction chart
-        q, w2 = to_chart_v(u, v)
+        q, w2 = u / v, 1 / v
         dq = (du * v - u * dv) / (v * v)
         dw2 = -dv / (v * v)
         fq, fw2 = kernels.field_eval(2, 1.0, q, w2, k, F)
@@ -248,17 +247,25 @@ def test_chart_roundtrip_identity():
     for _ in range(100):
         u = float(rng.uniform(0.01, 3.0))
         v = float(rng.uniform(0.01, 3.0))
-        zv = from_chart_v(*to_chart_v(u, v))
+        zv = from_chart_v(u / v, 1 / v)
         assert abs(zv[0] - u) <= 1e-12 * max(1, u) and abs(zv[1] - v) <= 1e-12 * max(1, v)
 
 
 def test_backward_time_integration(backend):
-    # forward then backward returns to the start
+    # forward then backward returns to the start: the reversed orbit crosses
+    # a ray through the start, normal to the flow there, at t = 20
     k, F = 0.05, 0.028
     st, t, x, y, *_ = kernels.integrate(0, 0.6, 0.2, k, F, 20.0, 1e-12,
-                                        1e-14, 10**7, 1.0, False)
-    st2, t2, x2, y2, *_ = kernels.integrate(0, x, y, k, F, 20.0, 1e-12,
-                                            1e-14, 10**7, -1.0, False)
+                                        1e-14, 10**7, False)
+    fx, fy = kernels.field_eval(0, -1.0, 0.6, 0.2, k, F)
+    norm = math.hypot(fx, fy)
+    dx, dy = fy / norm, -fx / norm
+    st2, hits = kernels.ray_crossings(x, y, k, F, 0.6 - 0.05 * dx,
+                                      0.2 - 0.05 * dy, dx, dy, 1, 1, 21.0,
+                                      1e-12, 1e-14, 19.0, -1.0)
+    assert st2 == kernels.OK
+    t2, _, x2, y2 = hits[0]
+    assert abs(t2 - 20.0) < 1e-9
     assert abs(x2 - 0.6) < 1e-9 and abs(y2 - 0.2) < 1e-9
 
 
@@ -302,13 +309,13 @@ def test_forward_probe_captured_by_node(backend):
     assert _pure._ray_misses_box(cx, cy, dx, dy, 1 - eps, 1 + eps, 0.0, delta)
     # the same stepper run by integrate reaches the capture state
     _, _, _, _, _, xs, ys = kernels.integrate(
-        0, x0, y0, k, F, t_max, rtol, atol, 10**7, 1.0, True)
+        0, x0, y0, k, F, t_max, rtol, atol, 10**7, True)
     shrink = 1.0 - _pure._CAPTURE_MARGIN
     i = next(i for i in range(1, len(xs))
              if abs(1.0 - xs[i]) <= shrink * eps and 0.0 <= ys[i] <= shrink * delta)
     # from there the orbit stays in the invariant box and never meets the ray
     _, _, _, _, _, xs, ys = kernels.integrate(
-        0, xs[i], ys[i], k, F, t_max, rtol, atol, 10**7, 1.0, True)
+        0, xs[i], ys[i], k, F, t_max, rtol, atol, 10**7, True)
     xs, ys = np.asarray(xs), np.asarray(ys)
     assert np.all(np.abs(1.0 - xs) <= eps) and np.all((ys >= 0) & (ys <= delta))
     g = dx * (ys - cy) - dy * (xs - cx)
@@ -394,9 +401,10 @@ def test_reversed_blowup_status_does_not_depend_on_input_type(backend):
     # a reversed-time blow-up without a stop box: run in numpy scalar
     # arithmetic it overflows with RuntimeWarnings; the conversion at the
     # boundary runs both calls in Python floats
-    args = (0, 0.3, 0.5, 0.055, 0.055, 2e4, 1e-11, 1e-14, 400000, -1.0, False)
-    st = kernels.integrate(*args)[0]
-    assert st == kernels.integrate(*_as_numpy(args))[0] == kernels.UNDERFLOW
+    args = (0.3, 0.5, 0.055, 0.055, 0.0, 0.25, 1.0, 0.0, 1, 400, 2e4, 1e-11,
+            1e-14, 0.0, -1.0)
+    st = kernels.ray_crossings(*args)[0]
+    assert st == kernels.ray_crossings(*_as_numpy(args))[0] == kernels.UNDERFLOW
 
 
 @pytest.mark.filterwarnings("error")
@@ -407,7 +415,7 @@ def test_overflowing_first_step_estimate_underflows(backend):
     assert kernels.monodromy(x0, y0, k, F, 20.0, 1e-11,
                              1e-14)[0] == kernels.UNDERFLOW
     assert kernels.integrate(0, x0, y0, k, F, 20.0, 1e-11, 1e-14, 10**7,
-                             -1.0, False)[0] == kernels.UNDERFLOW
+                             False)[0] == kernels.UNDERFLOW
     assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 1, 1, 20.0,
                                  1e-11, 1e-14, 0.0,
                                  -1.0)[0] == kernels.UNDERFLOW
@@ -418,7 +426,7 @@ def test_nan_first_step_underflows(backend):
     # at (1, inf) the field holds inf - inf, so the first-step estimate is
     # nan and every trial step would be rejected: each kernel stops at once
     x0, y0, k, F = 1.0, math.inf, 0.05, 0.02
-    assert kernels.integrate(0, x0, y0, k, F, 10.0, 1e-8, 1e-11, 1000, 1.0,
+    assert kernels.integrate(0, x0, y0, k, F, 10.0, 1e-8, 1e-11, 1000,
                              False)[0] == kernels.UNDERFLOW
     assert kernels.ray_crossings(x0, y0, k, F, 0.5, 0.5, 1.0, 0.0, 1, 1, 10.0,
                                  1e-8, 1e-11, 0.0,
@@ -430,8 +438,7 @@ def test_nan_first_step_underflows(backend):
 def test_fixed_step_blowup_returns_the_same_nan():
     # the first fixed step reaches (inf, -inf) and the next gives nan; the
     # two backends return the same nan, sign bit included
-    args = (0, 0.2249, 1.62e9, 0.05, 0.03, 5.0, 1e-8, 1e-11, 100, -1.0, True,
-            0.1, 0.0)
+    args = (0, 0.2249, 1e3, 0.05, 0.03, 5.0, 1e-8, 1e-11, 100, True, 0.1, 0.0)
     results = _on_each_backend(kernels.integrate, *args)
     assert math.isnan(struct.unpack("<d", results["pure"][2])[0])
     assert all(r == results["pure"] for r in results.values())
@@ -458,7 +465,7 @@ def test_unknown_field_id_raises(backend, fid):
         kernels.field_eval(fid, 1.0, 0.3, 0.4, 0.05, 0.02)
     with pytest.raises(ValueError, match="unknown field id"):
         kernels.integrate(fid, 0.3, 0.4, 0.05, 0.02, 1.0, 1e-8, 1e-11, 100,
-                          1.0, True)
+                          True)
 
 
 @pytest.mark.parametrize("fid, w, expected", [
@@ -535,21 +542,24 @@ def test_backends_agree_on_random_inputs():
         (cx, cy), (dx, dy), orient = _section_ray(k, F)
         calls = {
             "integrate": (fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
-                          time_sign, True, 0.0, box),
+                          True, 0.0, box),
             "field_eval": (fid, time_sign, x0, y0, k, F),
         }
         # ray_crossings and monodromy take no step budget, so a time horizon
-        # bounds their runs; forward from v > 1.5 the plane field is stiff
-        # (rate -v^2) and the stable explicit step is about 3 / v^2, so a
-        # horizon of 100 / v^2 keeps those calls to a few dozen steps
-        stiff = y0 > 1.5
+        # bounds their runs.  Forward in time the plane field is stiff where
+        # v > 1.5 (rate -v^2, stable explicit step about 3 / v^2), and v stays
+        # below the larger of 1 and S = u + v at the start, since
+        # S' = F (1 - S) - k v <= F (1 - S); so from S > 1.5 a horizon of
+        # 100 / S^2 keeps those calls to a few dozen steps
+        s0 = x0 + y0
+        stiff = s0 > 1.5
         calls["ray_crossings"] = (x0, y0, k, F, cx, cy, dx, dy,
                                   orient if time_sign > 0 else -orient, 400,
-                                  100.0 / y0 / y0 if stiff and time_sign > 0
+                                  100.0 / s0 / s0 if stiff and time_sign > 0
                                   else 2e5, rtol, atol, 1e-9, time_sign, box)
         # monodromy always runs forward
         calls["monodromy"] = (x0, y0, k, F,
-                              min(t_end, 100.0 / y0 / y0) if stiff else t_end,
+                              min(t_end, 100.0 / s0 / s0) if stiff else t_end,
                               rtol, atol)
         for name, args in calls.items():
             results = _on_each_backend(getattr(kernels, name), *args)

