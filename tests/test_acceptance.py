@@ -45,6 +45,9 @@ def test_criterion_1_exact_checkpoints(battery):
     # the exact finite differences in test_bt.py and the sympy Jordan chain
     # in test_oracles.py agree
     _assert_criterion(battery[1])
+
+
+def test_criterion_1_remaining_checkpoints_green(battery):
     _assert_named_checks(battery[1], [
         "double_zero_point", "a20", "b11", "transversality_det", "resultant",
         "gh_params", "gh_point"])
@@ -75,6 +78,9 @@ def test_criterion_4_lyapunov_sign_law(battery):
     # is +9*sqrt(2)/2 and its sign must match -mu_F * dl1/dk along the Hopf
     # curve, evaluated by a second route inside the battery
     _assert_criterion(battery[4])
+
+
+def test_criterion_4_signs_and_l2_green(battery):
     _assert_named_checks(battery[4], [
         "l1_negative_side", "l1_positive_side", "l1_zero_at_gh",
         "l1_single_sign_change", "l2_positive", "param_map_nonzero"])
@@ -98,6 +104,9 @@ def test_criterion_8_homoclinic_curve(battery):
     # one sign below the Hopf curve; the fold tangency has exponent 2 in the
     # geometric pairing and 1/2 in the literal axis pairing (two-term fit)
     _assert_criterion(battery[8])
+
+
+def test_criterion_8_bracketing_and_tangency_green(battery):
     _assert_named_checks(battery[8], [
         "bisection_to_1e-8", "no_loop_below_hopf", "fold_tangency_exponent"])
 

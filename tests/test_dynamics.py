@@ -151,10 +151,15 @@ def test_manifold_from_infinity_reaches_finite_attractor():
         assert entry is not None
         assert entry.v > entry.u          # enters steeply from large v
         assert attractor in ("p0", "p_mp")
-        if (k, F) == (0.07, 0.02):
-            # only the trivial point exists there, and the manifold reaches it
-            assert len(equilibria(Params(k, F)).all_points()) == 1
-            assert attractor == "p0"
+
+
+def test_compactified_portrait_report():
+    # at (0.07, 0.02) only the trivial point exists, and the manifold
+    # entering from infinity reaches it
+    p = Params(0.07, 0.02)
+    assert len(equilibria(p).all_points()) == 1
+    _, attractor = dynamics.manifold_from_infinity(p)
+    assert attractor == "p0"
 
 
 def test_render_portrait_deterministic():
