@@ -17,7 +17,7 @@ switching between two versions of gskit that share a cache recompiles.
 
 When the build or the load fails, the pure backend is used and the reason
 is kept in COMPILED_ERROR.  GSKIT_BACKEND=pure forces the pure backend;
-use_backend() switches explicitly (tests, benchmarks).
+_use_backend() switches explicitly (the backend-parity tests).
 
 The status codes (OK, MAX_STEPS, UNDERFLOW, BOX_EXIT, CAPTURED, SETTLED) are
 those of gskit._pure, which documents them.
@@ -220,7 +220,7 @@ def get_backend() -> str:
     return _impl.BACKEND_NAME
 
 
-def use_backend(name: str) -> None:
+def _use_backend(name: str) -> None:
     """Switch the active kernel implementation ('compiled' or 'pure')."""
     global _impl
     if name == "pure":

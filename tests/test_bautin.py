@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -27,10 +26,10 @@ def restricted_l1_bracket() -> tuple:
     """
     x, y = BiPoly.x(), BiPoly.y()
     one = BiPoly.const(1)
-    u = (one - y) * Fraction(1, 2)
+    u = (one - y) * Fr(1, 2)
     v = x
-    F = x * (one - 2 * x - y) * Fraction(1, 2)
-    fk = x * (one - y) * Fraction(1, 2)       # F + k on the curve
+    F = x * (one - 2 * x - y) * Fr(1, 2)
+    fk = x * (one - y) * Fr(1, 2)       # F + k on the curve
     b_ = -2 * u * v
     c_ = v * v
     d_ = fk

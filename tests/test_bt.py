@@ -1,4 +1,3 @@
-from fractions import Fraction
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -22,17 +21,17 @@ def shifted_field(x, alpha):
     with the shift."""
     a1, a2 = alpha
     _guard(a1, a2)
-    p = (x[0] + Fraction(1, 2), x[1] + Fraction(1, 4))
-    return vector_field(p, Params(a2 + Fraction(1, 16), a1 + Fraction(1, 16)))
+    p = (x[0] + Fr(1, 2), x[1] + Fr(1, 4))
+    return vector_field(p, Params(a2 + Fr(1, 16), a1 + Fr(1, 16)))
 
 
 def base_point(alpha) -> State:
     """Base point (1/2, k/(2(F+k))) of the coefficient-family expansion."""
     a1, a2 = alpha
     _guard(a1, a2)
-    k = a2 + Fraction(1, 16)
-    fk = a1 + a2 + Fraction(1, 8)
-    return State(Fraction(1, 2), k / (2 * fk))
+    k = a2 + Fr(1, 16)
+    fk = a1 + a2 + Fr(1, 8)
+    return State(Fr(1, 2), k / (2 * fk))
 
 
 def unfolding_field(x, alpha):
@@ -41,7 +40,7 @@ def unfolding_field(x, alpha):
     a1, a2 = alpha
     bp = base_point(alpha)
     p = (x[0] + bp.u, x[1] + bp.v)
-    return vector_field(p, Params(a2 + Fraction(1, 16), a1 + Fraction(1, 16)))
+    return vector_field(p, Params(a2 + Fr(1, 16), a1 + Fr(1, 16)))
 
 
 def projected_component(y1, y2, alpha, w, frame: BTFrame | None = None):
@@ -52,11 +51,11 @@ def projected_component(y1, y2, alpha, w, frame: BTFrame | None = None):
     return f[0] * w[0] + f[1] * w[1]
 
 
-def coefficients_in_frame(frame: BTFrame, alpha=(Fraction(0), Fraction(0))):
+def coefficients_in_frame(frame: BTFrame, alpha=(Fr(0), Fr(0))):
     """(a20, b20, b11) recomputed in an arbitrary admissible frame by exact
     second differences of the projected components (the field is cubic, so
     central differences are exact)."""
-    h = Fraction(1, 64)
+    h = Fr(1, 64)
 
     def d2_11(w):
         return (projected_component(h, 0, alpha, w, frame)

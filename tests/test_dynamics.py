@@ -205,11 +205,11 @@ def test_render_portrait_same_bytes_on_each_backend():
     try:
         outputs = {}
         for name in kernels.available_backends():
-            kernels.use_backend(name)
+            kernels._use_backend(name)
             svg, csv_text, meta = dynamics.render_portrait(a, spec)
             outputs[name] = (svg, csv_text)
     finally:
-        kernels.use_backend(backend)
+        kernels._use_backend(backend)
     assert len(meta["cycles"]) == 2
     assert all(out == outputs["pure"] for out in outputs.values())
 
@@ -274,7 +274,7 @@ def test_census_pinned():
     backend = kernels.get_backend()
     try:
         for name in kernels.available_backends():
-            kernels.use_backend(name)
+            kernels._use_backend(name)
             cycles = dynamics.limit_cycle_census(
                 Params(0.025, hopf_F(0.025) - 1e-5), n_scan=120)
             assert [(c.radius.hex(), c.period.hex(),
@@ -282,4 +282,4 @@ def test_census_pinned():
                 ("0x1.d5ca9498c3840p-7", "0x1.07f114bae954ap+8",
                  "0x1.f4f57d25a3956p-1")], name
     finally:
-        kernels.use_backend(backend)
+        kernels._use_backend(backend)

@@ -23,9 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    kernels.use_backend(request.param)
+    kernels._use_backend(request.param)
     yield request.param
-    kernels.use_backend(BACKENDS[0])
+    kernels._use_backend(BACKENDS[0])
 
 
 # one call per entry point, every argument as a Python scalar
@@ -53,10 +53,10 @@ def _on_each_backend(fn, *args):
     results = {}
     try:
         for b in BACKENDS:
-            kernels.use_backend(b)
+            kernels._use_backend(b)
             results[b] = _bits(fn(*args))
     finally:
-        kernels.use_backend(BACKENDS[0])
+        kernels._use_backend(BACKENDS[0])
     return results
 
 
@@ -350,7 +350,7 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     assert dynamics._attractor_kind(radii, frame.r_max, True) == ("cycle", radii[-1])
     # the pure kernel with a zero tolerance never settles: the full run
     monkeypatch.setattr(_pure, "SETTLE_TOL", 0.0)
-    kernels.use_backend("pure")
+    kernels._use_backend("pure")
     st0, hits0 = kernels.ray_crossings(*args, box=10.0)
     assert st0 != kernels.SETTLED and len(hits0) > len(hits)
     assert hits == hits0[:len(hits)]
@@ -380,11 +380,11 @@ def test_numpy_arguments_give_the_same_result(backend, name):
 
 @pytest.mark.parametrize("name", sorted(_CALLS))
 def test_pure_kernels_return_python_floats(name):
-    kernels.use_backend("pure")
+    kernels._use_backend("pure")
     try:
         result = getattr(kernels, name)(*_as_numpy(_CALLS[name]))
     finally:
-        kernels.use_backend(BACKENDS[0])
+        kernels._use_backend(BACKENDS[0])
     if name == "field_eval":
         numbers = list(result)
     elif name == "ray_crossings":
@@ -546,20 +546,24 @@ def test_backends_agree_on_random_inputs():
             "field_eval": (fid, time_sign, x0, y0, k, F),
         }
         # ray_crossings and monodromy take no step budget, so a time horizon
-        # bounds their runs.  Forward in time the plane field is stiff where
-        # v > 1.5 (rate -v^2, stable explicit step about 3 / v^2), and v stays
-        # below the larger of 1 and S = u + v at the start, since
-        # S' = F (1 - S) - k v <= F (1 - S); so from S > 1.5 a horizon of
-        # 100 / S^2 keeps those calls to a few dozen steps
+        # bounds their runs; forward from v > 1.5 the plane field is stiff
+        # (rate -v^2) and the stable explicit step is about 3 / v^2, so a
+        # horizon of 100 / v^2 keeps those calls to a few dozen steps
+        stiff = y0 > 1.5
+        # forward, v also climbs towards S = u + v, and S' = F (1 - S) - k v
+        # brings S back under 1.5 only after a time of order 1 / (F + k): at
+        # F + k < 1e-4 a pure run from S > 1.5 over the 2e5 horizon takes
+        # 1.5-5 s (under 1 s at larger F + k), so those runs get the cap
+        # 100 / S^2 too
         s0 = x0 + y0
-        stiff = s0 > 1.5
+        slow = stiff or (s0 > 1.5 and F + k < 1e-4)
         calls["ray_crossings"] = (x0, y0, k, F, cx, cy, dx, dy,
                                   orient if time_sign > 0 else -orient, 400,
-                                  100.0 / s0 / s0 if stiff and time_sign > 0
+                                  100.0 / s0 / s0 if slow and time_sign > 0
                                   else 2e5, rtol, atol, 1e-9, time_sign, box)
         # monodromy always runs forward
         calls["monodromy"] = (x0, y0, k, F,
-                              min(t_end, 100.0 / s0 / s0) if stiff else t_end,
+                              min(t_end, 100.0 / y0 / y0) if stiff else t_end,
                               rtol, atol)
         for name, args in calls.items():
             results = _on_each_backend(getattr(kernels, name), *args)
@@ -589,11 +593,11 @@ def test_benchmark_outputs_on_compiled_backend(monkeypatch, workload):
 
     entries = json.loads((ROOT / "perfbench" / "reference.json").read_text())["entries"]
     if workload != "verify":
-        kernels.use_backend("compiled")
+        kernels._use_backend("compiled")
     out = []
     try:
         workloads.RUNNERS[workload](workloads.select(workload, 1), out)
     finally:
-        kernels.use_backend(BACKENDS[0])
+        kernels._use_backend(BACKENDS[0])
     attempted, failed, msgs = workloads.check(out, entries, same_backend=True)
     assert attempted > 0 and failed == 0, msgs

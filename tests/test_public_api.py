@@ -7,13 +7,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# public names kept without such a caller, with the reason
-KEPT = {
-    "kernels.use_backend": "switches the kernel backend of a running process, "
-                           "which the backend-parity tests do",
-}
-
-
 def _loaded_names(node) -> Counter:
     """How often each name is used under node, bare or as an attribute."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
@@ -30,8 +23,7 @@ def test_every_public_definition_has_a_caller():
     for path in src:
         for node in trees[path].body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_")
-                    or f"{path.stem}.{node.name}" in KEPT):
+                    or node.name.startswith("_")):
                 continue
             # uses inside the definition itself (recursion, methods) do not count
             own = _loaded_names(node)[node.name]
