@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance, bautin, bt, continuation, dynamics, mapping
+from . import bautin, bt, continuation, dynamics, mapping
 from .core import Params, State
 from .equilibria import (classify, disc_curve_F, discriminants, equilibria,
                          hopf_F, neutral_saddle_F, saddle_node_F)
@@ -330,6 +330,9 @@ def cmd_map(args, cfg) -> int:
 
 
 def cmd_repro(args, cfg) -> int:
+    # only this command needs the battery, so only it pays for its import
+    from . import acceptance
+
     numbers = set(args.only) if args.only else None
     results = acceptance.run_battery(numbers, grid=args.grid,
                                      threads=cfg.threads or None)

@@ -32,13 +32,10 @@ ESCAPE_BOX = 10.0
 class IntegratorSettings:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    scheme: str = "dp54"           # embedded explicit 5(4) pair
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.scheme != "dp54":
-            raise DomainError(f"unknown scheme {self.scheme!r}")
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
@@ -110,7 +107,17 @@ class SectionFrame:
 def section_frame(a: Params) -> SectionFrame:
     """Section ray through the focus-type point, perpendicular to the real
     part of its leading eigenvector and pointing away from the saddle.  The
-    ray ends at the quadrant boundary, or at radius 2.5 before it."""
+    ray ends at the quadrant boundary, or at radius 2.5 before it.
+
+    The census, the LPC residual and cycle_at_radius build their frame
+    here, and their results depend on its last bits, so it keeps numpy's
+    eig and np.linalg.norm.  Normalizing the same eigenvector by math.sqrt
+    moves the third LPC point of the cycles benchmark (lpc_up/0) by 3e-4
+    relative, far outside the 1e-6 tolerance of perfbench/reference.json:
+    the LPC residual's g' is a finite difference limited by round-off.
+    probe_region's closed-form frame (_probe_frame) moves the radius pinned
+    in test_census_pinned by 8 ulp and both LPC runs of that benchmark.
+    """
     eq = equilibria(a)
     if eq.p_mp is None:
         raise DomainError(f"no focus-type equilibrium at {a}")
@@ -125,23 +132,58 @@ def section_frame(a: Params) -> SectionFrame:
         d = np.array([1.0, 0.0])
     else:
         d /= n
-    away = np.array([c.u - float(eq.p_pm.u), c.v - float(eq.p_pm.v)])
-    if eq.kind == "pair" and float(d @ away) < 0:
-        d = -d
-    elif eq.kind != "pair" and d[0] < 0:
-        d = -d
+    return _oriented_frame(a, eq, c, float(d[0]), float(d[1]))
+
+
+def _probe_frame(a: Params, eq) -> SectionFrame:
+    """section_frame(a) in Python floats, from the equilibrium set eq of a
+    (kind 'pair').
+
+    The leading eigenvector w of the Jacobian J at the focus-type point is
+    taken in closed form with LAPACK's xGEEV normalization (unit norm,
+    largest component real), whose phase sets the real part used.  With
+    disc = (j11 - j22)^2 + 4 j12 j21: for disc >= 0, w = (j12, lam - j11)
+    with lam = (j11 + j22 + sqrt(disc)) / 2; otherwise the eigenvector
+    (j12, re + i s), re = (j22 - j11) / 2, s = sqrt(-disc) / 2, has its
+    largest component made real, whose real part is w = (j12, re) when
+    j12^2 >= m2 = re^2 + s^2 and w = (j12 re, m2) else.  j12 = -2uv is
+    nonzero at the focus-type point, so w is too.  The direction is
+    section_frame's up to round-off, which grows near a double eigenvalue
+    (disc = 0) with the eigenvector's condition number."""
+    c = State(float(eq.p_mp.u), float(eq.p_mp.v))
+    (j11, j12), (j21, j22) = jacobian(c, a)
+    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
+    if disc >= 0:
+        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
+    else:
+        re = (j22 - j11) / 2
+        m2 = re * re - disc / 4
+        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
+    n = math.hypot(w0, w1)
+    return _oriented_frame(a, eq, c, -w1 / n, w0 / n)
+
+
+def _oriented_frame(a: Params, eq, c: State, d0: float,
+                    d1: float) -> SectionFrame:
+    """Frame on the unit direction +-(d0, d1) through the focus-type point
+    c: pointing away from the saddle, with the flow's rotation sense and
+    the radius at which the ray leaves the admissible window."""
+    if eq.kind == "pair":
+        if d0 * (c.u - float(eq.p_pm.u)) + d1 * (c.v - float(eq.p_pm.v)) < 0:
+            d0, d1 = -d0, -d1
+    elif d0 < 0:
+        d0, d1 = -d0, -d1
     # rotation direction of the flow just off the section
-    probe = (c.u + 1e-6 * d[0], c.v + 1e-6 * d[1])
-    f = vector_field(probe, a)
-    orient = 1 if (d[0] * f[1] - d[1] * f[0]) > 0 else -1
+    f = vector_field((c.u + 1e-6 * d0, c.v + 1e-6 * d1), a)
+    orient = 1 if (d0 * f[1] - d1 * f[0]) > 0 else -1
     # cap the ray at the quadrant boundary / sanity window
     r_cap = 2.5
-    for comp, dcomp in ((c.u, d[0]), (c.v, d[1])):
+    for comp, dcomp in ((c.u, d0), (c.v, d1)):
         if dcomp < 0:
             r_cap = min(r_cap, -comp / dcomp)
     saddle = eq.p_pm if eq.kind == "pair" else None
-    return SectionFrame(center=c, direction=(float(d[0]), float(d[1])),
-                        orientation=orient, r_max=float(r_cap), saddle=saddle)
+    return SectionFrame(center=c, direction=(d0, d1), orientation=orient,
+                        r_max=r_cap, saddle=saddle)
 
 
 def return_map(a: Params, r: float, frame: SectionFrame,
@@ -366,7 +408,7 @@ def probe_region(a: Params) -> RegionLabel:
     eq = equilibria(a)
     rep = classify(eq.p_mp, a)
     unstable = float(rep.trace) > 0
-    frame = section_frame(a)
+    frame = _probe_frame(a, eq)
     scale = max(1e-4, 0.02 * frame.r_max)
 
     def probe(r0, sign_time):

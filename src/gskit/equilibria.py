@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Number, Params, State, jet, trace_det, vector_field
+from .core import Number, Params, State, jacobian, trace_det, vector_field
 from .errors import DomainError, NotAnEquilibrium
 from .ratmath import is_exact, sqrt_exact
 
@@ -103,7 +103,7 @@ def classify(p: State, a: Params) -> StabilityReport:
     f = vector_field(p, a)
     if max(abs(float(f[0])), abs(float(f[1]))) > 1e-10:
         raise NotAnEquilibrium(f"residual {f} at {p} exceeds 1e-10")
-    tr, det = trace_det(jet(p, a).jacobian)
+    tr, det = trace_det(jacobian(p, a))
     disc = tr * tr - 4 * det
     trf, detf, discf = float(tr), float(det), float(disc)
     if discf >= 0:

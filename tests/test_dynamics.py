@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gskit import bautin, dynamics, kernels
-from gskit.core import Params, State
-from gskit.equilibria import equilibria, hopf_F
+from gskit.core import Params, State, jacobian
+from gskit.equilibria import discriminants, equilibria, hopf_F
 from gskit.errors import DomainError, NoReturn, StepUnderflow
 from reference import bautin_polar_census
 
@@ -33,8 +33,6 @@ def test_integrate_rejects_negative_start():
 def test_settings_validation():
     with pytest.raises(DomainError):
         dynamics.IntegratorSettings(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        dynamics.IntegratorSettings(scheme="rk4")
 
 
 def test_census_empty_outside_fold_region():
@@ -143,6 +141,41 @@ def test_probe_region_agrees_with_census_classifier():
         full = dynamics.classify_region(Params(k, F))
         fast = dynamics.probe_region(Params(k, F))
         assert full.id == fast.id, (k, F, full, fast)
+
+
+def test_probe_frame_matches_section_frame():
+    # the closed-form frame of probe_region against numpy's eig over a grid
+    # of the criterion-10 window that reaches every branch of the closed
+    # form: nodes (disc >= 0) and foci whose eigenvector has its first or
+    # its second component largest
+    branches = set()
+    for k in np.linspace(1e-9, 0.07, 50):
+        for F in np.linspace(1e-9, 0.07, 50):
+            a = Params(float(k), float(F))
+            if discriminants(a).delta <= 0:
+                continue
+            eq = equilibria(a)
+            (j11, j12), (j21, j22) = jacobian(
+                State(float(eq.p_mp.u), float(eq.p_mp.v)), a)
+            disc = (j11 - j22) ** 2 + 4 * j12 * j21
+            m2 = ((j22 - j11) / 2) ** 2 - disc / 4
+            branches.add("node" if disc >= 0 else
+                         "first" if j12 * j12 >= m2 else "second")
+            ref = dynamics.section_frame(a)
+            got = dynamics._probe_frame(a, eq)
+            # near a double eigenvalue the eigenvector's condition number
+            # |J| / |lambda1 - lambda2| is large, and LAPACK's direction
+            # itself is off by up to 2.8e-15 from a 40-digit one there (over
+            # the 200x200 map grid, where the two routes differ by 2.6e-15)
+            cond = math.hypot(j11, j12, j21, j22) / math.sqrt(abs(disc))
+            tol = max(2e-15, 2 * cond * np.finfo(float).eps)
+            assert got.center == ref.center
+            assert max(abs(got.direction[0] - ref.direction[0]),
+                       abs(got.direction[1] - ref.direction[1])) <= tol, (k, F)
+            assert got.orientation == ref.orientation, (k, F)
+            assert abs(got.r_max - ref.r_max) <= 1e-14 * ref.r_max, (k, F)
+            assert got.saddle == ref.saddle
+    assert branches == {"node", "first", "second"}
 
 
 def test_manifold_from_infinity_reaches_finite_attractor():

@@ -276,8 +276,10 @@ def test_backward_time_integration(backend):
 def _probe_args(k, F, time_sign, t_max=2e5, n=400):
     """ray_crossings arguments of a probe_region probe at (k, F)."""
     from gskit import dynamics
+    from gskit.equilibria import equilibria
 
-    frame = dynamics.section_frame(Params(k, F))
+    a = Params(k, F)
+    frame = dynamics._probe_frame(a, equilibria(a))
     c, d = frame.center, frame.direction
     r0 = max(1e-4, 0.02 * frame.r_max)
     orient = frame.orientation if time_sign > 0 else -frame.orientation
@@ -492,8 +494,8 @@ def test_chart_field_power_overflow_is_signed_inf(backend, fid, w, expected):
 # ---------------------------------------------------------------------------
 
 def _section_ray(k, F):
-    """Center and direction of the section ray of probe_region at (k, F), or
-    a fixed ray off the node where there is no focus-type equilibrium."""
+    """Center, direction and orientation of section_frame's ray at (k, F),
+    or a fixed ray off the node where there is no focus-type equilibrium."""
     from gskit import dynamics
 
     try:
