@@ -284,12 +284,14 @@ def _lpc_toward_gh(ctx: BatteryContext):
     k_seed = 0.0345
     _, F_mid, _ = _locate_t_curve_F(ctx, k_seed)
     seed = continuation.lpc_seed_from_region3(Params(k_seed, F_mid))
+    # from this seed the curve reaches the generalized Hopf point, k rising,
+    # as the radius falls (direction -1); run +1 only if that run ends lower
     run = continuation.lpc_curve(seed, max_points=60,
-                                 k_bounds=(5e-3, 9 / 256 - 5e-5))
+                                 k_bounds=(5e-3, 9 / 256 - 5e-5),
+                                 direction=-1.0)
     if run.k_values()[-1] < k_seed:
         run = continuation.lpc_curve(seed, max_points=60,
-                                     k_bounds=(5e-3, 9 / 256 - 5e-5),
-                                     direction=-1.0)
+                                     k_bounds=(5e-3, 9 / 256 - 5e-5))
     return run
 
 

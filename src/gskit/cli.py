@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--k0", type=float, default=0.03)
     p.add_argument("--branch", choices=("upper", "lower"), default="lower")
-    p.add_argument("--direction", type=float, default=1.0)
+    p.add_argument("--direction", type=float, default=1.0,
+                   help="+1 continues a hopf or fold curve toward increasing F")
     p.add_argument("--k-range", default="0.058..0.0624")
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

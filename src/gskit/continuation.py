@@ -3,9 +3,10 @@ the fold-of-cycles curve, and the homoclinic curve via separatrix splitting.
 
 Equilibrium curves (fold, Hopf/neutral-saddle) live in the extended space
 (u, v, k, F) with pseudo-arclength steps: secant predictor after two points,
-Newton corrector orthogonal to the tangent, adaptive step control, and test
-functions located by on-curve bisection (determinant -> double-zero point,
-first Lyapunov coefficient -> generalized Hopf).
+Newton corrector orthogonal to the tangent on the closed-form Jacobian,
+adaptive step control, and test functions located by on-curve bisection
+that ends at the secant root of the last bracket (determinant -> double-zero
+point, first Lyapunov coefficient -> generalized Hopf).
 
 Cycles are continued through their Poincare return map: a fold of cycles is
 the pair {displacement = 0, radial derivative = 0} in (radius, k, F).  The
@@ -59,6 +60,10 @@ class CurveResult:
 
 # ---------------------------------------------------------------------------
 # Generic pseudo-arclength engine on R(z) = 0, z in R^n, R in R^{n-1}
+#
+# A problem is one callable, problem(z) -> (R(z), jac), where jac() returns
+# the Jacobian dR/dz at z.  The Jacobian is deferred so that a Newton
+# iteration that has already converged does not pay for it.
 # ---------------------------------------------------------------------------
 
 def _fd_jacobian(res, z, f0, eps):
@@ -73,10 +78,8 @@ def _fd_jacobian(res, z, f0, eps):
     return J
 
 
-def _tangent(res, z, eps, prev=None):
-    f0 = res(z)
-    J = _fd_jacobian(res, z, f0, eps)
-    _, _, vt = np.linalg.svd(J)
+def _tangent(problem, z, prev=None):
+    _, _, vt = np.linalg.svd(problem(z)[1]())
     t = vt[-1]
     if prev is not None and float(t @ prev) < 0:
         t = -t
@@ -89,41 +92,47 @@ class _Engine:
 
     Every problem takes at most 8 Newton corrections per step, shrinks a
     failed step by 0.4 down to 1e-10, and grows the step by 1.4 after a
-    correction of at most 3 iterations."""
+    correction of at most 3 iterations.  direction=+1 starts the curve the
+    way coordinate z[rising] increases."""
 
     ds0: float
     ds_max: float
     corrector_tol: float
     max_points: int
-    fd_step: float
     seed_residual_max: float
+    rising: int
 
-    def correct(self, res, z_pred, t):
+    def correct(self, problem, z_pred, t):
         """Newton on [R(z); t.(z - z_pred)] = 0.  Returns (z, iterations) or None."""
+        n = z_pred.size
+        A = np.empty((n, n))
+        A[-1] = t
+        g = np.empty(n)
         z = z_pred.copy()
         for it in range(8):
-            f = res(z)
-            g = np.append(f, t @ (z - z_pred))
+            f, jac = problem(z)
+            g[:-1] = f
+            g[-1] = t @ (z - z_pred)
             if np.max(np.abs(f)) < self.corrector_tol and abs(g[-1]) < 1e-12:
                 return z, it
-            J = _fd_jacobian(res, z, f, self.fd_step)
-            Ja = np.vstack([J, t])
+            A[:-1] = jac()
             try:
-                dz = np.linalg.solve(Ja, -g)
+                dz = np.linalg.solve(A, -g)
             except np.linalg.LinAlgError:
                 return None
             z = z + dz
             if not np.all(np.isfinite(z)):
                 return None
-        f = res(z)
+        f = problem(z)[0]
         if np.max(np.abs(f)) < self.corrector_tol:
             return z, 8
         return None
 
-    def bisect_event(self, res, fn, za, zb):
-        """Refine a test-function sign change between on-curve points za, zb
-        until their (k, F) coordinates agree to 1e-9 (at most 80 halvings)."""
-        fa = fn(za)
+    def bisect_event(self, problem, fn, za, fa, zb, fb):
+        """Refine a sign change of the test function fn between on-curve
+        points za, zb (values fa, fb) until their (k, F) coordinates agree
+        to 1e-9 (at most 80 halvings).  The event is the secant root of the
+        last bracket."""
         for _ in range(80):
             gap = max(abs(za[i] - zb[i]) for i in (2, 3))
             if gap < 1e-9:
@@ -134,7 +143,7 @@ class _Engine:
             if n == 0:
                 break
             t = t / n
-            sol = self.correct(res, zm_pred, t)
+            sol = self.correct(problem, zm_pred, t)
             if sol is None:
                 break
             zm = sol[0]
@@ -144,19 +153,21 @@ class _Engine:
             if (fa < 0) == (fm < 0):
                 za, fa = zm, fm
             else:
-                zb = zm
-        return 0.5 * (za + zb)
+                zb, fb = zm, fm
+        return za + fa / (fa - fb) * (zb - za)
 
-    def run(self, kind, res, z0, make_point, test_functions, domain_ok,
+    def run(self, kind, problem, z0, make_point, test_functions, domain_ok,
             direction=1.0):
-        f0 = res(z0)
+        f0 = problem(z0)[0]
         if np.max(np.abs(f0)) > self.seed_residual_max:
             raise SeedInvalid(f"seed residual {np.max(np.abs(f0)):.2e} for {kind}")
-        sol = self.correct(res, z0.copy(), _tangent(res, z0, self.fd_step))
+        sol = self.correct(problem, z0.copy(), _tangent(problem, z0))
         if sol is None:
             raise SeedInvalid(f"seed failed to correct for {kind}")
         z = sol[0]
-        t = _tangent(res, z, self.fd_step)
+        t = _tangent(problem, z)
+        if t[self.rising] < 0:
+            t = -t
         t = t * direction
         points = [make_point(z, t, 0.0)]
         events = []
@@ -168,7 +179,7 @@ class _Engine:
             accepted = None
             while True:
                 z_pred = z + ds * t
-                sol = self.correct(res, z_pred, t)
+                sol = self.correct(problem, z_pred, t)
                 if sol is not None:
                     accepted = sol
                     break
@@ -179,6 +190,12 @@ class _Engine:
             if accepted is None:
                 break
             z_new, iters = accepted
+            # leave the domain before looking for events: the fold's trace
+            # vanishes where the curve meets the origin k = F = 0, and an
+            # event located there has no valid Params
+            if not domain_ok(z_new):
+                status = "domain_exit"
+                break
             # test functions: bisect sign changes before committing
             stop = False
             for name, fn, terminal in test_functions:
@@ -187,7 +204,8 @@ class _Engine:
                 if (old is not None and new is not None
                         and np.isfinite(old) and np.isfinite(new)
                         and (old < 0) != (new < 0)):
-                    z_ev = self.bisect_event(res, fn, z.copy(), z_new.copy())
+                    z_ev = self.bisect_event(problem, fn, z.copy(), old,
+                                             z_new.copy(), new)
                     pt = make_point(z_ev, t, ds)
                     events.append(CurveEvent(name=name, params=pt.params,
                                              aux=pt.aux, terminal=terminal))
@@ -198,14 +216,11 @@ class _Engine:
             if stop:
                 status = "event"
                 break
-            if not domain_ok(z_new):
-                status = "domain_exit"
-                break
             if len(zs) >= 2:
                 t_new = z_new - z
                 t_new = t_new / np.linalg.norm(t_new)
             else:
-                t_new = _tangent(res, z_new, self.fd_step, prev=t)
+                t_new = _tangent(problem, z_new, prev=t)
             points.append(make_point(z_new, t_new, ds))
             zs.append(z_new)
             z, t = z_new, t_new
@@ -216,47 +231,58 @@ class _Engine:
         return CurveResult(kind=kind, points=points, events=events, status=status)
 
 
-# Fold and Hopf curves of equilibria
+# Fold and Hopf curves of equilibria in (u, v, k, F): direction=+1 raises F
 _EQUILIBRIUM_ENGINE = _Engine(ds0=2e-3, ds_max=5e-3, corrector_tol=1e-10,
-                              max_points=4000, fd_step=1e-7, seed_residual_max=1e-6)
+                              max_points=4000, seed_residual_max=1e-6, rising=3)
 
 
 # ---------------------------------------------------------------------------
 # Equilibrium curve problems
 # ---------------------------------------------------------------------------
 
-def _field_z(z):
-    # raw kinetics, no Params validation: correction steps may probe k,F <= 0
-    u, v, k, F = z
+# Each problem unpacks z into Python floats once (numpy scalar arithmetic
+# costs several times more at this size) and returns its residual
+# with the closed-form gradients of the cubic field, trace and determinant.
+# Correction steps may probe k, F <= 0, so nothing here builds a Params.
+
+def _field_z(u, v, k, F):
+    """The field (f1, f2) and its gradients in (u, v, k, F)."""
     uvv = u * v * v
-    return -uvv + F * (1.0 - u), uvv - (F + k) * v
+    return ((-uvv + F * (1.0 - u), uvv - (F + k) * v),
+            ((-(F + v * v), -2 * u * v, 0.0, 1.0 - u),
+             (v * v, -(F + k) + 2 * u * v, -v, -v)))
 
 
-def _trace_det_z(z):
-    u, v, k, F = z
+def _trace_det_z(u, v, k, F):
     jac = ((-(F + v * v), -2 * u * v), (v * v, -(F + k) + 2 * u * v))
     tr = jac[0][0] + jac[1][1]
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     return tr, det
 
 
-def _fold_res(z):
-    f1, f2 = _field_z(z)
-    _, det = _trace_det_z(z)
-    return np.array([f1, f2, det])
+def _fold_problem(z):
+    """Fold curve {f = 0, det = 0}; det = (F + v^2)(F + k) - 2uvF."""
+    u, v, k, F = z.tolist()
+    (f1, f2), (g1, g2) = _field_z(u, v, k, F)
+    _, det = _trace_det_z(u, v, k, F)
+    g_det = (-2 * v * F, 2 * v * (F + k) - 2 * u * F, F + v * v,
+             2 * F + k + v * v - 2 * u * v)
+    return np.array([f1, f2, det]), lambda: np.array([g1, g2, g_det])
 
 
-def _hopf_res(z):
-    f1, f2 = _field_z(z)
-    tr, _ = _trace_det_z(z)
-    return np.array([f1, f2, tr])
+def _hopf_problem(z):
+    """Hopf curve {f = 0, trace = 0}; trace = 2uv - v^2 - 2F - k."""
+    u, v, k, F = z.tolist()
+    (f1, f2), (g1, g2) = _field_z(u, v, k, F)
+    tr, _ = _trace_det_z(u, v, k, F)
+    g_tr = (2 * v, 2 * u - 2 * v, -1.0, -2.0)
+    return np.array([f1, f2, tr]), lambda: np.array([g1, g2, g_tr])
 
 
 def _equilibrium_point(z, t, ds) -> CurvePoint:
-    u, v, k, F = z
-    return CurvePoint(params=Params(float(k), float(F)),
-                      aux={"u": float(u), "v": float(v)},
-                      tangent=tuple(float(x) for x in t), arc_step=float(ds))
+    u, v, k, F = z.tolist()
+    return CurvePoint(params=Params(k, F), aux={"u": u, "v": v},
+                      tangent=tuple(t.tolist()), arc_step=float(ds))
 
 
 def hopf_seed(k0: float) -> np.ndarray:
@@ -274,10 +300,10 @@ def fold_seed(k0: float, branch: str = "lower") -> np.ndarray:
 
 
 def _l1_test(z):
-    u, v, k, F = z
+    u, v, k, F = z.tolist()
     if k <= 0 or F <= 0:
         return None
-    tr, det = _trace_det_z(z)
+    tr, det = _trace_det_z(u, v, k, F)
     if det <= 1e-12 or tr * tr - 4 * det >= 0:
         return None
     try:
@@ -287,7 +313,11 @@ def _l1_test(z):
 
 
 def _det_test(z):
-    return _trace_det_z(z)[1]
+    return _trace_det_z(*z.tolist())[1]
+
+
+def _trace_test(z):
+    return _trace_det_z(*z.tolist())[0]
 
 
 def continue_curve(kind: str, seed, *, direction: float = 1.0,
@@ -297,20 +327,20 @@ def continue_curve(kind: str, seed, *, direction: float = 1.0,
     kind 'fold' or 'hopf': seed is the extended vector (u, v, k, F) (see
     hopf_seed / fold_seed).  The Hopf run monitors det (double-zero point,
     terminal) and the first Lyapunov coefficient (generalized Hopf,
-    recorded); both are located by on-curve bisection.  Both curves stop
-    at k = 1e-4.  Cycle curves have their own entry points, lpc_curve and
-    homoclinic_curve.
+    recorded); both are located by on-curve bisection.  direction=+1
+    starts toward increasing F.  Both curves stop at k = 1e-4.  Cycle
+    curves have their own entry points, lpc_curve and homoclinic_curve.
     """
     if kind == "fold":
-        tests = [("bt_trace", lambda z: _trace_det_z(z)[0], True)] if detect_events else []
+        tests = [("bt_trace", _trace_test, True)] if detect_events else []
         return _EQUILIBRIUM_ENGINE.run(
-            "fold", _fold_res, np.asarray(seed, float), _equilibrium_point, tests,
+            "fold", _fold_problem, np.asarray(seed, float), _equilibrium_point, tests,
             lambda z: z[2] > 1e-4 and z[3] > 1e-6 and z[1] > 0, direction)
     if kind == "hopf":
         tests = ([("bt_det", _det_test, True), ("gh_l1", _l1_test, False)]
                  if detect_events else [])
         return _EQUILIBRIUM_ENGINE.run(
-            "hopf", _hopf_res, np.asarray(seed, float), _equilibrium_point, tests,
+            "hopf", _hopf_problem, np.asarray(seed, float), _equilibrium_point, tests,
             lambda z: z[2] > 1e-4 and z[3] > 1e-7, direction)
     raise ValueError(f"unknown curve kind {kind!r}")
 
@@ -323,7 +353,9 @@ def continue_curve(kind: str, seed, *, direction: float = 1.0,
 _CYCLE_CURVE_SETTINGS = dynamics.IntegratorSettings(rel_tol=1e-11, abs_tol=1e-14)
 
 
-def _lpc_residual():
+def _lpc_problem():
+    """Residual (g, g') of the return-map displacement g(r) = P(r) - r, with
+    a forward-difference Jacobian in (r, k, F)."""
     cache = {}
 
     def res(z):
@@ -341,7 +373,11 @@ def _lpc_residual():
         gp = (g(r + dr) - g(r - dr)) / (2 * dr)
         return np.array([g0, gp])
 
-    return res
+    def problem(z):
+        f = res(z)
+        return f, lambda: _fd_jacobian(res, z, f, 1e-6)
+
+    return problem
 
 
 def lpc_bracket(k: float) -> tuple:
@@ -391,9 +427,10 @@ def lpc_seed_from_region3(a: Params) -> np.ndarray:
 def lpc_curve(seed, *, max_points: int = 120, k_bounds: tuple = (5e-3, 9 / 256),
               direction: float = 1.0) -> CurveResult:
     """Continue the fold-of-cycles curve {return displacement = 0,
-    radial derivative = 0} in (radius, k, F) from a region-3 seed."""
+    radial derivative = 0} in (radius, k, F) from a region-3 seed;
+    direction=+1 starts toward a larger radius."""
     engine = _Engine(ds0=2e-4, ds_max=2e-3, corrector_tol=5e-9,
-                     max_points=max_points, fd_step=1e-6, seed_residual_max=0.05)
+                     max_points=max_points, seed_residual_max=0.05, rising=0)
 
     def make_point(z, t, ds):
         r, k, F = z
@@ -402,7 +439,7 @@ def lpc_curve(seed, *, max_points: int = 120, k_bounds: tuple = (5e-3, 9 / 256),
                           tangent=tuple(float(x) for x in t),
                           arc_step=float(ds))
 
-    return engine.run("lpc", _lpc_residual(), np.asarray(seed, float),
+    return engine.run("lpc", _lpc_problem(), np.asarray(seed, float),
                       make_point, [],
                       lambda z: (z[0] > 1e-7 and k_bounds[0] < z[1] < k_bounds[1]
                                  and z[2] > 1e-7),

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from gskit.core import Params
 from gskit.equilibria import hopf_F, saddle_node_F
 from gskit.errors import (BracketNotFound, DomainError, NotOnHopfCurve,
                           SaddleMissing, SeedInvalid)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_newton_double_zero_from_spec_seed():
@@ -34,10 +38,9 @@ def test_hopf_continuation_tracks_closed_form():
     errs = [abs(F - float(hopf_F(k))) for k, F in zip(ks, Fs) if k > 1e-3]
     assert max(errs) < 1e-8
     # every accepted point satisfies the defining system to corrector tol
-    from gskit.continuation import _hopf_res
     for p in run.points[::5]:
         z = np.array([p.aux["u"], p.aux["v"], float(p.params.k), float(p.params.F)])
-        assert np.max(np.abs(_hopf_res(z))) < 1e-10
+        assert np.max(np.abs(continuation._hopf_problem(z)[0])) < 1e-10
 
 
 def test_hopf_continuation_detects_organizing_points():
@@ -58,6 +61,73 @@ def test_fold_continuation_both_branches():
                              detect_events=False)
         for k, F in zip(run.k_values(), run.F_values()):
             assert abs(k - (math.sqrt(F) / 2 - F)) < 1e-8
+
+
+@pytest.mark.parametrize("problem", ["_fold_problem", "_hopf_problem"])
+def test_equilibrium_jacobians_match_central_differences(problem):
+    # the closed-form Jacobian against central differences of the residual
+    # at random points, some outside the positive quadrant (Newton probes
+    # there); the residual is cubic, so h = 1e-6 leaves only round-off
+    fn = getattr(continuation, problem)
+    rng = np.random.default_rng(14)
+    h = 1e-6
+    for _ in range(40):
+        z = rng.uniform([-0.2, -0.2, -0.01, -0.01], [1.2, 1.5, 0.08, 0.1])
+        jac = fn(z)[1]()
+        fd = np.empty_like(jac)
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = h
+            fd[:, j] = (fn(z + e)[0] - fn(z - e)[0]) / (2 * h)
+        assert np.max(np.abs(jac - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("flip_null_vector", [False, True])
+def test_first_step_follows_direction(monkeypatch, flip_null_vector):
+    # direction=+1 raises F on the equilibrium curves and the radius on the
+    # fold-of-cycles curve, from several seeds, whatever sign the SVD gives
+    # the null vector (-v is as valid as v; LAPACK's choice is a convention)
+    svd = np.linalg.svd
+
+    def flipped_svd(a):
+        u, s, vt = svd(a)
+        vt[-1] = -vt[-1]
+        return u, s, vt
+
+    if flip_null_vector:
+        monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+    for k0 in (0.01, 0.03, 0.05):
+        for kind, seed in (("hopf", hopf_seed(k0)),
+                           ("fold", fold_seed(k0, "lower")),
+                           ("fold", fold_seed(k0, "upper"))):
+            for direction in (1.0, -1.0):
+                run = continue_curve(kind, seed, direction=direction,
+                                     detect_events=False)
+                dF = float(run.points[1].params.F) - float(run.points[0].params.F)
+                assert np.sign(dF) == direction, (kind, k0)
+                assert np.sign(run.points[0].tangent[3]) == direction, (kind, k0)
+    for k in (0.032, 0.034):
+        seed = lpc_seed_from_region3(Params(k, float(hopf_F(k)) - 2e-6))
+        for direction in (1.0, -1.0):
+            run = lpc_curve(seed, max_points=2, direction=direction)
+            dr = run.points[1].aux["radius"] - run.points[0].aux["radius"]
+            assert np.sign(dr) == direction, k
+
+
+def test_verify_curves_match_benchmark_reference_on_every_k0(monkeypatch):
+    # the benchmark's verify workload continues three curves from one k0 of
+    # a pool of 16; run them from every k0 against perfbench/reference.json,
+    # so that a change of step sequence or orientation shows on any seed
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    entries = json.loads((ROOT / "perfbench" / "reference.json").read_text())["entries"]
+    out = []
+    workloads.run_verify({"rational": [], "k0": list(range(workloads.POOL))}, out)
+    assert sum(key.split("/")[0] in ("hopf_up", "hopf_down", "fold_lower")
+               for key, _ in out) == 3 * workloads.POOL
+    attempted, failed, msgs = workloads.check(out, entries, same_backend=True)
+    assert attempted == len(out) and failed == 0, msgs
 
 
 def test_invalid_seed_rejected():

@@ -1,12 +1,13 @@
-"""Independent oracles for the double-zero coefficients, the Hopf types and
-the cycle census.
+"""Independent oracles for the double-zero coefficients, the Hopf types,
+the cycle census and the Jacobians of the fold and Hopf continuation.
 
 The oracles share no code with gskit: the field is written out again, the
 Jordan chain is built by sympy from the raw field, and the dynamics are
 integrated by scipy.  These tests justify the targets of acceptance criteria
 1, 4 and 8 (b20 = -1/16, s = +1, a subcritical Hopf branch near the
 double-zero point) without sharing code with the routes they check.  The
-census test imports gskit only for the cycles it checks.
+census test imports gskit only for the cycles it checks, and the Jacobian
+test only for the continuation residuals it differentiates.
 """
 import math
 
@@ -75,6 +76,26 @@ def test_double_zero_sign_is_frame_independent():
     # (a20, b20, b11) = (-1/2, +1/16, 0) is attained by none
     assert sp.solve(b11c, d) == [0]
     assert sp.simplify(a20c.subs(d, 0) / b20c.subs(d, 0)) == 8
+
+
+def test_equilibrium_curve_jacobians_from_sympy():
+    # the fold and Hopf residuals {f = 0, det A = 0} and {f = 0, tr A = 0},
+    # A the (u, v) Jacobian of the raw field, differentiated by sympy in
+    # (u, v, k, F); the continuation's closed forms, evaluated on symbols,
+    # must equal them identically
+    sp = pytest.importorskip("sympy")
+    from gskit import continuation
+
+    z = sp.symbols("u v k F")
+    f = sp.Matrix(_field(*z))
+    A = f.jacobian(z[:2])
+    for problem, last in ((continuation._fold_problem, A.det()),
+                          (continuation._hopf_problem, A.trace())):
+        R = sp.Matrix([f[0], f[1], last])
+        res, jac = problem(np.array(z, dtype=object))
+        assert (sp.Matrix(list(res)) - R).applyfunc(sp.expand) == sp.zeros(3, 1)
+        assert ((sp.Matrix(jac().tolist()) - R.jacobian(z)).applyfunc(sp.expand)
+                == sp.zeros(3, 4))
 
 
 def _hopf_F(k):
