@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bautin, bt, continuation, dynamics
-from .core import Params, State, jacobian, vector_field
+from .core import Params, State, jacobian, trace_det, vector_field
 from .equilibria import equilibria, hopf_F, saddle_node_F
 from .errors import GSKitError
 
@@ -72,9 +72,7 @@ def criterion_1(ctx: BatteryContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = []
     f_bt = vector_field(bt.BT_POINT, bt.BT_PARAMS)
-    jac = jacobian(bt.BT_POINT, bt.BT_PARAMS)
-    tr = jac[0][0] + jac[1][1]
-    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+    tr, det = trace_det(jacobian(bt.BT_POINT, bt.BT_PARAMS))
     checks.append(Check("double_zero_point",
                         f_bt == (0, 0) and tr == 0 and det == 0,
                         f"field {f_bt}, trace {tr}, det {det}"))

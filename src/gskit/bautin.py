@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Params, State, jacobian, jet
+from .core import Params, State, jacobian, trace_det
 from .equilibria import equilibria, hopf_F
 from .errors import DomainError, NotOnHopfCurve
 from .normalform import poincare_normal_form
@@ -40,8 +40,7 @@ def mu(a: Params) -> float:
     eq = equilibria(a)
     if eq.p_mp is None:
         raise DomainError(f"no focus-type equilibrium at {a}")
-    jac = jacobian(eq.p_mp, a)
-    return float(jac[0][0] + jac[1][1]) / 2.0
+    return float(trace_det(jacobian(eq.p_mp, a))[0]) / 2.0
 
 
 def hopf_point(a: Params) -> State:
@@ -50,9 +49,7 @@ def hopf_point(a: Params) -> State:
     eq = equilibria(a)
     if eq.p_mp is None:
         raise NotOnHopfCurve(f"no focus-type equilibrium at {a}")
-    jac = jacobian(eq.p_mp, a)
-    tr = jac[0][0] + jac[1][1]
-    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+    tr, det = trace_det(jacobian(eq.p_mp, a))
     if abs(float(tr)) > 1e-10 or not det > 0:
         raise NotOnHopfCurve(f"trace {tr}, det {det} at {a}")
     return eq.p_mp
@@ -62,17 +59,12 @@ def hopf_point(a: Params) -> State:
 # First Lyapunov coefficient, direct rational bracket
 # ---------------------------------------------------------------------------
 
-def _partials(point, a: Params):
-    j = jet(point, a)
-    b_, c_ = j.b_tensor, j.c_tensor
-    return {
-        "fxx": b_[0][0][0], "fxy": b_[0][0][1], "fyy": b_[0][1][1],
-        "gxx": b_[1][0][0], "gxy": b_[1][0][1], "gyy": b_[1][1][1],
-        "fxxx": c_[0][0][0][0], "fxxy": c_[0][0][0][1],
-        "fxyy": c_[0][0][1][1], "fyyy": c_[0][1][1][1],
-        "gxxx": c_[1][0][0][0], "gxxy": c_[1][0][0][1],
-        "gxyy": c_[1][0][1][1], "gyyy": c_[1][1][1][1],
-    }
+def _partials(point):
+    """Second and third partials of the field (f, g) at point: the only
+    nonzero ones are f_uv = -2v, f_vv = -2u and f_uvv = -2, and g = -f."""
+    f = {"fxx": 0, "fxy": -2 * point.v, "fyy": -2 * point.u,
+         "fxxx": 0, "fxxy": 0, "fxyy": -2, "fyyy": 0}
+    return {**f, **{"g" + key[1:]: -val for key, val in f.items()}}
 
 
 def clw_bracket(b, c, d, beta2, p: dict):
@@ -102,8 +94,8 @@ def l1_clw(a: Params):
     pt = hopf_point(a)
     jac = jacobian(pt, a)
     b_, c_, d_ = jac[0][1], jac[1][0], jac[1][1]
-    beta2 = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    s = clw_bracket(b_, c_, d_, beta2, _partials(pt, a))
+    beta2 = trace_det(jac)[1]
+    s = clw_bracket(b_, c_, d_, beta2, _partials(pt))
     return b_ * s / (4 * beta2)
 
 
@@ -111,54 +103,73 @@ def l1_clw(a: Params):
 # Complex-eigenvector route and the order-5 reduction
 # ---------------------------------------------------------------------------
 
+def _g_coeffs(lift, lam, jac, u, v) -> dict:
+    """Projections g_jk of the field's second and third derivative forms on
+    the critical eigenspace (Kuznetsov, Elements of Applied Bifurcation
+    Theory, sections 3.5 and 8.3): g20 = <p, B(q, q)>, g11 = <p, B(q, qbar)>,
+    g21 = <p, C(q, q, qbar)> and so on, with A q = lam q,
+    A^T p = conj(lam) p and <p, q> = 1.
+
+    jac is the Jacobian at the point (u, v).  Generic over the arithmetic:
+    lift is complex, or FieldComplex for exact work over Q(sqrt 2, i).  B and
+    C are summed term by term in tensor index order and projected as
+    conj(p1) f + conj(p2) (-f); the floats of the l1 and l2 routes depend on
+    that order (factoring out conj(p1) - conj(p2) moves their last bits).
+    """
+    (a11, a12), (a21, _) = jac
+    q = (lift(a12), lam - a11)
+    p = (lift(a21), lam.conjugate() - a11)
+    sigma = p[0].conjugate() * q[0] + p[1].conjugate() * q[1]
+    pb0 = (p[0] / sigma.conjugate()).conjugate()
+    pb1 = (p[1] / sigma.conjugate()).conjugate()
+
+    def proj_b(x, y):
+        # f_uv = -2v, f_vv = -2u
+        b = -2 * v * x[0] * y[1] + -2 * v * x[1] * y[0] + -2 * u * x[1] * y[1]
+        return pb0 * b + pb1 * -b
+
+    def proj_c(x, y, z):
+        # f_uvv = -2
+        c = -2 * x[0] * y[1] * z[1] + -2 * x[1] * y[0] * z[1] + -2 * x[1] * y[1] * z[0]
+        return pb0 * c + pb1 * -c
+
+    qb = (q[0].conjugate(), q[1].conjugate())
+    return {(2, 0): proj_b(q, q), (1, 1): proj_b(q, qb), (0, 2): proj_b(qb, qb),
+            (3, 0): proj_c(q, q, q), (2, 1): proj_c(q, q, qb),
+            (1, 2): proj_c(q, qb, qb), (0, 3): proj_c(qb, qb, qb)}
+
+
+def _monomial_coeffs(g: dict) -> dict:
+    """Coefficients a_jk = g_jk / (j! k!) of z^j zbar^k in the complex scalar
+    equation, the input of the order-5 reduction."""
+    return {(2, 0): g[2, 0] / 2, (1, 1): g[1, 1], (0, 2): g[0, 2] / 2,
+            (3, 0): g[3, 0] / 6, (2, 1): g[2, 1] / 2, (1, 2): g[1, 2] / 2,
+            (0, 3): g[0, 3] / 6}
+
+
 def _eigendata(a: Params):
-    """Critical-pair eigen data at the focus-type point: lam, q, p with
-    <p, q> = 1, plus the multilinear closures."""
+    """Critical pair lam = mu + i*omega at the focus-type point, omega and
+    the projections g_jk there, in floats."""
     eq = equilibria(a)
     if eq.p_mp is None:
         raise DomainError(f"no focus-type equilibrium at {a}")
     pt = eq.p_mp
-    jac = jacobian(pt, a)
-    a11, a12 = float(jac[0][0]), float(jac[0][1])
-    a21, a22 = float(jac[1][0]), float(jac[1][1])
-    tr = a11 + a22
-    det = a11 * a22 - a12 * a21
+    (a11, a12), (a21, a22) = jacobian(pt, a)
+    jac = ((float(a11), float(a12)), (float(a21), float(a22)))
+    tr, det = trace_det(jac)
     disc = tr * tr - 4 * det
     if disc >= 0:
         raise NotOnHopfCurve(f"real eigenvalues at {a}")
     om = math.sqrt(-disc) / 2.0
     lam = complex(tr / 2.0, om)
-    q = (complex(a12), lam - a11)
-    p = (complex(a21), lam.conjugate() - a11)
-    sigma = p[0].conjugate() * q[0] + p[1].conjugate() * q[1]
-    p = (p[0] / sigma.conjugate(), p[1] / sigma.conjugate())
-    jt = jet(pt, a)
-
-    def proj_b(x, y):
-        bx = jt.B((x[0], x[1]), (y[0], y[1]))
-        return p[0].conjugate() * bx[0] + p[1].conjugate() * bx[1]
-
-    def proj_c(x, y, z):
-        cx = jt.C((x[0], x[1]), (y[0], y[1]), (z[0], z[1]))
-        return p[0].conjugate() * cx[0] + p[1].conjugate() * cx[1]
-
-    return lam, om, q, proj_b, proj_c
-
-
-def _g_coeffs(a: Params):
-    lam, om, q, proj_b, proj_c = _eigendata(a)
-    qb = (q[0].conjugate(), q[1].conjugate())
-    g20 = proj_b(q, q)
-    g11 = proj_b(q, qb)
-    g02 = proj_b(qb, qb)
-    g21 = proj_c(q, q, qb)
-    return lam, om, g20, g11, g02, g21
+    return lam, om, _g_coeffs(complex, lam, jac, pt.u, pt.v)
 
 
 def _l1_extended(a: Params) -> float:
     """Re(c1)/omega from the lambda-dependent resonant coefficient; defined
     in a neighborhood of the Hopf curve (complex eigenvalues required)."""
-    lam, om, g20, g11, g02, g21 = _g_coeffs(a)
+    lam, om, g = _eigendata(a)
+    g20, g11, g02, g21 = g[2, 0], g[1, 1], g[0, 2], g[2, 1]
     c1 = (g20 * g11 * (2 * lam + lam.conjugate()) / (2 * abs(lam) ** 2)
           + abs(g11) ** 2 / lam + abs(g02) ** 2 / (2 * (2 * lam - lam.conjugate()))
           + g21 / 2)
@@ -172,21 +183,6 @@ def l1_kuz(a: Params) -> float:
     return _l1_extended(a)
 
 
-def _monomial_coeffs(a: Params):
-    """Monomial coefficients a_jk of the complex scalar equation."""
-    _, om, q, proj_b, proj_c = _eigendata(a)
-    qb = (q[0].conjugate(), q[1].conjugate())
-    return om, {
-        (2, 0): proj_b(q, q) / 2,
-        (1, 1): proj_b(q, qb),
-        (0, 2): proj_b(qb, qb) / 2,
-        (3, 0): proj_c(q, q, q) / 6,
-        (2, 1): proj_c(q, q, qb) / 2,
-        (1, 2): proj_c(q, qb, qb) / 2,
-        (0, 3): proj_c(qb, qb, qb) / 6,
-    }
-
-
 def l2_kuz(a: Params) -> float:
     """Second Lyapunov coefficient Re(c2)/omega via the order-5 reduction.
 
@@ -194,7 +190,8 @@ def l2_kuz(a: Params) -> float:
     from that locus it is the standard fifth-order resonant coefficient of
     this reduction."""
     hopf_point(a)
-    om, coeffs = _monomial_coeffs(a)
+    _, om, g = _eigendata(a)
+    coeffs = _monomial_coeffs(g)
     scale = max(abs(c) for c in coeffs.values())
     c1, c2, _ = poincare_normal_form(
         coeffs, complex(0.0, om), complex(1.0),
@@ -209,51 +206,14 @@ def l2_gh_exact() -> tuple:
     frequency is 3*sqrt(2)/128, so the whole order-5 reduction closes in
     the quadratic field; Re(c1) vanishes identically and sign(Re c2) is
     certified without rounding."""
-    aP = GH_PARAMS
-    eqs = equilibria(aP)
-    pt = eqs.p_mp
-    jac = jacobian(pt, aP)
-    a11, a12 = Fraction(jac[0][0]), Fraction(jac[0][1])
-    a21 = Fraction(jac[1][0])
+    pt = equilibria(GH_PARAMS).p_mp
+    jac = jacobian(pt, GH_PARAMS)
     om = Sqrt2(0, Fraction(3, 128))          # sqrt(det) = 3*sqrt(2)/128
-    assert om * om == Sqrt2(Fraction(jac[0][0] * jac[1][1] - a12 * a21), 0)
+    assert om * om == Sqrt2(trace_det(jac)[1], 0)
     lam = FieldComplex(0, om)
-    one = FieldComplex(1)
-    q = (FieldComplex(a12), lam - FieldComplex(a11))
-    p = (FieldComplex(a21), lam.conjugate() - FieldComplex(a11))
-    sigma = p[0].conjugate() * q[0] + p[1].conjugate() * q[1]
-    p = (p[0] / sigma.conjugate(), p[1] / sigma.conjugate())
-    jt = jet(pt, aP)
-
-    def lift(t):
-        return FieldComplex(Fraction(t))
-
-    def proj_b(x, y):
-        s = x[0] * y[1] + x[1] * y[0]
-        b1 = lift(jt.b_tensor[0][0][1]) * s + lift(jt.b_tensor[0][1][1]) * x[1] * y[1]
-        b2 = lift(jt.b_tensor[1][0][1]) * s + lift(jt.b_tensor[1][1][1]) * x[1] * y[1]
-        return p[0].conjugate() * b1 + p[1].conjugate() * b2
-
-    def proj_c(x, y, z):
-        s = x[0] * y[1] * z[1] + x[1] * y[0] * z[1] + x[1] * y[1] * z[0]
-        c1v = lift(jt.c_tensor[0][0][1][1]) * s
-        c2v = lift(jt.c_tensor[1][0][1][1]) * s
-        return p[0].conjugate() * c1v + p[1].conjugate() * c2v
-
-    qb = (q[0].conjugate(), q[1].conjugate())
-    half = FieldComplex(Fraction(1, 2))
-    sixth = FieldComplex(Fraction(1, 6))
-    coeffs = {
-        (2, 0): proj_b(q, q) * half,
-        (1, 1): proj_b(q, qb),
-        (0, 2): proj_b(qb, qb) * half,
-        (3, 0): proj_c(q, q, q) * sixth,
-        (2, 1): proj_c(q, q, qb) * half,
-        (1, 2): proj_c(q, qb, qb) * half,
-        (0, 3): proj_c(qb, qb, qb) * sixth,
-    }
+    coeffs = _monomial_coeffs(_g_coeffs(FieldComplex, lam, jac, pt.u, pt.v))
     c1, c2, _ = poincare_normal_form(
-        coeffs, FieldComplex(0, om), one, lambda c: c.is_zero())
+        coeffs, lam, FieldComplex(1), lambda c: c.is_zero())
     return c1, c2
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Params, State
+from .core import Params, State, extended_jacobian
 from .errors import SingularParameter
-from .ratmath import det_fraction_free
+from .poly import det_bareiss
 
 BT_PARAMS = Params(Fraction(1, 16), Fraction(1, 16))
 BT_POINT = State(Fraction(1, 2), Fraction(1, 4))
@@ -146,30 +146,20 @@ def bt_coefficients(alpha):
     return a20, b20, b11
 
 
-def transversality_matrix(u, v, k, F):
-    """Jacobian of (u,v,k,F) -> (f1, f2, trace Df, det Df)."""
-    return (
-        (-v * v - F, -2 * u * v, 0, 1 - u),
-        (v * v, 2 * u * v - F - k, -v, -v),
-        (2 * v, 2 * (u - v), -1, -2),
-        (-2 * F * v, -2 * F * u + 2 * (F + k) * v, F + v * v,
-         2 * F + k + v * (v - 2 * u)),
-    )
-
-
 def bt_nondegeneracy() -> BTReport:
     """Checkpoint report at the double-zero point, fully exact.
 
     The quadratic coefficients evaluate to a20 = -1/2, b20 = -1/16, b11 = 0,
     so s = sign(b20 (a20 + b11)) = +1 and the Hopf branch emanating from the
-    point sheds repelling cycles; the 4x4 transversality determinant is
-    -1/512.  The report carries the reference Jordan frame.
+    point sheds repelling cycles; the transversality determinant, of the
+    Jacobian of (f1, f2, trace, det) in (u, v, k, F), is -1/512.  The report
+    carries the reference Jordan frame.
     """
     zero = (Fraction(0), Fraction(0))
     a20, b20, b11 = bt_coefficients(zero)
     quantity = b20 * (a20 + b11)
     s = 1 if quantity > 0 else (-1 if quantity < 0 else 0)
-    det = det_fraction_free(transversality_matrix(
-        BT_POINT.u, BT_POINT.v, BT_PARAMS.k, BT_PARAMS.F))
+    det = det_bareiss(extended_jacobian(
+        BT_POINT.u, BT_POINT.v, BT_PARAMS.k, BT_PARAMS.F)[1])
     return BTReport(a20=a20, b20=b20, b11=b11, s=s,
                     transversality_det=det, frame=jordan_basis())

@@ -36,13 +36,7 @@ class RunConfig:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    k_min: float = 1e-9
-    k_max: float = 0.07
-    F_min: float = 1e-9
-    F_max: float = 0.07
     outdir: str = "."
-    formats: str = "json,csv,svg"
-    seed: int = 20260810
     threads: int = 0            # 0: GSKIT_THREADS or cpu count
 
     @staticmethod

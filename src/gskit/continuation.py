@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bautin, dynamics, kernels
-from .core import Params, jacobian, vector_field
+from .core import Params, extended_jacobian, jacobian, vector_field
 from .equilibria import equilibria, hopf_F, saddle_node_F
 from .errors import (BracketNotFound, DomainError, NewtonDiverged,
                      NoReturn, NotOnHopfCurve, SaddleMissing, SectionMiss,
@@ -241,41 +241,19 @@ _EQUILIBRIUM_ENGINE = _Engine(ds0=2e-3, ds_max=5e-3, corrector_tol=1e-10,
 # ---------------------------------------------------------------------------
 
 # Each problem unpacks z into Python floats once (numpy scalar arithmetic
-# costs several times more at this size) and returns its residual
-# with the closed-form gradients of the cubic field, trace and determinant.
-# Correction steps may probe k, F <= 0, so nothing here builds a Params.
-
-def _field_z(u, v, k, F):
-    """The field (f1, f2) and its gradients in (u, v, k, F)."""
-    uvv = u * v * v
-    return ((-uvv + F * (1.0 - u), uvv - (F + k) * v),
-            ((-(F + v * v), -2 * u * v, 0.0, 1.0 - u),
-             (v * v, -(F + k) + 2 * u * v, -v, -v)))
-
-
-def _trace_det_z(u, v, k, F):
-    jac = ((-(F + v * v), -2 * u * v), (v * v, -(F + k) + 2 * u * v))
-    tr = jac[0][0] + jac[1][1]
-    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    return tr, det
-
+# costs several times more at this size) and returns its residual with
+# rows of core.extended_jacobian.  Correction steps may probe k, F <= 0, so
+# nothing here builds a Params.
 
 def _fold_problem(z):
     """Fold curve {f = 0, det = 0}; det = (F + v^2)(F + k) - 2uvF."""
-    u, v, k, F = z.tolist()
-    (f1, f2), (g1, g2) = _field_z(u, v, k, F)
-    _, det = _trace_det_z(u, v, k, F)
-    g_det = (-2 * v * F, 2 * v * (F + k) - 2 * u * F, F + v * v,
-             2 * F + k + v * v - 2 * u * v)
+    (f1, f2, _, det), (g1, g2, _, g_det) = extended_jacobian(*z.tolist())
     return np.array([f1, f2, det]), lambda: np.array([g1, g2, g_det])
 
 
 def _hopf_problem(z):
     """Hopf curve {f = 0, trace = 0}; trace = 2uv - v^2 - 2F - k."""
-    u, v, k, F = z.tolist()
-    (f1, f2), (g1, g2) = _field_z(u, v, k, F)
-    tr, _ = _trace_det_z(u, v, k, F)
-    g_tr = (2 * v, 2 * u - 2 * v, -1.0, -2.0)
+    (f1, f2, tr, _), (g1, g2, g_tr, _) = extended_jacobian(*z.tolist())
     return np.array([f1, f2, tr]), lambda: np.array([g1, g2, g_tr])
 
 
@@ -303,7 +281,7 @@ def _l1_test(z):
     u, v, k, F = z.tolist()
     if k <= 0 or F <= 0:
         return None
-    tr, det = _trace_det_z(u, v, k, F)
+    _, _, tr, det = extended_jacobian(u, v, k, F)[0]
     if det <= 1e-12 or tr * tr - 4 * det >= 0:
         return None
     try:
@@ -313,11 +291,11 @@ def _l1_test(z):
 
 
 def _det_test(z):
-    return _trace_det_z(*z.tolist())[1]
+    return extended_jacobian(*z.tolist())[0][3]
 
 
 def _trace_test(z):
-    return _trace_det_z(*z.tolist())[0]
+    return extended_jacobian(*z.tolist())[0][2]
 
 
 def continue_curve(kind: str, seed, *, direction: float = 1.0,

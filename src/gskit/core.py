@@ -1,9 +1,10 @@
-"""Gray-Scott kinetic vector field and its exact derivative tensors.
+"""Gray-Scott kinetic vector field and its exact derivatives.
 
-The field is a fixed cubic polynomial in the concentrations, so every jet is
-written out analytically: the Jacobian, the symmetric bilinear form of second
-derivatives and the (state-independent) trilinear form of third derivatives.
-All routines accept floats or Fractions and preserve exactness.
+The field is a fixed cubic polynomial in the concentrations, so its
+derivatives are written out analytically: the Jacobian in the state, and
+the Jacobian of (f, trace, det) in state and parameters that continuation
+and the double-zero checkpoint share.  All routines accept floats or
+Fractions and preserve exactness.
 """
 from __future__ import annotations
 
@@ -69,58 +70,25 @@ def jacobian(p, a: Params):
             (v * v, -(a.F + a.k) + 2 * u * v))
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Value, Jacobian and multilinear derivative forms at a point.
+def extended_jacobian(u, v, k, F):
+    """Values and Jacobian of (f1, f2, trace, det) in (u, v, k, F).
 
-    b_tensor[i][j][l] is the second partial of component i with respect to
-    coordinates j, l; c_tensor adds one more index.  The field is cubic, so
-    c_tensor is the same at every point.
+    Returns ((f1, f2, tr, det), rows), rows[i][j] the partial of component i
+    in coordinate j.  The fold curve is {f = 0, det = 0} (rows 0, 1, 3), the
+    Hopf curve {f = 0, tr = 0} (rows 0, 1, 2), and the determinant of all
+    four rows is the transversality determinant of the double-zero point.
+    Takes plain coordinates, as continuation probes k, F <= 0, where no
+    Params exists; int literals keep Fraction inputs exact.
     """
-
-    value: tuple
-    jacobian: tuple
-    b_tensor: tuple
-    c_tensor: tuple
-
-    def B(self, x, y):
-        """Bilinear form: vector with components sum_jl b[i][j][l] x_j y_l."""
-        x0, x1 = x
-        y0, y1 = y
-        out = []
-        for bi in self.b_tensor:
-            out.append(bi[0][0] * x0 * y0 + bi[0][1] * x0 * y1
-                       + bi[1][0] * x1 * y0 + bi[1][1] * x1 * y1)
-        return tuple(out)
-
-    def C(self, x, y, z):
-        """Trilinear form of third derivatives applied to x, y, z."""
-        out = []
-        for ci in self.c_tensor:
-            acc = 0
-            for j in range(2):
-                for l in range(2):
-                    for m in range(2):
-                        coef = ci[j][l][m]
-                        if coef:
-                            acc += coef * x[j] * y[l] * z[m]
-            out.append(acc)
-        return tuple(out)
-
-
-def jet(p, a: Params) -> Jet:
-    """Full third-order jet of the field at p (exact for exact inputs)."""
-    u, v = _unpack(p)
-    # second partials: f1_uv = -2v, f1_vv = -2u; f2 negates f1 throughout
-    b1 = ((0, -2 * v), (-2 * v, -2 * u))
-    b2 = ((0, 2 * v), (2 * v, 2 * u))
-    # third partials: only f_uvv (and permutations) survive, f1_uvv = -2
-    c1 = (((0, 0), (0, -2)), ((0, -2), (-2, 0)))
-    c2 = (((0, 0), (0, 2)), ((0, 2), (2, 0)))
-    return Jet(value=vector_field(p, a),
-               jacobian=jacobian(p, a),
-               b_tensor=(b1, b2),
-               c_tensor=(c1, c2))
+    uvv = u * v * v
+    a11, a12, a21, a22 = -(F + v * v), -2 * u * v, v * v, -(F + k) + 2 * u * v
+    tr, det = trace_det(((a11, a12), (a21, a22)))
+    return ((-uvv + F * (1 - u), uvv - (F + k) * v, tr, det),
+            ((a11, a12, 0, 1 - u),
+             (a21, a22, -v, -v),
+             (2 * v, 2 * u - 2 * v, -1, -2),
+             (-2 * v * F, 2 * v * (F + k) - 2 * u * F, F + v * v,
+              2 * F + k + v * v - 2 * u * v)))
 
 
 def trace_det(jac) -> tuple:

@@ -351,10 +351,8 @@ REGION_SIGNATURES = {
 
 @dataclass(frozen=True)
 class RegionLabel:
-    id: str                      # 'outside', '1'..'5', or 'x' (unrecognized)
-    boundary: tuple = ()         # subset of ('SN', 'H+', 'H-')
+    id: str                      # 'outside', 'SN-degenerate', '1'..'5', or 'x'
     cycles: int = 0
-    focus_label: str = ""
 
 
 def _signature_id(unstable: bool, stability: str) -> str:
@@ -371,27 +369,20 @@ def classify_region(a: Params) -> RegionLabel:
     (unstable, no cycle), (stable, one repelling cycle), (unstable, stable
     inner + repelling outer), (stable, no cycle), (unstable, one stable
     cycle).  The census scans 120 radii at rel/abs tolerances 1e-10/1e-13.
-    The fold (SN) and Hopf (H+, H-) boundaries are tagged from closed forms
-    where |Delta| or the focus trace is at most 1e-10.
+    Where |Delta| is at most 1e-10 the point is on the fold: 'outside' below
+    zero, else 'SN-degenerate'.
     """
     d = discriminants(a)
-    tags = []
     if abs(float(d.delta)) <= 1e-10:
-        tags.append("SN")
-        return RegionLabel(id="outside" if d.delta < 0 else "SN-degenerate",
-                           boundary=tuple(tags))
+        return RegionLabel(id="outside" if d.delta < 0 else "SN-degenerate")
     if d.delta < 0:
-        return RegionLabel(id="outside", boundary=tuple(tags))
+        return RegionLabel(id="outside")
     eq = equilibria(a)
     rep = classify(eq.p_mp, a)
-    if abs(float(rep.trace)) <= 1e-10:
-        tags.append("H-" if float(a.k) < 9 / 256 else "H+")
     cycles = limit_cycle_census(a, _CENSUS_SETTINGS, n_scan=120)
     stability = "".join("s" if c.stable else "u" for c in cycles)
     unstable = float(rep.trace) > 0
-    return RegionLabel(id=_signature_id(unstable, stability),
-                       boundary=tuple(tags), cycles=len(cycles),
-                       focus_label=rep.label)
+    return RegionLabel(id=_signature_id(unstable, stability), cycles=len(cycles))
 
 
 def probe_region(a: Params) -> RegionLabel:
@@ -402,10 +393,9 @@ def probe_region(a: Params) -> RegionLabel:
     section crossings or 2e5 time units; validated against classify_region
     on sampled cells.
     """
-    d = discriminants(a)
-    if d.delta <= 0:
-        return RegionLabel(id="outside")
     eq = equilibria(a)
+    if eq.kind != "pair":
+        return RegionLabel(id="outside")
     rep = classify(eq.p_mp, a)
     unstable = float(rep.trace) > 0
     frame = _probe_frame(a, eq)
@@ -421,19 +411,19 @@ def probe_region(a: Params) -> RegionLabel:
     if unstable:
         kind, r_star = probe(scale, 1.0)
         if kind == "escape":
-            return RegionLabel(id="1", focus_label=rep.label)
+            return RegionLabel(id="1")
         if kind == "cycle":
             kind2, _ = probe(min(r_star * 1.25, frame.r_max * 0.9), -1.0)
             if kind2 == "cycle":
-                return RegionLabel(id="3", cycles=2, focus_label=rep.label)
-            return RegionLabel(id="5", cycles=1, focus_label=rep.label)
-        return RegionLabel(id="x", focus_label=rep.label)
+                return RegionLabel(id="3", cycles=2)
+            return RegionLabel(id="5", cycles=1)
+        return RegionLabel(id="x")
     kind, _ = probe(scale, -1.0)
     if kind == "cycle":
-        return RegionLabel(id="2", cycles=1, focus_label=rep.label)
+        return RegionLabel(id="2", cycles=1)
     if kind == "escape":
-        return RegionLabel(id="4", focus_label=rep.label)
-    return RegionLabel(id="x", focus_label=rep.label)
+        return RegionLabel(id="4")
+    return RegionLabel(id="x")
 
 
 def _attractor_kind(radii: list, r_cap: float, settled: bool) -> tuple:

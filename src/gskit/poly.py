@@ -39,10 +39,6 @@ class IntPoly:
     def const(c, var="x"):
         return IntPoly((c,), var)
 
-    @staticmethod
-    def monomial(c, power, var="x"):
-        return IntPoly((0,) * power + (c,), var)
-
     # ---- basic queries -------------------------------------------------
     @property
     def degree(self) -> int:
@@ -142,12 +138,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
-
-    def scale(self, s) -> "IntPoly":
-        return IntPoly([c * s for c in self.coeffs], self.var)
-
     def map_coeffs(self, fn) -> "IntPoly":
         return IntPoly([fn(c) for c in self.coeffs], self.var)
 
@@ -209,7 +199,7 @@ def sylvester_matrix(p: IntPoly, q: IntPoly) -> list:
     return rows
 
 
-def _det_bareiss_ring(rows: list):
+def det_bareiss(rows: list):
     """Fraction-free determinant over an integral domain (ints, Fractions,
     or IntPoly entries)."""
     n = len(rows)
@@ -250,7 +240,7 @@ def resultant(p: IntPoly, q: IntPoly):
     then a polynomial in that variable.  Res(x - a, x - b) = a - b under
     this orientation.
     """
-    return _det_bareiss_ring(sylvester_matrix(p, q))
+    return det_bareiss(sylvester_matrix(p, q))
 
 
 def rational_roots_with_multiplicity(p: IntPoly) -> list:

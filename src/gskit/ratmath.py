@@ -1,4 +1,4 @@
-"""Exact-arithmetic helpers: rational square roots, parsing, determinants.
+"""Exact-arithmetic helpers: rational square roots, parsing, Q(sqrt 2).
 
 Routines here keep Fraction inputs exact wherever the result is rational and
 fall back to float otherwise, so closed-form checkpoints can be verified with
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 Number = float | Fraction | int
 
@@ -47,35 +46,6 @@ def parse_number(text: str) -> Number:
         return int(s)
     except ValueError:
         return float(s)
-
-
-def det_fraction_free(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant by Bareiss fraction-free elimination over exact entries.
-
-    Intermediate divisions are exact, so no rounding occurs even for
-    determinants that nearly cancel.
-    """
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 class Sqrt2:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gskit.bt import (A0, BT_PARAMS, BT_POINT, BTFrame, _guard, bt_coefficients,
-                      bt_nondegeneracy, jordan_basis, transversality_matrix)
-from gskit.core import Params, State, vector_field
+                      bt_nondegeneracy, jordan_basis)
+from gskit.core import Params, State, extended_jacobian, vector_field
 from gskit.errors import SingularParameter
-from gskit.ratmath import det_fraction_free
+from gskit.poly import det_bareiss
 
 # ---------------------------------------------------------------------------
 # The exact-difference route to the quadratic coefficients: the field shifted
@@ -218,35 +218,42 @@ def test_s_invariant_under_admissible_frames():
 
 
 def test_transversality_matrix_entries_at_double_zero():
-    m = transversality_matrix(Fr(1, 2), Fr(1, 4), Fr(1, 16), Fr(1, 16))
+    values, m = extended_jacobian(Fr(1, 2), Fr(1, 4), Fr(1, 16), Fr(1, 16))
     expected = (
         (Fr(-1, 8), Fr(-1, 4), 0, Fr(1, 2)),
         (Fr(1, 16), Fr(1, 8), Fr(-1, 4), Fr(-1, 4)),
         (Fr(1, 2), Fr(1, 2), -1, -2),
         (Fr(-1, 32), 0, Fr(1, 8), 0),
     )
+    assert values == (0, 0, 0, 0)
     assert m == expected
-    assert det_fraction_free(m) == Fr(-1, 512)
+    assert all(isinstance(x, (Fr, int)) for row in m for x in row)
+    assert det_bareiss(m) == Fr(-1, 512)
+    assert bt_nondegeneracy().transversality_det == Fr(-1, 512)
 
 
 def test_transversality_matrix_is_jacobian_of_extended_map():
-    # finite differences of (f1, f2, trace, det) with respect to (u, v, k, F)
-    rng = np.random.default_rng(24)
-
+    # core.extended_jacobian, whose rows are also the Jacobians of the fold
+    # and Hopf continuation problems, against central differences of
+    # (f1, f2, trace, det) written out here, at random points, some outside
+    # the positive quadrant and at k, F <= 0 (Newton probes there); the map
+    # is cubic, so h = 1e-6 leaves only round-off
     def extended(u, v, k, F):
-        f1, f2 = vector_field((u, v), Params(k, F))
+        f1 = -u * v * v + F * (1 - u)
+        f2 = u * v * v - (F + k) * v
         tr = -(F + v * v) - (F + k) + 2 * u * v
         det = (-(F + v * v)) * (-(F + k) + 2 * u * v) + 2 * u * v * v * v
         return np.array([f1, f2, tr, det])
 
+    rng = np.random.default_rng(14)
     h = 1e-6
-    for _ in range(20):
-        z = np.array([rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.4),
-                      rng.uniform(0.01, 0.1), rng.uniform(0.01, 0.1)])
-        analytic = np.array(transversality_matrix(*z), float)
+    for _ in range(60):
+        z = rng.uniform([-0.2, -0.2, -0.01, -0.01], [1.2, 1.5, 0.08, 0.1])
+        values, rows = extended_jacobian(*z.tolist())
+        assert np.allclose(values, extended(*z), rtol=0, atol=1e-15)
+        fd = np.empty((4, 4))
         for j in range(4):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += h
-            zm[j] -= h
-            col = (extended(*zp) - extended(*zm)) / (2 * h)
-            assert np.allclose(analytic[:, j], col, rtol=1e-6, atol=1e-6)
+            e = np.zeros(4)
+            e[j] = h
+            fd[:, j] = (extended(*(z + e)) - extended(*(z - e))) / (2 * h)
+        assert np.max(np.abs(np.array(rows) - fd)) < 1e-8

@@ -86,13 +86,18 @@ def test_cycles_json():
     assert doc["count"] == len(doc["cycles"])
 
 
-def test_continue_csv_hopf():
-    code, out = run_cli("continue", "--curve", "hopf", "--k0", "0.03",
-                        "--direction", "-1")
+@pytest.mark.parametrize("curve, sha256", [
+    ("hopf", "d1ac1a50283aff701adcc5654a664dbdc8bbe4857a90db028e8a3a5dcac9347d"),
+    ("fold", "5a6fd6c4dad7646ab5df6532f666a45bb20a3147084f2f6e267e6815649b4766"),
+], ids=["hopf", "fold"])
+def test_continue_csv_hopf(curve, sha256):
+    # the curve CSVs are pinned byte for byte
+    code, out = run_cli("continue", "--curve", curve, "--k0", "0.03")
     assert code == 0
     header = out.splitlines()[0].split(",")
     assert header[:2] == ["k", "F"]
     assert "flags" in header
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_map_deterministic(tmp_path):
@@ -131,9 +136,11 @@ def test_config_file_roundtrip(tmp_path):
     code, _ = run_cli("--config", str(cfg), "eq", "--k", "0.05", "--F", "0.02")
     assert code == 0
     bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense = 1\n")
-    code, _ = run_cli("--config", str(bad), "eq", "--k", "0.05", "--F", "0.02")
-    assert code == 2
+    # an unknown key, and a key that RunConfig no longer has
+    for text in ("nonsense = 1\n", "k_min = 1e-9\n"):
+        bad.write_text(text)
+        code, _ = run_cli("--config", str(bad), "eq", "--k", "0.05", "--F", "0.02")
+        assert code == 2
 
 
 def test_threads_setting_is_an_argument(monkeypatch, tmp_path):

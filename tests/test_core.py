@@ -3,7 +3,8 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from gskit.core import Params, State, jacobian, jet, trace_det, vector_field
+from gskit.core import (Params, State, extended_jacobian, jacobian, trace_det,
+                        vector_field)
 from gskit.errors import DomainError
 
 
@@ -65,43 +66,6 @@ def test_jacobian_matches_finite_differences():
         assert np.allclose(exact, approx, rtol=1e-8, atol=1e-8)
 
 
-def test_bilinear_form_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    a = Params(0.04, 0.06)
-    h = 1e-5
-    for _ in range(10):
-        p = State(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-        jt = jet(p, a)
-        x = rng.normal(size=2)
-        y = rng.normal(size=2)
-        # directional second difference of f along x, y
-        def f(q):
-            return np.array(vector_field(q, a))
-        base = (p.u, p.v)
-        num = (f((base[0] + h * (x[0] + y[0]), base[1] + h * (x[1] + y[1])))
-               - f((base[0] + h * x[0], base[1] + h * x[1]))
-               - f((base[0] + h * y[0], base[1] + h * y[1]))
-               + f(base)) / (h * h)
-        assert np.allclose(np.array(jt.B(x, y)), num, rtol=1e-4, atol=1e-4)
-
-
-def test_trilinear_form_state_independent():
-    rng = np.random.default_rng(5)
-    a = Params(0.03, 0.02)
-    ref = jet(State(0.3, 0.2), a).c_tensor
-    for _ in range(100):
-        p = State(float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
-        assert jet(p, a).c_tensor == ref
-
-
-def test_trilinear_form_values():
-    jt = jet(State(Fr(1, 2), Fr(1, 4)), Params(Fr(1, 16), Fr(1, 16)))
-    # only u,v,v permutations survive; f1_uvv = -2 so C1(e_u, e_v, e_v) = -2
-    assert jt.C((1, 0), (0, 1), (0, 1)) == (-2, 2)
-    assert jt.C((0, 1), (1, 0), (0, 1)) == (-2, 2)
-    assert jt.C((0, 1), (0, 1), (0, 1)) == (0, 0)
-
-
 def test_jet_trace_det_closed_forms_at_equilibria():
     from gskit.equilibria import equilibria
     rng = np.random.default_rng(6)
@@ -115,9 +79,10 @@ def test_jet_trace_det_closed_forms_at_equilibria():
             continue
         n += 1
         for pt in (eq.p_mp, eq.p_pm):
-            tr, det = trace_det(jet(pt, a).jacobian)
+            f1, f2, tr, det = extended_jacobian(pt.u, pt.v, k, F)[0]
+            assert (f1, f2) == vector_field(pt, a)
+            assert (tr, det) == trace_det(jacobian(pt, a))
             v = pt.v
             assert abs(det - (v * v - F) * (F + k)) <= 1e-13
             assert abs(tr - (k - v * v)) <= 1e-13
-            f = vector_field(pt, a)
-            assert max(abs(f[0]), abs(f[1])) < 1e-12
+            assert max(abs(f1), abs(f2)) < 1e-12

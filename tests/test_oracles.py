@@ -1,13 +1,15 @@
 """Independent oracles for the double-zero coefficients, the Hopf types,
-the cycle census and the Jacobians of the fold and Hopf continuation.
+the cycle census, and the closed-form derivatives of the field: the
+extended Jacobian behind the fold and Hopf continuation and the
+double-zero transversality determinant, and the normal-form projections.
 
 The oracles share no code with gskit: the field is written out again, the
 Jordan chain is built by sympy from the raw field, and the dynamics are
 integrated by scipy.  These tests justify the targets of acceptance criteria
 1, 4 and 8 (b20 = -1/16, s = +1, a subcritical Hopf branch near the
 double-zero point) without sharing code with the routes they check.  The
-census test imports gskit only for the cycles it checks, and the Jacobian
-test only for the continuation residuals it differentiates.
+census test imports gskit only for the cycles it checks, and the derivative
+tests only for the closed forms they compare with sympy's.
 """
 import math
 
@@ -79,16 +81,28 @@ def test_double_zero_sign_is_frame_independent():
 
 
 def test_equilibrium_curve_jacobians_from_sympy():
-    # the fold and Hopf residuals {f = 0, det A = 0} and {f = 0, tr A = 0},
-    # A the (u, v) Jacobian of the raw field, differentiated by sympy in
-    # (u, v, k, F); the continuation's closed forms, evaluated on symbols,
-    # must equal them identically
+    # the derivatives gskit writes out in closed form, against sympy's
+    # derivatives of the raw field: core.extended_jacobian, the values and
+    # the 4x4 Jacobian of (f1, f2, tr A, det A) in (u, v, k, F), A the (u, v)
+    # Jacobian; the fold and Hopf continuation residuals {f = 0, det A = 0}
+    # and {f = 0, tr A = 0}; and the second and third partials of the
+    # normal-form route.  Each is evaluated on symbols and must equal sympy's
+    # expression identically
     sp = pytest.importorskip("sympy")
-    from gskit import continuation
+    from gskit import bautin, continuation
+    from gskit.core import State, extended_jacobian
 
     z = sp.symbols("u v k F")
     f = sp.Matrix(_field(*z))
     A = f.jacobian(z[:2])
+    E = sp.Matrix([f[0], f[1], A.trace(), A.det()])
+    values, rows = extended_jacobian(*z)
+    assert (sp.Matrix(values) - E).applyfunc(sp.expand) == sp.zeros(4, 1)
+    assert (sp.Matrix(rows) - E.jacobian(z)).applyfunc(sp.expand) == sp.zeros(4, 4)
+    # the double-zero transversality determinant, without poly's Bareiss
+    at_bt = dict(zip(z, (sp.Rational(1, 2), sp.Rational(1, 4),
+                         sp.Rational(1, 16), sp.Rational(1, 16))))
+    assert E.jacobian(z).subs(at_bt).det() == sp.Rational(-1, 512)
     for problem, last in ((continuation._fold_problem, A.det()),
                           (continuation._hopf_problem, A.trace())):
         R = sp.Matrix([f[0], f[1], last])
@@ -96,6 +110,56 @@ def test_equilibrium_curve_jacobians_from_sympy():
         assert (sp.Matrix(list(res)) - R).applyfunc(sp.expand) == sp.zeros(3, 1)
         assert ((sp.Matrix(jac().tolist()) - R.jacobian(z)).applyfunc(sp.expand)
                 == sp.zeros(3, 4))
+    # "gxyy" is the third partial of f2 in u, v, v, and so on
+    partials = bautin._partials(State(z[0], z[1]))
+    assert len(partials) == 14
+    for name, value in partials.items():
+        component = f[0] if name[0] == "f" else f[1]
+        wrt = [z[0] if c == "x" else z[1] for c in name[1:]]
+        assert sp.expand(sp.diff(component, *wrt) - value) == 0, name
+
+
+def test_normal_form_projections_from_sympy():
+    # the projections g_jk = <p, B(q, q)>, ..., <p, C(qb, qb, qb)> that feed
+    # the first and second Lyapunov coefficients, at the generalized Hopf
+    # point, where lam = i*omega: B and C from sympy's second and third
+    # derivatives of the raw field, p from sympy's null space of
+    # A^T - conj(lam) I, with q = (a12, lam - a11) as in gskit and
+    # <p, q> = conj(p) . q = 1
+    sp = pytest.importorskip("sympy")
+    from gskit import bautin
+
+    x = sp.symbols("u v")
+    u0, v0 = sp.Rational(1, 4), sp.Rational(3, 16)
+    f = sp.Matrix(_field(*x, sp.Rational(9, 256), sp.Rational(3, 256)))
+    at = {x[0]: u0, x[1]: v0}
+    A = f.jacobian(x).subs(at)
+    assert A.trace() == 0 and A.det() > 0
+    lam = sp.I * sp.sqrt(A.det())
+    q = sp.Matrix([A[0, 1], lam - A[0, 0]])
+    assert (A * q - lam * q).applyfunc(sp.expand) == sp.zeros(2, 1)
+    p = (A.T - sp.conjugate(lam) * sp.eye(2)).nullspace()[0]
+    p = p / sp.conjugate(p.applyfunc(sp.conjugate).dot(q))
+    p = p.applyfunc(lambda e: sp.expand(sp.radsimp(e)))
+    assert sp.expand(p.applyfunc(sp.conjugate).dot(q)) == 1
+
+    def form(vectors):
+        out = []
+        for fi in f:
+            acc = 0
+            for idx in np.ndindex(*(2,) * len(vectors)):
+                term = sp.diff(fi, *(x[i] for i in idx)).subs(at)
+                for vec, i in zip(vectors, idx):
+                    term *= vec[i]
+                acc += term
+            out.append(acc)
+        return p.applyfunc(sp.conjugate).dot(sp.Matrix(out))
+
+    qb = q.applyfunc(sp.conjugate)
+    jac = ((A[0, 0], A[0, 1]), (A[1, 0], A[1, 1]))
+    g = bautin._g_coeffs(sp.sympify, lam, jac, u0, v0)
+    for (j, k), value in g.items():
+        assert sp.expand(sp.radsimp(value - form([q] * j + [qb] * k))) == 0, (j, k)
 
 
 def _hopf_F(k):

@@ -1,6 +1,8 @@
-"""Every public top-level function and class of gskit has a caller in the
-package or in the benchmark (perfbench/).  A name that only tests call
-belongs in the tests; a feature that nothing calls is deleted."""
+"""Every public top-level function and class of gskit, and every public
+method of a public class, has a caller in the package or in the benchmark
+(perfbench/).  A name that only tests call belongs in the tests; a feature
+that nothing calls is deleted.  Methods are matched by name alone, so a
+caller of one method of a name counts for every method of that name."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -14,6 +16,20 @@ def _loaded_names(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _public_definitions(tree):
+    """(qualified name, node) of the public top-level functions and classes
+    and of the public methods of the public classes."""
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    yield f"{node.name}.{m.name}", m
+
+
 def test_every_public_definition_has_a_caller():
     src = sorted((ROOT / "src" / "gskit").glob("*.py"))
     trees = {p: ast.parse(p.read_text())
@@ -21,13 +37,10 @@ def test_every_public_definition_has_a_caller():
     used = {p: _loaded_names(tree) for p, tree in trees.items()}
     unused = []
     for path in src:
-        for node in trees[path].body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_")):
-                continue
+        for qualname, node in _public_definitions(trees[path]):
             # uses inside the definition itself (recursion, methods) do not count
             own = _loaded_names(node)[node.name]
             if not any(counts[node.name] > (own if p == path else 0)
                        for p, counts in used.items()):
-                unused.append(f"{path.stem}.{node.name}")
+                unused.append(f"{path.stem}.{qualname}")
     assert not unused, f"public names without a caller in src/gskit or perfbench/: {unused}"
