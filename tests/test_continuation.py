@@ -63,6 +63,25 @@ def test_fold_continuation_both_branches():
             assert abs(k - (math.sqrt(F) / 2 - F)) < 1e-8
 
 
+@pytest.mark.parametrize("problem", ["_fold_problem", "_hopf_problem"])
+def test_equilibrium_jacobians_match_central_differences(problem):
+    # the closed-form Jacobian against central differences of the residual
+    # at random points, some outside the positive quadrant (Newton probes
+    # there); the residual is cubic, so h = 1e-6 leaves only round-off
+    fn = getattr(continuation, problem)
+    rng = np.random.default_rng(14)
+    h = 1e-6
+    for _ in range(40):
+        z = rng.uniform([-0.2, -0.2, -0.01, -0.01], [1.2, 1.5, 0.08, 0.1])
+        jac = fn(z)[1]()
+        fd = np.empty_like(jac)
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = h
+            fd[:, j] = (fn(z + e)[0] - fn(z - e)[0]) / (2 * h)
+        assert np.max(np.abs(jac - fd)) < 1e-8
+
+
 @pytest.mark.parametrize("flip_null_vector", [False, True])
 def test_first_step_follows_direction(monkeypatch, flip_null_vector):
     # direction=+1 raises F on the equilibrium curves and the radius on the
