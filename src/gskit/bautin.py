@@ -10,7 +10,7 @@ Two independent routes compute the first Lyapunov coefficient:
   is what makes the exact curve restriction below possible.
 * ``l1_kuz``: the complex-eigenvector route (projections of the multilinear
   forms onto the critical eigenspace), which extends smoothly off the Hopf
-  curve and also powers the second coefficient via the order-5 reduction.
+  curve and also feeds the closed-form second coefficient (normalform).
 
 On the Hopf curve both are exactly proportional by the positive factor
 omega, so signs and zero sets coincide; cycle simulations in the test suite
@@ -100,7 +100,7 @@ def l1_clw(a: Params):
 
 
 # ---------------------------------------------------------------------------
-# Complex-eigenvector route and the order-5 reduction
+# Complex-eigenvector route and the fifth-order normal form
 # ---------------------------------------------------------------------------
 
 def _g_coeffs(lift, lam, jac, u, v) -> dict:
@@ -137,14 +137,6 @@ def _g_coeffs(lift, lam, jac, u, v) -> dict:
     return {(2, 0): proj_b(q, q), (1, 1): proj_b(q, qb), (0, 2): proj_b(qb, qb),
             (3, 0): proj_c(q, q, q), (2, 1): proj_c(q, q, qb),
             (1, 2): proj_c(q, qb, qb), (0, 3): proj_c(qb, qb, qb)}
-
-
-def _monomial_coeffs(g: dict) -> dict:
-    """Coefficients a_jk = g_jk / (j! k!) of z^j zbar^k in the complex scalar
-    equation, the input of the order-5 reduction."""
-    return {(2, 0): g[2, 0] / 2, (1, 1): g[1, 1], (0, 2): g[0, 2] / 2,
-            (3, 0): g[3, 0] / 6, (2, 1): g[2, 1] / 2, (1, 2): g[1, 2] / 2,
-            (0, 3): g[0, 3] / 6}
 
 
 def _eigendata(a: Params):
@@ -184,37 +176,29 @@ def l1_kuz(a: Params) -> float:
 
 
 def l2_kuz(a: Params) -> float:
-    """Second Lyapunov coefficient Re(c2)/omega via the order-5 reduction.
+    """Second Lyapunov coefficient Re(c2)/omega of the fifth-order normal form.
 
     Well defined (independent of reduction choices) where Re(c1) = 0; away
-    from that locus it is the standard fifth-order resonant coefficient of
-    this reduction."""
+    from that locus it is the resonant coefficient of the reduction that
+    normalform describes."""
     hopf_point(a)
     _, om, g = _eigendata(a)
-    coeffs = _monomial_coeffs(g)
-    scale = max(abs(c) for c in coeffs.values())
-    c1, c2, _ = poincare_normal_form(
-        coeffs, complex(0.0, om), complex(1.0),
-        lambda c: abs(c) < 1e-14 * max(1.0, scale))
-    return c2.real / om
+    return poincare_normal_form(g, complex(0.0, om))[1].real / om
 
 
 def l2_gh_exact() -> tuple:
     """Exact (c1, c2) at the generalized Hopf point over Q(sqrt 2, i).
 
     At (9/256, 3/256) the equilibrium and Jacobian are rational and the
-    frequency is 3*sqrt(2)/128, so the whole order-5 reduction closes in
-    the quadratic field; Re(c1) vanishes identically and sign(Re c2) is
-    certified without rounding."""
+    frequency is 3*sqrt(2)/128, so the projections g_jk and the closed-form
+    c1 and c2 stay in the quadratic field; Re(c1) vanishes identically and
+    sign(Re c2) is certified without rounding."""
     pt = equilibria(GH_PARAMS).p_mp
     jac = jacobian(pt, GH_PARAMS)
     om = Sqrt2(0, Fraction(3, 128))          # sqrt(det) = 3*sqrt(2)/128
     assert om * om == Sqrt2(trace_det(jac)[1], 0)
     lam = FieldComplex(0, om)
-    coeffs = _monomial_coeffs(_g_coeffs(FieldComplex, lam, jac, pt.u, pt.v))
-    c1, c2, _ = poincare_normal_form(
-        coeffs, lam, FieldComplex(1), lambda c: c.is_zero())
-    return c1, c2
+    return poincare_normal_form(_g_coeffs(FieldComplex, lam, jac, pt.u, pt.v), lam)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bautin, dynamics, kernels
-from .core import Params, extended_jacobian, jacobian, vector_field
+from .core import (Params, extended_jacobian, jacobian, trace_det, uv_jacobian,
+                   vector_field)
 from .equilibria import equilibria, hopf_F, saddle_node_F
 from .errors import (BracketNotFound, DomainError, NewtonDiverged,
                      NoReturn, NotOnHopfCurve, SaddleMissing, SectionMiss,
@@ -281,7 +282,7 @@ def _l1_test(z):
     u, v, k, F = z.tolist()
     if k <= 0 or F <= 0:
         return None
-    _, _, tr, det = extended_jacobian(u, v, k, F)[0]
+    tr, det = trace_det(uv_jacobian(u, v, k, F))
     if det <= 1e-12 or tr * tr - 4 * det >= 0:
         return None
     try:
@@ -291,11 +292,11 @@ def _l1_test(z):
 
 
 def _det_test(z):
-    return extended_jacobian(*z.tolist())[0][3]
+    return trace_det(uv_jacobian(*z.tolist()))[1]
 
 
 def _trace_test(z):
-    return extended_jacobian(*z.tolist())[0][2]
+    return trace_det(uv_jacobian(*z.tolist()))[0]
 
 
 def continue_curve(kind: str, seed, *, direction: float = 1.0,

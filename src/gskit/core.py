@@ -60,14 +60,25 @@ def vector_field(p, a: Params):
     them); use State.in_first_quadrant to flag them.
     """
     u, v = _unpack(p)
-    uvv = u * v * v
-    return (-uvv + a.F * (1 - u), uvv - (a.F + a.k) * v)
+    return _field(u, v, a.k, a.F)
 
 
 def jacobian(p, a: Params):
     u, v = _unpack(p)
-    return ((-(a.F + v * v), -2 * u * v),
-            (v * v, -(a.F + a.k) + 2 * u * v))
+    return uv_jacobian(u, v, a.k, a.F)
+
+
+# The field and its (u, v) Jacobian at plain coordinates: continuation probes
+# k, F <= 0, where no Params exists.  Int literals keep Fraction inputs exact.
+
+def _field(u, v, k, F):
+    uvv = u * v * v
+    return -uvv + F * (1 - u), uvv - (F + k) * v
+
+
+def uv_jacobian(u, v, k, F):
+    return ((-(F + v * v), -2 * u * v),
+            (v * v, -(F + k) + 2 * u * v))
 
 
 def extended_jacobian(u, v, k, F):
@@ -77,13 +88,10 @@ def extended_jacobian(u, v, k, F):
     in coordinate j.  The fold curve is {f = 0, det = 0} (rows 0, 1, 3), the
     Hopf curve {f = 0, tr = 0} (rows 0, 1, 2), and the determinant of all
     four rows is the transversality determinant of the double-zero point.
-    Takes plain coordinates, as continuation probes k, F <= 0, where no
-    Params exists; int literals keep Fraction inputs exact.
     """
-    uvv = u * v * v
-    a11, a12, a21, a22 = -(F + v * v), -2 * u * v, v * v, -(F + k) + 2 * u * v
-    tr, det = trace_det(((a11, a12), (a21, a22)))
-    return ((-uvv + F * (1 - u), uvv - (F + k) * v, tr, det),
+    jac = uv_jacobian(u, v, k, F)
+    (a11, a12), (a21, a22) = jac
+    return ((*_field(u, v, k, F), *trace_det(jac)),
             ((a11, a12, 0, 1 - u),
              (a21, a22, -v, -v),
              (2 * v, 2 * u - 2 * v, -1, -2),

@@ -51,7 +51,7 @@ def parse_number(text: str) -> Number:
 class Sqrt2:
     """Element (p + q*sqrt(2))/d of the real quadratic field Q(sqrt(2)).
 
-    Enough field arithmetic for exact fifth-order normal-form work at the
+    Enough field arithmetic for the exact normal-form coefficients at the
     generalized Hopf point, where the linearization frequency is 3*sqrt(2)/128.
     The element is kept as integers with d > 0 and gcd(p, q, d) = 1, so each
     result costs one gcd and equal values have equal (p, q, d).  The
@@ -164,9 +164,9 @@ def _sqrt2(p: int, q: int, d: int) -> Sqrt2:
 class FieldComplex:
     """Complex number over an exact real field (re + im*i).
 
-    Mirrors the small part of the ``complex`` interface the normal-form
-    engine needs, so the engine runs identically over floats and over
-    Q(sqrt(2)).
+    Mirrors the small part of the ``complex`` interface that the
+    normal-form projections and coefficients need, so they run identically
+    over floats and over Q(sqrt(2)).
     """
 
     __slots__ = ("re", "im")

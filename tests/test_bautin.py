@@ -170,7 +170,7 @@ def test_l2_float_matches_exact():
     c1, c2 = l2_gh_exact()
     om = 3 * math.sqrt(2) / 128
     assert l2_kuz(Params(9 / 256, 3 / 256)) == pytest.approx(
-        float(c2.re) / om, rel=1e-9)
+        float(c2.re) / om, rel=1e-13)
 
 
 def test_mu_sign_below_hopf_curve():

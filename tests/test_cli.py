@@ -64,7 +64,7 @@ def test_verify_commands_and_negative_controls():
     assert code == 0
     # the whole report, exact checkpoints and float l2 alike, byte for byte
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "4c1bc6cec4d61911d3aed9bdd1f61e3925d38139c567ab1b5cf5a65104ebe96a")
+        "c4a4c62f45ae32332f7e8004da4c2428b4d3ad38bb047ed87820b892ed4de9a6")
     code, out = run_cli("verify-bautin", "--mutate")
     assert code == 1
 

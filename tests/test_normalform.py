@@ -1,13 +1,19 @@
 import hashlib
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gskit.bautin import l2_kuz
-from gskit.core import Params
-from gskit.equilibria import hopf_F
-from gskit.normalform import ORDER, Series, poincare_normal_form
+from gskit.bautin import GH_PARAMS, _g_coeffs, l2_kuz
+from gskit.core import Params, jacobian
+from gskit.equilibria import equilibria, hopf_F
+from gskit.normalform import poincare_normal_form
 from gskit.ratmath import FieldComplex, Sqrt2
+from reference import ORDER, Series, poincare_normal_form as engine
+
+CUBIC = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
 def _closed_c1(coeffs, omega):
@@ -30,7 +36,7 @@ def test_engine_matches_closed_formula_on_synthetic_systems():
                   (3, 0): complex(*rng.normal(size=2)),
                   (1, 2): complex(*rng.normal(size=2)),
                   (0, 3): complex(*rng.normal(size=2))}
-        c1, c2, _ = poincare_normal_form(
+        c1, c2, _ = engine(
             coeffs, complex(0, omega), complex(1.0),
             lambda c: abs(c) < 1e-13)
         assert c1 == pytest.approx(_closed_c1(coeffs, omega), rel=1e-10)
@@ -38,8 +44,8 @@ def test_engine_matches_closed_formula_on_synthetic_systems():
 
 def test_engine_removes_all_nonresonant_terms():
     coeffs = {(2, 0): 1 + 2j, (1, 1): 0.5 - 1j, (0, 2): -0.3 + 0.7j}
-    c1, c2, rhs = poincare_normal_form(coeffs, complex(0, 1.3), complex(1.0),
-                                       lambda c: abs(c) < 1e-13)
+    c1, c2, rhs = engine(coeffs, complex(0, 1.3), complex(1.0),
+                         lambda c: abs(c) < 1e-13)
     leftover = {m: v for m, v in rhs.terms.items()
                 if m not in ((1, 0), (2, 1), (3, 2)) and abs(v) > 1e-12}
     assert not leftover
@@ -48,8 +54,8 @@ def test_engine_removes_all_nonresonant_terms():
 def test_engine_pure_cubic_identity():
     # z' = i z + c z^2 zbar is already resonant: engine must return c exactly
     c = -0.25 + 0.6j
-    c1, c2, _ = poincare_normal_form({(2, 1): c}, complex(0, 1.0), complex(1.0),
-                                     lambda x: abs(x) < 1e-15)
+    c1, c2, _ = engine({(2, 1): c}, complex(0, 1.0), complex(1.0),
+                       lambda x: abs(x) < 1e-15)
     assert c1 == pytest.approx(c, rel=1e-14)
     assert abs(c2) < 1e-14
 
@@ -62,7 +68,7 @@ def test_engine_exact_field_arithmetic():
     half = FieldComplex(Sqrt2(1, 0) / 2)
     coeffs = {(2, 0): half, (1, 1): FieldComplex(1, Sqrt2(0, 1)),
               (0, 2): FieldComplex(Sqrt2(0, 1), 1)}
-    c1, c2, _ = poincare_normal_form(coeffs, i_om, one, lambda c: c.is_zero())
+    c1, c2, _ = engine(coeffs, i_om, one, lambda c: c.is_zero())
     g20 = complex(coeffs[(2, 0)]) * 2
     g11 = complex(coeffs[(1, 1)])
     g02 = complex(coeffs[(0, 2)]) * 2
@@ -86,12 +92,10 @@ def _hex(c):
     return f"{c.real.hex()},{c.imag.hex()}"
 
 
-def test_float_engine_outputs_pinned():
-    # SHA-256 over float.hex of c1, c2 and the residual series of seeded
-    # synthetic systems (dense, sparse, real and imaginary coefficients, so
-    # exact and signed zeros occur), then l2_kuz at points on the Hopf curve
+def _synthetic_systems():
+    """Forty seeded (omega, a_jk) systems up to ORDER: dense, sparse, real and
+    imaginary coefficients, so exact and signed zeros occur."""
     rng = np.random.default_rng(2024)
-    h = hashlib.sha256()
     monomials = [(j, m - j) for m in range(2, ORDER + 1) for j in range(m + 1)]
     for i in range(40):
         omega = float(rng.uniform(0.2, 3.0))
@@ -102,12 +106,67 @@ def test_float_engine_outputs_pinned():
             coeffs = {mk: complex(c.real, 0.0) for mk, c in coeffs.items()}
         elif i % 4 == 3:
             coeffs = {mk: complex(-0.0, c.imag) for mk, c in coeffs.items()}
-        c1, c2, rhs = poincare_normal_form(
+        yield omega, coeffs
+
+
+def test_float_engine_outputs_pinned():
+    # SHA-256 over float.hex of the engine's c1, c2 and residual series on
+    # the synthetic systems
+    h = hashlib.sha256()
+    for omega, coeffs in _synthetic_systems():
+        c1, c2, rhs = engine(
             coeffs, complex(0, omega), complex(1.0), lambda c: abs(c) < 1e-13)
         h.update(f"{_hex(c1)};{_hex(c2)};".encode())
         for m in sorted(rhs.terms):
             h.update(f"{m}:{_hex(rhs.terms[m])};".encode())
-    for k in (0.012, 0.02, 0.03, 0.04, 0.05, 0.06):
-        h.update(l2_kuz(Params(k, hopf_F(k))).hex().encode())
     assert h.hexdigest() == (
-        "f84d6324543c459060e64f26ebe1d4fca3d9b1943e17fabb9bf8b5e852949405")
+        "9b9e267a6771fe2db24bff7664350ce948a3bff0f1ae8ad4786098d4e86ce4d5")
+
+
+def test_l2_kuz_outputs_pinned():
+    # l2_kuz at points on the Hopf curve, bit for bit
+    got = [l2_kuz(Params(k, hopf_F(k))).hex()
+           for k in (0.012, 0.02, 0.03, 0.04, 0.05, 0.06)]
+    assert got == ["-0x1.3f045579a6af5p-11", "-0x1.29c3c262c62fbp-10",
+                   "0x1.d10af97d00e1dp-12", "0x1.dc49cfc1447a0p-7",
+                   "0x1.d380e5d4729c6p-4", "0x1.27897b42f9b1ep+2"]
+
+
+def _engine_c1_c2(g, i_omega, one, is_negligible):
+    """The engine's (c1, c2) for the projections g_jk: its input is the
+    monomial coefficients a_jk = g_jk / (j! k!)."""
+    a = {(j, k): c / (math.factorial(j) * math.factorial(k)) for (j, k), c in g.items()}
+    c1, c2, _ = engine(a, i_omega, one, is_negligible)
+    return c1, c2
+
+
+def test_closed_form_equals_engine_exactly():
+    # over Q(sqrt 2, i): at the generalized-Hopf input of l2_gh_exact and at
+    # seeded random inputs whose parts are random Fractions
+    pt = equilibria(GH_PARAMS).p_mp
+    lam = FieldComplex(0, Sqrt2(0, Fraction(3, 128)))
+    cases = [(_g_coeffs(FieldComplex, lam, jacobian(pt, GH_PARAMS), pt.u, pt.v), lam)]
+    rnd = random.Random(16)
+
+    def frac():
+        return Fraction(rnd.randint(-60, 60), rnd.randint(1, 40))
+
+    for _ in range(4):
+        g = {m: FieldComplex(Sqrt2(frac(), frac()), Sqrt2(frac(), frac())) for m in CUBIC}
+        i_omega = FieldComplex(0, Sqrt2(Fraction(rnd.randint(1, 60), rnd.randint(1, 40)),
+                                        frac()))
+        cases.append((g, i_omega))
+    for g, i_omega in cases:
+        expected = _engine_c1_c2(g, i_omega, FieldComplex(1), lambda c: c.is_zero())
+        assert poincare_normal_form(g, i_omega) == expected
+
+
+def test_closed_form_matches_float_engine_on_synthetic_systems():
+    # the synthetic systems cut to their cubic part, absent terms zero
+    for omega, coeffs in _synthetic_systems():
+        g = {(j, k): coeffs.get((j, k), 0j) * (math.factorial(j) * math.factorial(k))
+             for j, k in CUBIC}
+        got = poincare_normal_form(g, complex(0, omega))
+        expected = _engine_c1_c2(g, complex(0, omega), complex(1.0),
+                                 lambda c: abs(c) < 1e-13)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)

@@ -1,7 +1,8 @@
 """Independent oracles for the double-zero coefficients, the Hopf types,
 the cycle census, and the closed-form derivatives of the field: the
 extended Jacobian behind the fold and Hopf continuation and the
-double-zero transversality determinant, and the normal-form projections.
+double-zero transversality determinant, the normal-form projections, and
+the normal-form coefficients c1 and c2 at the generalized Hopf point.
 
 The oracles share no code with gskit: the field is written out again, the
 Jordan chain is built by sympy from the raw field, and the dynamics are
@@ -9,7 +10,7 @@ integrated by scipy.  These tests justify the targets of acceptance criteria
 1, 4 and 8 (b20 = -1/16, s = +1, a subcritical Hopf branch near the
 double-zero point) without sharing code with the routes they check.  The
 census test imports gskit only for the cycles it checks, and the derivative
-tests only for the closed forms they compare with sympy's.
+and normal-form tests only for the closed forms they compare with sympy's.
 """
 import math
 
@@ -119,20 +120,15 @@ def test_equilibrium_curve_jacobians_from_sympy():
         assert sp.expand(sp.diff(component, *wrt) - value) == 0, name
 
 
-def test_normal_form_projections_from_sympy():
-    # the projections g_jk = <p, B(q, q)>, ..., <p, C(qb, qb, qb)> that feed
-    # the first and second Lyapunov coefficients, at the generalized Hopf
-    # point, where lam = i*omega: B and C from sympy's second and third
-    # derivatives of the raw field, p from sympy's null space of
-    # A^T - conj(lam) I, with q = (a12, lam - a11) as in gskit and
-    # <p, q> = conj(p) . q = 1
-    sp = pytest.importorskip("sympy")
-    from gskit import bautin
-
+def _gh_projections(sp):
+    """(jac, lam, g) at the generalized Hopf point, where lam = i*omega: the
+    projections g_jk = <p, B(q, q)>, ..., <p, C(qb, qb, qb)> with B and C
+    from sympy's second and third derivatives of the raw field, p from
+    sympy's null space of A^T - conj(lam) I, q = (a12, lam - a11) as in
+    gskit and <p, q> = conj(p) . q = 1; each g_jk radsimp-expanded."""
     x = sp.symbols("u v")
-    u0, v0 = sp.Rational(1, 4), sp.Rational(3, 16)
     f = sp.Matrix(_field(*x, sp.Rational(9, 256), sp.Rational(3, 256)))
-    at = {x[0]: u0, x[1]: v0}
+    at = {x[0]: sp.Rational(1, 4), x[1]: sp.Rational(3, 16)}
     A = f.jacobian(x).subs(at)
     assert A.trace() == 0 and A.det() > 0
     lam = sp.I * sp.sqrt(A.det())
@@ -156,10 +152,33 @@ def test_normal_form_projections_from_sympy():
         return p.applyfunc(sp.conjugate).dot(sp.Matrix(out))
 
     qb = q.applyfunc(sp.conjugate)
-    jac = ((A[0, 0], A[0, 1]), (A[1, 0], A[1, 1]))
-    g = bautin._g_coeffs(sp.sympify, lam, jac, u0, v0)
-    for (j, k), value in g.items():
-        assert sp.expand(sp.radsimp(value - form([q] * j + [qb] * k))) == 0, (j, k)
+    g = {(j, k): sp.expand(sp.radsimp(form([q] * j + [qb] * k)))
+         for j, k in ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))}
+    return ((A[0, 0], A[0, 1]), (A[1, 0], A[1, 1])), lam, g
+
+
+def test_normal_form_projections_from_sympy():
+    # the projections that feed the first and second Lyapunov coefficients
+    sp = pytest.importorskip("sympy")
+    from gskit import bautin
+
+    jac, lam, expected = _gh_projections(sp)
+    g = bautin._g_coeffs(sp.sympify, lam, jac, sp.Rational(1, 4), sp.Rational(3, 16))
+    for m, value in g.items():
+        assert sp.expand(sp.radsimp(value - expected[m])) == 0, m
+
+
+def test_gh_normal_form_coefficients_from_sympy():
+    # c1 and c2 at the generalized Hopf point from sympy's own projections
+    # in sympy arithmetic, with no ratmath: Re c1 = 0 and
+    # Re c2 = 81/524288 > 0 exactly
+    sp = pytest.importorskip("sympy")
+    from gskit.normalform import poincare_normal_form
+
+    _, lam, g = _gh_projections(sp)
+    c1, c2 = (sp.expand(sp.radsimp(c)) for c in poincare_normal_form(g, lam))
+    assert c1 == -81 * sp.sqrt(2) * sp.I / 16384
+    assert c2 == sp.Rational(81, 524288) - 7857 * sp.sqrt(2) * sp.I / 8388608
 
 
 def _hopf_F(k):
