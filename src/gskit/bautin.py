@@ -1,5 +1,5 @@
-"""Generalized Hopf (Bautin) point: Lyapunov coefficients, exact resultant
-localization, and transversality of the parameter map.
+"""Generalized Hopf (Bautin) point: Lyapunov coefficients, exact
+localization by elimination, and transversality of the parameter map.
 
 Two independent routes compute the first Lyapunov coefficient:
 
@@ -19,7 +19,10 @@ pin the overall orientation (negative = attracting newborn cycles).
 The curve restriction uses x = sqrt(k), y = sqrt(1 - 4 sqrt(k)): every
 on-curve quantity is polynomial in (x, y) modulo y^2 = 1 - 4x, and the
 bracket numerator factors exactly as x^3 (1-y)^3 (1+y) (2y-1) / 8, with the
-sign switch at y = 1/2, i.e. (k, F) = (9/256, 3/256)."""
+sign switch at y = 1/2, i.e. (k, F) = (9/256, 3/256).  gh_locate finds that
+point without the factorization: the relation y^2 = 1 - 4x is linear in x,
+so eliminating x from the degree-8 polynomial q1 is q1 evaluated at
+x = (1 - y^2)/4, scaled by 4^8 (poly.resultant)."""
 from __future__ import annotations
 
 import math
@@ -139,13 +142,9 @@ def _g_coeffs(lift, lam, jac, u, v) -> dict:
             (1, 2): proj_c(q, qb, qb), (0, 3): proj_c(qb, qb, qb)}
 
 
-def _eigendata(a: Params):
-    """Critical pair lam = mu + i*omega at the focus-type point, omega and
-    the projections g_jk there, in floats."""
-    eq = equilibria(a)
-    if eq.p_mp is None:
-        raise DomainError(f"no focus-type equilibrium at {a}")
-    pt = eq.p_mp
+def _eigendata(pt: State, a: Params):
+    """Critical pair lam = mu + i*omega at the focus-type point pt of a,
+    omega and the projections g_jk there, in floats."""
     (a11, a12), (a21, a22) = jacobian(pt, a)
     jac = ((float(a11), float(a12)), (float(a21), float(a22)))
     tr, det = trace_det(jac)
@@ -157,10 +156,11 @@ def _eigendata(a: Params):
     return lam, om, _g_coeffs(complex, lam, jac, pt.u, pt.v)
 
 
-def _l1_extended(a: Params) -> float:
-    """Re(c1)/omega from the lambda-dependent resonant coefficient; defined
-    in a neighborhood of the Hopf curve (complex eigenvalues required)."""
-    lam, om, g = _eigendata(a)
+def _l1_extended(pt: State, a: Params) -> float:
+    """Re(c1)/omega at the focus-type point pt of a, from the
+    lambda-dependent resonant coefficient; defined in a neighborhood of the
+    Hopf curve (complex eigenvalues required)."""
+    lam, om, g = _eigendata(pt, a)
     g20, g11, g02, g21 = g[2, 0], g[1, 1], g[0, 2], g[2, 1]
     c1 = (g20 * g11 * (2 * lam + lam.conjugate()) / (2 * abs(lam) ** 2)
           + abs(g11) ** 2 / lam + abs(g02) ** 2 / (2 * (2 * lam - lam.conjugate()))
@@ -171,8 +171,7 @@ def _l1_extended(a: Params) -> float:
 def l1_kuz(a: Params) -> float:
     """First Lyapunov coefficient via the complex eigenvector projection,
     normalized as Re(c1)/omega."""
-    hopf_point(a)
-    return _l1_extended(a)
+    return _l1_extended(hopf_point(a), a)
 
 
 def l2_kuz(a: Params) -> float:
@@ -181,8 +180,7 @@ def l2_kuz(a: Params) -> float:
     Well defined (independent of reduction choices) where Re(c1) = 0; away
     from that locus it is the resonant coefficient of the reduction that
     normalform describes."""
-    hopf_point(a)
-    _, om, g = _eigendata(a)
+    _, om, g = _eigendata(hopf_point(a), a)
     return poincare_normal_form(g, complex(0.0, om))[1].real / om
 
 
@@ -242,10 +240,12 @@ def expected_resultant() -> IntPoly:
 def gh_locate() -> dict:
     """Locate the generalized Hopf point by exact elimination.
 
-    Builds the polynomial pair, takes the resultant in x, checks it equals
-    +/- 2 (y-1)^16 (2y-1) coefficient-exact, extracts the rational roots,
-    rejects the degenerate boundary root y = 1 (k = 0) and maps y = 1/2
-    back through x = sqrt(k) to (9/256, 3/256) with equilibrium (1/4, 3/16).
+    Eliminates x from the polynomial pair: q2 is linear in x, so the
+    resultant is Poisson's sum_i q1_i(y) (1 - y^2)^i 4^(8-i).  Checks it
+    equals +/- 2 (y-1)^16 (2y-1) coefficient-exact, extracts the rational
+    roots by synthetic division, rejects the degenerate boundary root
+    y = 1 (k = 0) and maps y = 1/2 back through x = sqrt(k) to
+    (9/256, 3/256) with equilibrium (1/4, 3/16).
     """
     res = resultant(q1_poly(), q2_poly())
     exp = expected_resultant()
@@ -290,7 +290,7 @@ def param_map_jacobian(h: float = 1e-6):
 
     def both(k, F):
         a = Params(k, F)
-        return mu(a), _l1_extended(a)
+        return mu(a), _l1_extended(equilibria(a).p_mp, a)
 
     mk1, lk1 = both(k0 + h, F0)
     mk0, lk0 = both(k0 - h, F0)

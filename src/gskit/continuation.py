@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bautin, dynamics, kernels
-from .core import (Params, extended_jacobian, jacobian, trace_det, uv_jacobian,
-                   vector_field)
+from .core import (Params, State, extended_jacobian, jacobian, trace_det,
+                   uv_jacobian, vector_field)
 from .equilibria import equilibria, hopf_F, saddle_node_F
 from .errors import (BracketNotFound, DomainError, NewtonDiverged,
                      NoReturn, NotOnHopfCurve, SaddleMissing, SectionMiss,
@@ -286,7 +286,7 @@ def _l1_test(z):
     if det <= 1e-12 or tr * tr - 4 * det >= 0:
         return None
     try:
-        return bautin._l1_extended(Params(k, F))
+        return bautin._l1_extended(State(u, v), Params(k, F))
     except (DomainError, NotOnHopfCurve):
         return None
 

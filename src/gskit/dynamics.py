@@ -101,7 +101,6 @@ class SectionFrame:
     direction: tuple       # unit ray direction
     orientation: int       # sign of d x f on the outgoing side
     r_max: float           # ray stays in the admissible window up to here
-    saddle: State | None
 
 
 def section_frame(a: Params) -> SectionFrame:
@@ -181,9 +180,8 @@ def _oriented_frame(a: Params, eq, c: State, d0: float,
     for comp, dcomp in ((c.u, d0), (c.v, d1)):
         if dcomp < 0:
             r_cap = min(r_cap, -comp / dcomp)
-    saddle = eq.p_pm if eq.kind == "pair" else None
     return SectionFrame(center=c, direction=(d0, d1), orientation=orient,
-                        r_max=r_cap, saddle=saddle)
+                        r_max=r_cap)
 
 
 def return_map(a: Params, r: float, frame: SectionFrame,

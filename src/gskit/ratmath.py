@@ -220,9 +220,6 @@ class FieldComplex:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 

@@ -8,11 +8,18 @@ imports it from the tests that use it and collects nothing here.
   at the generalized Hopf point (test_bautin, test_dynamics);
 - the order-5 Poincare normal-form engine (Series, poincare_normal_form):
   the general series reduction that gskit.normalform's closed-form c1 and
-  c2 are checked against (test_normalform).
+  c2 are checked against (test_normalform);
+- the general Sylvester resultant (sylvester_matrix, det_bareiss_ring,
+  sylvester_resultant) over ints, Fractions or polynomial entries, with
+  the exact polynomial long division it needs (divmod_exact), and rational
+  roots found by that division (roots_by_division): what gskit.poly's
+  linear-case resultant and synthetic division are checked against
+  (test_poly, test_bautin).
 """
 import math
 from fractions import Fraction
 
+from gskit.errors import ZeroPolynomial
 from gskit.poly import IntPoly
 
 
@@ -137,6 +144,104 @@ class BiPoly:
             return "BiPoly(0)"
         bits = [f"({c})*x^{i}*y^{j}" for (i, j), c in sorted(self.terms.items())]
         return "BiPoly(" + " + ".join(bits) + ")"
+
+
+def divmod_exact(p: IntPoly, d: IntPoly) -> tuple:
+    """Long division p = quot * d + rem where every coefficient quotient
+    must be exact (ints, Fractions, or IntPoly over an integral domain);
+    raises ValueError on an inexact one."""
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    lead = d.coeffs[-1]
+    quot = [0] * max(len(rem) - len(d.coeffs) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = _exact_divide(rem[i + d.degree], lead)
+        quot[i] = c
+        for j, b in enumerate(d.coeffs):
+            rem[i + j] = rem[i + j] - c * b
+    return IntPoly(quot, p.var), IntPoly(rem, p.var)
+
+
+def _exact_divide(a, b):
+    if isinstance(a, IntPoly) or isinstance(b, IntPoly):
+        ap = a if isinstance(a, IntPoly) else IntPoly((a,))
+        bp = b if isinstance(b, IntPoly) else IntPoly((b,), ap.var)
+        q, r = divmod_exact(ap, bp)
+        if not r.is_zero():
+            raise ValueError("inexact polynomial division")
+        return q
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise ValueError(f"inexact integer division {a}/{b}")
+        return q
+    return Fraction(a) / Fraction(b)
+
+
+def _is_zero(x) -> bool:
+    return x.is_zero() if isinstance(x, IntPoly) else x == 0
+
+
+def sylvester_matrix(p: IntPoly, q: IntPoly) -> list:
+    """Sylvester matrix with p's shifted coefficient rows first."""
+    if p.is_zero() or q.is_zero():
+        raise ZeroPolynomial("resultant of the zero polynomial")
+    m, n = p.degree, q.degree
+    size = m + n
+    pc = list(reversed(p.coeffs))  # leading first
+    qc = list(reversed(q.coeffs))
+    return ([[0] * i + pc + [0] * (size - m - 1 - i) for i in range(n)]
+            + [[0] * i + qc + [0] * (size - n - 1 - i) for i in range(m)])
+
+
+def det_bareiss_ring(rows: list):
+    """Fraction-free determinant over an integral domain: ints, Fractions
+    or IntPoly entries."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if _is_zero(m[k][k]):
+            for i in range(k + 1, n):
+                if not _is_zero(m[i][k]):
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = _exact_divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+        prev = m[k][k]
+    out = m[n - 1][n - 1]
+    return -out if sign < 0 else out
+
+
+def sylvester_resultant(p: IntPoly, q: IntPoly):
+    """Res(p, q) of any degrees as the Sylvester determinant, p's rows
+    first, so Res(x - a, x - b) = a - b."""
+    return det_bareiss_ring(sylvester_matrix(p, q))
+
+
+def roots_by_division(p: IntPoly, candidates) -> dict:
+    """{r: multiplicity} over the candidates r that are roots of p, each
+    multiplicity counted by dividing by x - r until the remainder is
+    nonzero."""
+    out = {}
+    for r in candidates:
+        work, mult = IntPoly([Fraction(c) for c in p.coeffs], p.var), 0
+        while work.degree >= 1:
+            quot, rem = divmod_exact(work, IntPoly((-Fraction(r), Fraction(1)), p.var))
+            if not rem.is_zero():
+                break
+            work, mult = quot, mult + 1
+        if mult:
+            out[Fraction(r)] = mult
+    return out
 
 
 def bautin_polar_census(beta1: float, beta2: float) -> list:

@@ -257,7 +257,7 @@ def test_l1_test_failures(monkeypatch, error):
     z = hopf_seed(0.03)
     assert continuation._l1_test(z) is not None
 
-    def l1(a):
+    def l1(pt, a):
         raise error("l1 failed")
 
     monkeypatch.setattr(bautin, "_l1_extended", l1)

@@ -16,6 +16,11 @@ from reference import ORDER, Series, poincare_normal_form as engine
 CUBIC = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
 
 
+def _field_zero(c):
+    """The engine's is_negligible over Q(sqrt 2, i): exactly zero."""
+    return c.re.is_zero() and c.im.is_zero()
+
+
 def _closed_c1(coeffs, omega):
     g20 = 2 * coeffs.get((2, 0), 0j)
     g11 = coeffs.get((1, 1), 0j)
@@ -68,7 +73,7 @@ def test_engine_exact_field_arithmetic():
     half = FieldComplex(Sqrt2(1, 0) / 2)
     coeffs = {(2, 0): half, (1, 1): FieldComplex(1, Sqrt2(0, 1)),
               (0, 2): FieldComplex(Sqrt2(0, 1), 1)}
-    c1, c2, _ = engine(coeffs, i_om, one, lambda c: c.is_zero())
+    c1, c2, _ = engine(coeffs, i_om, one, _field_zero)
     g20 = complex(coeffs[(2, 0)]) * 2
     g11 = complex(coeffs[(1, 1)])
     g02 = complex(coeffs[(0, 2)]) * 2
@@ -157,7 +162,7 @@ def test_closed_form_equals_engine_exactly():
                                         frac()))
         cases.append((g, i_omega))
     for g, i_omega in cases:
-        expected = _engine_c1_c2(g, i_omega, FieldComplex(1), lambda c: c.is_zero())
+        expected = _engine_c1_c2(g, i_omega, FieldComplex(1), _field_zero)
         assert poincare_normal_form(g, i_omega) == expected
 
 

@@ -1,16 +1,18 @@
 """Independent oracles for the double-zero coefficients, the Hopf types,
 the cycle census, and the closed-form derivatives of the field: the
 extended Jacobian behind the fold and Hopf continuation and the
-double-zero transversality determinant, the normal-form projections, and
-the normal-form coefficients c1 and c2 at the generalized Hopf point.
+double-zero transversality determinant, the normal-form projections, the
+normal-form coefficients c1 and c2 at the generalized Hopf point, and the
+resultant that locates that point.
 
 The oracles share no code with gskit: the field is written out again, the
 Jordan chain is built by sympy from the raw field, and the dynamics are
 integrated by scipy.  These tests justify the targets of acceptance criteria
 1, 4 and 8 (b20 = -1/16, s = +1, a subcritical Hopf branch near the
 double-zero point) without sharing code with the routes they check.  The
-census test imports gskit only for the cycles it checks, and the derivative
-and normal-form tests only for the closed forms they compare with sympy's.
+census test imports gskit only for the cycles it checks, the derivative
+and normal-form tests only for the closed forms they compare with sympy's,
+and the resultant test only for the coefficient table of q1.
 """
 import math
 
@@ -179,6 +181,20 @@ def test_gh_normal_form_coefficients_from_sympy():
     c1, c2 = (sp.expand(sp.radsimp(c)) for c in poincare_normal_form(g, lam))
     assert c1 == -81 * sp.sqrt(2) * sp.I / 16384
     assert c2 == sp.Rational(81, 524288) - 7857 * sp.sqrt(2) * sp.I / 8388608
+
+
+def test_gh_resultant_from_sympy():
+    # sympy eliminates x from Q1 (bautin's coefficient table) and
+    # Q2 = 1 - 4x - y^2 with its own resultant, factorization and roots,
+    # without gskit.poly's arithmetic
+    sp = pytest.importorskip("sympy")
+    from gskit.bautin import q1_poly
+
+    x, y = sp.symbols("x y")
+    q1 = sum((c[0] + c[1] * y) * x ** i for i, c in enumerate(q1_poly().coeffs))
+    res = sp.factor(sp.resultant(q1, 1 - 4 * x - y ** 2, x))
+    assert res == 2 * (y - 1) ** 16 * (2 * y - 1)
+    assert sp.roots(sp.Poly(res, y)) == {sp.Rational(1, 2): 1, sp.Integer(1): 16}
 
 
 def _hopf_F(k):

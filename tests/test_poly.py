@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from gskit.bautin import q1_poly, q2_poly
 from gskit.errors import ZeroPolynomial
-from gskit.poly import (IntPoly, rational_roots_with_multiplicity, resultant,
-                        sylvester_matrix)
-from reference import BiPoly
+from gskit.poly import IntPoly, rational_roots_with_multiplicity, resultant
+from reference import (BiPoly, divmod_exact, roots_by_division,
+                       sylvester_matrix, sylvester_resultant)
 
 
 def test_intpoly_arithmetic():
@@ -19,9 +21,10 @@ def test_intpoly_arithmetic():
 
 
 def test_exact_division():
+    # the oracle's long division
     p = IntPoly((-1, 0, 1))       # x^2 - 1
     d = IntPoly((1, 1))           # x + 1
-    q, r = p.divmod_exact_ring(d)
+    q, r = divmod_exact(p, d)
     assert r.is_zero() and q.coeffs == (-1, 1)
 
 
@@ -37,10 +40,58 @@ def test_resultant_orientation():
 
 
 def test_resultant_classic_identity():
-    # Res(p, q) for p = x^2+1, q = x^2-1 equals prod of q over roots of p: 4
+    # the oracle at general degree: Res(p, q) for p = x^2+1, q = x^2-1
+    # equals the product of q over the roots of p: 4
     p = IntPoly((1, 0, 1))
     q = IntPoly((-1, 0, 1))
-    assert resultant(p, q) == 4
+    assert sylvester_resultant(p, q) == 4
+
+
+def test_resultant_rejects_nonlinear_second_polynomial():
+    p = IntPoly((1, 0, 1))
+    for q in (IntPoly((3,)), IntPoly((-1, 0, 1)), IntPoly((0, 0, 0, 2))):
+        with pytest.raises(ValueError):
+            resultant(p, q)
+
+
+def _random_poly(rnd, degree, ring):
+    # coefficients in Z, or in Z[y] of degree <= 2; nonzero leading one
+    def coeff():
+        if ring == "int":
+            return rnd.randint(-9, 9)
+        return IntPoly([rnd.randint(-5, 5) for _ in range(rnd.randint(1, 3))], "y")
+
+    cs = [coeff() for _ in range(degree)]
+    lead = coeff()
+    while lead == 0:
+        lead = coeff()
+    return IntPoly(cs + [lead], "x")
+
+
+def test_resultant_equals_sylvester_oracle():
+    # Poisson's linear-case formula against the general Sylvester
+    # determinant, exactly: the localization pair and seeded random pairs
+    assert resultant(q1_poly(), q2_poly()) == sylvester_resultant(q1_poly(), q2_poly())
+    rnd = random.Random(20171)
+    for n in range(40):
+        ring = ("int", "poly")[n // 20]
+        p = _random_poly(rnd, n % 10, ring)
+        q = _random_poly(rnd, 1, ring)
+        assert resultant(p, q) == sylvester_resultant(p, q), (p, q)
+
+
+def test_rational_roots_match_division_oracle():
+    # seeded products of rational linear factors, with repeated roots
+    rnd = random.Random(17)
+    for _ in range(25):
+        roots = [Fr(rnd.randint(-12, 12), rnd.randint(1, 6))
+                 for _ in range(rnd.randint(1, 7))]
+        roots += rnd.sample(roots, rnd.randint(0, len(roots)))
+        p = IntPoly((Fr(rnd.choice((-3, -1, 1, 2, 5)), rnd.randint(1, 4)),))
+        for r in roots:
+            p = p * IntPoly((-r, 1))
+        got = rational_roots_with_multiplicity(p)
+        assert dict(got) == roots_by_division(p, set(roots)), roots
 
 
 def test_sylvester_shape():

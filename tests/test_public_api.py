@@ -2,8 +2,12 @@
 method of a public class, has a caller in the package or in the benchmark
 (perfbench/).  A name that only tests call belongs in the tests; a feature
 that nothing calls is deleted.  Methods are matched by name alone, so a
-caller of one method of a name counts for every method of that name."""
+caller of one method of a name counts for every method of that name.
+Every name that perfbench/spans.py traces must exist."""
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -44,3 +48,20 @@ def test_every_public_definition_has_a_caller():
                        for p, counts in used.items()):
                 unused.append(f"{path.stem}.{qualname}")
     assert not unused, f"public names without a caller in src/gskit or perfbench/: {unused}"
+
+
+def test_traced_names_exist():
+    # perfbench/spans.py wraps these functions and methods by name in every
+    # --trace 1 run; a deleted or renamed one must fail here, not there.
+    # install() patches gskit in place, so it runs in its own interpreter.
+    code = ("import importlib, spans; spans.install(spans.Tracer()); "
+            "assert spans.FUNCTIONS and spans.METHODS; "
+            "[getattr(importlib.import_module('gskit.' + m), a).__wrapped__ "
+            "for m, a in spans.FUNCTIONS]; "
+            "[getattr(getattr(importlib.import_module('gskit.' + m), c), a).__wrapped__ "
+            "for m, c, a in spans.METHODS]")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
