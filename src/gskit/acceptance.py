@@ -11,7 +11,7 @@ of the criteria (see the repository README for the derivations):
   the raw field gives a20 = -1/2, b20 = -1/16, b11 = 0; s is
   frame-independent, and s = +1 matches the subcritical Hopf branch (l1 > 0)
   near the double-zero point;
-* criterion 4: the (mu, l1) parameter-map determinant is positive,
+* criterion 4: the (mu, l1) parameter-map determinant is exactly
   +9*sqrt(2)/2, with rows (mu, l1) and columns (k, F); along the Hopf curve
   it equals -mu_F * dl1/dk, which the battery evaluates as a second route;
 * criterion 8: the homoclinic curve lies between the Hopf curve and the
@@ -32,6 +32,7 @@ from . import bautin, bt, continuation, dynamics
 from .core import Params, State, jacobian, trace_det, vector_field
 from .equilibria import equilibria, hopf_F, saddle_node_F
 from .errors import GSKitError
+from .ratmath import Sqrt2
 
 
 @dataclass
@@ -201,7 +202,8 @@ def criterion_4(ctx: BatteryContext) -> CriterionResult:
                         c2.re.sign() > 0 and c1.re.is_zero() and l2f > 0,
                         f"exact Re c2 = {c2.re.a}, float l2 = {l2f:.6e}"))
     det = bautin.param_map_transversality()
-    checks.append(Check("param_map_nonzero", abs(det) > 1e-6, f"det = {det:.6f}"))
+    checks.append(Check("param_map_nonzero", det == Sqrt2(0, Fraction(9, 2)),
+                        f"det = {det!r} = {float(det):.6f}"))
     # second route: on the Hopf curve mu(k, F_h(k)) = 0, so with rows (mu, l1)
     # and columns (k, F) the determinant is -mu_F * dl1/dk along the curve
     kgh, h = 9 / 256, 1e-6
@@ -209,8 +211,8 @@ def criterion_4(ctx: BatteryContext) -> CriterionResult:
     mu_F = (bautin.mu(Params(kgh, Fgh + h)) - bautin.mu(Params(kgh, Fgh - h))) / (2 * h)
     dl1_dk = (l1_on_curve(kgh + h) - l1_on_curve(kgh - h)) / (2 * h)
     route = -mu_F * dl1_dk
-    checks.append(Check("param_map_sign", det > 0 and route > 0,
-                        f"det = {det:.6f} (+9*sqrt(2)/2), -mu_F * dl1/dk = "
+    checks.append(Check("param_map_sign", det.sign() > 0 and route > 0,
+                        f"det = {det!r} (+9*sqrt(2)/2), -mu_F * dl1/dk = "
                         f"{-mu_F:.6f} * {dl1_dk:.6f} = {route:.6f}; rows (mu, l1) "
                         f"with mu = Re lambda, columns (k, F)"))
     return _c(4, "Lyapunov sign law", checks, t0)
@@ -331,7 +333,7 @@ def criterion_8(ctx: BatteryContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = []
     k_grid = np.linspace(0.058, 0.0624, 8)
-    run = continuation.homoclinic_curve(k_grid, f_tol=1e-8)
+    run = continuation.homoclinic_curve(k_grid)
     ok_brackets = (len(run.points) == len(k_grid)
                    and all(p.aux["bracket_width"] <= 1e-8 for p in run.points))
     checks.append(Check("bisection_to_1e-8", ok_brackets,

@@ -1,5 +1,5 @@
 """Generalized Hopf (Bautin) point: Lyapunov coefficients, exact
-localization by elimination, and transversality of the parameter map.
+localization by elimination, and exact transversality of the parameter map.
 
 Two independent routes compute the first Lyapunov coefficient:
 
@@ -22,20 +22,23 @@ bracket numerator factors exactly as x^3 (1-y)^3 (1+y) (2y-1) / 8, with the
 sign switch at y = 1/2, i.e. (k, F) = (9/256, 3/256).  gh_locate finds that
 point without the factorization: the relation y^2 = 1 - 4x is linear in x,
 so eliminating x from the degree-8 polynomial q1 is q1 evaluated at
-x = (1 - y^2)/4, scaled by 4^8 (poly.resultant)."""
+x = (1 - y^2)/4, scaled by 4^8 (poly.resultant).  The three Bautin facts
+(Kuznetsov, section 8.3) are exact: l1 = 0, l2 > 0 (l2_gh_exact) and the
+parameter-map determinant 9 sqrt(2)/2 (param_map_transversality)."""
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .core import Params, State, jacobian, trace_det
+from .core import Params, State, extended_jacobian, jacobian, trace_det
 from .equilibria import equilibria, hopf_F
 from .errors import DomainError, NotOnHopfCurve
 from .normalform import poincare_normal_form
-from .poly import IntPoly, rational_roots_with_multiplicity, resultant
+from .poly import IntPoly, _deflate, rational_roots_with_multiplicity, resultant
 from .ratmath import FieldComplex, Sqrt2
 
 GH_PARAMS = Params(Fraction(9, 256), Fraction(3, 256))
+_GH_OMEGA = Sqrt2(0, Fraction(3, 128))        # sqrt(det) at GH_PARAMS
 
 
 def mu(a: Params) -> float:
@@ -62,31 +65,14 @@ def hopf_point(a: Params) -> State:
 # First Lyapunov coefficient, direct rational bracket
 # ---------------------------------------------------------------------------
 
-def _partials(point):
-    """Second and third partials of the field (f, g) at point: the only
-    nonzero ones are f_uv = -2v, f_vv = -2u and f_uvv = -2, and g = -f."""
-    f = {"fxx": 0, "fxy": -2 * point.v, "fyy": -2 * point.u,
-         "fxxx": 0, "fxxy": 0, "fxyy": -2, "fyyy": 0}
-    return {**f, **{"g" + key[1:]: -val for key, val in f.items()}}
-
-
-def clw_bracket(b, c, d, beta2, p: dict):
-    """The trace-free-linear-part first-focal-value bracket.
-
-    Generic over the arithmetic: floats, Fractions, or any ring elements.
-    l1 = b * bracket / (4 * beta2) equals Re(c1) of the complex reduction.
-    """
-    return (beta2 * (b * (p["fxxx"] + p["gxxy"]) + 2 * d * (p["fxxy"] + p["gxyy"])
-                     - c * (p["fxyy"] + p["gyyy"]))
-            - b * d * (p["fxx"] * p["fxx"] - p["fxx"] * p["gxy"]
-                       - p["fxy"] * p["gxx"] - p["gxx"] * p["gyy"]
-                       - 2 * p["gxy"] * p["gxy"])
-            - c * d * (p["gyy"] * p["gyy"] - p["gyy"] * p["fxy"]
-                       - p["gxy"] * p["fyy"] - p["fyy"] * p["fxx"]
-                       - 2 * p["fxy"] * p["fxy"])
-            + b * b * (p["fxx"] * p["gxx"] + p["gxx"] * p["gxy"])
-            - c * c * (p["fyy"] * p["gyy"] + p["fxy"] * p["fyy"])
-            - (beta2 + 3 * d * d) * (p["fxx"] * p["fxy"] - p["gxy"] * p["gyy"]))
+def clw_bracket(b, c, d, beta2, u, v):
+    """First-focal-value bracket at a Hopf point (u, v) with Jacobian
+    ((-d, b), (c, d)) of determinant beta2: the generic planar bracket
+    (tests/reference.py) at f_uv = -2v, f_vv = -2u, f_uvv = -2, g = -f.
+    Generic over the arithmetic; b * bracket / (4 * beta2) is Re(c1)."""
+    return (2 * beta2 * (2 * d + c) + 8 * b * d * v * v
+            - 4 * c * d * (u * u + 2 * u * v - 2 * v * v)
+            + 4 * c * c * u * (u - v) + 4 * u * v * (beta2 + 3 * d * d))
 
 
 def l1_clw(a: Params):
@@ -98,7 +84,7 @@ def l1_clw(a: Params):
     jac = jacobian(pt, a)
     b_, c_, d_ = jac[0][1], jac[1][0], jac[1][1]
     beta2 = trace_det(jac)[1]
-    s = clw_bracket(b_, c_, d_, beta2, _partials(pt))
+    s = clw_bracket(b_, c_, d_, beta2, pt.u, pt.v)
     return b_ * s / (4 * beta2)
 
 
@@ -193,9 +179,8 @@ def l2_gh_exact() -> tuple:
     sign(Re c2) is certified without rounding."""
     pt = equilibria(GH_PARAMS).p_mp
     jac = jacobian(pt, GH_PARAMS)
-    om = Sqrt2(0, Fraction(3, 128))          # sqrt(det) = 3*sqrt(2)/128
-    assert om * om == Sqrt2(trace_det(jac)[1], 0)
-    lam = FieldComplex(0, om)
+    assert _GH_OMEGA * _GH_OMEGA == Sqrt2(trace_det(jac)[1], 0)
+    lam = FieldComplex(0, _GH_OMEGA)
     return poincare_normal_form(_g_coeffs(FieldComplex, lam, jac, pt.u, pt.v), lam)
 
 
@@ -249,11 +234,7 @@ def gh_locate() -> dict:
     """
     res = resultant(q1_poly(), q2_poly())
     exp = expected_resultant()
-    sign = 0
-    if res == exp:
-        sign = 1
-    elif res == -exp:
-        sign = -1
+    sign = 1 if res == exp else -1 if res == -exp else 0
     roots = rational_roots_with_multiplicity(res)
     gh = None
     rejected = []
@@ -265,10 +246,7 @@ def gh_locate() -> dict:
         k = x * x
         F = hopf_F(k)
         eq = equilibria(Params(k, F))
-        gh = {
-            "y": r, "k": k, "F": F, "point": eq.p_mp,
-            "multiplicity": mult,
-        }
+        gh = {"y": r, "k": k, "F": F, "point": eq.p_mp, "multiplicity": mult}
     return {
         "resultant": res,
         "matches_expected": sign != 0,
@@ -283,32 +261,27 @@ def gh_locate() -> dict:
 # Parameter-map transversality at GH
 # ---------------------------------------------------------------------------
 
-def param_map_jacobian(h: float = 1e-6):
-    """Central-difference Jacobian of (k, F) -> (mu, l1) at the generalized
-    Hopf point, with step h."""
-    k0, F0 = float(GH_PARAMS.k), float(GH_PARAMS.F)
-
-    def both(k, F):
-        a = Params(k, F)
-        return mu(a), _l1_extended(equilibria(a).p_mp, a)
-
-    mk1, lk1 = both(k0 + h, F0)
-    mk0, lk0 = both(k0 - h, F0)
-    mF1, lF1 = both(k0, F0 + h)
-    mF0, lF0 = both(k0, F0 - h)
-    return ((mk1 - mk0) / (2 * h), (mF1 - mF0) / (2 * h),
-            (lk1 - lk0) / (2 * h), (lF1 - lF0) / (2 * h))
-
-
-def param_map_transversality() -> float:
-    """Determinant of the (mu, l1) parameter map at the generalized Hopf
-    point, at steps 1e-6 and 5e-7, which must agree within 5% (relative)."""
-    d1 = _det4(param_map_jacobian(1e-6))
-    d2 = _det4(param_map_jacobian(1e-6 / 2))
-    if abs(d1 - d2) > 0.05 * max(abs(d1), abs(d2)):
-        raise DomainError(f"finite-difference determinant unstable: {d1} vs {d2}")
-    return d2
-
-
-def _det4(j):
-    return j[0] * j[3] - j[1] * j[2]
+def param_map_transversality() -> Sqrt2:
+    """Determinant 9*sqrt(2)/2 of (k, F) -> (mu, l1) at the generalized Hopf
+    point, rows (mu, l1), columns (k, F), exactly.  mu vanishes on the Hopf
+    curve, so it is -mu_F * dl1/dk there.  With the focus point's u as curve
+    parameter (v = u (1 - u), k = v^2, F + k = u v), l1_clw's bracket S is an
+    integer polynomial; deflating it by u - 1/4 gives S(1/4) = 0 and S'(1/4),
+    so dl1_clw/du = b S' / (4 beta2) there, and l1 = l1_clw / omega.  mu_F is
+    the implicit derivative of the focus point's half-trace."""
+    u = IntPoly((0, 1), "u")
+    v = u * (1 - u)
+    d = u * v                                  # F + k; F = u d
+    b, c, beta2 = -2 * d, v * v, (v * v - u * d) * d
+    r = Fraction(1, 4)
+    quot, rem = _deflate(list(clw_bracket(b, c, d, beta2, u, v).coeffs), r)
+    assert rem == 0
+    dl1_clw_dk = (b(r) * IntPoly(quot)(r) / (4 * beta2(r))
+                  / (2 * v(r) * (1 - 2 * r)))
+    # (u_F, v_F) = -J^-1 (f1_F, f2_F) with J the (u, v) Jacobian
+    _, rows = extended_jacobian(r, v(r), GH_PARAMS.k, GH_PARAMS.F)
+    (f1u, f1v, _, f1F), (f2u, f2v, _, f2F), (tu, tv, _, tF) = rows[:3]
+    det = f1u * f2v - f1v * f2u
+    mu_F = (tF + tu * (f1v * f2F - f2v * f1F) / det
+            + tv * (f2u * f1F - f1u * f2F) / det) / 2
+    return -mu_F * Sqrt2(dl1_clw_dk) / _GH_OMEGA

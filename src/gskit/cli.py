@@ -23,7 +23,7 @@ from .core import Params, State
 from .equilibria import (classify, disc_curve_F, discriminants, equilibria,
                          hopf_F, neutral_saddle_F, saddle_node_F)
 from .errors import DomainError, GSKitError
-from .ratmath import parse_number
+from .ratmath import Sqrt2, parse_number
 
 
 @dataclass
@@ -164,7 +164,7 @@ def cmd_verify_bautin(args, cfg) -> int:
         "l1_zero_at_gh_exact": bautin.l1_clw(bautin.GH_PARAMS) == 0,
         "re_c1_zero_exact": c1.re.is_zero(),
         "l2_positive_exact": c2.re.sign() > 0,
-        "param_map_det_nonzero": abs(det) > 1e-6,
+        "param_map_det_9sqrt2/2_exact": det == Sqrt2(0, Fraction(9, 2)),
     }
     _emit_json({
         "schema": 1,
@@ -177,7 +177,7 @@ def cmd_verify_bautin(args, cfg) -> int:
         "l1_exact_left": l1_left, "l1_exact_right": l1_right,
         "l2_exact_re_c2": c2.re.a,
         "l2_float": bautin.l2_kuz(bautin.GH_PARAMS),
-        "param_map_det": det,
+        "param_map_det": {"a": det.a, "b": det.b, "value": float(det)},
         "checks": checks,
         "mutated": bool(args.mutate),
         "all_passed": all(checks.values()),

@@ -540,8 +540,9 @@ def homoclinic_F(k: float, *, f_tol: float = 1e-8) -> tuple:
     return 0.5 * (lo + hi), hi - lo
 
 
-def homoclinic_curve(k_values, *, f_tol: float = 1e-8) -> CurveResult:
-    """Homoclinic curve over a grid of k values by per-k bisection.
+def homoclinic_curve(k_values) -> CurveResult:
+    """Homoclinic curve over a grid of k values by per-k bisection, each to
+    an F bracket of 1e-8 (homoclinic_F's default).
 
     Bracket exhaustion at some k terminates the curve there (recorded in the
     result status, not fatal)."""
@@ -549,7 +550,7 @@ def homoclinic_curve(k_values, *, f_tol: float = 1e-8) -> CurveResult:
     status = "ok"
     for k in k_values:
         try:
-            F, width = homoclinic_F(float(k), f_tol=f_tol)
+            F, width = homoclinic_F(float(k))
         except (BracketNotFound, SaddleMissing, SectionMiss) as exc:
             status = f"terminated at k={float(k)}: {type(exc).__name__}"
             break
@@ -592,13 +593,7 @@ def newton_bt(start: tuple = (0.05, 0.05)) -> tuple:
     for _ in range(60):
         if np.max(np.abs(g)) < 1e-12:
             break
-        J = np.empty((2, 2))
-        h = 1e-8
-        for j in range(2):
-            zp = z.copy()
-            zp[j] += h
-            J[:, j] = (residual(zp) - g) / h
-        dz = np.linalg.solve(J, -g)
+        dz = np.linalg.solve(_bt_jacobian(*z), -g)
         lam = 1.0
         while lam > 1e-8:
             cand = z + lam * dz
@@ -614,3 +609,9 @@ def newton_bt(start: tuple = (0.05, 0.05)) -> tuple:
         raise NewtonDiverged("double-zero Newton did not converge")
     k, F = params_of(z[0], z[1])
     return float(z[0]), float(z[1]), float(k), float(F)
+
+
+def _bt_jacobian(u, v):
+    """Jacobian of newton_bt's residual (k(u, v) - v^2, 1 - 2u) in (u, v)."""
+    k_u = v * ((1 - u) ** 2 - v) / (1 - u) ** 2
+    return np.array([[k_u, u * (1 - u - 2 * v) / (1 - u) - 2 * v], [-2.0, 0.0]])

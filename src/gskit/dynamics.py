@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Params, State, jacobian, vector_field
+from .core import Params, State, jacobian, trace_det, vector_field
 from .equilibria import classify, discriminants, equilibria
 from .errors import DomainError, NoReturn, StepUnderflow
 
@@ -134,9 +134,9 @@ def section_frame(a: Params) -> SectionFrame:
     return _oriented_frame(a, eq, c, float(d[0]), float(d[1]))
 
 
-def _probe_frame(a: Params, eq) -> SectionFrame:
+def _probe_frame(a: Params, eq, jac) -> SectionFrame:
     """section_frame(a) in Python floats, from the equilibrium set eq of a
-    (kind 'pair').
+    (kind 'pair') and the Jacobian jac at its focus-type point.
 
     The leading eigenvector w of the Jacobian J at the focus-type point is
     taken in closed form with LAPACK's xGEEV normalization (unit norm,
@@ -150,7 +150,7 @@ def _probe_frame(a: Params, eq) -> SectionFrame:
     section_frame's up to round-off, which grows near a double eigenvalue
     (disc = 0) with the eigenvector's condition number."""
     c = State(float(eq.p_mp.u), float(eq.p_mp.v))
-    (j11, j12), (j21, j22) = jacobian(c, a)
+    (j11, j12), (j21, j22) = (map(float, row) for row in jac)
     disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
     if disc >= 0:
         w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
@@ -376,10 +376,9 @@ def classify_region(a: Params) -> RegionLabel:
     if d.delta < 0:
         return RegionLabel(id="outside")
     eq = equilibria(a)
-    rep = classify(eq.p_mp, a)
+    unstable = trace_det(jacobian(eq.p_mp, a))[0] > 0
     cycles = limit_cycle_census(a, _CENSUS_SETTINGS, n_scan=120)
     stability = "".join("s" if c.stable else "u" for c in cycles)
-    unstable = float(rep.trace) > 0
     return RegionLabel(id=_signature_id(unstable, stability), cycles=len(cycles))
 
 
@@ -394,9 +393,9 @@ def probe_region(a: Params) -> RegionLabel:
     eq = equilibria(a)
     if eq.kind != "pair":
         return RegionLabel(id="outside")
-    rep = classify(eq.p_mp, a)
-    unstable = float(rep.trace) > 0
-    frame = _probe_frame(a, eq)
+    jac = jacobian(eq.p_mp, a)
+    unstable = trace_det(jac)[0] > 0
+    frame = _probe_frame(a, eq, jac)
     scale = max(1e-4, 0.02 * frame.r_max)
 
     def probe(r0, sign_time):

@@ -270,8 +270,8 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol):
                            float(t_total), float(rtol), float(atol))
 
 
-def field_eval(fid, sgn, x, y, k, F):
+def _field_eval(fid, sgn, x, y, k, F):
     """Vector field fid (FIELD_PLANE or FIELD_CHART_V) at (x, y), times
-    sgn; ValueError for any other id."""
+    sgn; ValueError for any other id.  For the backend-parity tests."""
     return _impl.field_eval(int(fid), float(sgn), float(x), float(y),
                             float(k), float(F))

@@ -6,6 +6,13 @@ imports it from the tests that use it and collects nothing here.
   x = sqrt(k), y = sqrt(1 - 4 sqrt(k)) (test_poly, test_bautin);
 - bautin_polar_census: the cycle census of the truncated polar normal form
   at the generalized Hopf point (test_bautin, test_dynamics);
+- the generic planar first-focal-value bracket in the field's 14 second
+  and third partials (field_partials, clw_bracket_generic), which
+  gskit.bautin.clw_bracket specializes to the Gray-Scott field
+  (test_bautin, test_oracles);
+- the central-difference Jacobian of the parameter map (k, F) -> (mu, l1)
+  at the generalized Hopf point (param_map_jacobian), against which
+  gskit.bautin's exact determinant is checked (test_bautin);
 - the order-5 Poincare normal-form engine (Series, poincare_normal_form):
   the general series reduction that gskit.normalform's closed-form c1 and
   c2 are checked against (test_normalform);
@@ -19,6 +26,9 @@ imports it from the tests that use it and collects nothing here.
 import math
 from fractions import Fraction
 
+from gskit import bautin
+from gskit.core import Params, jacobian, trace_det
+from gskit.equilibria import equilibria
 from gskit.errors import ZeroPolynomial
 from gskit.poly import IntPoly
 
@@ -242,6 +252,53 @@ def roots_by_division(p: IntPoly, candidates) -> dict:
         if mult:
             out[Fraction(r)] = mult
     return out
+
+
+def field_partials(u, v) -> dict:
+    """The 14 second and third partials of the Gray-Scott field (f, g) at
+    (u, v), keyed "fxy", "gxyy" and so on (x for u, y for v): the only
+    nonzero ones are f_uv = -2v, f_vv = -2u and f_uvv = -2, and g = -f."""
+    f = {"fxx": 0, "fxy": -2 * v, "fyy": -2 * u,
+         "fxxx": 0, "fxxy": 0, "fxyy": -2, "fyyy": 0}
+    return {**f, **{"g" + key[1:]: -val for key, val in f.items()}}
+
+
+def clw_bracket_generic(b, c, d, beta2, p: dict):
+    """The trace-free-linear-part first-focal-value bracket of a planar
+    field with Jacobian ((-d, b), (c, d)), beta2 its determinant, in the
+    field's partials p.  Generic over the arithmetic; l1 = b * bracket /
+    (4 * beta2) equals Re(c1) of the complex reduction."""
+    return (beta2 * (b * (p["fxxx"] + p["gxxy"]) + 2 * d * (p["fxxy"] + p["gxyy"])
+                     - c * (p["fxyy"] + p["gyyy"]))
+            - b * d * (p["fxx"] * p["fxx"] - p["fxx"] * p["gxy"]
+                       - p["fxy"] * p["gxx"] - p["gxx"] * p["gyy"]
+                       - 2 * p["gxy"] * p["gxy"])
+            - c * d * (p["gyy"] * p["gyy"] - p["gyy"] * p["fxy"]
+                       - p["gxy"] * p["fyy"] - p["fyy"] * p["fxx"]
+                       - 2 * p["fxy"] * p["fxy"])
+            + b * b * (p["fxx"] * p["gxx"] + p["gxx"] * p["gxy"])
+            - c * c * (p["fyy"] * p["gyy"] + p["fxy"] * p["fyy"])
+            - (beta2 + 3 * d * d) * (p["fxx"] * p["fxy"] - p["gxy"] * p["gyy"]))
+
+
+def param_map_jacobian(h: float) -> tuple:
+    """Central-difference Jacobian (mu_k, mu_F, l1_k, l1_F) of
+    (k, F) -> (mu, l1) at the generalized Hopf point, with step h: mu is
+    half the trace at the focus-type point and l1 the extended first
+    Lyapunov coefficient there, from one equilibrium solve per point."""
+    k0, F0 = float(bautin.GH_PARAMS.k), float(bautin.GH_PARAMS.F)
+
+    def both(k, F):
+        a = Params(k, F)
+        pt = equilibria(a).p_mp
+        return trace_det(jacobian(pt, a))[0] / 2.0, bautin._l1_extended(pt, a)
+
+    mk1, lk1 = both(k0 + h, F0)
+    mk0, lk0 = both(k0 - h, F0)
+    mF1, lF1 = both(k0, F0 + h)
+    mF0, lF0 = both(k0, F0 - h)
+    return ((mk1 - mk0) / (2 * h), (mF1 - mF0) / (2 * h),
+            (lk1 - lk0) / (2 * h), (lF1 - lF0) / (2 * h))
 
 
 def bautin_polar_census(beta1: float, beta2: float) -> list:

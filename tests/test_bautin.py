@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 
 from gskit.bautin import (GH_PARAMS, clw_bracket, expected_resultant,
                           gh_locate, l1_clw, l1_kuz, l2_gh_exact, l2_kuz, mu,
-                          param_map_jacobian, param_map_transversality,
-                          q1_poly, q2_poly)
-from gskit.core import Params
-from gskit.equilibria import hopf_F
+                          param_map_transversality, q1_poly, q2_poly)
+from gskit.core import Params, jacobian, trace_det
+from gskit.equilibria import equilibria, hopf_F
 from gskit.errors import NotOnHopfCurve
 from gskit.poly import IntPoly, resultant
 from gskit.ratmath import Sqrt2
-from reference import BiPoly, bautin_polar_census
+from reference import (BiPoly, bautin_polar_census, clw_bracket_generic,
+                       field_partials, param_map_jacobian)
 
 
 def restricted_l1_bracket() -> tuple:
@@ -42,7 +43,7 @@ def restricted_l1_bracket() -> tuple:
         "gxxx": BiPoly.const(0), "gxxy": BiPoly.const(0),
         "gxyy": BiPoly.const(2), "gyyy": BiPoly.const(0),
     }
-    return clw_bracket(b_, c_, d_, beta2, p), b_, beta2
+    return clw_bracket_generic(b_, c_, d_, beta2, p), b_, beta2
 
 
 def test_l1_requires_hopf_curve():
@@ -179,12 +180,38 @@ def test_mu_sign_below_hopf_curve():
     assert mu(Params(9 / 256, 3 / 256 + 1e-5)) < 0
 
 
+def test_clw_bracket_equals_generic_oracle():
+    # the specialized bracket against the generic one in the 14 partials,
+    # exactly: on seeded random rationals and at rational Hopf points
+    rng = random.Random(18)
+
+    def rational():
+        return Fr(rng.randint(-60, 60), rng.randint(1, 60))
+
+    for _ in range(200):
+        b, c, d, beta2, u, v = (rational() for _ in range(6))
+        assert clw_bracket(b, c, d, beta2, u, v) == clw_bracket_generic(
+            b, c, d, beta2, field_partials(u, v))
+    for k, F in ((Fr(25, 1296), Fr(5, 1296)), (Fr(9, 256), Fr(3, 256)),
+                 (Fr(4, 81), Fr(2, 81))):
+        a = Params(k, F)
+        pt = equilibria(a).p_mp
+        jac = jacobian(pt, a)
+        b, c, d, beta2 = jac[0][1], jac[1][0], jac[1][1], trace_det(jac)[1]
+        assert clw_bracket(b, c, d, beta2, pt.u, pt.v) == clw_bracket_generic(
+            b, c, d, beta2, field_partials(pt.u, pt.v))
+
+
 def test_param_map_determinant_stable_under_step_halving():
+    exact = param_map_transversality()
+    assert exact == Sqrt2(0, Fr(9, 2))
+    # the central-difference oracle agrees with itself at two steps and
+    # with the exact value
     d1 = _det(param_map_jacobian(h=1e-6))
     d2 = _det(param_map_jacobian(h=1e-7))
     assert abs(d1 - d2) <= 0.05 * max(abs(d1), abs(d2))
-    val = param_map_transversality()
-    assert val == pytest.approx(9 * math.sqrt(2) / 2, rel=1e-5)
+    for d in (d1, d2):
+        assert d == pytest.approx(float(exact), rel=1e-5)
 
 
 def _det(j):

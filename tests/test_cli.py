@@ -62,9 +62,12 @@ def test_verify_commands_and_negative_controls():
     assert json.loads(out)["all_passed"] is False
     code, out = run_cli("verify-bautin")
     assert code == 0
+    # the parameter-map determinant is the exact 0 + (9/2) sqrt(2)
+    det = json.loads(out)["param_map_det"]
+    assert (det["a"]["num"], det["b"]["num"], det["b"]["den"]) == (0, 9, 2)
     # the whole report, exact checkpoints and float l2 alike, byte for byte
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c4a4c62f45ae32332f7e8004da4c2428b4d3ad38bb047ed87820b892ed4de9a6")
+        "1eade15d706f0d174da4ea49f09a8e997af133b5fc8162ea2abf6df710582329")
     code, out = run_cli("verify-bautin", "--mutate")
     assert code == 1
 

@@ -148,14 +148,14 @@ def test_probe_frame_matches_section_frame():
             if discriminants(a).delta <= 0:
                 continue
             eq = equilibria(a)
-            (j11, j12), (j21, j22) = jacobian(
-                State(float(eq.p_mp.u), float(eq.p_mp.v)), a)
+            jac = jacobian(eq.p_mp, a)
+            (j11, j12), (j21, j22) = jac
             disc = (j11 - j22) ** 2 + 4 * j12 * j21
             m2 = ((j22 - j11) / 2) ** 2 - disc / 4
             branches.add("node" if disc >= 0 else
                          "first" if j12 * j12 >= m2 else "second")
             ref = dynamics.section_frame(a)
-            got = dynamics._probe_frame(a, eq)
+            got = dynamics._probe_frame(a, eq, jac)
             # near a double eigenvalue the eigenvector's condition number
             # |J| / |lambda1 - lambda2| is large, and LAPACK's direction
             # itself is off by up to 2.8e-15 from a 40-digit one there (over

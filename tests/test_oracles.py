@@ -1,9 +1,10 @@
 """Independent oracles for the double-zero coefficients, the Hopf types,
 the cycle census, and the closed-form derivatives of the field: the
 extended Jacobian behind the fold and Hopf continuation and the
-double-zero transversality determinant, the normal-form projections, the
-normal-form coefficients c1 and c2 at the generalized Hopf point, and the
-resultant that locates that point.
+double-zero transversality determinant, the first-focal-value bracket,
+the normal-form projections, the normal-form coefficients c1 and c2 at the
+generalized Hopf point, the resultant that locates that point, and the
+determinant of the parameter map (k, F) -> (mu, l1) there.
 
 The oracles share no code with gskit: the field is written out again, the
 Jordan chain is built by sympy from the raw field, and the dynamics are
@@ -12,12 +13,16 @@ integrated by scipy.  These tests justify the targets of acceptance criteria
 double-zero point) without sharing code with the routes they check.  The
 census test imports gskit only for the cycles it checks, the derivative
 and normal-form tests only for the closed forms they compare with sympy's,
-and the resultant test only for the coefficient table of q1.
+the resultant test only for the coefficient table of q1, and the
+parameter-map test only for the exact value it compares.  The generic
+bracket comes from tests/reference.py.
 """
 import math
 
 import numpy as np
 import pytest
+
+from reference import clw_bracket_generic
 
 
 def _field(u, v, k, F):
@@ -88,12 +93,12 @@ def test_equilibrium_curve_jacobians_from_sympy():
     # derivatives of the raw field: core.extended_jacobian, the values and
     # the 4x4 Jacobian of (f1, f2, tr A, det A) in (u, v, k, F), A the (u, v)
     # Jacobian; the fold and Hopf continuation residuals {f = 0, det A = 0}
-    # and {f = 0, tr A = 0}; and the second and third partials of the
-    # normal-form route.  Each is evaluated on symbols and must equal sympy's
-    # expression identically
+    # and {f = 0, tr A = 0}; the Jacobian of newton_bt's residual; and the
+    # first-focal-value bracket specialized to the field.  Each is evaluated
+    # on symbols and must equal sympy's expression identically
     sp = pytest.importorskip("sympy")
     from gskit import bautin, continuation
-    from gskit.core import State, extended_jacobian
+    from gskit.core import extended_jacobian
 
     z = sp.symbols("u v k F")
     f = sp.Matrix(_field(*z))
@@ -113,13 +118,71 @@ def test_equilibrium_curve_jacobians_from_sympy():
         assert (sp.Matrix(list(res)) - R).applyfunc(sp.expand) == sp.zeros(3, 1)
         assert ((sp.Matrix(jac().tolist()) - R.jacobian(z)).applyfunc(sp.expand)
                 == sp.zeros(3, 4))
-    # "gxyy" is the third partial of f2 in u, v, v, and so on
-    partials = bautin._partials(State(z[0], z[1]))
+    # newton_bt's residual (k(u, v) - v^2, 1 - 2u) on the focus-branch graph
+    u, v = z[:2]
+    k_graph = u * v * (1 - u - v) / (1 - u)
+    J = sp.Matrix([k_graph - v ** 2, 1 - 2 * u]).jacobian([u, v])
+    assert (sp.Matrix(continuation._bt_jacobian(u, v).tolist()) - J).applyfunc(
+        sp.simplify) == sp.zeros(2, 2)
+    # the first-focal-value bracket, specialized to the field, against the
+    # generic bracket on sympy's 14 second and third partials, for free
+    # b, c, d, beta2
+    partials = _sympy_partials(sp, f, *z[:2])
     assert len(partials) == 14
-    for name, value in partials.items():
-        component = f[0] if name[0] == "f" else f[1]
-        wrt = [z[0] if c == "x" else z[1] for c in name[1:]]
-        assert sp.expand(sp.diff(component, *wrt) - value) == 0, name
+    b, c, d, beta2 = sp.symbols("b c d beta2")
+    assert sp.expand(bautin.clw_bracket(b, c, d, beta2, *z[:2])
+                     - clw_bracket_generic(b, c, d, beta2, partials)) == 0
+
+
+def _sympy_partials(sp, f, u, v) -> dict:
+    """The 14 second and third partials of the field f = (f1, f2) in
+    (u, v), keyed as the generic bracket reads them: "gxyy" is the third
+    partial of f2 in u, v, v, and so on."""
+    return {comp + wrt: sp.diff(fi, *[u if c == "x" else v for c in wrt])
+            for comp, fi in (("f", f[0]), ("g", f[1]))
+            for wrt in ("xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy")}
+
+
+def test_gh_param_map_determinant_from_sympy():
+    # the third Bautin fact from the raw field, without gskit.poly or
+    # ratmath: with rows (mu, l1) and columns (k, F), mu = tr A / 2 at the
+    # focus point, the determinant is -mu_F * dl1/dk along the Hopf curve,
+    # where mu vanishes.  mu_k and mu_F come from the focus point's implicit
+    # derivative; l1 = b S / (4 beta2) / omega along the curve from the
+    # generic bracket S on sympy's partials, differentiated in y
+    sp = pytest.importorskip("sympy")
+    from gskit import bautin
+
+    R = sp.Rational
+    u, v, k, F, y = sp.symbols("u v k F y")
+    f = sp.Matrix(_field(u, v, k, F))
+    A = f.jacobian([u, v])
+    tr = sp.Matrix([A.trace()])
+    at = {u: R(1, 4), v: R(3, 16), k: R(9, 256), F: R(3, 256)}
+    assert f.subs(at) == sp.zeros(2, 1) and tr.subs(at) == sp.zeros(1, 1)
+    d_uv = -A.inv() * f.jacobian([k, F])
+    mu_k, mu_F = ((tr.jacobian([k, F]) + tr.jacobian([u, v]) * d_uv) / 2).subs(at)
+    assert (mu_k, mu_F) == (2, -3)
+    # the Hopf curve through y = sqrt(1 - 4 sqrt(k)), with y = 1/2 at GH
+    x = (1 - y ** 2) / 4
+    on = {u: (1 - y) / 2, v: x, k: x ** 2, F: x * (1 - y) / 2 - x ** 2}
+    assert f.subs(on).applyfunc(sp.expand) == sp.zeros(2, 1)
+    assert sp.expand(tr[0].subs(on)) == 0
+    assert all(e.subs(y, R(1, 2)) == at[s] for s, e in on.items())
+    Ay = A.subs(on)
+    beta2 = Ay.det()
+    partials = {name: p.subs(on) for name, p in _sympy_partials(sp, f, u, v).items()}
+    l1 = (Ay[0, 1] * clw_bracket_generic(Ay[0, 1], Ay[1, 0], Ay[1, 1], beta2, partials)
+          / (4 * beta2) / sp.sqrt(beta2))
+    dk_dy = sp.diff(on[k], y)
+    dl1_dk = sp.radsimp(sp.simplify((sp.diff(l1, y) / dk_dy).subs(y, R(1, 2))))
+    assert sp.simplify(dl1_dk - 3 * sp.sqrt(2) / 2) == 0
+    # mu vanishes along the curve: mu_k + mu_F dF/dk = 0 at GH
+    assert mu_k + mu_F * (sp.diff(on[F], y) / dk_dy).subs(y, R(1, 2)) == 0
+    det = -mu_F * dl1_dk
+    assert sp.simplify(det - 9 * sp.sqrt(2) / 2) == 0
+    exact = bautin.param_map_transversality()
+    assert (exact.a, exact.b) == (0, R(9, 2))
 
 
 def _gh_projections(sp):
