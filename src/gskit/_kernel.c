@@ -431,11 +431,14 @@ static int ray_misses_box(double cx, double cy, double dx, double dy,
 
 /* _pure.ray_crossings.  Hits go to hits as (t, s, x, y) quadruples, at most
  * cap of them, and *n counts them.  Returns the status, or BUFFER_FULL when
- * hit cap + 1 was due. */
+ * hit cap + 1 was due.  With escape_sum > 0 it returns BOX_EXIT once the
+ * state leaves {x >= 0, x + y <= escape_sum}, whose complement is invariant
+ * in reversed time (derivation in _pure.ray_crossings). */
 int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
                      double cy, double dx, double dy, int orient,
                      long long max_crossings, double t_max, double rtol,
-                     double atol, double t_min, double time_sign, double box,
+                     double atol, double t_min, double time_sign,
+                     double escape_sum,
                      double *hits, long long cap, long long *n)
 {
     Stepper st;
@@ -520,7 +523,7 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
             }
         }
         g_prev = g_now;
-        if (box > 0.0 && (st.x > box || st.y > box))
+        if (escape_sum > 0.0 && (st.x < 0.0 || st.x + st.y > escape_sum))
             return BOX_EXIT;
         if (capture && fabs(1.0 - st.x) <= eps_in && 0.0 <= st.y
                 && st.y <= delta_in)

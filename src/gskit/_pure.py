@@ -27,8 +27,9 @@ Shared status codes:
   and monodromy) were taken, or for ray_crossings t_max was reached;
 - 2 ``UNDERFLOW``: the step size fell below 1e-15 * max(1, |t|), or is nan
   (a first-step estimate from a non-finite field);
-- 4 ``BOX_EXIT``: integrate and ray_crossings with box > 0: the state left
-  the stop box {x <= box, y <= box};
+- 4 ``BOX_EXIT``: integrate with box > 0: the state left the stop box
+  {x <= box, y <= box}; ray_crossings with escape_sum > 0: the state left
+  the region {x >= 0, x + y <= escape_sum};
 - 8 ``CAPTURED``: ray_crossings only; the state entered a forward-invariant
   box around the trivial node (1, 0) that the ray misses;
 - 16 ``SETTLED``: ray_crossings only; the newest three section radii
@@ -309,7 +310,7 @@ def _ray_misses_box(cx, cy, dx, dy, xlo, xhi, ylo, yhi):
 
 
 def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
-                  t_max, rtol, atol, t_min, time_sign, box=0.0):
+                  t_max, rtol, atol, t_min, time_sign, escape_sum=0.0):
     """Crossings of the ray {(cx,cy) + s (dx,dy) : s > S_MIN}.
 
     Integrates the plane field (reversed when time_sign=-1) and locates sign
@@ -320,20 +321,23 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
 
     Three early stops end the integration once the outcome is decided:
 
-    - Escape box (box > 0): BOX_EXIT once x > box or y > box after a step.
-      In reversed time with v >= 0, S = u + v obeys S' = F (S - 1) + k v >=
-      F (S - 1), so once S > 1 it grows for ever; and u < 0 gives
-      u' = u v^2 + F (u - 1) < 0, so u stays negative.  A section ray starts
-      at an equilibrium, where v = F (1 - u) / (F + k) gives S <= 1, so its
-      first-quadrant points with s <= r_max <= 2.5 have S <= 1 + 2.5 sqrt 2
-      < 4.6.  After leaving the box (10, 10) the reversed orbit therefore
-      meets the ray only beyond r_max: the hits with s <= r_max are those
-      of a run without the box, but crossings with s > r_max that such a
-      run records after the exit are dropped.  A list that ended on one of
-      those would read as 'escape' in dynamics._attractor_kind (its last
-      radius exceeds 0.9 r_max); the truncated list is read from its own
-      last radii instead.  The 200x200 criterion-10 map keeps every label
-      with this stop.
+    - Escape region (escape_sum > 0): BOX_EXIT once the state leaves
+      R = {x >= 0, x + y <= escape_sum} after a step.  It serves reversed
+      time with F, k >= 0 and v >= 0 (v = 0 is invariant), where the
+      complement of R is invariant: u < 0 gives u' = u v^2 + F (u - 1) < 0,
+      so u stays negative; and S = u + v obeys S' = F (S - 1) + k v >=
+      F (S - 1), so once S > escape_sum >= 1, S never falls again.  S is
+      linear along the ray and u >= 0 on its first-quadrant segment
+      s <= r_max, so with escape_sum = max(1, S(c), S(c + r_max d)) R holds
+      that segment, and after leaving R the orbit meets the ray only beyond
+      r_max: the hits with s <= r_max are those of a run without the stop,
+      but crossings with s > r_max that such a run records after the exit
+      are dropped.  A list that ended on one of those would read as
+      'escape' in dynamics._attractor_kind (its last radius exceeds
+      0.9 r_max); the truncated list is read from its own last radii
+      instead.  The 200x200 criterion-10 map keeps every label with this
+      stop.  A stop on S alone is not enough: the reversed blow-up runs
+      off with u -> -inf and v -> +inf while u + v stays bounded.
     - Node capture (time_sign > 0, automatic): CAPTURED once the state lies
       in the forward-invariant box B around (1, 0) of _node_box, shrunk by
       _CAPTURE_MARGIN, provided the ray misses B grown by the same share.
@@ -406,7 +410,7 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
                             return OK, hits
                 th_prev, gp = th, gn
         g_prev = g_now
-        if box > 0.0 and (st.x > box or st.y > box):
+        if escape_sum > 0.0 and (st.x < 0.0 or st.x + st.y > escape_sum):
             return BOX_EXIT, hits
         if capture and abs(1.0 - st.x) <= eps_in and 0.0 <= st.y <= delta_in:
             return CAPTURED, hits

@@ -79,8 +79,8 @@ def _fd_jacobian(res, z, f0, eps):
     return J
 
 
-def _tangent(problem, z, prev=None):
-    _, _, vt = np.linalg.svd(problem(z)[1]())
+def _tangent(jac, prev=None):
+    _, _, vt = np.linalg.svd(jac)
     t = vt[-1]
     if prev is not None and float(t @ prev) < 0:
         t = -t
@@ -103,19 +103,22 @@ class _Engine:
     seed_residual_max: float
     rising: int
 
-    def correct(self, problem, z_pred, t):
-        """Newton on [R(z); t.(z - z_pred)] = 0.  Returns (z, iterations) or None."""
+    def correct(self, problem, z_pred, t, known=None):
+        """Newton on [R(z); t.(z - z_pred)] = 0, starting from known =
+        problem(z_pred) when the caller has it.  Returns (z, iterations,
+        jac), jac the Jacobian thunk of problem(z), or None."""
         n = z_pred.size
         A = np.empty((n, n))
         A[-1] = t
         g = np.empty(n)
         z = z_pred.copy()
         for it in range(8):
-            f, jac = problem(z)
+            f, jac = known or problem(z)
+            known = None
             g[:-1] = f
             g[-1] = t @ (z - z_pred)
             if np.max(np.abs(f)) < self.corrector_tol and abs(g[-1]) < 1e-12:
-                return z, it
+                return z, it, jac
             A[:-1] = jac()
             try:
                 dz = np.linalg.solve(A, -g)
@@ -124,9 +127,9 @@ class _Engine:
             z = z + dz
             if not np.all(np.isfinite(z)):
                 return None
-        f = problem(z)[0]
+        f, jac = problem(z)
         if np.max(np.abs(f)) < self.corrector_tol:
-            return z, 8
+            return z, 8, jac
         return None
 
     def bisect_event(self, problem, fn, za, fa, zb, fb):
@@ -159,14 +162,17 @@ class _Engine:
 
     def run(self, kind, problem, z0, make_point, test_functions, domain_ok,
             direction=1.0):
-        f0 = problem(z0)[0]
+        # the seed's residual and Jacobian serve its check, its tangent and
+        # Newton's first iteration; a corrected point's serve its tangent
+        f0, jac0 = problem(z0)
         if np.max(np.abs(f0)) > self.seed_residual_max:
             raise SeedInvalid(f"seed residual {np.max(np.abs(f0)):.2e} for {kind}")
-        sol = self.correct(problem, z0.copy(), _tangent(problem, z0))
+        J0 = jac0()
+        sol = self.correct(problem, z0.copy(), _tangent(J0), known=(f0, lambda: J0))
         if sol is None:
             raise SeedInvalid(f"seed failed to correct for {kind}")
-        z = sol[0]
-        t = _tangent(problem, z)
+        z, _, jac = sol
+        t = _tangent(jac())
         if t[self.rising] < 0:
             t = -t
         t = t * direction
@@ -190,7 +196,7 @@ class _Engine:
                     break
             if accepted is None:
                 break
-            z_new, iters = accepted
+            z_new, iters, jac_new = accepted
             # leave the domain before looking for events: the fold's trace
             # vanishes where the curve meets the origin k = F = 0, and an
             # event located there has no valid Params
@@ -221,7 +227,7 @@ class _Engine:
                 t_new = z_new - z
                 t_new = t_new / np.linalg.norm(t_new)
             else:
-                t_new = _tangent(problem, z_new, prev=t)
+                t_new = _tangent(jac_new(), prev=t)
             points.append(make_point(z_new, t_new, ds))
             zs.append(z_new)
             z, t = z_new, t_new

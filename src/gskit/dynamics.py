@@ -23,9 +23,6 @@ TRIVIAL_POINT = State(1.0, 0.0)
 # A radius sequence has settled when three successive radii agree to this
 # relative tolerance (or the newest falls below it); the kernel applies it.
 SETTLE_TOL = kernels.SETTLE_TOL
-# Reversed-time probes stop once u or v exceeds this: the orbit can no longer
-# meet the section inside the admissible window (_pure.ray_crossings).
-ESCAPE_BOX = 10.0
 
 
 @dataclass(frozen=True)
@@ -204,22 +201,32 @@ def return_map(a: Params, r: float, frame: SectionFrame,
     return s, t
 
 
+def _escape_sum(frame):
+    """S_ray = max(1, S(c), S(c + r_max d)), S = u + v: at least 1 and the
+    largest u + v on the ray's segment s <= r_max.  A reversed orbit that
+    leaves {u >= 0, u + v <= S_ray} never meets that segment again."""
+    c, d = frame.center, frame.direction
+    return max(1.0, c.u + c.v,
+               (c.u + frame.r_max * d[0]) + (c.v + frame.r_max * d[1]))
+
+
 def _section_radii(a, x0, y0, frame, time_sign):
     """(status, radii): the successive section radii, at most 400, of the
     orbit through (x0, y0), forward or (time_sign < 0) reversed in time.
 
     The list ends early once _attractor_kind can decide it: at the first
-    triple that settles within SETTLE_TOL (status SETTLED), when a reversed
-    orbit leaves the escape box (10, 10), or when a forward orbit is
-    captured by the trivial node (derivations in
+    triple that settles within SETTLE_TOL (status SETTLED), when a forward
+    orbit is captured by the trivial node, or when a reversed orbit leaves
+    {u >= 0, u + v <= S_ray}, S_ray = _escape_sum(frame), after which it
+    never meets the ray within r_max again (derivations in
     gskit._pure.ray_crossings)."""
     c, d = frame.center, frame.direction
     orient = frame.orientation if time_sign > 0 else -frame.orientation
-    box = ESCAPE_BOX if time_sign < 0 else 0.0
+    escape_sum = _escape_sum(frame) if time_sign < 0 else 0.0
     status, hits = kernels.ray_crossings(
         x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
         orient, 400, 2e5, _PROBE_SETTINGS.rel_tol, _PROBE_SETTINGS.abs_tol,
-        1e-9, time_sign, box=box)
+        1e-9, time_sign, escape_sum=escape_sum)
     return status, [h[1] for h in hits]
 
 

@@ -172,7 +172,8 @@ class _CKernels:
         return status, end[0], end[1], end[2], s[0::3], s[1::3], s[2::3]
 
     def ray_crossings(self, x0, y0, k, F, cx, cy, dx, dy, orient,
-                      max_crossings, t_max, rtol, atol, t_min, time_sign, box):
+                      max_crossings, t_max, rtol, atol, t_min, time_sign,
+                      escape_sum):
         n = ctypes.c_longlong()
         bound = max(max_crossings, 1)     # hits a call can return
         cap = min(bound, _FIRST_CAP)
@@ -180,7 +181,8 @@ class _CKernels:
             hits = (ctypes.c_double * (4 * cap))()
             status = self._lib.gs_ray_crossings(
                 x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings, t_max,
-                rtol, atol, t_min, time_sign, box, hits, cap, ctypes.byref(n))
+                rtol, atol, t_min, time_sign, escape_sum, hits, cap,
+                ctypes.byref(n))
             if status != _BUFFER_FULL:
                 break
             cap = min(8 * cap, bound)
@@ -252,7 +254,7 @@ def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
 
 
 def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
-                  t_max, rtol, atol, t_min, time_sign, box=0.0):
+                  t_max, rtol, atol, t_min, time_sign, escape_sum=0.0):
     """Crossings of the ray {(cx,cy) + s (dx,dy) : s > S_MIN} in the
     direction orient (+1 or -1); see gskit._pure.ray_crossings.  Returns
     (status, hits)."""
@@ -260,7 +262,7 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
                                float(cx), float(cy), float(dx), float(dy),
                                int(orient), int(max_crossings), float(t_max),
                                float(rtol), float(atol), float(t_min),
-                               float(time_sign), float(box))
+                               float(time_sign), float(escape_sum))
 
 
 def monodromy(x0, y0, k, F, t_total, rtol, atol):

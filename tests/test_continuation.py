@@ -82,6 +82,34 @@ def test_equilibrium_jacobians_match_central_differences(problem):
         assert np.max(np.abs(jac - fd)) < 1e-8
 
 
+def test_engine_evaluates_each_point_once(monkeypatch):
+    # the engine reuses a residual and Jacobian it already has: the seed
+    # check, the seed tangent and Newton's first iteration share one
+    # evaluation, and so do a converged point and its tangent; no point is
+    # evaluated twice in a row, no Jacobian twice
+    hopf = continuation._hopf_problem
+    calls = []
+
+    def recorded(z):
+        f, jac = hopf(z)
+        call = [z.tobytes(), 0]
+        calls.append(call)
+
+        def counted():
+            call[1] += 1
+            return jac()
+
+        return f, counted
+
+    monkeypatch.setattr(continuation, "_hopf_problem", recorded)
+    run = continue_curve("hopf", hopf_seed(0.03), detect_events=False)
+    assert len(run.points) > 10
+    keys = [key for key, _ in calls]
+    assert keys[0] == hopf_seed(0.03).tobytes()
+    assert all(a != b for a, b in zip(keys, keys[1:]))
+    assert all(n <= 1 for _, n in calls)
+
+
 @pytest.mark.parametrize("flip_null_vector", [False, True])
 def test_first_step_follows_direction(monkeypatch, flip_null_vector):
     # direction=+1 raises F on the equilibrium curves and the radius on the

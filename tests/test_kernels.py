@@ -296,14 +296,87 @@ def _probe_args(k, F, time_sign, t_max=2e5, n=400):
     return args, frame
 
 
+def _reversed_steps(args, until):
+    """(status, states): the state (t, x, y) after each accepted step of
+    the reversed stepper that ray_crossings(*args) runs, up to the first
+    for which until(x, y) holds or the stepper fails."""
+    from gskit import _pure
+
+    x0, y0, k, F = args[:4]
+    t_max, rtol, atol = args[10:13]
+    st = _pure._Stepper(_pure.FIELD_PLANE, -1.0, x0, y0, k, F, rtol, atol)
+    states = []
+    while st.t < t_max:
+        status = st.advance(t_max)
+        if status != kernels.OK:
+            return status, states
+        states.append((st.t, st.x, st.y))
+        if until(st.x, st.y):
+            return kernels.OK, states
+    return kernels.MAX_STEPS, states
+
+
 def test_reversed_probe_exits_escape_box(backend):
     # a label-4 cell: the reversed orbit from the stable focus blows up
-    args, _ = _probe_args(0.055, 0.055, -1.0)
-    st, hits = kernels.ray_crossings(*args, box=10.0)
+    from gskit import dynamics
+
+    args, frame = _probe_args(0.055, 0.055, -1.0)
+    s_ray = dynamics._escape_sum(frame)
+    st, hits = kernels.ray_crossings(*args, escape_sum=s_ray)
     st0, hits0 = kernels.ray_crossings(*args)
     assert st == kernels.BOX_EXIT
     assert st0 == kernels.UNDERFLOW
     assert hits == hits0[:len(hits)]
+    # the unstopped run blows up with u -> -inf, v -> +inf and u + v
+    # bounded: a stop on u + v alone would not end it
+    status, states = _reversed_steps(args, lambda x, y: False)
+    assert status == kernels.UNDERFLOW
+    _, x, y = states[-1]
+    assert x < -10.0 and y > 10.0 and x + y < 10.0
+
+
+def test_reversed_stop_keeps_the_hits_within_r_max(backend):
+    # reversed probes of seeded random pair cells of the criterion-10
+    # window, from the focus side and from near r_max: the stop drops no
+    # hit with s <= r_max, and the state where it ends the run is outside
+    # R = {u >= 0, u + v <= S_ray}
+    import random
+
+    from gskit import dynamics
+    from gskit.equilibria import equilibria
+
+    rng = random.Random(2017)
+    exits = 0
+    for _ in range(40):
+        k, F = rng.uniform(1e-9, 0.07), rng.uniform(1e-9, 0.07)
+        if equilibria(Params(k, F)).kind != "pair":
+            continue
+        args, frame = _probe_args(k, F, -1.0)
+        s_ray = dynamics._escape_sum(frame)
+        c, d = frame.center, frame.direction
+        for r0 in (max(1e-4, 0.02 * frame.r_max), 0.9 * frame.r_max):
+            args = (c.u + r0 * d[0], c.v + r0 * d[1]) + args[2:]
+            status, radii = dynamics._section_radii(
+                Params(k, F), args[0], args[1], frame, -1.0)
+            st0, hits0 = kernels.ray_crossings(*args)
+            assert radii == [h[1] for h in hits0[:len(radii)]]
+            within = [h for h in hits0 if h[1] <= frame.r_max]
+            assert [r for r in radii if r <= frame.r_max] == [h[1] for h in within]
+            # every hit on the segment lies in R
+            assert all(x >= 0.0 and x + y <= s_ray for _, _, x, y in within)
+            if status != kernels.BOX_EXIT:
+                assert status == st0 and len(radii) == len(hits0)
+                continue
+            exits += 1
+            _, states = _reversed_steps(
+                args, lambda x, y: x < 0.0 or x + y > s_ray)
+            t, x, y = states[-1]
+            assert x < 0.0 or x + y > s_ray
+            # the run ended at that step: its hits are the unstopped run's
+            # up to it, and none after it lies on the segment
+            assert len(radii) == sum(h[0] <= t for h in hits0)
+            assert all(h[1] > frame.r_max for h in hits0[len(radii):])
+    assert exits >= 20
 
 
 def test_forward_probe_captured_by_node(backend):
@@ -353,7 +426,7 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     from gskit import _pure, dynamics
 
     args, frame = _probe_args(0.06, 0.0465, -1.0)
-    st, hits = kernels.ray_crossings(*args, box=10.0)
+    st, hits = kernels.ray_crossings(*args, escape_sum=10.0)
     assert st == kernels.SETTLED
     radii = [h[1] for h in hits]
     assert _first_settled(radii, kernels.SETTLE_TOL) == len(radii) - 1
@@ -361,7 +434,7 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     # the pure kernel with a zero tolerance never settles: the full run
     monkeypatch.setattr(_pure, "SETTLE_TOL", 0.0)
     kernels._use_backend("pure")
-    st0, hits0 = kernels.ray_crossings(*args, box=10.0)
+    st0, hits0 = kernels.ray_crossings(*args, escape_sum=10.0)
     assert st0 != kernels.SETTLED and len(hits0) > len(hits)
     assert hits == hits0[:len(hits)]
     # the full run settles first at the same crossing, which is where a scan
