@@ -128,42 +128,8 @@ def section_frame(a: Params) -> SectionFrame:
         d = np.array([1.0, 0.0])
     else:
         d /= n
-    return _oriented_frame(a, eq, c, float(d[0]), float(d[1]))
-
-
-def _probe_frame(a: Params, eq, jac) -> SectionFrame:
-    """section_frame(a) in Python floats, from the equilibrium set eq of a
-    (kind 'pair') and the Jacobian jac at its focus-type point.
-
-    The leading eigenvector w of the Jacobian J at the focus-type point is
-    taken in closed form with LAPACK's xGEEV normalization (unit norm,
-    largest component real), whose phase sets the real part used.  With
-    disc = (j11 - j22)^2 + 4 j12 j21: for disc >= 0, w = (j12, lam - j11)
-    with lam = (j11 + j22 + sqrt(disc)) / 2; otherwise the eigenvector
-    (j12, re + i s), re = (j22 - j11) / 2, s = sqrt(-disc) / 2, has its
-    largest component made real, whose real part is w = (j12, re) when
-    j12^2 >= m2 = re^2 + s^2 and w = (j12 re, m2) else.  j12 = -2uv is
-    nonzero at the focus-type point, so w is too.  The direction is
-    section_frame's up to round-off, which grows near a double eigenvalue
-    (disc = 0) with the eigenvector's condition number."""
-    c = State(float(eq.p_mp.u), float(eq.p_mp.v))
-    (j11, j12), (j21, j22) = (map(float, row) for row in jac)
-    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
-    if disc >= 0:
-        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
-    else:
-        re = (j22 - j11) / 2
-        m2 = re * re - disc / 4
-        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
-    n = math.hypot(w0, w1)
-    return _oriented_frame(a, eq, c, -w1 / n, w0 / n)
-
-
-def _oriented_frame(a: Params, eq, c: State, d0: float,
-                    d1: float) -> SectionFrame:
-    """Frame on the unit direction +-(d0, d1) through the focus-type point
-    c: pointing away from the saddle, with the flow's rotation sense and
-    the radius at which the ray leaves the admissible window."""
+    d0, d1 = float(d[0]), float(d[1])
+    # point away from the saddle
     if eq.kind == "pair":
         if d0 * (c.u - float(eq.p_pm.u)) + d1 * (c.v - float(eq.p_pm.v)) < 0:
             d0, d1 = -d0, -d1
@@ -179,6 +145,62 @@ def _oriented_frame(a: Params, eq, c: State, d0: float,
             r_cap = min(r_cap, -comp / dcomp)
     return SectionFrame(center=c, direction=(d0, d1), orientation=orient,
                         r_max=r_cap)
+
+
+def _probe_frame(k: float, F: float):
+    """probe_region's frame at (k, F) in Python floats: None when there is
+    no pair of nontrivial equilibria (Delta = 1 - 4 F gamma^2 <= 0, gamma =
+    (F + k) / F), else (unstable, cu, cv, d0, d1, orient, r_max).  unstable
+    says the trace at the focus-type point c = (cu, cv) is positive; (d0,
+    d1), orient and r_max are section_frame's direction, orientation and
+    r_max.  The operations are those of equilibria, uv_jacobian,
+    vector_field and section_frame's orientation and cap, in their order.
+
+    The leading eigenvector w of the Jacobian J at the focus-type point is
+    taken in closed form with LAPACK's xGEEV normalization (unit norm,
+    largest component real), whose phase sets the real part used.  With
+    disc = (j11 - j22)^2 + 4 j12 j21: for disc >= 0, w = (j12, lam - j11)
+    with lam = (j11 + j22 + sqrt(disc)) / 2; otherwise the eigenvector
+    (j12, re + i s), re = (j22 - j11) / 2, s = sqrt(-disc) / 2, has its
+    largest component made real, whose real part is w = (j12, re) when
+    j12^2 >= m2 = re^2 + s^2 and w = (j12 re, m2) else.  j12 = -2uv is
+    nonzero at the focus-type point, so w is too.  The direction is
+    section_frame's up to round-off, which grows near a double eigenvalue
+    (disc = 0) with the eigenvector's condition number."""
+    g = (F + k) / F
+    delta = 1 - 4 * F * g * g
+    if delta <= 0:
+        return None
+    s = math.sqrt(delta)
+    cu, cv = (1 - s) / 2, (1 + s) / (2 * g)
+    # uv_jacobian at the focus-type point
+    j11, j12 = -(F + cv * cv), -2 * cu * cv
+    j21, j22 = cv * cv, -(F + k) + 2 * cu * cv
+    unstable = j11 + j22 > 0
+    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
+    if disc >= 0:
+        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
+    else:
+        re = (j22 - j11) / 2
+        m2 = re * re - disc / 4
+        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
+    n = math.hypot(w0, w1)
+    d0, d1 = -w1 / n, w0 / n
+    # point away from the saddle ((1 + s) / 2, (1 - s) / (2 gamma))
+    if d0 * (cu - (1 + s) / 2) + d1 * (cv - (1 - s) / (2 * g)) < 0:
+        d0, d1 = -d0, -d1
+    # rotation direction of the flow just off the section
+    x, y = cu + 1e-6 * d0, cv + 1e-6 * d1
+    uvv = x * y * y
+    f0, f1 = -uvv + F * (1 - x), uvv - (F + k) * y
+    orient = 1 if (d0 * f1 - d1 * f0) > 0 else -1
+    # cap the ray at the quadrant boundary / sanity window
+    r_max = 2.5
+    if d0 < 0:
+        r_max = min(r_max, -cu / d0)
+    if d1 < 0:
+        r_max = min(r_max, -cv / d1)
+    return unstable, cu, cv, d0, d1, orient, r_max
 
 
 def return_map(a: Params, r: float, frame: SectionFrame,
@@ -202,17 +224,18 @@ def return_map(a: Params, r: float, frame: SectionFrame,
 
 
 def _escape_sum(frame):
-    """S_ray = max(1, S(c), S(c + r_max d)), S = u + v: at least 1 and the
-    largest u + v on the ray's segment s <= r_max.  A reversed orbit that
-    leaves {u >= 0, u + v <= S_ray} never meets that segment again."""
-    c, d = frame.center, frame.direction
-    return max(1.0, c.u + c.v,
-               (c.u + frame.r_max * d[0]) + (c.v + frame.r_max * d[1]))
+    """S_ray = max(1, S(c), S(c + r_max d)), S = u + v, of a _probe_frame
+    tuple: at least 1 and the largest u + v on the ray's segment s <= r_max.
+    A reversed orbit that leaves {u >= 0, u + v <= S_ray} never meets that
+    segment again."""
+    _, cu, cv, d0, d1, _, r_max = frame
+    return max(1.0, cu + cv, (cu + r_max * d0) + (cv + r_max * d1))
 
 
-def _section_radii(a, x0, y0, frame, time_sign):
+def _section_radii(k, F, r0, frame, time_sign):
     """(status, radii): the successive section radii, at most 400, of the
-    orbit through (x0, y0), forward or (time_sign < 0) reversed in time.
+    orbit through radius r0 on the ray of the _probe_frame tuple frame at
+    (k, F), forward or (time_sign < 0) reversed in time.
 
     The list ends early once _attractor_kind can decide it: at the first
     triple that settles within SETTLE_TOL (status SETTLED), when a forward
@@ -220,11 +243,13 @@ def _section_radii(a, x0, y0, frame, time_sign):
     {u >= 0, u + v <= S_ray}, S_ray = _escape_sum(frame), after which it
     never meets the ray within r_max again (derivations in
     gskit._pure.ray_crossings)."""
-    c, d = frame.center, frame.direction
-    orient = frame.orientation if time_sign > 0 else -frame.orientation
-    escape_sum = _escape_sum(frame) if time_sign < 0 else 0.0
+    _, cu, cv, d0, d1, orient, _ = frame
+    if time_sign < 0:
+        orient, escape_sum = -orient, _escape_sum(frame)
+    else:
+        escape_sum = 0.0
     status, hits = kernels.ray_crossings(
-        x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
+        cu + r0 * d0, cv + r0 * d1, k, F, cu, cv, d0, d1,
         orient, 400, 2e5, _PROBE_SETTINGS.rel_tol, _PROBE_SETTINGS.abs_tol,
         1e-9, time_sign, escape_sum=escape_sum)
     return status, [h[1] for h in hits]
@@ -389,45 +414,48 @@ def classify_region(a: Params) -> RegionLabel:
     return RegionLabel(id=_signature_id(unstable, stability), cycles=len(cycles))
 
 
+# probe_region's results: RegionLabel is frozen, so every cell shares them
+_PROBE_LABELS = {"outside": RegionLabel(id="outside"), "x": RegionLabel(id="x"),
+                 "1": RegionLabel(id="1"), "2": RegionLabel(id="2", cycles=1),
+                 "3": RegionLabel(id="3", cycles=2),
+                 "4": RegionLabel(id="4"), "5": RegionLabel(id="5", cycles=1)}
+
+
 def probe_region(a: Params) -> RegionLabel:
     """Fast decision-tree classifier used by the parameter-plane map.
 
     Replaces the full census with one or two attractor probes (forward from
     the focus side, backward across a detected cycle), each at most 400
     section crossings or 2e5 time units; validated against classify_region
-    on sampled cells.
+    on sampled cells.  The cell runs in Python floats from (a.k, a.F)
+    through _probe_frame and _section_radii, and builds no equilibrium
+    set, state or frame object; the labels are shared constants.
     """
-    eq = equilibria(a)
-    if eq.kind != "pair":
-        return RegionLabel(id="outside")
-    jac = jacobian(eq.p_mp, a)
-    unstable = trace_det(jac)[0] > 0
-    frame = _probe_frame(a, eq, jac)
-    scale = max(1e-4, 0.02 * frame.r_max)
+    k, F = a.k, a.F
+    frame = _probe_frame(k, F)
+    if frame is None:
+        return _PROBE_LABELS["outside"]
+    unstable, _, _, _, _, _, r_max = frame
 
-    def probe(r0, sign_time):
-        status, radii = _section_radii(
-            a, frame.center.u + r0 * frame.direction[0],
-            frame.center.v + r0 * frame.direction[1], frame, sign_time)
-        return _attractor_kind(radii, frame.r_max,
-                               status == kernels.SETTLED)
+    def probe(r0, time_sign):
+        status, radii = _section_radii(k, F, r0, frame, time_sign)
+        return _attractor_kind(radii, r_max, status == kernels.SETTLED)
 
+    scale = max(1e-4, 0.02 * r_max)
     if unstable:
         kind, r_star = probe(scale, 1.0)
         if kind == "escape":
-            return RegionLabel(id="1")
+            return _PROBE_LABELS["1"]
         if kind == "cycle":
-            kind2, _ = probe(min(r_star * 1.25, frame.r_max * 0.9), -1.0)
-            if kind2 == "cycle":
-                return RegionLabel(id="3", cycles=2)
-            return RegionLabel(id="5", cycles=1)
-        return RegionLabel(id="x")
+            kind2, _ = probe(min(r_star * 1.25, r_max * 0.9), -1.0)
+            return _PROBE_LABELS["3" if kind2 == "cycle" else "5"]
+        return _PROBE_LABELS["x"]
     kind, _ = probe(scale, -1.0)
     if kind == "cycle":
-        return RegionLabel(id="2", cycles=1)
+        return _PROBE_LABELS["2"]
     if kind == "escape":
-        return RegionLabel(id="4")
-    return RegionLabel(id="x")
+        return _PROBE_LABELS["4"]
+    return _PROBE_LABELS["x"]
 
 
 def _attractor_kind(radii: list, r_cap: float, settled: bool) -> tuple:

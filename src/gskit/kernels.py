@@ -12,8 +12,10 @@ private directory under the system temporary directory), under a name keyed
 by the SHA-256 of the source, the compiler and its flags; later imports load
 the cached library.  The library is written under a temporary name and
 renamed into place, so processes that import at the same time are safe.
-A build removes the libraries of other source versions from the cache, so
-switching between two versions of gskit that share a cache recompiles.
+A build keeps the libraries of the newest _KEPT_LIBRARIES source versions
+in the cache, by modification time, and removes the rest, so a few versions
+of gskit that share a cache (two checkouts being compared) load their own
+library without recompiling.
 
 When the build or the load fails, the pure backend is used and the reason
 is kept in COMPILED_ERROR.  GSKIT_BACKEND=pure forces the pure backend;
@@ -48,6 +50,9 @@ _ZERO_DIVISION = -3
 # first capacity, in hits or samples, of a result buffer; a call that fills
 # it runs again with one eight times larger
 _FIRST_CAP = 4096
+
+# libraries, one per source version, that a build leaves in the cache
+_KEPT_LIBRARIES = 4
 
 
 def _private_dir(path: Path) -> bool:
@@ -103,9 +108,15 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    # keep one library per cache: those built from other versions of
-    # _kernel.c are never loaded again by this source
-    for old in cache.glob("_kernel-*.so"):
+    # keep the newest libraries, this one among them
+    built = []
+    for path in cache.glob("_kernel-*.so"):
+        try:
+            built.append((path.stat().st_mtime, path))
+        except OSError:
+            pass    # removed by a concurrent build
+    built.sort(reverse=True)
+    for _, old in built[_KEPT_LIBRARIES:]:
         if old != lib:
             try:
                 old.unlink()

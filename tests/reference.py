@@ -21,13 +21,18 @@ imports it from the tests that use it and collects nothing here.
   the exact polynomial long division it needs (divmod_exact), and rational
   roots found by that division (roots_by_division): what gskit.poly's
   linear-case resultant and synthetic division are checked against
-  (test_poly, test_bautin).
+  (test_poly, test_bautin);
+- probe_frame_objects: gskit.dynamics._probe_frame and _escape_sum through
+  the object route they replaced (equilibria, jacobian, trace_det, State
+  and SectionFrame), which the float cell must match bit for bit
+  (test_dynamics).
 """
 import math
 from fractions import Fraction
 
 from gskit import bautin
-from gskit.core import Params, jacobian, trace_det
+from gskit.core import Params, State, jacobian, trace_det, vector_field
+from gskit.dynamics import SectionFrame
 from gskit.equilibria import equilibria
 from gskit.errors import ZeroPolynomial
 from gskit.poly import IntPoly
@@ -299,6 +304,46 @@ def param_map_jacobian(h: float) -> tuple:
     mF0, lF0 = both(k0, F0 - h)
     return ((mk1 - mk0) / (2 * h), (mF1 - mF0) / (2 * h),
             (lk1 - lk0) / (2 * h), (lF1 - lF0) / (2 * h))
+
+
+def probe_frame_objects(k: float, F: float) -> tuple:
+    """(frame, S_ray) at (k, F) through the object route: frame is None
+    where the equilibrium set is not a pair, else (unstable, cu, cv, d0,
+    d1, orient, r_max) read off the SectionFrame built from the equilibrium
+    set and its Jacobian, with the closed-form eigenvector of
+    gskit.dynamics._probe_frame; S_ray = max(1, S(c), S(c + r_max d))."""
+    a = Params(k, F)
+    eq = equilibria(a)
+    if eq.kind != "pair":
+        return None, None
+    jac = jacobian(eq.p_mp, a)
+    unstable = trace_det(jac)[0] > 0
+    c = State(float(eq.p_mp.u), float(eq.p_mp.v))
+    (j11, j12), (j21, j22) = (map(float, row) for row in jac)
+    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
+    if disc >= 0:
+        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
+    else:
+        re = (j22 - j11) / 2
+        m2 = re * re - disc / 4
+        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
+    n = math.hypot(w0, w1)
+    d0, d1 = -w1 / n, w0 / n
+    if d0 * (c.u - float(eq.p_pm.u)) + d1 * (c.v - float(eq.p_pm.v)) < 0:
+        d0, d1 = -d0, -d1
+    f = vector_field((c.u + 1e-6 * d0, c.v + 1e-6 * d1), a)
+    orient = 1 if (d0 * f[1] - d1 * f[0]) > 0 else -1
+    r_cap = 2.5
+    for comp, dcomp in ((c.u, d0), (c.v, d1)):
+        if dcomp < 0:
+            r_cap = min(r_cap, -comp / dcomp)
+    frame = SectionFrame(center=c, direction=(d0, d1), orientation=orient,
+                         r_max=r_cap)
+    c, d = frame.center, frame.direction
+    s_ray = max(1.0, c.u + c.v,
+                (c.u + frame.r_max * d[0]) + (c.v + frame.r_max * d[1]))
+    return ((unstable, c.u, c.v, d[0], d[1], frame.orientation, frame.r_max),
+            s_ray)
 
 
 def bautin_polar_census(beta1: float, beta2: float) -> list:

@@ -7,7 +7,7 @@ from gskit import bautin, dynamics, kernels
 from gskit.core import Params, State, jacobian
 from gskit.equilibria import discriminants, equilibria, hopf_F, saddle_node_F
 from gskit.errors import DomainError, NoReturn, StepUnderflow
-from reference import bautin_polar_census
+from reference import bautin_polar_census, probe_frame_objects
 
 
 def test_integrate_constant_at_equilibrium():
@@ -155,19 +155,47 @@ def test_probe_frame_matches_section_frame():
             branches.add("node" if disc >= 0 else
                          "first" if j12 * j12 >= m2 else "second")
             ref = dynamics.section_frame(a)
-            got = dynamics._probe_frame(a, eq, jac)
+            _, cu, cv, d0, d1, orient, r_max = dynamics._probe_frame(a.k, a.F)
             # near a double eigenvalue the eigenvector's condition number
             # |J| / |lambda1 - lambda2| is large, and LAPACK's direction
             # itself is off by up to 2.8e-15 from a 40-digit one there (over
             # the 200x200 map grid, where the two routes differ by 2.6e-15)
             cond = math.hypot(j11, j12, j21, j22) / math.sqrt(abs(disc))
             tol = max(2e-15, 2 * cond * np.finfo(float).eps)
-            assert got.center == ref.center
-            assert max(abs(got.direction[0] - ref.direction[0]),
-                       abs(got.direction[1] - ref.direction[1])) <= tol, (k, F)
-            assert got.orientation == ref.orientation, (k, F)
-            assert abs(got.r_max - ref.r_max) <= 1e-14 * ref.r_max, (k, F)
+            assert State(cu, cv) == ref.center
+            assert max(abs(d0 - ref.direction[0]),
+                       abs(d1 - ref.direction[1])) <= tol, (k, F)
+            assert orient == ref.orientation, (k, F)
+            assert abs(r_max - ref.r_max) <= 1e-14 * ref.r_max, (k, F)
     assert branches == {"node", "first", "second"}
+
+
+def test_probe_frame_matches_object_route():
+    # the float cell against the object route it replaced, compared with ==
+    # on every float: seeded cells of the criterion-10 window, cells within
+    # 1e-12 of the fold (Delta = 0) on both sides, and cells on the Hopf
+    # curve, where the trace at the focus-type point is about 0
+    import random
+
+    rng = random.Random(21)
+    cells = [(rng.uniform(1e-9, 0.07), rng.uniform(1e-9, 0.07))
+             for _ in range(400)]
+    for _ in range(40):
+        k = rng.uniform(1e-4, 0.0625)
+        for F in saddle_node_F(k):
+            cells += [(k, F + h) for h in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+        F = hopf_F(k)
+        cells += [(k, F), (k, math.nextafter(F, 0.0)), (k, math.nextafter(F, 1.0))]
+    outside = 0
+    for k, F in cells:
+        ref, s_ray = probe_frame_objects(k, F)
+        got = dynamics._probe_frame(k, F)
+        assert got == ref, (k, F)
+        if got is None:
+            outside += 1
+        else:
+            assert dynamics._escape_sum(got) == s_ray, (k, F)
+    assert 0 < outside < len(cells)
 
 
 def test_manifold_from_infinity_reaches_finite_attractor():

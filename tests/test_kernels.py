@@ -129,13 +129,18 @@ def test_concurrent_first_imports_share_one_build(tmp_path):
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler on PATH")
 def test_build_removes_stale_libraries(monkeypatch, tmp_path):
-    # a library of another _kernel.c version is removed by the next build
+    # the cache keeps the libraries of the newest four _kernel.c versions:
+    # the build of a fifth removes the oldest
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     cache = tmp_path / "gskit"
     cache.mkdir()
-    (cache / "_kernel-0000000000000000.so").write_bytes(b"stale")
+    stale = [cache / f"_kernel-{i:016x}.so" for i in range(4)]
+    for i, path in enumerate(stale):
+        path.write_bytes(b"stale")
+        os.utime(path, (1e9 + i, 1e9 + i))
     lib = kernels._build()
-    assert [f.name for f in cache.iterdir()] == [lib.name]
+    assert sorted(f.name for f in cache.iterdir()) == sorted(
+        [lib.name] + [path.name for path in stale[1:]])
 
 
 def test_backend_forced_pure():
@@ -280,18 +285,15 @@ def test_backward_time_integration(backend):
 # ---------------------------------------------------------------------------
 
 def _probe_args(k, F, time_sign, t_max=2e5, n=400):
-    """ray_crossings arguments of a probe_region probe at (k, F)."""
+    """ray_crossings arguments of a probe_region probe at (k, F), and the
+    frame tuple (unstable, cu, cv, d0, d1, orient, r_max) of the cell."""
     from gskit import dynamics
-    from gskit.core import jacobian
-    from gskit.equilibria import equilibria
 
-    a = Params(k, F)
-    eq = equilibria(a)
-    frame = dynamics._probe_frame(a, eq, jacobian(eq.p_mp, a))
-    c, d = frame.center, frame.direction
-    r0 = max(1e-4, 0.02 * frame.r_max)
-    orient = frame.orientation if time_sign > 0 else -frame.orientation
-    args = (c.u + r0 * d[0], c.v + r0 * d[1], k, F, c.u, c.v, d[0], d[1],
+    frame = dynamics._probe_frame(k, F)
+    _, cu, cv, d0, d1, orient, r_max = frame
+    r0 = max(1e-4, 0.02 * r_max)
+    orient = orient if time_sign > 0 else -orient
+    args = (cu + r0 * d0, cv + r0 * d1, k, F, cu, cv, d0, d1,
             orient, n, t_max, 1e-8, 1e-11, 1e-9, time_sign)
     return args, frame
 
@@ -353,15 +355,14 @@ def test_reversed_stop_keeps_the_hits_within_r_max(backend):
             continue
         args, frame = _probe_args(k, F, -1.0)
         s_ray = dynamics._escape_sum(frame)
-        c, d = frame.center, frame.direction
-        for r0 in (max(1e-4, 0.02 * frame.r_max), 0.9 * frame.r_max):
-            args = (c.u + r0 * d[0], c.v + r0 * d[1]) + args[2:]
-            status, radii = dynamics._section_radii(
-                Params(k, F), args[0], args[1], frame, -1.0)
+        _, cu, cv, d0, d1, _, r_max = frame
+        for r0 in (max(1e-4, 0.02 * r_max), 0.9 * r_max):
+            args = (cu + r0 * d0, cv + r0 * d1) + args[2:]
+            status, radii = dynamics._section_radii(k, F, r0, frame, -1.0)
             st0, hits0 = kernels.ray_crossings(*args)
             assert radii == [h[1] for h in hits0[:len(radii)]]
-            within = [h for h in hits0 if h[1] <= frame.r_max]
-            assert [r for r in radii if r <= frame.r_max] == [h[1] for h in within]
+            within = [h for h in hits0 if h[1] <= r_max]
+            assert [r for r in radii if r <= r_max] == [h[1] for h in within]
             # every hit on the segment lies in R
             assert all(x >= 0.0 and x + y <= s_ray for _, _, x, y in within)
             if status != kernels.BOX_EXIT:
@@ -375,7 +376,7 @@ def test_reversed_stop_keeps_the_hits_within_r_max(backend):
             # the run ended at that step: its hits are the unstopped run's
             # up to it, and none after it lies on the segment
             assert len(radii) == sum(h[0] <= t for h in hits0)
-            assert all(h[1] > frame.r_max for h in hits0[len(radii):])
+            assert all(h[1] > r_max for h in hits0[len(radii):])
     assert exits >= 20
 
 
@@ -430,7 +431,7 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     assert st == kernels.SETTLED
     radii = [h[1] for h in hits]
     assert _first_settled(radii, kernels.SETTLE_TOL) == len(radii) - 1
-    assert dynamics._attractor_kind(radii, frame.r_max, True) == ("cycle", radii[-1])
+    assert dynamics._attractor_kind(radii, frame[-1], True) == ("cycle", radii[-1])
     # the pure kernel with a zero tolerance never settles: the full run
     monkeypatch.setattr(_pure, "SETTLE_TOL", 0.0)
     kernels._use_backend("pure")
