@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Params, State, jacobian, trace_det, vector_field
+from .core import Params, State, jacobian, trace_det
 from .equilibria import classify, discriminants, equilibria
 from .errors import DomainError, NoReturn, StepUnderflow
 
@@ -92,102 +92,20 @@ def integrate(p0: State, a: Params, t_end: float,
 # Poincare section machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectionFrame:
-    center: State          # focus-type equilibrium
-    direction: tuple       # unit ray direction
-    orientation: int       # sign of d x f on the outgoing side
-    r_max: float           # ray stays in the admissible window up to here
-
-
-def section_frame(a: Params) -> SectionFrame:
-    """Section ray through the focus-type point, perpendicular to the real
-    part of its leading eigenvector and pointing away from the saddle.  The
-    ray ends at the quadrant boundary, or at radius 2.5 before it.
-
-    The census, the LPC residual and cycle_at_radius build their frame
-    here, and their results depend on its last bits, so it keeps numpy's
-    eig and np.linalg.norm.  Normalizing the same eigenvector by math.sqrt
-    moves the third LPC point of the cycles benchmark (lpc_up/0) by 3e-4
-    relative, far outside the 1e-6 tolerance of perfbench/reference.json:
-    the LPC residual's g' is a finite difference limited by round-off.
-    probe_region's closed-form frame (_probe_frame) moves the radius pinned
-    in test_census_pinned by 8 ulp and both LPC runs of that benchmark.
-    """
-    eq = equilibria(a)
-    if eq.p_mp is None:
-        raise DomainError(f"no focus-type equilibrium at {a}")
-    c = State(float(eq.p_mp.u), float(eq.p_mp.v))
-    jac = np.array(jacobian(c, a), dtype=float)
-    w, vecs = np.linalg.eig(jac)
-    lead = int(np.argmax(w.real))
-    wr = np.real(vecs[:, lead])
-    d = np.array([-wr[1], wr[0]])
-    n = np.linalg.norm(d)
-    if n == 0:
-        d = np.array([1.0, 0.0])
-    else:
-        d /= n
-    d0, d1 = float(d[0]), float(d[1])
-    # point away from the saddle
-    if eq.kind == "pair":
-        if d0 * (c.u - float(eq.p_pm.u)) + d1 * (c.v - float(eq.p_pm.v)) < 0:
-            d0, d1 = -d0, -d1
-    elif d0 < 0:
-        d0, d1 = -d0, -d1
-    # rotation direction of the flow just off the section
-    f = vector_field((c.u + 1e-6 * d0, c.v + 1e-6 * d1), a)
-    orient = 1 if (d0 * f[1] - d1 * f[0]) > 0 else -1
-    # cap the ray at the quadrant boundary / sanity window
-    r_cap = 2.5
-    for comp, dcomp in ((c.u, d0), (c.v, d1)):
-        if dcomp < 0:
-            r_cap = min(r_cap, -comp / dcomp)
-    return SectionFrame(center=c, direction=(d0, d1), orientation=orient,
-                        r_max=r_cap)
-
-
-def _probe_frame(k: float, F: float):
-    """probe_region's frame at (k, F) in Python floats: None when there is
-    no pair of nontrivial equilibria (Delta = 1 - 4 F gamma^2 <= 0, gamma =
-    (F + k) / F), else (unstable, cu, cv, d0, d1, orient, r_max).  unstable
-    says the trace at the focus-type point c = (cu, cv) is positive; (d0,
-    d1), orient and r_max are section_frame's direction, orientation and
-    r_max.  The operations are those of equilibria, uv_jacobian,
-    vector_field and section_frame's orientation and cap, in their order.
-
-    The leading eigenvector w of the Jacobian J at the focus-type point is
-    taken in closed form with LAPACK's xGEEV normalization (unit norm,
-    largest component real), whose phase sets the real part used.  With
-    disc = (j11 - j22)^2 + 4 j12 j21: for disc >= 0, w = (j12, lam - j11)
-    with lam = (j11 + j22 + sqrt(disc)) / 2; otherwise the eigenvector
-    (j12, re + i s), re = (j22 - j11) / 2, s = sqrt(-disc) / 2, has its
-    largest component made real, whose real part is w = (j12, re) when
-    j12^2 >= m2 = re^2 + s^2 and w = (j12 re, m2) else.  j12 = -2uv is
-    nonzero at the focus-type point, so w is too.  The direction is
-    section_frame's up to round-off, which grows near a double eigenvalue
-    (disc = 0) with the eigenvector's condition number."""
-    g = (F + k) / F
-    delta = 1 - 4 * F * g * g
-    if delta <= 0:
-        return None
-    s = math.sqrt(delta)
-    cu, cv = (1 - s) / 2, (1 + s) / (2 * g)
+def _frame(k, F, cu, cv, su, sv, direction):
+    """(unstable, cu, cv, d0, d1, orient, r_max): the section ray at (k, F)
+    from the focus-type point (cu, cv), the saddle being (su, sv).  unstable:
+    the trace of the Jacobian J there is positive; (d0, d1) =
+    direction(j11, j12, j21, j22), turned away from the saddle; orient: the
+    sign of d x f just off the ray; r_max: where the ray leaves the
+    quadrant, at most 2.5.  uv_jacobian's and vector_field's operations, in
+    their order, on k and F as given (floats or Fractions)."""
     # uv_jacobian at the focus-type point
     j11, j12 = -(F + cv * cv), -2 * cu * cv
     j21, j22 = cv * cv, -(F + k) + 2 * cu * cv
-    unstable = j11 + j22 > 0
-    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
-    if disc >= 0:
-        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
-    else:
-        re = (j22 - j11) / 2
-        m2 = re * re - disc / 4
-        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
-    n = math.hypot(w0, w1)
-    d0, d1 = -w1 / n, w0 / n
-    # point away from the saddle ((1 + s) / 2, (1 - s) / (2 gamma))
-    if d0 * (cu - (1 + s) / 2) + d1 * (cv - (1 - s) / (2 * g)) < 0:
+    d0, d1 = direction(j11, j12, j21, j22)
+    # point away from the saddle
+    if d0 * (cu - su) + d1 * (cv - sv) < 0:
         d0, d1 = -d0, -d1
     # rotation direction of the flow just off the section
     x, y = cu + 1e-6 * d0, cv + 1e-6 * d1
@@ -200,23 +118,102 @@ def _probe_frame(k: float, F: float):
         r_max = min(r_max, -cu / d0)
     if d1 < 0:
         r_max = min(r_max, -cv / d1)
-    return unstable, cu, cv, d0, d1, orient, r_max
+    return j11 + j22 > 0, cu, cv, d0, d1, orient, r_max
 
 
-def return_map(a: Params, r: float, frame: SectionFrame,
+def _eig_direction(j11, j12, j21, j22):
+    """_frame's direction by numpy's eig and np.linalg.norm.  LAPACK makes
+    the largest component of the eigenvector real, so its real part, and
+    the norm, are nonzero."""
+    w, vecs = np.linalg.eig(np.array([[j11, j12], [j21, j22]]))
+    wr = np.real(vecs[:, int(np.argmax(w.real))])
+    d = np.array([-wr[1], wr[0]])
+    d /= np.linalg.norm(d)
+    return float(d[0]), float(d[1])
+
+
+def _closed_form_direction(j11, j12, j21, j22):
+    """_frame's direction from the leading eigenvector w of J in closed form
+    with LAPACK's xGEEV normalization (unit norm, largest component real),
+    whose phase sets the real part used.  With disc = (j11 - j22)^2 +
+    4 j12 j21: for disc >= 0, w = (j12, lam - j11) with lam = (j11 + j22 +
+    sqrt(disc)) / 2; otherwise the eigenvector (j12, re + i s), re = (j22 -
+    j11) / 2, s = sqrt(-disc) / 2, has its largest component made real,
+    whose real part is w = (j12, re) when j12^2 >= m2 = re^2 + s^2 and w =
+    (j12 re, m2) else.  j12 = -2uv is nonzero at the focus-type point, so w
+    is too.  The direction is _eig_direction's up to round-off, which grows
+    near a double eigenvalue (disc = 0) with the eigenvector's condition
+    number."""
+    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
+    if disc >= 0:
+        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
+    else:
+        re = (j22 - j11) / 2
+        m2 = re * re - disc / 4
+        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
+    n = math.hypot(w0, w1)
+    return -w1 / n, w0 / n
+
+
+def section_frame(a: Params) -> tuple:
+    """_frame at a from equilibria's points (exact where Delta is a rational
+    square) and _eig_direction; DomainError unless Delta > 0.
+
+    The census, the LPC residual and cycle_at_radius build their frame
+    here, and their results depend on its last bits, so it keeps numpy's
+    eig and np.linalg.norm.  Normalizing the same eigenvector by math.sqrt
+    moves the third LPC point of the cycles benchmark (lpc_up/0) by 3e-4
+    relative, far outside the 1e-6 tolerance of perfbench/reference.json:
+    the LPC residual's g' is a finite difference limited by round-off.
+    probe_region's closed-form frame (_probe_frame) moves the radius pinned
+    in test_census_pinned by 8 ulp and both LPC runs of that benchmark.
+    """
+    eq = equilibria(a)
+    if eq.kind != "pair":
+        raise DomainError(f"no pair of nontrivial equilibria at {a}")
+    return _frame(a.k, a.F, float(eq.p_mp.u), float(eq.p_mp.v),
+                  float(eq.p_pm.u), float(eq.p_pm.v), _eig_direction)
+
+
+def _probe_frame(k: float, F: float):
+    """probe_region's frame at (k, F) in Python floats: None when there is
+    no pair of nontrivial equilibria (Delta = 1 - 4 F gamma^2 <= 0, gamma =
+    (F + k) / F), else _frame's tuple with the points computed as equilibria
+    computes them and _closed_form_direction.
+
+    The map cell makes no numpy call and builds no object.  Its direction
+    is section_frame's up to round-off only: the census and the LPC keep
+    section_frame, because this frame moves the radius pinned in
+    test_census_pinned by 8 ulp and both LPC runs of the cycles benchmark."""
+    g = (F + k) / F
+    delta = 1 - 4 * F * g * g
+    if delta <= 0:
+        return None
+    s = math.sqrt(delta)
+    return _frame(k, F, (1 - s) / 2, (1 + s) / (2 * g), (1 + s) / 2,
+                  (1 - s) / (2 * g), _closed_form_direction)
+
+
+def _ray_from(k, F, r, frame, max_crossings, time_sign, settings,
+              escape_sum=0.0):
+    """kernels.ray_crossings on the ray of frame at (k, F) from radius r,
+    forward or (time_sign < 0) reversed in time, for at most max_crossings
+    crossings or 2e5 time units: (status, hits)."""
+    _, cu, cv, d0, d1, orient, _ = frame
+    return kernels.ray_crossings(
+        cu + r * d0, cv + r * d1, k, F, cu, cv, d0, d1,
+        orient if time_sign > 0 else -orient, max_crossings, 2e5,
+        settings.rel_tol, settings.abs_tol, 1e-9, time_sign, escape_sum)
+
+
+def return_map(a: Params, r: float, frame: tuple,
                settings: IntegratorSettings = DEFAULT_SETTINGS) -> tuple:
     """Return radius and time after one full revolution from radius r.
 
     Raises NoReturn when the trajectory does not cross the section again
     before t = 2e5.
     """
-    c, d = frame.center, frame.direction
-    x0 = c.u + r * d[0]
-    y0 = c.v + r * d[1]
-    status, hits = kernels.ray_crossings(
-        x0, y0, a.k, a.F, c.u, c.v, d[0], d[1],
-        frame.orientation, 1, 2e5, settings.rel_tol, settings.abs_tol,
-        1e-9, 1.0)
+    status, hits = _ray_from(a.k, a.F, r, frame, 1, 1, settings)
     if not hits:
         raise NoReturn(f"no return from r={r} at {a} (status {status})")
     t, s, _, _ = hits[0]
@@ -243,15 +240,9 @@ def _section_radii(k, F, r0, frame, time_sign):
     {u >= 0, u + v <= S_ray}, S_ray = _escape_sum(frame), after which it
     never meets the ray within r_max again (derivations in
     gskit._pure.ray_crossings)."""
-    _, cu, cv, d0, d1, orient, _ = frame
-    if time_sign < 0:
-        orient, escape_sum = -orient, _escape_sum(frame)
-    else:
-        escape_sum = 0.0
-    status, hits = kernels.ray_crossings(
-        cu + r0 * d0, cv + r0 * d1, k, F, cu, cv, d0, d1,
-        orient, 400, 2e5, _PROBE_SETTINGS.rel_tol, _PROBE_SETTINGS.abs_tol,
-        1e-9, time_sign, escape_sum=escape_sum)
+    escape_sum = _escape_sum(frame) if time_sign < 0 else 0.0
+    status, hits = _ray_from(k, F, r0, frame, 400, time_sign, _PROBE_SETTINGS,
+                             escape_sum)
     return status, [h[1] for h in hits]
 
 
@@ -282,16 +273,16 @@ def _refine_root(g, lo, hi, glo, ghi, tol=1e-12, max_iter=80):
     return 0.5 * (a_ + b_)
 
 
-def cycle_at_radius(a: Params, r: float, frame: SectionFrame,
+def cycle_at_radius(a: Params, r: float, frame: tuple,
                     settings: IntegratorSettings = DEFAULT_SETTINGS) -> CycleRepr:
     """Package the cycle through radius r: period and Floquet data.
 
     The nontrivial multiplier is det of the monodromy matrix over one
     period (the trivial multiplier along the flow is exactly 1).
     """
-    c, d = frame.center, frame.direction
+    _, cu, cv, d0, d1, _, _ = frame
     _, period = return_map(a, r, frame, settings)
-    x0, y0 = c.u + r * d[0], c.v + r * d[1]
+    x0, y0 = cu + r * d0, cv + r * d1
     status, _, _, m11, m12, m21, m22 = kernels.monodromy(
         x0, y0, a.k, a.F, period, settings.rel_tol, settings.abs_tol)
     if status != kernels.OK:
@@ -299,7 +290,7 @@ def cycle_at_radius(a: Params, r: float, frame: SectionFrame,
     mult = m11 * m22 - m12 * m21
     return CycleRepr(section_point=State(x0, y0), period=period,
                      nontrivial_multiplier=float(mult),
-                     section_normal=d, radius=float(r))
+                     section_normal=(d0, d1), radius=float(r))
 
 
 def limit_cycle_census(a: Params,
@@ -316,7 +307,7 @@ def limit_cycle_census(a: Params,
     if d.delta <= 0:
         return []
     frame = section_frame(a)
-    cap = frame.r_max * 0.98
+    cap = frame[6] * 0.98
     r_lo = max(cap * 1e-4, 1e-8)
 
     def g(r):

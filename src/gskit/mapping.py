@@ -45,8 +45,8 @@ def _classify_cell(args):
 
 
 def _classify_column(args):
-    j, k, F_values, fast = args
-    return j, [_classify_cell((k, F, fast)) for F in F_values]
+    k, F_values, fast = args
+    return [_classify_cell((k, F, fast)) for F in F_values]
 
 
 def region_map(k_range: tuple, F_range: tuple, nk: int, nF: int, *,
@@ -55,26 +55,23 @@ def region_map(k_range: tuple, F_range: tuple, nk: int, nF: int, *,
 
     Row index runs over F (ascending), column index over k (ascending).
     Columns are classified independently; with threads > 1 they run in a
-    process pool and are reassembled by index, so output is deterministic.
+    process pool, whose map yields them in job order, as map does, so
+    output is deterministic.
     """
     ks = np.linspace(k_range[0], k_range[1], nk)
     Fs = np.linspace(F_range[0], F_range[1], nF)
-    jobs = [(j, float(k), [float(F) for F in Fs], fast) for j, k in enumerate(ks)]
+    jobs = [(float(k), [float(F) for F in Fs], fast) for k in ks]
     nthreads = min(thread_budget(threads), nk)
-    columns = {}
     if nthreads > 1:
         # imported here, so that single-worker maps and the other commands
         # do not load the pool and multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=nthreads) as pool:
-            for j, col in pool.map(_classify_column, jobs, chunksize=4):
-                columns[j] = col
+            columns = list(pool.map(_classify_column, jobs, chunksize=4))
     else:
-        for job in jobs:
-            j, col = _classify_column(job)
-            columns[j] = col
-    labels = [[columns[j][i] for j in range(nk)] for i in range(nF)]
+        columns = list(map(_classify_column, jobs))
+    labels = [list(row) for row in zip(*columns)]
     meta = {"schema": 1, "k_values": [float(k) for k in ks],
             "F_values": [float(F) for F in Fs], "fast": fast}
     return labels, meta

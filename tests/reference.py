@@ -23,18 +23,21 @@ imports it from the tests that use it and collects nothing here.
   linear-case resultant and synthetic division are checked against
   (test_poly, test_bautin);
 - probe_frame_objects: gskit.dynamics._probe_frame and _escape_sum through
-  the object route they replaced (equilibria, jacobian, trace_det, State
-  and SectionFrame), which the float cell must match bit for bit
-  (test_dynamics).
+  the object route they replaced (equilibria, jacobian, trace_det and
+  State), which the float cell must match bit for bit (test_dynamics);
+- section_frame_objects: gskit.dynamics.section_frame through the object
+  route it replaced (equilibria, jacobian, numpy's eig, vector_field),
+  which the shared frame routine must match bit for bit (test_dynamics).
 """
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from gskit import bautin
 from gskit.core import Params, State, jacobian, trace_det, vector_field
-from gskit.dynamics import SectionFrame
 from gskit.equilibria import equilibria
-from gskit.errors import ZeroPolynomial
+from gskit.errors import DomainError, ZeroPolynomial
 from gskit.poly import IntPoly
 
 
@@ -309,8 +312,8 @@ def param_map_jacobian(h: float) -> tuple:
 def probe_frame_objects(k: float, F: float) -> tuple:
     """(frame, S_ray) at (k, F) through the object route: frame is None
     where the equilibrium set is not a pair, else (unstable, cu, cv, d0,
-    d1, orient, r_max) read off the SectionFrame built from the equilibrium
-    set and its Jacobian, with the closed-form eigenvector of
+    d1, orient, r_max) of the ray built from the equilibrium set and its
+    Jacobian, with the closed-form eigenvector of
     gskit.dynamics._probe_frame; S_ray = max(1, S(c), S(c + r_max d))."""
     a = Params(k, F)
     eq = equilibria(a)
@@ -337,13 +340,47 @@ def probe_frame_objects(k: float, F: float) -> tuple:
     for comp, dcomp in ((c.u, d0), (c.v, d1)):
         if dcomp < 0:
             r_cap = min(r_cap, -comp / dcomp)
-    frame = SectionFrame(center=c, direction=(d0, d1), orientation=orient,
-                         r_max=r_cap)
-    c, d = frame.center, frame.direction
-    s_ray = max(1.0, c.u + c.v,
-                (c.u + frame.r_max * d[0]) + (c.v + frame.r_max * d[1]))
-    return ((unstable, c.u, c.v, d[0], d[1], frame.orientation, frame.r_max),
-            s_ray)
+    s_ray = max(1.0, c.u + c.v, (c.u + r_cap * d0) + (c.v + r_cap * d1))
+    return (unstable, c.u, c.v, d0, d1, orient, r_cap), s_ray
+
+
+def section_frame_objects(a: Params) -> tuple:
+    """gskit.dynamics.section_frame's tuple (unstable, cu, cv, d0, d1,
+    orient, r_max) at a through the object route: the float focus-type
+    point of the equilibrium set, its Jacobian, numpy's eig and
+    np.linalg.norm, and vector_field; unstable from trace_det.  Raises
+    DomainError where there is no focus-type point."""
+    eq = equilibria(a)
+    if eq.p_mp is None:
+        raise DomainError(f"no focus-type equilibrium at {a}")
+    c = State(float(eq.p_mp.u), float(eq.p_mp.v))
+    jac = jacobian(c, a)
+    unstable = trace_det(jac)[0] > 0
+    w, vecs = np.linalg.eig(np.array(jac, dtype=float))
+    lead = int(np.argmax(w.real))
+    wr = np.real(vecs[:, lead])
+    d = np.array([-wr[1], wr[0]])
+    n = np.linalg.norm(d)
+    if n == 0:
+        d = np.array([1.0, 0.0])
+    else:
+        d /= n
+    d0, d1 = float(d[0]), float(d[1])
+    # point away from the saddle
+    if eq.kind == "pair":
+        if d0 * (c.u - float(eq.p_pm.u)) + d1 * (c.v - float(eq.p_pm.v)) < 0:
+            d0, d1 = -d0, -d1
+    elif d0 < 0:
+        d0, d1 = -d0, -d1
+    # rotation direction of the flow just off the section
+    f = vector_field((c.u + 1e-6 * d0, c.v + 1e-6 * d1), a)
+    orient = 1 if (d0 * f[1] - d1 * f[0]) > 0 else -1
+    # cap the ray at the quadrant boundary / sanity window
+    r_cap = 2.5
+    for comp, dcomp in ((c.u, d0), (c.v, d1)):
+        if dcomp < 0:
+            r_cap = min(r_cap, -comp / dcomp)
+    return unstable, c.u, c.v, d0, d1, orient, r_cap
 
 
 def bautin_polar_census(beta1: float, beta2: float) -> list:

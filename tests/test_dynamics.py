@@ -7,7 +7,8 @@ from gskit import bautin, dynamics, kernels
 from gskit.core import Params, State, jacobian
 from gskit.equilibria import discriminants, equilibria, hopf_F, saddle_node_F
 from gskit.errors import DomainError, NoReturn, StepUnderflow
-from reference import bautin_polar_census, probe_frame_objects
+from reference import (bautin_polar_census, probe_frame_objects,
+                       section_frame_objects)
 
 
 def test_integrate_constant_at_equilibrium():
@@ -154,7 +155,7 @@ def test_probe_frame_matches_section_frame():
             m2 = ((j22 - j11) / 2) ** 2 - disc / 4
             branches.add("node" if disc >= 0 else
                          "first" if j12 * j12 >= m2 else "second")
-            ref = dynamics.section_frame(a)
+            _, rcu, rcv, rd0, rd1, rorient, rr_max = dynamics.section_frame(a)
             _, cu, cv, d0, d1, orient, r_max = dynamics._probe_frame(a.k, a.F)
             # near a double eigenvalue the eigenvector's condition number
             # |J| / |lambda1 - lambda2| is large, and LAPACK's direction
@@ -162,11 +163,10 @@ def test_probe_frame_matches_section_frame():
             # the 200x200 map grid, where the two routes differ by 2.6e-15)
             cond = math.hypot(j11, j12, j21, j22) / math.sqrt(abs(disc))
             tol = max(2e-15, 2 * cond * np.finfo(float).eps)
-            assert State(cu, cv) == ref.center
-            assert max(abs(d0 - ref.direction[0]),
-                       abs(d1 - ref.direction[1])) <= tol, (k, F)
-            assert orient == ref.orientation, (k, F)
-            assert abs(r_max - ref.r_max) <= 1e-14 * ref.r_max, (k, F)
+            assert (cu, cv) == (rcu, rcv)
+            assert max(abs(d0 - rd0), abs(d1 - rd1)) <= tol, (k, F)
+            assert orient == rorient, (k, F)
+            assert abs(r_max - rr_max) <= 1e-14 * rr_max, (k, F)
     assert branches == {"node", "first", "second"}
 
 
@@ -196,6 +196,58 @@ def test_probe_frame_matches_object_route():
         else:
             assert dynamics._escape_sum(got) == s_ray, (k, F)
     assert 0 < outside < len(cells)
+
+
+def test_section_frame_matches_object_route():
+    # the shared frame routine with numpy's eig against the object route it
+    # replaced, compared with == on every float, and raising DomainError on
+    # the same cells: seeded cells of the criterion-10 window, cells within
+    # 1e-12 of both fold branches, cells on the Hopf curve and 1 ulp either
+    # side of it, and seeded Fraction cells, among them cells where Delta
+    # is a rational square s^2 and the focus-type point is exact.  Where
+    # Delta is exactly 0 the object route gave a frame at the degenerate
+    # point; the shared routine raises DomainError there, as below 0
+    import random
+    from fractions import Fraction
+
+    def square_cell(s, g):
+        # Delta = 1 - 4 F g^2 = s^2 and gamma = (F + k) / F = g
+        F = (1 - s * s) / (4 * g * g)
+        return F * (g - 1), F
+
+    rng = random.Random(22)
+    cells = [(rng.uniform(1e-9, 0.07), rng.uniform(1e-9, 0.07))
+             for _ in range(400)]
+    for _ in range(40):
+        k = rng.uniform(1e-4, 0.0625)
+        for F in saddle_node_F(k):
+            cells += [(k, F + h) for h in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+        F = hopf_F(k)
+        cells += [(k, F), (k, math.nextafter(F, 0.0)), (k, math.nextafter(F, 1.0))]
+    cells += [(Fraction(rng.randint(1, 70000), 10 ** 6),
+               Fraction(rng.randint(1, 70000), 10 ** 6)) for _ in range(400)]
+    cells += [square_cell(Fraction(rng.randint(1, 99), 100),
+                          Fraction(rng.randint(101, 1000), 100))
+              for _ in range(100)]
+    cells += [(Fraction(1, 20), Fraction(2587, 100000)),
+              (Fraction(1, 25), Fraction(1, 50))]
+    raised = degenerate = 0
+    for k, F in cells:
+        a = Params(k, F)
+        if discriminants(a).delta == 0:
+            with pytest.raises(DomainError):
+                dynamics.section_frame(a)
+            degenerate += 1
+            continue
+        try:
+            ref = section_frame_objects(a)
+        except DomainError:
+            with pytest.raises(DomainError):
+                dynamics.section_frame(a)
+            raised += 1
+            continue
+        assert dynamics.section_frame(a) == ref, (k, F)
+    assert 0 < raised < len(cells) and degenerate > 0
 
 
 def test_manifold_from_infinity_reaches_finite_attractor():

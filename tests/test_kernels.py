@@ -581,10 +581,10 @@ def _section_ray(k, F):
     from gskit import dynamics
 
     try:
-        frame = dynamics.section_frame(Params(k, F))
+        _, cu, cv, d0, d1, orient, _ = dynamics.section_frame(Params(k, F))
     except DomainError:
         return (0.5, 0.25), (0.0, 1.0), 1
-    return (frame.center.u, frame.center.v), frame.direction, frame.orientation
+    return (cu, cv), (d0, d1), orient
 
 
 _STATUSES = {kernels.OK, kernels.MAX_STEPS, kernels.UNDERFLOW,

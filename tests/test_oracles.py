@@ -327,8 +327,7 @@ def _cycle_by_dop853(k, F, cycle, frame):
     from scipy.integrate import solve_ivp
 
     x0, y0, T = cycle.section_point.u, cycle.section_point.v, cycle.period
-    cx, cy = frame.center.u, frame.center.v
-    dx, dy = frame.direction
+    _, cx, cy, dx, dy, orient, _ = frame
 
     def rhs(t, z):
         u, v = z[0], z[1]
@@ -336,7 +335,7 @@ def _cycle_by_dop853(k, F, cycle, frame):
 
     def section(t, z):
         return dx * (z[1] - cy) - dy * (z[0] - cx)
-    section.direction = frame.orientation
+    section.direction = orient
 
     sol = solve_ivp(rhs, (0.0, 1.5 * T), [x0, y0, 0.0], method="DOP853",
                     rtol=1e-13, atol=1e-15, events=section)
