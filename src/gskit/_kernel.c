@@ -429,17 +429,16 @@ static int ray_misses_box(double cx, double cy, double dx, double dy,
 
 #define G_OF(x, y) (dx * ((y) - cy) - dy * ((x) - cx))
 
-/* _pure.ray_crossings.  Hits go to hits as (t, s, x, y) quadruples, at most
- * cap of them, and *n counts them.  Returns the status, or BUFFER_FULL when
- * hit cap + 1 was due.  With escape_sum > 0 it returns BOX_EXIT once the
- * state leaves {x >= 0, x + y <= escape_sum}, whose complement is invariant
- * in reversed time (derivation in _pure.ray_crossings). */
+/* _pure.ray_crossings.  Hits go to hits as (t, s, x, y) quadruples, room
+ * for max(max_crossings, 1) of them, and *n counts them.  Returns the
+ * status.  With escape_sum > 0 it returns BOX_EXIT once the state leaves
+ * {x >= 0, x + y <= escape_sum}, whose complement is invariant in reversed
+ * time (derivation in _pure.ray_crossings). */
 int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
                      double cy, double dx, double dy, int orient,
                      long long max_crossings, double t_max, double rtol,
                      double atol, double t_min, double time_sign,
-                     double escape_sum,
-                     double *hits, long long cap, long long *n)
+                     double escape_sum, double *hits, long long *n)
 {
     Stepper st;
     int capture = 0;
@@ -497,10 +496,7 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
                     gdot = dx * fy - dy * fx;
                     if (s > S_MIN && th_t >= t_min
                             && (gdot > 0) == (orient > 0)) {
-                        double *hit;
-                        if (*n >= cap)
-                            return BUFFER_FULL;
-                        hit = hits + 4 * *n;
+                        double *hit = hits + 4 * *n;
                         hit[0] = th_t;
                         hit[1] = s;
                         hit[2] = xh;

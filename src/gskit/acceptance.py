@@ -438,17 +438,15 @@ def criterion_9(ctx: BatteryContext) -> CriterionResult:
     return _c(9, "integrator quality", checks, t0)
 
 
-def criterion_10(ctx: BatteryContext, *, grid: int = 200,
-                 threads: int | None = None) -> CriterionResult:
+def criterion_10(ctx: BatteryContext, *, grid: int = 200) -> CriterionResult:
     """Global map: region layout and adjacency on a 200x200 grid plus the
     documented zoom insets for the thin two-cycle and one-stable-cycle bands.
-    threads is the maps' worker count (mapping.thread_budget)."""
+    The maps run on mapping.thread_budget()'s workers."""
     t0 = time.perf_counter()
     checks = []
     from .mapping import adjacency, region_map
 
-    labels, _ = region_map((1e-9, 0.07), (1e-9, 0.07), grid, grid,
-                           threads=threads)
+    labels, _ = region_map((1e-9, 0.07), (1e-9, 0.07), grid, grid)
     present = {lab for row in labels for lab in row}
     adj = adjacency(labels)
     required = {frozenset(p) for p in
@@ -498,7 +496,7 @@ def criterion_10(ctx: BatteryContext, *, grid: int = 200,
     k5 = 0.02
     Fh5 = float(hopf_F(k5))
     zoom5, _ = region_map((k5 - 1e-4, k5 + 1e-4), (Fh5 - 1.5e-4, Fh5 + 2e-5), 5, 24,
-                          fast=False, threads=threads)
+                          fast=False)
     z5 = {lab for row in zoom5 for lab in row}
     checks.append(Check("region5_inset", "5" in z5 and "4" in z5,
                         f"inset labels {sorted(z5)}"))
@@ -509,8 +507,7 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
                 criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 
 
-def run_battery(numbers=None, *, grid: int = 200,
-                threads: int | None = None) -> list:
+def run_battery(numbers=None, *, grid: int = 200) -> list:
     ctx = BatteryContext()
     out = []
     for fn in ALL_CRITERIA:
@@ -518,7 +515,7 @@ def run_battery(numbers=None, *, grid: int = 200,
         if numbers and num not in numbers:
             continue
         if num == 10:
-            out.append(criterion_10(ctx, grid=grid, threads=threads))
+            out.append(criterion_10(ctx, grid=grid))
         else:
             out.append(fn(ctx))
     return out

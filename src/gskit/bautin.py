@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Params, State, extended_jacobian, jacobian, trace_det
+from .core import (Params, State, extended_jacobian, jacobian, second_form,
+                   trace_det)
 from .equilibria import equilibria, hopf_F
 from .errors import DomainError, NotOnHopfCurve
 from .normalform import poincare_normal_form
@@ -113,8 +114,7 @@ def _g_coeffs(lift, lam, jac, u, v) -> dict:
     pb1 = (p[1] / sigma.conjugate()).conjugate()
 
     def proj_b(x, y):
-        # f_uv = -2v, f_vv = -2u
-        b = -2 * v * x[0] * y[1] + -2 * v * x[1] * y[0] + -2 * u * x[1] * y[1]
+        b = second_form(u, v, x, y)
         return pb0 * b + pb1 * -b
 
     def proj_c(x, y, z):

@@ -3,16 +3,14 @@ continuation runs, cycle census, portraits, parameter maps, and the one-shot
 acceptance battery.
 
 Numbers given as 'p/q' run through exact rational arithmetic; decimals take
-the floating-point path.  Outputs are deterministic for a fixed
-configuration.  Exit codes: 0 success, 1 verification failure, 2 usage or
-domain error.
+the floating-point path.  Outputs are deterministic for fixed arguments.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,36 +22,6 @@ from .equilibria import (classify, disc_curve_F, discriminants, equilibria,
                          hopf_F, neutral_saddle_F, saddle_node_F)
 from .errors import DomainError, GSKitError
 from .ratmath import Sqrt2, parse_number
-
-
-@dataclass
-class RunConfig:
-    """Run-wide settings; file values are overridden by CLI flags.
-
-    Config file format: one `key = value` pair per line, '#' comments.
-    Recognized keys match the field names below.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    outdir: str = "."
-    threads: int = 0            # 0: GSKIT_THREADS or cpu count
-
-    @staticmethod
-    def from_file(path: str) -> "RunConfig":
-        cfg = RunConfig()
-        casts = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
-        for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{ln}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in casts:
-                raise DomainError(f"{path}:{ln}: unknown key {key!r}")
-            setattr(cfg, key, casts[key](val))
-        return cfg
 
 
 def _json_default(o):
@@ -82,8 +50,8 @@ def _num_pair(pt) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_eq(args, cfg) -> int:
-    a = Params(parse_number(args.k), parse_number(args.F))
+def cmd_eq(args) -> int:
+    a = Params(args.k, args.F)
     d = discriminants(a)
     eq = equilibria(a)
     reports = {}
@@ -110,7 +78,7 @@ def cmd_eq(args, cfg) -> int:
     return 0
 
 
-def cmd_verify_bt(args, cfg) -> int:
+def cmd_verify_bt(args) -> int:
     rep = bt.bt_nondegeneracy()
     a20, b20, b11, s = rep.a20, rep.b20, rep.b11, rep.s
     det = rep.transversality_det
@@ -142,7 +110,7 @@ def cmd_verify_bt(args, cfg) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def cmd_verify_bautin(args, cfg) -> int:
+def cmd_verify_bautin(args) -> int:
     loc = bautin.gh_locate()
     if args.mutate:
         loc["matches_expected"] = False
@@ -185,14 +153,8 @@ def cmd_verify_bautin(args, cfg) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _parse_range(text: str) -> tuple:
-    lo, hi = text.split("..") if ".." in text else text.split(":")
-    return float(parse_number(lo)), float(parse_number(hi))
-
-
-def cmd_curves(args, cfg) -> int:
-    lo, hi = _parse_range(args.k_range)
-    ks = np.linspace(lo, hi, args.n)
+def cmd_curves(args) -> int:
+    ks = np.linspace(*args.k_range, args.n)
     lines = ["curve,k,F"]
     for k in ks:
         k = float(k)
@@ -236,7 +198,7 @@ def _curve_csv(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_continue(args, cfg) -> int:
+def cmd_continue(args) -> int:
     kind = args.curve
     if kind == "hopf":
         seed = continuation.hopf_seed(args.k0)
@@ -249,8 +211,7 @@ def cmd_continue(args, cfg) -> int:
         seed = continuation.lpc_seed_from_region3(Params(args.k0, F_mid))
         result = continuation.lpc_curve(seed, max_points=args.n)
     elif kind == "homoclinic":
-        lo, hi = _parse_range(args.k_range)
-        result = continuation.homoclinic_curve(np.linspace(lo, hi, args.n))
+        result = continuation.homoclinic_curve(np.linspace(*args.k_range, args.n))
     else:
         raise DomainError(f"unknown curve {kind!r}")
     if args.format == "json":
@@ -274,10 +235,9 @@ def cmd_continue(args, cfg) -> int:
     return 0
 
 
-def cmd_cycles(args, cfg) -> int:
-    a = Params(parse_number(args.k), parse_number(args.F))
-    cycles = dynamics.limit_cycle_census(
-        a, dynamics.IntegratorSettings(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol))
+def cmd_cycles(args) -> int:
+    a = Params(args.k, args.F)
+    cycles = dynamics.limit_cycle_census(a)
     _emit_json({
         "schema": 1,
         "k": float(a.k), "F": float(a.F),
@@ -294,10 +254,10 @@ def cmd_cycles(args, cfg) -> int:
     return 0
 
 
-def cmd_portrait(args, cfg) -> int:
-    a = Params(parse_number(args.k), parse_number(args.F))
+def cmd_portrait(args) -> int:
+    a = Params(args.k, args.F)
     svg, csv_text, meta = dynamics.render_portrait(a)
-    outdir = Path(args.out or cfg.outdir)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"portrait_k{float(a.k):g}_F{float(a.F):g}"
     (outdir / f"{stem}.svg").write_text(svg)
@@ -308,13 +268,13 @@ def cmd_portrait(args, cfg) -> int:
     return 0
 
 
-def cmd_map(args, cfg) -> int:
-    nk, nF = (int(s) for s in args.grid.lower().split("x"))
-    k_lo, k_hi = _parse_range(args.k)
-    F_lo, F_hi = _parse_range(args.F)
+def cmd_map(args) -> int:
+    nk, nF = args.grid
+    k_lo, k_hi = args.k
+    F_lo, F_hi = args.F
     labels, meta = mapping.region_map(
         (max(k_lo, 1e-9), k_hi), (max(F_lo, 1e-9), F_hi), nk, nF,
-        fast=not args.census, threads=cfg.threads or None)
+        fast=not args.census)
     text = mapping.map_to_csv(labels, meta)
     if args.out:
         Path(args.out).write_text(text)
@@ -323,19 +283,18 @@ def cmd_map(args, cfg) -> int:
     return 0
 
 
-def cmd_repro(args, cfg) -> int:
+def cmd_repro(args) -> int:
     # only this command needs the battery, so only it pays for its import
     from . import acceptance
 
     numbers = set(args.only) if args.only else None
-    results = acceptance.run_battery(numbers, grid=args.grid,
-                                     threads=cfg.threads or None)
+    results = acceptance.run_battery(numbers, grid=args.grid)
     sys.stdout.write(acceptance.format_battery(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_infinity_scan(args, cfg) -> int:
-    a = Params(parse_number(args.k), parse_number(args.F))
+def cmd_infinity_scan(args) -> int:
+    a = Params(args.k, args.F)
     entry, attractor = dynamics.manifold_from_infinity(a)
     _emit_json({
         "schema": 1,
@@ -348,17 +307,29 @@ def cmd_infinity_scan(args, cfg) -> int:
 
 
 # ---------------------------------------------------------------------------
+# argument types: a malformed value is a usage error (exit 2)
+
+def parse_range(text: str) -> tuple:
+    """'lo..hi' or 'lo:hi' as a pair of floats."""
+    lo, hi = text.split("..") if ".." in text else text.split(":")
+    return float(parse_number(lo)), float(parse_number(hi))
+
+
+def parse_grid(text: str) -> tuple:
+    """'NKxNF' as a pair of ints."""
+    nk, nF = (int(s) for s in text.lower().split("x"))
+    return nk, nF
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gskit",
         description="Bifurcation toolkit for the homogeneous Gray-Scott kinetics")
-    ap.add_argument("--config", help="key=value config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eq", help="equilibria and stability at one parameter point")
-    p.add_argument("--k", required=True)
-    p.add_argument("--F", required=True)
+    p.add_argument("--k", type=parse_number, required=True)
+    p.add_argument("--F", type=parse_number, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eq)
 
@@ -375,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="closed-form curve samples as CSV")
     p.add_argument("--which", choices=("sn", "hopf", "neutral", "disc"), required=True)
-    p.add_argument("--k-range", default="0.001..0.0625")
+    p.add_argument("--k-range", type=parse_range, default="0.001..0.0625")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_curves)
@@ -387,28 +358,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=("upper", "lower"), default="lower")
     p.add_argument("--direction", type=float, default=1.0,
                    help="+1 continues a hopf or fold curve toward increasing F")
-    p.add_argument("--k-range", default="0.058..0.0624")
+    p.add_argument("--k-range", type=parse_range, default="0.058..0.0624")
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_continue)
 
     p = sub.add_parser("cycles", help="limit-cycle census at one parameter point")
-    p.add_argument("--k", required=True)
-    p.add_argument("--F", required=True)
+    p.add_argument("--k", type=parse_number, required=True)
+    p.add_argument("--F", type=parse_number, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_cycles)
 
     p = sub.add_parser("portrait", help="phase portrait (SVG + CSV + JSON)")
-    p.add_argument("--k", required=True)
-    p.add_argument("--F", required=True)
-    p.add_argument("--out")
+    p.add_argument("--k", type=parse_number, required=True)
+    p.add_argument("--F", type=parse_number, required=True)
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_portrait)
 
     p = sub.add_parser("map", help="region labels over a parameter grid (CSV)")
-    p.add_argument("--grid", default="200x200")
-    p.add_argument("--k", default="0..0.07")
-    p.add_argument("--F", default="0..0.07")
+    p.add_argument("--grid", type=parse_grid, default="200x200")
+    p.add_argument("--k", type=parse_range, default="0..0.07")
+    p.add_argument("--F", type=parse_range, default="0..0.07")
     p.add_argument("--census", action="store_true",
                    help="use the full census classifier (slow, for zoom insets)")
     p.add_argument("--out")
@@ -423,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infinity-scan",
                        help="follow the manifold from the point at infinity "
                             "(experimental; no acceptance weight)")
-    p.add_argument("--k", required=True)
-    p.add_argument("--F", required=True)
+    p.add_argument("--k", type=parse_number, required=True)
+    p.add_argument("--F", type=parse_number, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_infinity_scan)
     return ap
@@ -434,8 +405,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        return args.fn(args, cfg)
+        return args.fn(args)
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 2

@@ -451,25 +451,16 @@ def _saddle_eigenframe(a: Params):
     return eq, ps, w[iu], w[is_], eu / np.linalg.norm(eu), es / np.linalg.norm(es)
 
 
-def separatrix_splitting(a: Params, *, validate: bool = False) -> float:
+def separatrix_splitting(a: Params) -> float:
     """Signed gap between the saddle separatrices on the section ray.
 
     The unstable branch is launched 1e-7 along its eigenvector toward the
     focus side and integrated forward to the ray anchored at the focus-type
     point (directed away from the saddle); the stable branch is integrated
     backward.  The difference of the hit radii vanishes exactly on a
-    homoclinic loop and changes sign across it.  With validate=True the
-    offset is halved and the two gaps must agree to 1e-6, the Richardson
-    check that the gap no longer depends on the offset.
+    homoclinic loop and changes sign across it.
     """
-    gap = _splitting_once(a, 1e-7)
-    if validate:
-        gap2 = _splitting_once(a, 1e-7 / 2)
-        if abs(gap - gap2) > 1e-6:
-            raise SectionMiss(
-                f"offset-halving check failed: {gap} vs {gap2} at {a}")
-        return gap2
-    return gap
+    return _splitting_once(a, 1e-7)
 
 
 def _splitting_once(a: Params, eps: float) -> float:

@@ -1,9 +1,10 @@
 """Gray-Scott kinetic vector field and its exact derivatives.
 
 The field is a fixed cubic polynomial in the concentrations, so its
-derivatives are written out analytically: the Jacobian in the state, and
-the Jacobian of (f, trace, det) in state and parameters that continuation
-and the double-zero checkpoint share.  All routines accept floats or
+derivatives are written out analytically: the Jacobian in the state, the
+Jacobian of (f, trace, det) in state and parameters that continuation and
+the double-zero checkpoint share, and the second-derivative form that the
+double-zero and Hopf normal forms project.  All routines accept floats or
 Fractions and preserve exactness.
 """
 from __future__ import annotations
@@ -97,6 +98,14 @@ def extended_jacobian(u, v, k, F):
              (2 * v, 2 * u - 2 * v, -1, -2),
              (-2 * v * F, 2 * v * (F + k) - 2 * u * F, F + v * v,
               2 * F + k + v * v - 2 * u * v)))
+
+
+def second_form(u, v, x, y):
+    """f1's component of the field's second-derivative form B(x, y) at
+    (u, v), summed term by term in tensor index order; f2's component is its
+    negative, since u v^2 is the only nonlinear term (f_uv = -2v,
+    f_vv = -2u)."""
+    return -2 * v * x[0] * y[1] + -2 * v * x[1] * y[0] + -2 * u * x[1] * y[1]
 
 
 def trace_det(jac) -> tuple:

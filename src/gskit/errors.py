@@ -13,10 +13,6 @@ class NotAnEquilibrium(GSKitError):
     """A point handed to a stability routine is not a fixed point."""
 
 
-class SingularParameter(GSKitError):
-    """Parameter offsets hit the singular locus of a closed-form expression."""
-
-
 class NotOnHopfCurve(GSKitError):
     """Lyapunov-coefficient routines require a point on the Hopf curve."""
 

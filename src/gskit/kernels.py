@@ -47,8 +47,8 @@ _BUFFER_FULL = -1
 _BAD_FIELD = -2
 _ZERO_DIVISION = -3
 
-# first capacity, in hits or samples, of a result buffer; a call that fills
-# it runs again with one eight times larger
+# first capacity, in samples, of integrate's buffer; a call that fills it
+# runs again with one eight times larger
 _FIRST_CAP = 4096
 
 # libraries, one per source version, that a build leaves in the cache
@@ -150,7 +150,7 @@ class _CKernels:
             "gs_integrate": [i, d, d, d, d, d, d, d, ll, i, d, d, buf, buf,
                              ll, count],
             "gs_ray_crossings": [d, d, d, d, d, d, d, d, i, ll, d, d, d, d, d,
-                                 d, buf, ll, count],
+                                 d, buf, count],
             "gs_monodromy": [d, d, d, d, d, d, d, buf],
         }
         for name, argtypes in sig.items():
@@ -186,18 +186,11 @@ class _CKernels:
                       max_crossings, t_max, rtol, atol, t_min, time_sign,
                       escape_sum):
         n = ctypes.c_longlong()
-        bound = max(max_crossings, 1)     # hits a call can return
-        cap = min(bound, _FIRST_CAP)
-        while True:
-            hits = (ctypes.c_double * (4 * cap))()
-            status = self._lib.gs_ray_crossings(
-                x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings, t_max,
-                rtol, atol, t_min, time_sign, escape_sum, hits, cap,
-                ctypes.byref(n))
-            if status != _BUFFER_FULL:
-                break
-            cap = min(8 * cap, bound)
-        _raise_for(status)
+        # the kernel returns once it holds max_crossings hits
+        hits = (ctypes.c_double * (4 * max(max_crossings, 1)))()
+        status = _raise_for(self._lib.gs_ray_crossings(
+            x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings, t_max, rtol,
+            atol, t_min, time_sign, escape_sum, hits, ctypes.byref(n)))
         h = hits[:4 * n.value]
         return status, list(zip(h[0::4], h[1::4], h[2::4], h[3::4]))
 

@@ -38,10 +38,14 @@ def parse_number(text: str) -> Number:
     """Parse 'p/q' into an exact Fraction, anything else into a float.
 
     Exact inputs are routed through the toolkit's rational code paths.
+    Malformed text and a zero denominator raise ValueError.
     """
     s = text.strip()
     if "/" in s:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
     try:
         return int(s)
     except ValueError:

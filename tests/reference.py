@@ -27,7 +27,12 @@ imports it from the tests that use it and collects nothing here.
   State), which the float cell must match bit for bit (test_dynamics);
 - section_frame_objects: gskit.dynamics.section_frame through the object
   route it replaced (equilibria, jacobian, numpy's eig, vector_field),
-  which the shared frame routine must match bit for bit (test_dynamics).
+  which the shared frame routine must match bit for bit (test_dynamics);
+- the double-zero oracles (A0, jordan_basis, bt_coefficients): the typed-in
+  linearization at the point, the Jordan chains v0' = c v0,
+  v1' = c v1 + shear v0 built from it, and the closed-form coefficient
+  family in the parameter offsets, which gskit.bt's FRAME and its
+  coefficients projected from the field are checked against (test_bt).
 """
 import math
 from fractions import Fraction
@@ -35,6 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from gskit import bautin
+from gskit.bt import BTFrame
 from gskit.core import Params, State, jacobian, trace_det, vector_field
 from gskit.equilibria import equilibria
 from gskit.errors import DomainError, ZeroPolynomial
@@ -381,6 +387,56 @@ def section_frame_objects(a: Params) -> tuple:
         if dcomp < 0:
             r_cap = min(r_cap, -comp / dcomp)
     return unstable, c.u, c.v, d0, d1, orient, r_cap
+
+
+# The double-zero point's linearization at (1/2, 1/4), typed in: the matrix
+# jordan_basis builds its chains for, and test_bt checks it against the field
+A0 = ((Fraction(-1, 8), Fraction(-1, 4)),
+      (Fraction(1, 16), Fraction(1, 8)))
+
+
+def jordan_basis(c=Fraction(1), shear=Fraction(0)) -> BTFrame:
+    """Jordan chain for A0; c=1, shear=0 gives the reference chain
+    v0=(-2,1), v1=(0,8), w0=(-1/2,0), w1=(1/16,1/8).
+
+    Any admissible chain is v0' = c v0, v1' = c v1 + shear v0 with the dual
+    vectors recomputed from the defining equations; used to test that the
+    sign s is frame-independent.
+    """
+    if c == 0:
+        raise ValueError("basis scale must be nonzero")
+    c = Fraction(c)
+    shear = Fraction(shear)
+    v0 = (-2 * c, c)
+    v1 = (-2 * shear, 8 * c + shear)
+    # w1 spans ker(A0^T) = span (1/16, 1/8); scale for <v1, w1> = 1
+    w1_dir = (Fraction(1, 16), Fraction(1, 8))
+    s1 = v1[0] * w1_dir[0] + v1[1] * w1_dir[1]
+    w1 = (w1_dir[0] / s1, w1_dir[1] / s1)
+    # A0^T w0 = w1: A0^T is singular with row 2 = 2 row 1, so solve row 1
+    # with second component 0, then shift along w1 for <v1, w0> = 0
+    assert w1[1] == 2 * w1[0]
+    w0p = (w1[0] / A0[0][0], Fraction(0))
+    t = -(v1[0] * w0p[0] + v1[1] * w0p[1])
+    w0 = (w0p[0] + t * w1[0], w0p[1] + t * w1[1])
+    frame = BTFrame(v0=v0, v1=v1, w0=w0, w1=w1)
+    residuals = frame.check()
+    assert all(r in (0, (0, 0)) for r in residuals.values()), residuals
+    return frame
+
+
+def bt_coefficients(alpha):
+    """Quadratic coefficients (a20, b20, b11) of the field expanded around
+    the moving base point (1/2, k/(2(F+k))) and projected onto the reference
+    chain, as closed forms in the parameter offsets alpha = (F - 1/16,
+    k - 1/16); b20 = a20 / 8 (the projected second components are
+    proportional).  At alpha = 0 they are gskit.bt's coefficients."""
+    a1, a2 = alpha
+    den = 8 * a2 + 8 * a1 + 1
+    a20 = -(24 * a2 - 8 * a1 + 1) / (2 * den)
+    b20 = -(24 * a2 - 8 * a1 + 1) / (16 * den)
+    b11 = 4 * (a1 - a2) / den
+    return a20, b20, b11
 
 
 def bautin_polar_census(beta1: float, beta2: float) -> list:

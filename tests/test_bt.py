@@ -3,11 +3,12 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from gskit.bt import (A0, BT_PARAMS, BT_POINT, BTFrame, _guard, bt_coefficients,
-                      bt_nondegeneracy, jordan_basis)
-from gskit.core import Params, State, extended_jacobian, vector_field
-from gskit.errors import SingularParameter
+from gskit import bt
+from gskit.bt import BT_PARAMS, BT_POINT, FRAME, BTFrame, bt_nondegeneracy
+from gskit.core import Params, State, extended_jacobian, jacobian, vector_field
+from gskit.errors import GSKitError
 from gskit.poly import det_bareiss
+from reference import A0, bt_coefficients, jordan_basis
 
 # ---------------------------------------------------------------------------
 # The exact-difference route to the quadratic coefficients: the field shifted
@@ -20,7 +21,6 @@ def shifted_field(x, alpha):
     alpha = (F - 1/16, k - 1/16).  Identical to composing the original field
     with the shift."""
     a1, a2 = alpha
-    _guard(a1, a2)
     p = (x[0] + Fr(1, 2), x[1] + Fr(1, 4))
     return vector_field(p, Params(a2 + Fr(1, 16), a1 + Fr(1, 16)))
 
@@ -28,7 +28,6 @@ def shifted_field(x, alpha):
 def base_point(alpha) -> State:
     """Base point (1/2, k/(2(F+k))) of the coefficient-family expansion."""
     a1, a2 = alpha
-    _guard(a1, a2)
     k = a2 + Fr(1, 16)
     fk = a1 + a2 + Fr(1, 8)
     return State(Fr(1, 2), k / (2 * fk))
@@ -87,13 +86,10 @@ def test_shifted_field_composition_oracle():
         assert direct[1] == pytest.approx(composed[1], abs=1e-14)
 
 
-def test_shifted_field_singular_guard():
-    with pytest.raises(SingularParameter):
-        shifted_field((0.0, 0.0), (Fr(-1, 16), Fr(-1, 16)))
-
-
 def test_linearization_at_origin_is_a0():
-    # exact second-order stencil around 0 recovers the Jacobian of the shift
+    # the typed-in A0 is the field's Jacobian at the point, and an exact
+    # second-order stencil around 0 recovers it from the shifted field
+    assert jacobian(BT_POINT, BT_PARAMS) == A0
     h = Fr(1, 128)
     for j, e in enumerate(((h, Fr(0)), (Fr(0), h))):
         up = shifted_field(e, (Fr(0), Fr(0)))
@@ -104,6 +100,7 @@ def test_linearization_at_origin_is_a0():
 
 def test_jordan_basis_reference_and_invariants():
     frame = jordan_basis()
+    assert FRAME == frame
     assert frame.v0 == (-2, 1)
     assert frame.v1 == (0, 8)
     assert frame.w0 == (Fr(-1, 2), 0)
@@ -202,11 +199,25 @@ def test_unfolding_field_matches_shift_at_zero():
 
 def test_nondegeneracy_report():
     rep = bt_nondegeneracy()
+    # the projections of the field's second-derivative form onto FRAME are
+    # the exact second differences of the projected field and the
+    # closed-form family at alpha = 0
+    coefficients = (rep.a20, rep.b20, rep.b11)
+    assert coefficients == coefficients_in_frame(FRAME)
+    assert coefficients == bt_coefficients((Fr(0), Fr(0)))
+    assert rep.frame == FRAME
     assert rep.a20 + rep.b11 == Fr(-1, 2)
     assert rep.b20 == Fr(-1, 16)
     assert rep.s == 1
     assert rep.transversality_det == Fr(-1, 512)
     assert rep.params == BT_PARAMS and rep.point == BT_POINT
+
+
+def test_nondegeneracy_rejects_a_broken_chain(monkeypatch):
+    broken = BTFrame(FRAME.v0, FRAME.v1, FRAME.w0, (FRAME.w1[0], Fr(1, 4)))
+    monkeypatch.setattr(bt, "FRAME", broken)
+    with pytest.raises(GSKitError, match="A0\\^T w1.*<v1,w1> - 1"):
+        bt_nondegeneracy()
 
 
 def test_s_invariant_under_admissible_frames():

@@ -1,12 +1,10 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from gskit import mapping
 from gskit.cli import main
 
 
@@ -51,6 +49,19 @@ def test_eq_gh_point():
 def test_eq_domain_error_exit_2():
     code, _ = run_cli("eq", "--k", "-0.01", "--F", "0.02")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eq", "--k", "abc", "--F", "0.02"),
+    ("eq", "--k", "1/0", "--F", "0.02"),
+    ("map", "--grid", "200"),
+    ("curves", "--which", "hopf", "--k-range", "0.07"),
+], ids=["number", "zero-denominator", "grid", "range"])
+def test_malformed_input_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
 
 
 def test_verify_commands_and_negative_controls():
@@ -131,49 +142,6 @@ def test_infinity_scan():
     assert code == 0
     doc = json.loads(out)
     assert doc["attractor"] == "p0"
-
-
-def test_config_file_roundtrip(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nrel_tol = 1e-8\noutdir = out\nthreads = 1\n")
-    code, _ = run_cli("--config", str(cfg), "eq", "--k", "0.05", "--F", "0.02")
-    assert code == 0
-    bad = tmp_path / "bad.cfg"
-    # an unknown key, and a key that RunConfig no longer has
-    for text in ("nonsense = 1\n", "k_min = 1e-9\n"):
-        bad.write_text(text)
-        code, _ = run_cli("--config", str(bad), "eq", "--k", "0.05", "--F", "0.02")
-        assert code == 2
-
-
-def test_threads_setting_is_an_argument(monkeypatch, tmp_path):
-    # the config's threads reach the maps of `map` and of `repro` criterion
-    # 10 as an argument: main() leaves the environment as it found it, and
-    # both commands resolve the same worker count over GSKIT_THREADS
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads = 3\n")
-    monkeypatch.delenv("GSKIT_THREADS", raising=False)
-    before = dict(os.environ)
-    assert run_cli("--config", str(cfg), "eq", "--k", "0.05", "--F", "0.02")[0] == 0
-    assert dict(os.environ) == before
-
-    class Stop(Exception):
-        pass
-
-    budgets = []
-
-    def region_map(*args, threads=None, **kwargs):
-        budgets.append(mapping.thread_budget(threads))
-        raise Stop
-
-    monkeypatch.setattr(mapping, "region_map", region_map)
-    monkeypatch.setenv("GSKIT_THREADS", "1")
-    before = dict(os.environ)
-    for argv in (("map", "--grid", "2x2"), ("repro", "--only", "10")):
-        with pytest.raises(Stop):
-            main(["--config", str(cfg), *argv])
-        assert dict(os.environ) == before
-    assert budgets == [3, 3]
 
 
 def test_console_script_entry_point():

@@ -197,9 +197,13 @@ def test_separatrix_splitting_sign_change_at_0_057():
 
 
 def test_separatrix_splitting_offset_halving():
+    # Richardson check: halving the launch offset moves the gap by under
+    # 1e-6, so the gap no longer depends on the offset
     a = Params(0.06, 0.0470658)
-    val = separatrix_splitting(a, validate=True)
-    assert isinstance(val, float)
+    gap = separatrix_splitting(a)
+    assert isinstance(gap, float)
+    assert gap == continuation._splitting_once(a, 1e-7)
+    assert abs(gap - continuation._splitting_once(a, 1e-7 / 2)) <= 1e-6
 
 
 def test_separatrix_requires_saddle():
