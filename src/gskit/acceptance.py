@@ -1,8 +1,10 @@
 """Acceptance battery: the project's exit criteria as runnable checks.
 
-Each criterion function returns a CriterionResult with named sub-checks;
-`run_battery` executes all ten and is what both `gskit repro` and the
-acceptance test module drive.  Tolerances are pinned here, not in callers.
+Each criterion function takes no argument and returns its named checks;
+`run_battery` runs the CRITERIA table, times each criterion and turns a
+criterion's GSKitError into that criterion's failed 'raised' check, and is
+what both `gskit repro` and the acceptance test module drive.  Tolerances
+are pinned here, not in callers.
 
 Three targets follow from the mathematics rather than from a first reading
 of the criteria (see the repository README for the derivations):
@@ -21,16 +23,17 @@ of the criteria (see the repository README for the derivations):
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import bautin, bt, continuation, dynamics
 from .core import Params, State, jacobian, trace_det, vector_field
-from .equilibria import equilibria, hopf_F, saddle_node_F
+from .equilibria import bisect_sign, equilibria, hopf_F, saddle_node_F
 from .errors import GSKitError
 from .ratmath import Sqrt2
 
@@ -54,23 +57,14 @@ class CriterionResult:
         return all(c.ok for c in self.checks)
 
 
-@dataclass
-class BatteryContext:
-    """Expensive artifacts shared by criteria: the fold-of-cycles bracket
-    at k = 0.034 serves criteria 6 and 7."""
-    t_curve_cache: dict = field(default_factory=dict)
-
-
-def _c(number, title, checks, t0):
-    return CriterionResult(number=number, title=title, checks=checks,
-                           elapsed=time.perf_counter() - t0)
+# criteria 6 and 7 share the fold-of-cycles bracket at k = 0.034
+_lpc_bracket = functools.cache(continuation.lpc_bracket)
 
 
 # ---------------------------------------------------------------------------
 
-def criterion_1(ctx: BatteryContext) -> CriterionResult:
+def criterion_1() -> list:
     """Exact checkpoints in rational arithmetic, zero tolerance."""
-    t0 = time.perf_counter()
     checks = []
     f_bt = vector_field(bt.BT_POINT, bt.BT_PARAMS)
     tr, det = trace_det(jacobian(bt.BT_POINT, bt.BT_PARAMS))
@@ -97,12 +91,11 @@ def criterion_1(ctx: BatteryContext) -> CriterionResult:
     checks.append(Check("gh_point",
                         gh["point"] == State(Fraction(1, 4), Fraction(3, 16)),
                         f"p = {gh['point']}"))
-    return _c(1, "exact checkpoints", checks, t0)
+    return checks
 
 
-def criterion_2(ctx: BatteryContext) -> CriterionResult:
+def criterion_2() -> list:
     """Closed-form consistency at 1000 random samples, 1e-13."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
     checks = []
     worst_sn = 0.0
@@ -139,12 +132,11 @@ def criterion_2(ctx: BatteryContext) -> CriterionResult:
         ok = ok and jac[0][0] == -F and jac[1][1] == -(F + k)
     checks.append(Check("trivial_point_eigenvalues", ok,
                         "Jacobian at (1,0) is diag(-F, -(F+k)) exactly"))
-    return _c(2, "closed-form consistency", checks, t0)
+    return checks
 
 
-def criterion_3(ctx: BatteryContext) -> CriterionResult:
+def criterion_3() -> list:
     """Newton convergence to the double-zero point; Hopf curve checkpoints."""
-    t0 = time.perf_counter()
     checks = []
     u, v, k, F = continuation.newton_bt((0.05, 0.05))
     err = max(abs(k - 1 / 16), abs(F - 1 / 16))
@@ -156,12 +148,11 @@ def criterion_3(ctx: BatteryContext) -> CriterionResult:
                         f"hopf_F(1/16) = {h1}"))
     checks.append(Check("hopf_F_at_9_256", abs(float(h2 - Fraction(3, 256))) <= 1e-13,
                         f"hopf_F(9/256) = {h2}"))
-    return _c(3, "Hopf detection", checks, t0)
+    return checks
 
 
-def criterion_4(ctx: BatteryContext) -> CriterionResult:
+def criterion_4() -> list:
     """Lyapunov sign law, unique zero, l2 sign, parameter-map determinant."""
-    t0 = time.perf_counter()
     checks = []
     neg = {}
     pos = {}
@@ -181,15 +172,7 @@ def criterion_4(ctx: BatteryContext) -> CriterionResult:
     def l1_on_curve(k):
         return bautin.l1_kuz(Params(k, float(hopf_F(k))))
 
-    lo, hi = 0.03, 0.04
-    flo = l1_on_curve(lo)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fm = l1_on_curve(mid)
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+    lo, hi = bisect_sign(l1_on_curve, 0.03, 0.04, l1_on_curve(0.03), 1e-12)
     root = 0.5 * (lo + hi)
     checks.append(Check("l1_zero_at_gh", abs(root - 9 / 256) <= 1e-9,
                         f"zero at k = {root!r}, |k - 9/256| = {abs(root - 9/256):.2e}"))
@@ -215,12 +198,11 @@ def criterion_4(ctx: BatteryContext) -> CriterionResult:
                         f"det = {det!r} (+9*sqrt(2)/2), -mu_F * dl1/dk = "
                         f"{-mu_F:.6f} * {dl1_dk:.6f} = {route:.6f}; rows (mu, l1) "
                         f"with mu = Re lambda, columns (k, F)"))
-    return _c(4, "Lyapunov sign law", checks, t0)
+    return checks
 
 
-def criterion_5(ctx: BatteryContext) -> CriterionResult:
+def criterion_5() -> list:
     """Continuation against closed forms; organizing points detected."""
-    t0 = time.perf_counter()
     checks = []
     up = continuation.continue_curve(
         "hopf", continuation.hopf_seed(0.03), direction=+1.0)
@@ -252,22 +234,14 @@ def criterion_5(ctx: BatteryContext) -> CriterionResult:
                   abs(float(gh_ev[0].params.F) - 3 / 256)) if gh_ev else float("inf"))
     checks.append(Check("bt_detected", bt_err <= 1e-8, f"err {bt_err:.2e}"))
     checks.append(Check("gh_detected", gh_err <= 1e-8, f"err {gh_err:.2e}"))
-    return _c(5, "continuation vs closed form", checks, t0)
+    return checks
 
 
-def _locate_t_curve_F(ctx: BatteryContext, k: float) -> tuple:
-    """continuation.lpc_bracket(k), cached in the battery context."""
-    if k not in ctx.t_curve_cache:
-        ctx.t_curve_cache[k] = continuation.lpc_bracket(k)
-    return ctx.t_curve_cache[k]
-
-
-def criterion_6(ctx: BatteryContext) -> CriterionResult:
+def criterion_6() -> list:
     """Two coexisting cycles in the wedge between H- and T."""
-    t0 = time.perf_counter()
     checks = []
     k = 0.034
-    F_below, F_mid, Fh = _locate_t_curve_F(ctx, k)
+    F_below, F_mid, Fh = _lpc_bracket(k)
     cycles = dynamics.limit_cycle_census(Params(k, F_mid))
     ok_count = len(cycles) == 2
     ok_stab = (ok_count and cycles[0].nontrivial_multiplier < 1.0
@@ -276,13 +250,13 @@ def criterion_6(ctx: BatteryContext) -> CriterionResult:
     detail = [(round(c.radius, 6), round(c.nontrivial_multiplier, 6)) for c in cycles]
     checks.append(Check("two_cycles", ok_count, f"census at (k={k}, F={F_mid!r}): {detail}"))
     checks.append(Check("inner_stable_outer_unstable", ok_stab, str(detail)))
-    return _c(6, "two coexisting cycles", checks, t0)
+    return checks
 
 
-def _lpc_toward_gh(ctx: BatteryContext):
+def _lpc_toward_gh():
     """Fold-of-cycles polyline continued toward the generalized Hopf point."""
     k_seed = 0.0345
-    _, F_mid, _ = _locate_t_curve_F(ctx, k_seed)
+    _, F_mid, _ = _lpc_bracket(k_seed)
     seed = continuation.lpc_seed_from_region3(Params(k_seed, F_mid))
     # from this seed the curve reaches the generalized Hopf point, k rising,
     # as the radius falls (direction -1); run +1 only if that run ends lower
@@ -295,11 +269,10 @@ def _lpc_toward_gh(ctx: BatteryContext):
     return run
 
 
-def criterion_7(ctx: BatteryContext) -> CriterionResult:
+def criterion_7() -> list:
     """Fold-of-cycles curve tangent to the Hopf curve at GH; census step 2."""
-    t0 = time.perf_counter()
     checks = []
-    run = _lpc_toward_gh(ctx)
+    run = _lpc_toward_gh()
     kgh = 9 / 256
     h = 1e-7
     slope_h = (float(hopf_F(kgh + h)) - float(hopf_F(kgh - h))) / (2 * h)
@@ -319,18 +292,17 @@ def criterion_7(ctx: BatteryContext) -> CriterionResult:
                         f"limit-tangent deviation {angle:.2e} rad "
                         f"(fit b={b:.2e}, curvature c={c:.3f}, nearest k={k_near!r})"))
     k_cross = 0.034
-    F_below, F_mid2, Fh2 = _locate_t_curve_F(ctx, k_cross)
+    F_below, F_mid2, Fh2 = _lpc_bracket(k_cross)
     n_above = len(dynamics.limit_cycle_census(Params(k_cross, F_mid2), n_scan=200))
     n_below = len(dynamics.limit_cycle_census(Params(k_cross, F_below - 2e-6), n_scan=200))
     checks.append(Check("census_changes_by_two", n_above - n_below == 2,
                         f"{n_above} cycles above T, {n_below} below"))
-    return _c(7, "fold-of-cycles tangency", checks, t0)
+    return checks
 
 
-def criterion_8(ctx: BatteryContext) -> CriterionResult:
+def criterion_8() -> list:
     """Homoclinic curve: bracketing, ordering, no loop below the Hopf curve,
     fold tangency exponents."""
-    t0 = time.perf_counter()
     checks = []
     k_grid = np.linspace(0.058, 0.0624, 8)
     run = continuation.homoclinic_curve(k_grid)
@@ -392,12 +364,11 @@ def criterion_8(ctx: BatteryContext) -> CriterionResult:
     checks.append(Check("literal_axis_exponent", 0.425 <= p_fit <= 0.575,
                         f"|F_hom(k)-F_sn_lower(k)| vs |k-1/16|: two-term fit exponent "
                         f"{p_fit:.3f} (plain log-log slope {plain:.3f})"))
-    return _c(8, "homoclinic curve", checks, t0)
+    return checks
 
 
-def criterion_9(ctx: BatteryContext) -> CriterionResult:
+def criterion_9() -> list:
     """Integrator quality: order, fixed points, quadrant invariance."""
-    t0 = time.perf_counter()
     checks = []
     a = Params(0.046, 0.026)
     p0 = State(0.6, 0.25)
@@ -435,18 +406,17 @@ def criterion_9(ctx: BatteryContext) -> CriterionResult:
     checks.append(Check("quadrant_invariance",
                         min_u >= -atol and min_v >= -atol,
                         f"min u {min_u:.2e}, min v {min_v:.2e} over 1000 trajectories"))
-    return _c(9, "integrator quality", checks, t0)
+    return checks
 
 
-def criterion_10(ctx: BatteryContext, *, grid: int = 200) -> CriterionResult:
+def criterion_10() -> list:
     """Global map: region layout and adjacency on a 200x200 grid plus the
     documented zoom insets for the thin two-cycle and one-stable-cycle bands.
     The maps run on mapping.thread_budget()'s workers."""
-    t0 = time.perf_counter()
     checks = []
     from .mapping import adjacency, region_map
 
-    labels, _ = region_map((1e-9, 0.07), (1e-9, 0.07), grid, grid)
+    labels, meta = region_map((1e-9, 0.07), (1e-9, 0.07), 200, 200)
     present = {lab for row in labels for lab in row}
     adj = adjacency(labels)
     required = {frozenset(p) for p in
@@ -461,12 +431,11 @@ def criterion_10(ctx: BatteryContext, *, grid: int = 200) -> CriterionResult:
     # outside | 1 | 2 | 4 (| outside when the upper fold branch is in window)
     col_ok = 0
     ncols = 0
-    karr = np.linspace(1e-9, 0.07, grid)
-    for j, k in enumerate(karr):
+    for j, k in enumerate(meta["k_values"]):
         if not (0.058 <= k <= 0.0615):
             continue
         ncols += 1
-        col = [labels[i][j] for i in range(grid) if labels[i][j] != "x"]
+        col = [row[j] for row in labels if row[j] != "x"]
         seq = [lab for lab, prev in zip(col, [None] + col[:-1]) if lab != prev]
         if seq[:4] == ["outside", "1", "2", "4"] and set(seq[4:]) <= {"outside"}:
             col_ok += 1
@@ -500,24 +469,36 @@ def criterion_10(ctx: BatteryContext, *, grid: int = 200) -> CriterionResult:
     z5 = {lab for row in zoom5 for lab in row}
     checks.append(Check("region5_inset", "5" in z5 and "4" in z5,
                         f"inset labels {sorted(z5)}"))
-    return _c(10, "global map", checks, t0)
+    return checks
 
 
-ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-                criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
+CRITERIA = ((criterion_1, "exact checkpoints"),
+            (criterion_2, "closed-form consistency"),
+            (criterion_3, "Hopf detection"),
+            (criterion_4, "Lyapunov sign law"),
+            (criterion_5, "continuation vs closed form"),
+            (criterion_6, "two coexisting cycles"),
+            (criterion_7, "fold-of-cycles tangency"),
+            (criterion_8, "homoclinic curve"),
+            (criterion_9, "integrator quality"),
+            (criterion_10, "global map"))
 
 
-def run_battery(numbers=None, *, grid: int = 200) -> list:
-    ctx = BatteryContext()
+def run_battery(numbers=None) -> list:
+    """CriterionResults of the criteria numbered in numbers (all when
+    empty), in order.  A criterion that raises GSKitError fails alone, with
+    one 'raised' check naming the error."""
     out = []
-    for fn in ALL_CRITERIA:
-        num = int(fn.__name__.split("_")[1])
-        if numbers and num not in numbers:
+    for number, (fn, title) in enumerate(CRITERIA, 1):
+        if numbers and number not in numbers:
             continue
-        if num == 10:
-            out.append(criterion_10(ctx, grid=grid))
-        else:
-            out.append(fn(ctx))
+        t0 = time.perf_counter()
+        try:
+            checks = fn()
+        except GSKitError as exc:
+            checks = [Check("raised", False, f"{type(exc).__name__}: {exc}")]
+        out.append(CriterionResult(number=number, title=title, checks=checks,
+                                   elapsed=time.perf_counter() - t0))
     return out
 
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .core import Params, State, extended_jacobian, jacobian, second_form
 from .errors import GSKitError
-from .poly import det_bareiss
 
 BT_PARAMS = Params(Fraction(1, 16), Fraction(1, 16))
 BT_POINT = State(Fraction(1, 2), Fraction(1, 4))
@@ -90,6 +89,25 @@ def _project(w, x, y):
     return w[0] * b + w[1] * -b
 
 
+def _det(rows) -> Fraction:
+    """Determinant of a square matrix of ints or Fractions by Gaussian
+    elimination over the Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        p = next((j for j in range(i, len(m)) if m[j][i]), None)
+        if p is None:
+            return Fraction(0)
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            det = -det
+        det *= m[i][i]
+        for row in m[i + 1:]:
+            factor = row[i] / m[i][i]
+            row[i:] = [x - factor * y for x, y in zip(row[i:], m[i][i:])]
+    return det
+
+
 def bt_nondegeneracy() -> BTReport:
     """Checkpoint report at the double-zero point, fully exact.
 
@@ -110,7 +128,7 @@ def bt_nondegeneracy() -> BTReport:
     b11 = _project(w1, v0, v1)
     quantity = b20 * (a20 + b11)
     s = 1 if quantity > 0 else (-1 if quantity < 0 else 0)
-    det = det_bareiss(extended_jacobian(
+    det = _det(extended_jacobian(
         BT_POINT.u, BT_POINT.v, BT_PARAMS.k, BT_PARAMS.F)[1])
     return BTReport(a20=a20, b20=b20, b11=b11, s=s,
                     transversality_det=det, frame=FRAME)

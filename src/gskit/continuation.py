@@ -23,7 +23,7 @@ import numpy as np
 from . import bautin, dynamics, kernels
 from .core import (Params, State, extended_jacobian, jacobian, trace_det,
                    uv_jacobian, vector_field)
-from .equilibria import equilibria, hopf_F, saddle_node_F
+from .equilibria import bisect_sign, equilibria, hopf_F, saddle_node_F
 from .errors import (BracketNotFound, DomainError, NewtonDiverged,
                      NoReturn, NotOnHopfCurve, SaddleMissing, SectionMiss,
                      SeedInvalid)
@@ -522,18 +522,12 @@ def homoclinic_F(k: float, *, f_tol: float = 1e-8) -> tuple:
         Fp = Fh + frac * span
         gp = gap(Fp)
         if (gprev < 0) != (gp < 0):
-            lo, glo, hi, ghi = prev, gprev, Fp, gp
+            lo, glo, hi = prev, gprev, Fp
             break
         prev, gprev = Fp, gp
     if hi is None:
         raise BracketNotFound(f"splitting gap has one sign over the scan at k={k}")
-    while hi - lo > f_tol:
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if (glo < 0) == (gm < 0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
+    lo, hi = bisect_sign(gap, lo, hi, glo, f_tol)
     return 0.5 * (lo + hi), hi - lo
 
 

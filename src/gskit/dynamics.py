@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import Params, State, jacobian, trace_det
+from .core import Params, State, _field, jacobian, trace_det, uv_jacobian
 from .equilibria import classify, discriminants, equilibria
 from .errors import DomainError, NoReturn, StepUnderflow
 
@@ -98,19 +98,15 @@ def _frame(k, F, cu, cv, su, sv, direction):
     the trace of the Jacobian J there is positive; (d0, d1) =
     direction(j11, j12, j21, j22), turned away from the saddle; orient: the
     sign of d x f just off the ray; r_max: where the ray leaves the
-    quadrant, at most 2.5.  uv_jacobian's and vector_field's operations, in
-    their order, on k and F as given (floats or Fractions)."""
-    # uv_jacobian at the focus-type point
-    j11, j12 = -(F + cv * cv), -2 * cu * cv
-    j21, j22 = cv * cv, -(F + k) + 2 * cu * cv
+    quadrant, at most 2.5.  J and the field are core's uv_jacobian and
+    _field, on k and F as given (floats or Fractions)."""
+    (j11, j12), (j21, j22) = uv_jacobian(cu, cv, k, F)
     d0, d1 = direction(j11, j12, j21, j22)
     # point away from the saddle
     if d0 * (cu - su) + d1 * (cv - sv) < 0:
         d0, d1 = -d0, -d1
     # rotation direction of the flow just off the section
-    x, y = cu + 1e-6 * d0, cv + 1e-6 * d1
-    uvv = x * y * y
-    f0, f1 = -uvv + F * (1 - x), uvv - (F + k) * y
+    f0, f1 = _field(cu + 1e-6 * d0, cv + 1e-6 * d1, k, F)
     orient = 1 if (d0 * f1 - d1 * f0) > 0 else -1
     # cap the ray at the quadrant boundary / sanity window
     r_max = 2.5
@@ -412,17 +408,17 @@ _PROBE_LABELS = {"outside": RegionLabel(id="outside"), "x": RegionLabel(id="x"),
                  "4": RegionLabel(id="4"), "5": RegionLabel(id="5", cycles=1)}
 
 
-def probe_region(a: Params) -> RegionLabel:
-    """Fast decision-tree classifier used by the parameter-plane map.
+def probe_region(k: float, F: float) -> RegionLabel:
+    """Fast decision-tree classifier used by the parameter-plane map, at
+    positive floats k and F.
 
     Replaces the full census with one or two attractor probes (forward from
     the focus side, backward across a detected cycle), each at most 400
     section crossings or 2e5 time units; validated against classify_region
-    on sampled cells.  The cell runs in Python floats from (a.k, a.F)
-    through _probe_frame and _section_radii, and builds no equilibrium
-    set, state or frame object; the labels are shared constants.
+    on sampled cells.  The cell runs in Python floats through _probe_frame
+    and _section_radii, and builds no parameter, equilibrium, state or
+    frame object; the labels are shared constants.
     """
-    k, F = a.k, a.F
     frame = _probe_frame(k, F)
     if frame is None:
         return _PROBE_LABELS["outside"]

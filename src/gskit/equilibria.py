@@ -2,7 +2,8 @@
 
 Everything here is algebra on the kinetics: the discriminant that counts
 nontrivial equilibria, their coordinates, the saddle-node / Hopf / neutral
-saddle curve parameterizations, and the Jacobian discriminant curve.
+saddle curve parameterizations, the Jacobian discriminant curve, and the
+sign bisection that curve, the homoclinic search and the battery share.
 """
 from __future__ import annotations
 
@@ -138,22 +139,24 @@ def saddle_node_F(k: Number) -> tuple:
 
 def hopf_F(k: Number) -> Number:
     """F on the Hopf curve (trace of the focus-type point vanishes)."""
-    _require_curve_domain(k, strict_upper=False)
-    sk = sqrt_exact(k)
-    inner = sqrt_exact(k - 4 * k * sk)
-    kk = _match(k, sk if isinstance(sk, float) else inner)
-    sk = _match(sk, inner)
-    return (sk - 2 * kk - inner) / 2
+    return _trace_zero_F(k, -1)
 
 
 def neutral_saddle_F(k: Number) -> Number:
     """F on the neutral-saddle curve (trace at the saddle vanishes)."""
+    return _trace_zero_F(k, 1)
+
+
+def _trace_zero_F(k, sign):
+    """(sqrt(k) - 2k + sign sqrt(k - 4k sqrt(k))) / 2, 0 < k <= 1/16: the F
+    where the trace of a nontrivial equilibrium vanishes, the focus-type
+    point's for sign -1 and the saddle's for +1."""
     _require_curve_domain(k, strict_upper=False)
     sk = sqrt_exact(k)
     inner = sqrt_exact(k - 4 * k * sk)
     kk = _match(k, sk if isinstance(sk, float) else inner)
     sk = _match(sk, inner)
-    return (sk - 2 * kk + inner) / 2
+    return (sk - 2 * kk + sign * inner) / 2
 
 
 def _require_curve_domain(k, *, strict_upper: bool):
@@ -203,18 +206,22 @@ def disc_curve_F(k: float) -> list:
         if prev == 0.0:
             roots.append(prev_F)
         elif prev * cur < 0:
-            a_, b_ = prev_F, cur_F
-            fa = prev
-            while b_ - a_ > 1e-11:
-                m = 0.5 * (a_ + b_)
-                fm = disc(m)
-                if fm == 0.0:
-                    a_ = b_ = m
-                    break
-                if fa * fm < 0:
-                    b_ = m
-                else:
-                    a_, fa = m, fm
+            a_, b_ = bisect_sign(disc, prev_F, cur_F, prev, 1e-11)
             roots.append(0.5 * (a_ + b_))
         prev_F, prev = cur_F, cur
     return roots
+
+
+def bisect_sign(f, lo, hi, f_lo, tol) -> tuple:
+    """Halve [lo, hi], over which f changes sign (f_lo = f(lo)), until it is
+    at most tol wide, and return the last (lo, hi).  The half whose ends
+    differ in the sign test f < 0 is kept, so an exact zero at a midpoint
+    counts as positive and stays an end of the bracket."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if (f_lo < 0) == (f_mid < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo, hi

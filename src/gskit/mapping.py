@@ -36,10 +36,8 @@ def _classify_cell(args):
         return "outside"
     try:
         if fast:
-            lab = dynamics.probe_region(Params(k, F))
-        else:
-            lab = dynamics.classify_region(Params(k, F))
-        return lab.id
+            return dynamics.probe_region(k, F).id
+        return dynamics.classify_region(Params(k, F)).id
     except GSKitError:
         return "x"
 

@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic: univariate integer/rational polynomials, the
-resultant against a linear polynomial, rational roots, and fraction-free
-determinants.
+resultant against a linear polynomial, and rational roots.
 
 The resultant convention is fixed and documented: the determinant of the
 Sylvester matrix with the first polynomial's coefficient rows on top, so
@@ -122,40 +121,6 @@ def _coerce(x, var) -> IntPoly:
     if isinstance(x, IntPoly):
         return x
     return IntPoly((x,), var)
-
-
-def det_bareiss(rows: list):
-    """Fraction-free determinant of a square matrix of ints or Fractions."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _exact_divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-        prev = m[k][k]
-    out = m[n - 1][n - 1]
-    return -out if sign < 0 else out
-
-
-def _exact_divide(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError(f"inexact integer division {a}/{b}")
-        return q
-    return Fraction(a) / Fraction(b)
 
 
 def resultant(p: IntPoly, q: IntPoly):

@@ -20,8 +20,8 @@ imports it from the tests that use it and collects nothing here.
   sylvester_resultant) over ints, Fractions or polynomial entries, with
   the exact polynomial long division it needs (divmod_exact), and rational
   roots found by that division (roots_by_division): what gskit.poly's
-  linear-case resultant and synthetic division are checked against
-  (test_poly, test_bautin);
+  linear-case resultant and synthetic division, and gskit.bt's
+  determinant, are checked against (test_poly, test_bautin, test_bt);
 - probe_frame_objects: gskit.dynamics._probe_frame and _escape_sum through
   the object route they replaced (equilibria, jacobian, trace_det and
   State), which the float cell must match bit for bit (test_dynamics);

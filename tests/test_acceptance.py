@@ -11,14 +11,13 @@ Run with `-s` to see the full pass/fail table (one line per criterion).
 """
 import pytest
 
-from gskit import acceptance, bautin
-
-GRID = 200
+from gskit import acceptance, bautin, bt
+from gskit.errors import GSKitError
 
 
 @pytest.fixture(scope="module")
 def battery():
-    results = {r.number: r for r in acceptance.run_battery(grid=GRID)}
+    results = {r.number: r for r in acceptance.run_battery()}
     print()
     print(acceptance.format_battery(list(results.values())))
     return results
@@ -58,11 +57,27 @@ def test_criterion_1_fails_cleanly_without_gh_root(monkeypatch):
     # point: its two checks fail and the criterion still reports
     loc = bautin.gh_locate()
     monkeypatch.setattr(bautin, "gh_locate", lambda: {**loc, "gh": None})
-    result = acceptance.criterion_1(acceptance.BatteryContext())
-    by_name = {c.name: c for c in result.checks}
-    assert not result.passed
+    checks = acceptance.criterion_1()
+    by_name = {c.name: c for c in checks}
+    assert not all(c.ok for c in checks)
     assert not by_name["gh_params"].ok and not by_name["gh_point"].ok
     assert by_name["resultant"].ok
+
+
+def test_a_raising_criterion_fails_alone(monkeypatch):
+    # a broken Jordan chain makes bt_nondegeneracy raise: criterion 1 fails
+    # with one check naming the error and the battery goes on to criterion 2
+    def broken():
+        raise GSKitError("FRAME is not a Jordan chain at the point")
+
+    monkeypatch.setattr(bt, "bt_nondegeneracy", broken)
+    first, second = acceptance.run_battery({1, 2})
+    assert (first.number, second.number) == (1, 2)
+    assert not first.passed and len(first.checks) == 1
+    check, = first.checks
+    assert check.name == "raised" and not check.ok
+    assert check.detail == "GSKitError: FRAME is not a Jordan chain at the point"
+    assert second.passed
 
 
 def test_criterion_2_closed_form_consistency(battery):

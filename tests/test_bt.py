@@ -7,8 +7,7 @@ from gskit import bt
 from gskit.bt import BT_PARAMS, BT_POINT, FRAME, BTFrame, bt_nondegeneracy
 from gskit.core import Params, State, extended_jacobian, jacobian, vector_field
 from gskit.errors import GSKitError
-from gskit.poly import det_bareiss
-from reference import A0, bt_coefficients, jordan_basis
+from reference import A0, bt_coefficients, det_bareiss_ring, jordan_basis
 
 # ---------------------------------------------------------------------------
 # The exact-difference route to the quadratic coefficients: the field shifted
@@ -239,8 +238,27 @@ def test_transversality_matrix_entries_at_double_zero():
     assert values == (0, 0, 0, 0)
     assert m == expected
     assert all(isinstance(x, (Fr, int)) for row in m for x in row)
-    assert det_bareiss(m) == Fr(-1, 512)
+    assert bt._det(m) == Fr(-1, 512)
     assert bt_nondegeneracy().transversality_det == Fr(-1, 512)
+
+
+def test_det_matches_fraction_free_oracle():
+    # bt's elimination against the Bareiss determinant on seeded random
+    # Fraction matrices: pivots that need a row swap, and singular ones
+    rng = np.random.default_rng(24)
+    mats = []
+    for _ in range(40):
+        m = [[Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+              for _ in range(4)] for _ in range(4)]
+        mats.append(m)
+    mats.append([mats[0][0], mats[0][1], mats[0][2],
+                 [a + 2 * b for a, b in zip(mats[0][0], mats[0][1])]])
+    mats.append([[0, 1, 2, 3], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    mats.append([[0] * 4] + mats[1][1:])
+    for m in mats:
+        assert bt._det(m) == det_bareiss_ring(m), m
+    assert bt._det(mats[-3]) == 0 and bt._det(mats[-1]) == 0
+    assert bt._det(mats[-2]) == -1
 
 
 def test_transversality_matrix_is_jacobian_of_extended_map():

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from gskit import bt
 from gskit.cli import main
+from gskit.errors import GSKitError
 
 
 def run_cli(*argv):
@@ -64,13 +66,20 @@ def test_malformed_input_is_a_usage_error(argv, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+VERIFY_BT_CHECKS = {
+    "a20_is_-1/2", "b20_is_-1/16", "b11_is_0", "bt1_a20_plus_b11_nonzero",
+    "bt2_b20_nonzero", "s_is_+1", "transversality_det_is_-1/512"}
+
+
 def test_verify_commands_and_negative_controls():
     code, out = run_cli("verify-bt")
     assert code == 0
     assert json.loads(out)["all_passed"] is True
+    assert set(json.loads(out)["checks"]) == VERIFY_BT_CHECKS
     code, out = run_cli("verify-bt", "--mutate")
     assert code == 1
     assert json.loads(out)["all_passed"] is False
+    assert set(json.loads(out)["checks"]) == VERIFY_BT_CHECKS
     code, out = run_cli("verify-bautin")
     assert code == 0
     # the parameter-map determinant is the exact 0 + (9/2) sqrt(2)
@@ -157,3 +166,17 @@ def test_repro_fast_subset():
     assert code == 0
     assert "criterion  2" in out and "criterion  3" in out
     assert "FAIL" not in out
+
+
+def test_repro_reports_a_raising_criterion(monkeypatch):
+    # a criterion that raises prints its FAIL line instead of aborting
+    def broken():
+        raise GSKitError("FRAME is not a Jordan chain at the point")
+
+    monkeypatch.setattr(bt, "bt_nondegeneracy", broken)
+    code, out = run_cli("repro", "--only", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("criterion  1  exact checkpoints  FAIL")
+    assert lines[1] == ("    [FAIL] raised: GSKitError: FRAME is not a Jordan "
+                        "chain at the point")

@@ -11,7 +11,7 @@ from gskit.continuation import (continue_curve, fold_seed, homoclinic_F,
                                 lpc_curve, lpc_seed_from_region3, newton_bt,
                                 separatrix_splitting)
 from gskit.core import Params
-from gskit.equilibria import hopf_F, saddle_node_F
+from gskit.equilibria import bisect_sign, hopf_F, saddle_node_F
 from gskit.errors import (BracketNotFound, DomainError, NotOnHopfCurve,
                           SaddleMissing, SeedInvalid)
 
@@ -218,6 +218,32 @@ def test_splitting_shrinks_toward_homoclinic():
     gaps = [abs(separatrix_splitting(Params(k, F_hom + d)))
             for d in (8e-4, 2e-4, 5e-5)]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_homoclinic_bisection_returns_the_inline_loop_bits(monkeypatch):
+    # homoclinic_F's bracket through bisect_sign against the loop it used to
+    # write out, run on the same splitting gap and scan bracket
+    def inline_loop(f, lo, hi, flo, tol):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if (flo < 0) == (fm < 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return lo, hi
+
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, bisect_sign(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(continuation, "bisect_sign", recorded)
+    F, width = homoclinic_F(0.06)
+    (args, (lo, hi)), = calls
+    assert (lo, hi) == inline_loop(*args)
+    assert (F, width) == (0.5 * (lo + hi), hi - lo)
 
 
 def test_homoclinic_between_hopf_and_upper_fold():

@@ -133,7 +133,7 @@ def test_probe_region_agrees_with_census_classifier():
            (0.03, 0.02), (0.045, 0.045)]
     for k, F in pts:
         full = dynamics.classify_region(Params(k, F))
-        fast = dynamics.probe_region(Params(k, F))
+        fast = dynamics.probe_region(k, F)
         assert full.id == fast.id, (k, F, full, fast)
 
 

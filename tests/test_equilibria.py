@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gskit.core import Number, Params, State
-from gskit.equilibria import (classify, disc_curve_F, discriminants, equilibria,
-                              hopf_F, neutral_saddle_F, p_mp_trace_det_disc,
-                              saddle_node_F)
+from gskit.equilibria import (bisect_sign, classify, disc_curve_F, discriminants,
+                              equilibria, hopf_F, neutral_saddle_F,
+                              p_mp_trace_det_disc, saddle_node_F)
 from gskit.errors import DomainError, NotAnEquilibrium
 
 # ---------------------------------------------------------------------------
@@ -225,3 +225,31 @@ def test_eliminating_v_reproduces_fold_relation():
         g = surface_G(k, F, v)
         expected = F * fold_defect(k, F) / (4 * (F + k))
         assert g == pytest.approx(expected, rel=1e-12, abs=1e-16)
+
+
+def test_bisect_sign_keeps_a_narrow_sign_change():
+    # the bracket returned is at most tol wide and f still changes sign
+    # across it, from either end's sign
+    def f(x):
+        return x ** 3 - 2 * x - 5
+
+    for lo, hi, tol in ((2.0, 3.0, 1e-12), (2.0, 2.5, 1e-6), (-1.0, 4.0, 1e-9),
+                        (2.09, 2.1, 1e-15)):
+        for g in (f, lambda x: -f(x)):
+            a, b = bisect_sign(g, lo, hi, g(lo), tol)
+            assert lo <= a < b <= hi and b - a <= tol
+            assert (g(a) < 0) != (g(b) < 0)
+
+
+def test_bisect_sign_keeps_an_exact_zero_as_an_end():
+    # a midpoint where f is exactly zero counts as positive: the halving goes
+    # on and the zero stays the end of the bracket on its side; a bracket
+    # already within tol is returned as given
+    lo, hi = bisect_sign(lambda x: x - 0.375, 0.0, 1.0, -0.375, 1e-12)
+    assert hi == 0.375 and 0 < hi - lo <= 1e-12
+    lo, hi = bisect_sign(lambda x: 0.375 - x, 0.0, 1.0, 0.375, 1e-12)
+    assert lo == 0.375 and 0 < hi - lo <= 1e-12
+    def unused(x):
+        pytest.fail("f evaluated on a bracket already within tol")
+
+    assert bisect_sign(unused, 0.0, 1e-13, -1.0, 1e-12) == (0.0, 1e-13)
