@@ -246,11 +246,8 @@ def test_det_matches_fraction_free_oracle():
     # bt's elimination against the Bareiss determinant on seeded random
     # Fraction matrices: pivots that need a row swap, and singular ones
     rng = np.random.default_rng(24)
-    mats = []
-    for _ in range(40):
-        m = [[Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
-              for _ in range(4)] for _ in range(4)]
-        mats.append(m)
+    mats = [[[Fr(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+              for _ in range(4)] for _ in range(4)] for _ in range(40)]
     mats.append([mats[0][0], mats[0][1], mats[0][2],
                  [a + 2 * b for a, b in zip(mats[0][0], mats[0][1])]])
     mats.append([[0, 1, 2, 3], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])

@@ -249,6 +249,7 @@ def test_bisect_sign_keeps_an_exact_zero_as_an_end():
     assert hi == 0.375 and 0 < hi - lo <= 1e-12
     lo, hi = bisect_sign(lambda x: 0.375 - x, 0.0, 1.0, 0.375, 1e-12)
     assert lo == 0.375 and 0 < hi - lo <= 1e-12
+
     def unused(x):
         pytest.fail("f evaluated on a bracket already within tol")
 
