@@ -14,9 +14,11 @@
  *   argument unless a later one compares smaller/larger, so a NaN never
  *   replaces a number (fmin/fmax would);
  * - where _pure maps the OverflowError of ** to inf, the code here checks
- *   for an infinite power of a finite base;
- * - a zero divisor that would raise ZeroDivisionError in Python returns
- *   ZERO_DIVISION, which gskit.kernels raises as that error.
+ *   for an infinite power of a finite base.
+ *
+ * Callers pass rtol, atol > 0, so no error scale atol + rtol * |x| is zero,
+ * and a field id that gskit.kernels has checked: fid is FIELD_PLANE or
+ * FIELD_CHART_V.  The one C-only return is BUFFER_FULL.
  *
  * It must be built with -ffp-contract=off (no fused multiply-add) and
  * -fno-builtin (gcc would otherwise turn pow(a, 2) into a * a, which can
@@ -30,8 +32,8 @@
 enum {
     OK = 0, MAX_STEPS = 1, UNDERFLOW = 2, BOX_EXIT = 4, CAPTURED = 8,
     SETTLED = 16,
-    /* C-only returns, never statuses of a finished call */
-    BUFFER_FULL = -1, BAD_FIELD = -2, ZERO_DIVISION = -3
+    /* C-only return, never the status of a finished call */
+    BUFFER_FULL = -1
 };
 
 enum { FIELD_PLANE = 0, FIELD_CHART_V = 2 };
@@ -127,8 +129,7 @@ static double rms(double a, double b)
 }
 
 /* _pure._Controller, embedded first in both steppers.  trial() returns 1
- * when ctl_judge() accepts its step, 0 when it rejects it, or
- * ZERO_DIVISION where Python divides by a zero scale. */
+ * when ctl_judge() accepts its step, else 0. */
 typedef struct Controller {
     double rtol, atol, fixed_step, t, h;
     long long steps;
@@ -136,9 +137,9 @@ typedef struct Controller {
     int (*trial)(struct Controller *c, double h);
 } Controller;
 
-/* _Controller._start: 0, or ZERO_DIVISION */
-static int ctl_start(Controller *c, double x0, double y0, double fx,
-                     double fy, double rtol, double atol, double fixed_step)
+/* _Controller._start */
+static void ctl_start(Controller *c, double x0, double y0, double fx,
+                      double fy, double rtol, double atol, double fixed_step)
 {
     c->rtol = rtol;
     c->atol = atol;
@@ -149,14 +150,10 @@ static int ctl_start(Controller *c, double x0, double y0, double fx,
         c->h = fixed_step;
     } else {
         double sc_x = atol + rtol * fabs(x0), sc_y = atol + rtol * fabs(y0);
-        double d0, d1;
-        if (sc_x == 0.0 || sc_y == 0.0)
-            return ZERO_DIVISION;
-        d0 = rms(x0 / sc_x, y0 / sc_y);
-        d1 = rms(fx / sc_x, fy / sc_y);
+        double d0 = rms(x0 / sc_x, y0 / sc_y);
+        double d1 = rms(fx / sc_x, fy / sc_y);
         c->h = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
     }
-    return 0;
 }
 
 /* Take one accepted step, not passing t_limit.  Returns status. */
@@ -165,16 +162,12 @@ static int ctl_advance(Controller *c, double t_limit)
     c->rejected = 0;
     for (;;) {
         double h = c->h;
-        int accepted;
         if (c->t + h >= t_limit)
             h = t_limit - c->t;
         /* `!(>)` also stops a nan step, which every trial would reject */
         if (!(h > 1e-15 * py_max(1.0, fabs(c->t))))
             return UNDERFLOW;
-        accepted = c->trial(c, h);
-        if (accepted == ZERO_DIVISION)
-            return ZERO_DIVISION;
-        if (accepted) {
+        if (c->trial(c, h)) {
             c->t += h;
             c->steps += 1;
             return OK;
@@ -253,8 +246,6 @@ static int st_trial(Controller *c, double h)
                          + E6 * k6y + E7 * k7y);
         double sx = atol + rtol * py_max(fabs(x), fabs(xn));
         double sy = atol + rtol * py_max(fabs(y), fabs(yn));
-        if (sx == 0.0 || sy == 0.0)
-            return ZERO_DIVISION;
         err = rms(ex / sx, ey / sy);
     }
     guard_bad = st->guard && (xn < -atol || yn < -atol);
@@ -300,9 +291,9 @@ static int st_trial(Controller *c, double h)
     return 1;
 }
 
-static int st_init(Stepper *st, int fid, double sgn, double x0, double y0,
-                   double k, double F, double rtol, double atol,
-                   double fixed_step)
+static void st_init(Stepper *st, int fid, double sgn, double x0, double y0,
+                    double k, double F, double rtol, double atol,
+                    double fixed_step)
 {
     st->c.trial = st_trial;
     st->fid = fid;
@@ -316,8 +307,7 @@ static int st_init(Stepper *st, int fid, double sgn, double x0, double y0,
     st->hold = 0.0;
     st->told = 0.0;
     field_eval(fid, sgn, x0, y0, k, F, &st->k1x, &st->k1y);
-    return ctl_start(&st->c, x0, y0, st->k1x, st->k1y, rtol, atol,
-                     fixed_step);
+    ctl_start(&st->c, x0, y0, st->k1x, st->k1y, rtol, atol, fixed_step);
 }
 
 /* State at told + theta*hold inside the last accepted step. */
@@ -328,19 +318,10 @@ static void st_dense(const Stepper *st, double theta, double *x, double *y)
     *y = st->r1y + theta * (st->r2y + th1 * (st->r3y + theta * (st->r4y + th1 * st->r5y)));
 }
 
-/* the ids field_eval knows; _pure.field_eval raises ValueError on others */
-static int known_field(int fid)
+void gs_field_eval(int fid, double sgn, double x, double y, double k,
+                   double F, double *out)
 {
-    return fid == FIELD_PLANE || fid == FIELD_CHART_V;
-}
-
-int gs_field_eval(int fid, double sgn, double x, double y, double k, double F,
-                  double *out)
-{
-    if (!known_field(fid))
-        return BAD_FIELD;
     field_eval(fid, sgn, x, y, k, F, &out[0], &out[1]);
-    return OK;
 }
 
 /* _pure.integrate.  end receives (t, x, y); with record, the samples go to
@@ -354,10 +335,7 @@ int gs_integrate(int fid, double x0, double y0, double k, double F,
     Stepper st;
     int status = OK;
     *n = 0;
-    if (!known_field(fid))
-        return BAD_FIELD;
-    if (st_init(&st, fid, 1.0, x0, y0, k, F, rtol, atol, fixed_step))
-        return ZERO_DIVISION;
+    st_init(&st, fid, 1.0, x0, y0, k, F, rtol, atol, fixed_step);
     if (record) {
         if (*n >= cap)
             return BUFFER_FULL;
@@ -444,8 +422,7 @@ int gs_ray_crossings(double x0, double y0, double k, double F, double cx,
     int capture = 0;
     double eps = 0.0, delta, eps_in = 0.0, delta_in = 0.0, g_prev;
     *n = 0;
-    if (st_init(&st, FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol, 0.0))
-        return ZERO_DIVISION;
+    st_init(&st, FIELD_PLANE, time_sign, x0, y0, k, F, rtol, atol, 0.0);
     if (time_sign > 0 && F > 0.0 && F + k > 0.0) {
         double grow;
         node_box(k, F, &eps, &delta);
@@ -579,11 +556,8 @@ static int var_trial(Controller *c, double h)
     for (i = 0; i < 6; i++) {
         double ei = h * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i]
                          + E6 * k6[i] + E7 * k7[i]);
-        double sc = c->atol + c->rtol * py_max(fabs(s[i]), fabs(sn[i])), q, q2;
-        if (sc == 0.0)
-            return ZERO_DIVISION;
-        q = ei / sc;
-        q2 = py_pow(q, 2.0);
+        double sc = c->atol + c->rtol * py_max(fabs(s[i]), fabs(sn[i]));
+        double q = ei / sc, q2 = py_pow(q, 2.0);
         if (pow_overflowed(q, q2))
             break;
         err += q2;
@@ -608,8 +582,7 @@ int gs_monodromy(double x0, double y0, double k, double F, double t_total,
     vs.F = F;
     memcpy(vs.s, s0, sizeof s0);
     var_rhs(&vs, vs.s, vs.f1);
-    if (ctl_start(&vs.c, x0, y0, vs.f1[0], vs.f1[1], rtol, atol, 0.0))
-        return ZERO_DIVISION;
+    ctl_start(&vs.c, x0, y0, vs.f1[0], vs.f1[1], rtol, atol, 0.0);
     while (status == OK && vs.c.t < t_total) {
         status = ctl_advance(&vs.c, t_total);
         if (status == OK && vs.c.steps >= STEP_LIMIT)

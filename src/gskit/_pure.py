@@ -13,7 +13,9 @@ gskit/_kernel.c is their C twin, statement for statement, and returns the
 same bits; gskit.kernels selects these only when that twin could not be
 built or loaded (or GSKIT_BACKEND=pure), and calls them with arguments
 already converted to float, int and bool, so the loops below run in
-Python float arithmetic.  Python floats raise OverflowError on
+Python float arithmetic.  gskit.kernels has checked that the field id is
+FIELD_PLANE or FIELD_CHART_V, and its callers pass rtol, atol > 0, so no
+error scale is zero.  Python floats raise OverflowError on
 ``**`` where C's pow returns inf; every error norm maps it to inf, so an
 overflowing trial step is rejected just the same, and the chart fields map
 it to the signed inf of C.  A change here needs its mirror in _kernel.c:
@@ -89,11 +91,9 @@ def field_eval(fid: int, sgn: float, x: float, y: float, k: float, F: float):
     if fid == FIELD_PLANE:
         uvv = x * y * y
         return sgn * (F * (1.0 - x) - uvv), sgn * (uvv - (F + k) * y)
-    if fid == FIELD_CHART_V:
-        q, w = x, y
-        return (sgn * (k * q * w * w - q * (1.0 + q) + F * _pow(w, 3)),
-                sgn * ((F + k) * _pow(w, 3) - q * w))
-    raise ValueError(f"unknown field id {fid}")
+    q, w = x, y
+    return (sgn * (k * q * w * w - q * (1.0 + q) + F * _pow(w, 3)),
+            sgn * ((F + k) * _pow(w, 3) - q * w))
 
 
 def _pow(w, n):

@@ -230,31 +230,22 @@ def gh_locate() -> dict:
     equals +/- 2 (y-1)^16 (2y-1) coefficient-exact, extracts the rational
     roots by synthetic division, rejects the degenerate boundary root
     y = 1 (k = 0) and maps y = 1/2 back through x = sqrt(k) to
-    (9/256, 3/256) with equilibrium (1/4, 3/16).
+    (9/256, 3/256) with equilibrium (1/4, 3/16).  Returns matches_expected,
+    sign, roots [(root, multiplicity)] and gh ({k, F, point}, or None).
     """
     res = resultant(q1_poly(), q2_poly())
     exp = expected_resultant()
     sign = 1 if res == exp else -1 if res == -exp else 0
     roots = rational_roots_with_multiplicity(res)
     gh = None
-    rejected = []
-    for r, mult in roots:
-        if not (0 < r < 1):
-            rejected.append((r, mult, "outside (0,1)"))
-            continue
-        x = (1 - r * r) / 4            # x = sqrt(k) from the relation
-        k = x * x
-        F = hopf_F(k)
-        eq = equilibria(Params(k, F))
-        gh = {"y": r, "k": k, "F": F, "point": eq.p_mp, "multiplicity": mult}
-    return {
-        "resultant": res,
-        "matches_expected": sign != 0,
-        "sign": sign,
-        "roots": roots,
-        "rejected": rejected,
-        "gh": gh,
-    }
+    for r, _ in roots:
+        if 0 < r < 1:
+            x = (1 - r * r) / 4            # x = sqrt(k) from the relation
+            k = x * x
+            F = hopf_F(k)
+            gh = {"k": k, "F": F, "point": equilibria(Params(k, F)).p_mp}
+    return {"matches_expected": sign != 0, "sign": sign, "roots": roots,
+            "gh": gh}
 
 
 # ---------------------------------------------------------------------------

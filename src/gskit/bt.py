@@ -78,9 +78,6 @@ class BTReport:
     b11: Fraction
     s: int
     transversality_det: Fraction
-    frame: BTFrame
-    params: Params = BT_PARAMS
-    point: State = BT_POINT
 
 
 def _project(w, x, y):
@@ -116,8 +113,7 @@ def bt_nondegeneracy() -> BTReport:
     Hopf branch emanating from the point sheds repelling cycles; the
     transversality determinant, of the Jacobian of (f1, f2, trace, det) in
     (u, v, k, F), is -1/512.  Raises GSKitError, naming the nonzero
-    residuals, when FRAME is not a Jordan chain at the point.  The report
-    carries FRAME.
+    residuals, when FRAME is not a Jordan chain at the point.
     """
     bad = {name: r for name, r in FRAME.check().items() if r not in (0, (0, 0))}
     if bad:
@@ -130,5 +126,4 @@ def bt_nondegeneracy() -> BTReport:
     s = 1 if quantity > 0 else (-1 if quantity < 0 else 0)
     det = _det(extended_jacobian(
         BT_POINT.u, BT_POINT.v, BT_PARAMS.k, BT_PARAMS.F)[1])
-    return BTReport(a20=a20, b20=b20, b11=b11, s=s,
-                    transversality_det=det, frame=FRAME)
+    return BTReport(a20=a20, b20=b20, b11=b11, s=s, transversality_det=det)

@@ -102,8 +102,8 @@ def cmd_verify_bt(args) -> int:
     }
     _emit_json({
         "schema": 1,
-        "params": {"k": rep.params.k, "F": rep.params.F},
-        "point": _num_pair(rep.point),
+        "params": {"k": bt.BT_PARAMS.k, "F": bt.BT_PARAMS.F},
+        "point": _num_pair(bt.BT_POINT),
         "a20": a20, "b20": b20, "b11": b11, "s": s,
         "transversality_det": det,
         "checks": checks,
@@ -278,6 +278,8 @@ def cmd_repro(args) -> int:
     # only this command needs the battery, so only it pays for its import
     from . import acceptance
 
+    # a malformed GSKIT_THREADS is a usage error, not a failed criterion 10
+    mapping.thread_budget()
     numbers = set(args.only) if args.only else None
     results = acceptance.run_battery(numbers)
     sys.stdout.write(acceptance.format_battery(results) + "\n")

@@ -41,8 +41,6 @@ class CurvePoint:
 class CurveEvent:
     name: str
     params: Params
-    aux: dict
-    terminal: bool
 
 
 @dataclass
@@ -178,7 +176,6 @@ class _Engine:
         t = t * direction
         points = [make_point(z, t, 0.0)]
         events = []
-        zs = [z]
         ds = self.ds0
         tests = {name: fn(z) for name, fn, _terminal in test_functions}
         status = "max_points"
@@ -214,8 +211,7 @@ class _Engine:
                     z_ev = self.bisect_event(problem, fn, z.copy(), old,
                                              z_new.copy(), new)
                     pt = make_point(z_ev, t, ds)
-                    events.append(CurveEvent(name=name, params=pt.params,
-                                             aux=pt.aux, terminal=terminal))
+                    events.append(CurveEvent(name=name, params=pt.params))
                     if terminal:
                         points.append(pt)
                         stop = True
@@ -223,13 +219,12 @@ class _Engine:
             if stop:
                 status = "event"
                 break
-            if len(zs) >= 2:
+            if len(points) >= 2:
                 t_new = z_new - z
                 t_new = t_new / np.linalg.norm(t_new)
             else:
                 t_new = _tangent(jac_new(), prev=t)
             points.append(make_point(z_new, t_new, ds))
-            zs.append(z_new)
             z, t = z_new, t_new
             if iters <= 3:
                 ds = min(ds * 1.4, self.ds_max)

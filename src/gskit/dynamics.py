@@ -357,26 +357,18 @@ def limit_cycle_census(a: Params,
 # ---------------------------------------------------------------------------
 
 REGION_SIGNATURES = {
-    # label: (focus-type point unstable?, cycle stability letters in->out)
-    "1": (True, ""),
-    "2": (False, "u"),
-    "3": (True, "su"),
-    "4": (False, ""),
-    "5": (True, "s"),
+    # (focus-type point unstable?, cycle stability letters in->out): label
+    (True, ""): "1",
+    (False, "u"): "2",
+    (True, "su"): "3",
+    (False, ""): "4",
+    (True, "s"): "5",
 }
 
 
 @dataclass(frozen=True)
 class RegionLabel:
     id: str                      # 'outside', 'SN-degenerate', '1'..'5', or 'x'
-    cycles: int = 0
-
-
-def _signature_id(unstable: bool, stability: str) -> str:
-    for label, sig in REGION_SIGNATURES.items():
-        if sig == (unstable, stability):
-            return label
-    return "x"
 
 
 def classify_region(a: Params) -> RegionLabel:
@@ -398,14 +390,11 @@ def classify_region(a: Params) -> RegionLabel:
     unstable = trace_det(jacobian(eq.p_mp, a))[0] > 0
     cycles = limit_cycle_census(a, _CENSUS_SETTINGS, n_scan=120)
     stability = "".join("s" if c.stable else "u" for c in cycles)
-    return RegionLabel(id=_signature_id(unstable, stability), cycles=len(cycles))
+    return RegionLabel(id=REGION_SIGNATURES.get((unstable, stability), "x"))
 
 
 # probe_region's results: RegionLabel is frozen, so every cell shares them
-_PROBE_LABELS = {"outside": RegionLabel(id="outside"), "x": RegionLabel(id="x"),
-                 "1": RegionLabel(id="1"), "2": RegionLabel(id="2", cycles=1),
-                 "3": RegionLabel(id="3", cycles=2),
-                 "4": RegionLabel(id="4"), "5": RegionLabel(id="5", cycles=1)}
+_PROBE_LABELS = {i: RegionLabel(id=i) for i in ("outside", "x", *"12345")}
 
 
 def probe_region(k: float, F: float) -> RegionLabel:

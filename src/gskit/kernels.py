@@ -22,7 +22,11 @@ is kept in COMPILED_ERROR.  GSKIT_BACKEND=pure forces the pure backend;
 _use_backend() switches explicitly (the backend-parity tests).
 
 The status codes (OK, MAX_STEPS, UNDERFLOW, BOX_EXIT, CAPTURED, SETTLED) are
-those of gskit._pure, which documents them.
+those of gskit._pure, which documents them.  The entry points below check
+the field id before dispatch: an unknown id raises ValueError and reaches
+neither backend.  The kernels need rtol > 0 and atol > 0, so that no error
+scale atol + rtol * |x| is zero; every caller in gskit takes them from a
+dynamics.IntegratorSettings, which rejects other values.
 """
 from __future__ import annotations
 
@@ -42,10 +46,8 @@ _CC = "gcc"
 # libm call, as Python's a ** 2 is.  Both are needed for bit-identity.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 
-# C-only returns of _kernel.c, never the status of a finished call
+# the C-only return of _kernel.c, never the status of a finished call
 _BUFFER_FULL = -1
-_BAD_FIELD = -2
-_ZERO_DIVISION = -3
 
 # first capacity, in samples, of integrate's buffer; a call that fills it
 # runs again with one eight times larger
@@ -125,16 +127,6 @@ def _build() -> Path:
     return lib
 
 
-def _raise_for(status: int, fid: int = FIELD_PLANE) -> int:
-    """The status of a finished C call; raises what the pure kernel raises
-    where the C kernel reports an error instead."""
-    if status == _BAD_FIELD:
-        raise ValueError(f"unknown field id {fid}")
-    if status == _ZERO_DIVISION:
-        raise ZeroDivisionError("float division by zero")
-    return status
-
-
 class _CKernels:
     """The C twin in _kernel.c.  Each method takes the arguments of its
     namesake in gskit._pure, already converted, and builds the same Python
@@ -142,26 +134,30 @@ class _CKernels:
 
     BACKEND_NAME = "compiled"
 
-    def __init__(self, lib: ctypes.CDLL):
+    @staticmethod
+    def _signatures() -> dict:
+        """(restype, argtypes) of each function that _kernel.c exports."""
         d, i, ll = ctypes.c_double, ctypes.c_int, ctypes.c_longlong
         buf, count = ctypes.POINTER(d), ctypes.POINTER(ll)
-        sig = {
-            "gs_field_eval": [i, d, d, d, d, d, buf],
-            "gs_integrate": [i, d, d, d, d, d, d, d, ll, i, d, d, buf, buf,
-                             ll, count],
-            "gs_ray_crossings": [d, d, d, d, d, d, d, d, i, ll, d, d, d, d, d,
-                                 d, buf, count],
-            "gs_monodromy": [d, d, d, d, d, d, d, buf],
+        return {
+            "gs_field_eval": (None, [i, d, d, d, d, d, buf]),
+            "gs_integrate": (i, [i, d, d, d, d, d, d, d, ll, i, d, d, buf, buf,
+                                 ll, count]),
+            "gs_ray_crossings": (i, [d, d, d, d, d, d, d, d, i, ll, d, d, d, d,
+                                     d, d, buf, count]),
+            "gs_monodromy": (i, [d, d, d, d, d, d, d, buf]),
         }
-        for name, argtypes in sig.items():
+
+    def __init__(self, lib: ctypes.CDLL):
+        for name, (restype, argtypes) in self._signatures().items():
             fn = getattr(lib, name)
             fn.argtypes = argtypes
-            fn.restype = i
+            fn.restype = restype
         self._lib = lib
 
     def field_eval(self, fid, sgn, x, y, k, F):
         out = (ctypes.c_double * 2)()
-        _raise_for(self._lib.gs_field_eval(fid, sgn, x, y, k, F, out), fid)
+        self._lib.gs_field_eval(fid, sgn, x, y, k, F, out)
         return out[0], out[1]
 
     def integrate(self, fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
@@ -178,7 +174,6 @@ class _CKernels:
             if status != _BUFFER_FULL:
                 break
             cap = min(8 * cap, bound)
-        _raise_for(status, fid)
         s = samples[:3 * n.value]
         return status, end[0], end[1], end[2], s[0::3], s[1::3], s[2::3]
 
@@ -188,16 +183,15 @@ class _CKernels:
         n = ctypes.c_longlong()
         # the kernel returns once it holds max_crossings hits
         hits = (ctypes.c_double * (4 * max(max_crossings, 1)))()
-        status = _raise_for(self._lib.gs_ray_crossings(
+        status = self._lib.gs_ray_crossings(
             x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings, t_max, rtol,
-            atol, t_min, time_sign, escape_sum, hits, ctypes.byref(n)))
+            atol, t_min, time_sign, escape_sum, hits, ctypes.byref(n))
         h = hits[:4 * n.value]
         return status, list(zip(h[0::4], h[1::4], h[2::4], h[3::4]))
 
     def monodromy(self, x0, y0, k, F, t_total, rtol, atol):
         out = (ctypes.c_double * 6)()
-        status = _raise_for(self._lib.gs_monodromy(
-            x0, y0, k, F, t_total, rtol, atol, out))
+        status = self._lib.gs_monodromy(x0, y0, k, F, t_total, rtol, atol, out)
         return (status, *out)
 
 
@@ -246,12 +240,20 @@ def _use_backend(name: str) -> None:
 # numpy scalar arithmetic), and the C kernels receive the C types their
 # signatures declare.
 
+
+def _field_id(fid) -> int:
+    """fid as an int; ValueError unless it is FIELD_PLANE or FIELD_CHART_V."""
+    fid = int(fid)
+    if fid not in (FIELD_PLANE, FIELD_CHART_V):
+        raise ValueError(f"unknown field id {fid}")
+    return fid
+
 def integrate(fid, x0, y0, k, F, t_end, rtol, atol, max_steps,
               record, fixed_step=0.0, box=0.0):
     """Integrate field fid (FIELD_PLANE or FIELD_CHART_V) from (x0, y0)
     over [0, t_end]; see gskit._pure.integrate.  Returns (status, t, x, y,
     ts, xs, ys)."""
-    return _impl.integrate(int(fid), float(x0), float(y0), float(k), float(F),
+    return _impl.integrate(_field_id(fid), float(x0), float(y0), float(k), float(F),
                            float(t_end), float(rtol), float(atol),
                            int(max_steps), bool(record),
                            float(fixed_step), float(box))
@@ -279,5 +281,5 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol):
 def _field_eval(fid, sgn, x, y, k, F):
     """Vector field fid (FIELD_PLANE or FIELD_CHART_V) at (x, y), times
     sgn; ValueError for any other id.  For the backend-parity tests."""
-    return _impl.field_eval(int(fid), float(sgn), float(x), float(y),
+    return _impl.field_eval(_field_id(fid), float(sgn), float(x), float(y),
                             float(k), float(F))

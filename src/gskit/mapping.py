@@ -15,19 +15,25 @@ import numpy as np
 
 from . import dynamics
 from .core import Params
-from .errors import GSKitError
+from .errors import DomainError, GSKitError
 
 
 def thread_budget(explicit: int | None = None) -> int:
+    """Map workers: explicit when positive, else GSKIT_THREADS when set, else
+    the core count.  DomainError when GSKIT_THREADS is set to anything but a
+    positive integer."""
     if explicit is not None and explicit > 0:
         return explicit
     env = os.environ.get("GSKIT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise DomainError(f"GSKIT_THREADS must be a positive integer, not {env!r}")
+    return n
 
 
 def _classify_cell(args):
@@ -49,7 +55,7 @@ def _classify_column(args):
 
 def region_map(k_range: tuple, F_range: tuple, nk: int, nF: int, *,
                fast: bool = True, threads: int | None = None) -> tuple:
-    """Labels[iF][jk] over the grid, plus metadata.
+    """Labels[iF][jk] over the grid, and {k_values, F_values}, its axes.
 
     Row index runs over F (ascending), column index over k (ascending).
     Columns are classified independently; with threads > 1 they run in a
@@ -70,8 +76,8 @@ def region_map(k_range: tuple, F_range: tuple, nk: int, nF: int, *,
     else:
         columns = list(map(_classify_column, jobs))
     labels = [list(row) for row in zip(*columns)]
-    meta = {"schema": 1, "k_values": [float(k) for k in ks],
-            "F_values": [float(F) for F in Fs], "fast": fast}
+    meta = {"k_values": [float(k) for k in ks],
+            "F_values": [float(F) for F in Fs]}
     return labels, meta
 
 

@@ -204,12 +204,10 @@ def test_nondegeneracy_report():
     coefficients = (rep.a20, rep.b20, rep.b11)
     assert coefficients == coefficients_in_frame(FRAME)
     assert coefficients == bt_coefficients((Fr(0), Fr(0)))
-    assert rep.frame == FRAME
     assert rep.a20 + rep.b11 == Fr(-1, 2)
     assert rep.b20 == Fr(-1, 16)
     assert rep.s == 1
     assert rep.transversality_det == Fr(-1, 512)
-    assert rep.params == BT_PARAMS and rep.point == BT_POINT
 
 
 def test_nondegeneracy_rejects_a_broken_chain(monkeypatch):

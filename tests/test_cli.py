@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from gskit import bt
+from gskit import bt, mapping
 from gskit.cli import main
-from gskit.errors import GSKitError
+from gskit.errors import DomainError, GSKitError
 
 
 def run_cli(*argv):
@@ -64,6 +64,19 @@ def test_malformed_input_is_a_usage_error(argv, capsys):
         main(list(argv))
     assert exc.value.code == 2
     assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_malformed_thread_count_is_a_domain_error(monkeypatch, capsys, value):
+    # GSKIT_THREADS sets the map workers; a value that is not a positive
+    # integer is rejected by name, and the commands that map exit 2
+    monkeypatch.setenv("GSKIT_THREADS", value)
+    with pytest.raises(DomainError, match="GSKIT_THREADS"):
+        mapping.thread_budget()
+    assert mapping.thread_budget(1) == 1
+    for argv in (("map", "--grid", "2x2"), ("repro", "--only", "2")):
+        assert run_cli(*argv)[0] == 2
+        assert "GSKIT_THREADS" in capsys.readouterr().err
 
 
 VERIFY_BT_CHECKS = {

@@ -1,6 +1,8 @@
+import ctypes
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -141,6 +143,23 @@ def test_build_removes_stale_libraries(monkeypatch, tmp_path):
     lib = kernels._build()
     assert sorted(f.name for f in cache.iterdir()) == sorted(
         [lib.name] + [path.name for path in stale[1:]])
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler on PATH")
+def test_c_twin_is_clean_and_fully_bound():
+    # strict C99 with every warning on prints nothing, and the non-static
+    # gs_* functions of _kernel.c are exactly those _CKernels binds, each
+    # with its C return type: no export is dead and none is unbound
+    proc = subprocess.run(["gcc", "-std=c99", "-pedantic", "-Wall", "-Wextra",
+                           "-fsyntax-only", str(kernels._SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout + proc.stderr) == (0, "")
+    exported = re.findall(r"^(?!static\b)(\w+)\s+(gs_\w+)\s*\(",
+                          kernels._SOURCE.read_text(), re.MULTILINE)
+    restypes = {"void": None, "int": ctypes.c_int}
+    assert {name: restypes[ctype] for ctype, name in exported} == {
+        name: restype
+        for name, (restype, _) in kernels._CKernels._signatures().items()}
 
 
 def test_backend_forced_pure():
@@ -541,15 +560,26 @@ def test_field_nan_bits_agree(fid, x, y):
         assert all(r == results["pure"] for r in results.values()), sgn
 
 
+class _NoBackend:
+    """A kernel backend whose every entry point fails when called."""
+
+    def __getattr__(self, name):
+        def entered(*args):
+            raise AssertionError(f"a backend was entered: {name}")
+        return entered
+
+
 @pytest.mark.parametrize("fid", [-1, 1, 3])
-def test_unknown_field_id_raises(backend, fid):
-    # only FIELD_PLANE and FIELD_CHART_V are fields; every other id raises,
-    # at the entry point and inside the integrator alike
-    with pytest.raises(ValueError, match="unknown field id"):
-        kernels._field_eval(fid, 1.0, 0.3, 0.4, 0.05, 0.02)
-    with pytest.raises(ValueError, match="unknown field id"):
-        kernels.integrate(fid, 0.3, 0.4, 0.05, 0.02, 1.0, 1e-8, 1e-11, 100,
-                          True)
+def test_unknown_field_id_raises(backend, fid, monkeypatch):
+    # only FIELD_PLANE and FIELD_CHART_V are fields; every other id raises at
+    # the entry point, before the active backend or any other is entered
+    for impl in (kernels._impl, _NoBackend()):
+        monkeypatch.setattr(kernels, "_impl", impl)
+        with pytest.raises(ValueError, match="unknown field id"):
+            kernels._field_eval(fid, 1.0, 0.3, 0.4, 0.05, 0.02)
+        with pytest.raises(ValueError, match="unknown field id"):
+            kernels.integrate(fid, 0.3, 0.4, 0.05, 0.02, 1.0, 1e-8, 1e-11,
+                              100, True)
 
 
 @pytest.mark.parametrize("fid, w, expected", [
