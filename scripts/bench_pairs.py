@@ -11,11 +11,15 @@ so both sides run from a fresh copy and neither from the checkout (where a
 run's peak RSS read up to 0.25 MB higher than from an export of the same
 code).  For each seed 1..N, `perfbench/run.py --workload all --trace 0`
 runs for BENCHMARK.json's `run_seconds` once in each copy, the base first
-on even seeds and second on odd ones.  The
-output records, per workload and end-to-end metric, each side's run values
-with their median and quartiles and the number of pairs in which the
-change's value is better, together with the operations attempted and
-failed, the kernel backend each side ran on and the number of cores.
+on even seeds and second on odd ones.  After each of those runs, one more
+interpreter in the same copy, with GSKIT_THREADS=1, times each criterion of
+one `acceptance.run_battery()` (its `elapsed`) and one 200x200
+`mapping.region_map` over criterion 10's window.  The output records, per
+workload and end-to-end metric, per criterion and for the map, each side's
+run values with their median and quartiles and the number of pairs in
+which the change's value is better, together with the operations attempted
+and failed, the criteria each battery passed, the kernel backend each side
+ran on and the number of cores.
 """
 from __future__ import annotations
 
@@ -64,8 +68,22 @@ def command(seed) -> list:
             "--seconds", f"{BENCHMARK['run_seconds']:g}", "--trace", "0"]
 
 
+# one battery and one 200x200 map, timed in the interpreter that runs them
+BATTERY_AND_MAP = """\
+import json, time
+from gskit import acceptance, mapping
+results = acceptance.run_battery()
+t0 = time.perf_counter()
+mapping.region_map((1e-9, 0.07), (1e-9, 0.07), 200, 200)
+print(json.dumps({"criteria": {str(r.number): r.elapsed for r in results},
+                  "passed": sum(r.passed for r in results),
+                  "map_s": time.perf_counter() - t0}))
+"""
+
+
 def run_once(tree: Path, seed: int) -> dict:
-    """Metrics, operations and backends of one perfbench run in tree."""
+    """Metrics, operations and backends of one perfbench run in tree, and
+    the times of one battery and one 200x200 map there."""
     proc = subprocess.run(
         [sys.executable, *command(seed)],
         cwd=tree, capture_output=True, text=True)
@@ -76,14 +94,33 @@ def run_once(tree: Path, seed: int) -> dict:
     backends = {json.loads(line[5:]).get("backend") for line in lines
                 if line.startswith("env: ")}
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    env = {**os.environ, "GSKIT_THREADS": "1",
+           "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, "-c", BATTERY_AND_MAP], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the battery or the map failed in {tree}:\n"
+                         f"{proc.stderr[-2000:]}")
     return {"metrics": metrics, "attempted": result["attempted"],
             "failed": result["failed"], "correct": result["correct"],
-            "backends": sorted(b for b in backends if b)}
+            "backends": sorted(b for b in backends if b),
+            **json.loads(proc.stdout)}
 
 
 def summary(runs: list) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+
+
+def compare(sides: dict, lower: bool) -> dict:
+    """Each side's summary of its run values sides[side], the ratio of the
+    medians, and the pairs in which the change's value is better."""
+    won = sum((c < p) if lower else (c > p)
+              for p, c in zip(sides["parent"], sides["change"]))
+    entry = {side: summary(values) for side, values in sides.items()}
+    entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
+    entry["change_won"] = won
+    return entry
 
 
 def main():
@@ -106,9 +143,11 @@ def main():
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(run_once(trees[side], seed))
+                last = runs[side][-1]
                 print(f"seed {seed} {side}: " + ", ".join(
-                    f"{k} {v:.4g}" for k, v in runs[side][-1]["metrics"].items()
-                    if k.endswith("wall_s")), flush=True)
+                    f"{k} {v:.4g}" for k, v in last["metrics"].items()
+                    if k.endswith("wall_s")) + f", map 200x200 {last['map_s']:.3g}",
+                    flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -117,12 +156,12 @@ def main():
         workload, metric = name.split(".", 1)
         lower = METRICS.get(metric, "lower") == "lower"
         sides = {side: [r["metrics"][name] for r in runs[side]] for side in runs}
-        won = sum((c < p) if lower else (c > p)
-                  for p, c in zip(sides["parent"], sides["change"]))
-        entry = {side: summary(values) for side, values in sides.items()}
-        entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
-        entry["change_won"] = won
-        workloads.setdefault(workload, {})[metric] = entry
+        workloads.setdefault(workload, {})[metric] = compare(sides, lower)
+    criteria = {n: compare({side: [r["criteria"][n] for r in runs[side]]
+                            for side in runs}, True)
+                for n in runs["change"][0]["criteria"]}
+    map_200 = compare({side: [r["map_s"] for r in runs[side]] for side in runs},
+                      True)
 
     report = {
         "parent_commit": git("rev-parse", args.base),
@@ -141,6 +180,12 @@ def main():
                            "one run; q1/q3 are statistics.quantiles(n=4, "
                            "method='inclusive') of the run values",
             "change_won": "pairs in which the change's value is better",
+            "battery_and_map": "after each perfbench run, one interpreter in "
+                               "the same tree with GSKIT_THREADS=1 runs "
+                               "acceptance.run_battery() (criteria: each "
+                               "criterion's elapsed, s) and then times one "
+                               "200x200 mapping.region_map over (1e-9, 0.07)^2 "
+                               "(map_200x200, s)",
         },
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "machine": platform.machine(),
@@ -148,17 +193,22 @@ def main():
                              for side in runs}},
         "operations": {side: {"attempted": sum(r["attempted"] for r in runs[side]),
                               "failed": sum(r["failed"] for r in runs[side]),
-                              "correct": all(r["correct"] for r in runs[side])}
+                              "correct": all(r["correct"] for r in runs[side]),
+                              "criteria_passed": [r["passed"] for r in runs[side]]}
                        for side in runs},
         "workloads": workloads,
+        "criteria": criteria,
+        "map_200x200": map_200,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    for workload, metrics in workloads.items():
-        for metric, e in metrics.items():
-            print(f"{workload:9} {metric:12} {e['parent']['median']:.5g} -> "
-                  f"{e['change']['median']:.5g} (ratio {e['ratio']:.4f}); change "
-                  f"better in {e['change_won']} of {len(seeds)}; parent IQR "
-                  f"{e['parent']['q3'] - e['parent']['q1']:.3g}")
+    rows = [(w, m, e) for w, metrics in workloads.items() for m, e in metrics.items()]
+    rows += [("criterion", n, e) for n, e in criteria.items()]
+    rows.append(("map", "200x200", map_200))
+    for group, metric, e in rows:
+        print(f"{group:9} {metric:12} {e['parent']['median']:.5g} -> "
+              f"{e['change']['median']:.5g} (ratio {e['ratio']:.4f}); change "
+              f"better in {e['change_won']} of {len(seeds)}; parent IQR "
+              f"{e['parent']['q3'] - e['parent']['q1']:.3g}")
 
 
 if __name__ == "__main__":

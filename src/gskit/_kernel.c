@@ -5,7 +5,11 @@
  * step controller picks every step, max_steps (STEP_LIMIT for
  * gs_ray_crossings and gs_monodromy) counts accepted steps, and the
  * arguments are those the callers vary, the rest being fixed here as in
- * _pure.py.  To keep the bits:
+ * _pure.py.  gs_probe_cell is the parameter-plane map cell in one call,
+ * _pure.probe_cell: the closed-form section ray at (k, F), one or two
+ * gs_ray_crossings probes into a stack buffer of 400 hits, of which only
+ * the radii are read, and the decision tree; it returns the label code
+ * CELL_OUTSIDE (0), a region 1-5, or CELL_X (6).  To keep the bits:
  *
  * - arithmetic keeps Python's operand order (a + b + c is (a + b) + c);
  * - py_pow() stands wherever _pure writes **, and reproduces Python's
@@ -14,7 +18,9 @@
  *   argument unless a later one compares smaller/larger, so a NaN never
  *   replaces a number (fmin/fmax would);
  * - where _pure maps the OverflowError of ** to inf, the code here checks
- *   for an infinite power of a finite base.
+ *   for an infinite power of a finite base;
+ * - a vector norm is sqrt(a * a + b * b) on both sides: CPython's
+ *   math.hypot is its own algorithm, not libm's hypot.
  *
  * Callers pass rtol, atol > 0, so no error scale atol + rtol * |x| is zero,
  * and a field id that gskit.kernels has checked: fid is FIELD_PLANE or
@@ -590,4 +596,171 @@ int gs_monodromy(double x0, double y0, double k, double F, double t_total,
     }
     memcpy(out, vs.s, sizeof vs.s);
     return status;
+}
+
+/* The map cell: _pure.probe_cell and its helpers. */
+
+enum { CELL_OUTSIDE = 0, CELL_X = 6 };
+
+/* _pure._attractor_kind's kinds */
+enum { KIND_FOCUS, KIND_CYCLE, KIND_ESCAPE };
+
+/* a _pure._probe_frame tuple */
+typedef struct {
+    int unstable, orient;
+    double cu, cv, d0, d1, r_max;
+} ProbeFrame;
+
+/* _pure._closed_form_direction */
+static void closed_form_direction(double j11, double j12, double j21,
+                                  double j22, double *d0, double *d1)
+{
+    double disc = (j11 - j22) * (j11 - j22) + 4.0 * j12 * j21;
+    double w0, w1, n;
+    if (disc >= 0) {
+        w0 = j12;
+        w1 = (j11 + j22 + sqrt(disc)) / 2.0 - j11;
+    } else {
+        double re = (j22 - j11) / 2.0;
+        double m2 = re * re - disc / 4.0;
+        if (j12 * j12 >= m2) {
+            w0 = j12;
+            w1 = re;
+        } else {
+            w0 = j12 * re;
+            w1 = m2;
+        }
+    }
+    n = sqrt(w0 * w0 + w1 * w1);
+    *d0 = -w1 / n;
+    *d1 = w0 / n;
+}
+
+/* _pure._probe_frame: 0 where it returns None, else 1 with *fr set */
+static int probe_frame(double k, double F, ProbeFrame *fr)
+{
+    double g = (F + k) / F;
+    double delta = 1.0 - 4.0 * F * g * g;
+    double s, cu, cv, su, sv, j11, j12, j21, j22, d0, d1, u, v, uvv, f0, f1;
+    double r_max;
+    if (delta <= 0)
+        return 0;
+    s = sqrt(delta);
+    cu = (1.0 - s) / 2.0;
+    cv = (1.0 + s) / (2.0 * g);
+    su = (1.0 + s) / 2.0;
+    sv = (1.0 - s) / (2.0 * g);
+    j11 = -(F + cv * cv);
+    j12 = -2.0 * cu * cv;
+    j21 = cv * cv;
+    j22 = -(F + k) + 2.0 * cu * cv;
+    closed_form_direction(j11, j12, j21, j22, &d0, &d1);
+    /* point away from the saddle */
+    if (d0 * (cu - su) + d1 * (cv - sv) < 0) {
+        d0 = -d0;
+        d1 = -d1;
+    }
+    /* rotation direction of the flow just off the section */
+    u = cu + 1e-6 * d0;
+    v = cv + 1e-6 * d1;
+    uvv = u * v * v;
+    f0 = -uvv + F * (1.0 - u);
+    f1 = uvv - (F + k) * v;
+    /* cap the ray at the quadrant boundary / sanity window */
+    r_max = 2.5;
+    if (d0 < 0)
+        r_max = py_min(r_max, -cu / d0);
+    if (d1 < 0)
+        r_max = py_min(r_max, -cv / d1);
+    fr->unstable = j11 + j22 > 0;
+    fr->cu = cu;
+    fr->cv = cv;
+    fr->d0 = d0;
+    fr->d1 = d1;
+    fr->orient = (d0 * f1 - d1 * f0) > 0 ? 1 : -1;
+    fr->r_max = r_max;
+    return 1;
+}
+
+/* _pure._escape_sum */
+static double escape_sum_of(const ProbeFrame *fr)
+{
+    return py_max(py_max(1.0, fr->cu + fr->cv),
+                  (fr->cu + fr->r_max * fr->d0) + (fr->cv + fr->r_max * fr->d1));
+}
+
+/* _pure._attractor_kind on the radii hits[4 i + 1], i < n; *r receives
+ * the radius it returns with the kind */
+static int attractor_kind(const double *hits, long long n, double r_cap,
+                          int settled, double *r)
+{
+    double tail;
+    if (settled) {
+        *r = hits[4 * (n - 1) + 1];
+        if (*r < SETTLE_TOL) {
+            *r = 0.0;
+            return KIND_FOCUS;
+        }
+        return KIND_CYCLE;
+    }
+    *r = 0.0;
+    if (n < 3)
+        return KIND_ESCAPE;
+    tail = hits[4 * (n - 1) + 1];
+    if (tail > 0.9 * r_cap) {
+        *r = tail;
+        return KIND_ESCAPE;
+    }
+    /* drifting slowly: treat a contracting tail as a cycle estimate */
+    if (fabs(tail - hits[4 * (n - 2) + 1]) < 1e-5 * py_max(1.0, tail)) {
+        *r = tail;
+        return KIND_CYCLE;
+    }
+    if (tail < 1e-6)
+        return KIND_FOCUS;
+    *r = tail;
+    return KIND_ESCAPE;
+}
+
+/* probe() of _pure.probe_cell: _pure._section_radii, then _attractor_kind
+ * of the radii; a stack buffer holds the 400 hits */
+static int probe(double k, double F, const ProbeFrame *fr, double r0,
+                 double time_sign, double *r)
+{
+    double hits[4 * 400];
+    long long n;
+    double escape_sum = time_sign < 0 ? escape_sum_of(fr) : 0.0;
+    int status = gs_ray_crossings(
+        fr->cu + r0 * fr->d0, fr->cv + r0 * fr->d1, k, F, fr->cu, fr->cv,
+        fr->d0, fr->d1, time_sign > 0 ? fr->orient : -fr->orient, 400, 2e5,
+        1e-8, 1e-11, 1e-9, time_sign, escape_sum, hits, &n);
+    return attractor_kind(hits, n, fr->r_max, status == SETTLED, r);
+}
+
+/* _pure.probe_cell: the label code of the map cell at (k, F) */
+int gs_probe_cell(double k, double F)
+{
+    ProbeFrame fr;
+    double scale, r_star;
+    int kind;
+    if (!probe_frame(k, F, &fr))
+        return CELL_OUTSIDE;
+    scale = py_max(1e-4, 0.02 * fr.r_max);
+    if (fr.unstable) {
+        kind = probe(k, F, &fr, scale, 1.0, &r_star);
+        if (kind == KIND_ESCAPE)
+            return 1;
+        if (kind == KIND_CYCLE) {
+            kind = probe(k, F, &fr, py_min(r_star * 1.25, fr.r_max * 0.9),
+                         -1.0, &r_star);
+            return kind == KIND_CYCLE ? 3 : 5;
+        }
+        return CELL_X;
+    }
+    kind = probe(k, F, &fr, scale, -1.0, &r_star);
+    if (kind == KIND_CYCLE)
+        return 2;
+    if (kind == KIND_ESCAPE)
+        return 4;
+    return CELL_X;
 }

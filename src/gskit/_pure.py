@@ -8,7 +8,10 @@ integrate, ray_crossings and monodromy; max_steps counts accepted steps.
 Steps are not capped in size: the error control alone sets them.  The
 first-quadrant guard is on exactly when the plane field runs forward in
 time; ray_crossings and monodromy integrate the plane field, the latter
-forward only, as does integrate.
+forward only, as does integrate.  probe_cell is the whole parameter-plane
+map cell in one call: the section ray at (k, F) in closed form, one or two
+ray_crossings probes from it, and the decision tree that reads their
+radii, returning a label code (below).
 gskit/_kernel.c is their C twin, statement for statement, and returns the
 same bits; gskit.kernels selects these only when that twin could not be
 built or loaded (or GSKIT_BACKEND=pure), and calls them with arguments
@@ -36,6 +39,12 @@ Shared status codes:
   box around the trivial node (1, 0) that the ray misses;
 - 16 ``SETTLED``: ray_crossings only; the newest three section radii
   settled within SETTLE_TOL.
+
+probe_cell's label codes (CELL_LABELS[code] is the map label):
+
+- 0 ``CELL_OUTSIDE``: no pair of nontrivial equilibria;
+- 1-5: regions 1-5;
+- 6 ``CELL_X``: the probes decided no region.
 """
 from __future__ import annotations
 
@@ -333,7 +342,7 @@ def ray_crossings(x0, y0, k, F, cx, cy, dx, dy, orient, max_crossings,
       r_max: the hits with s <= r_max are those of a run without the stop,
       but crossings with s > r_max that such a run records after the exit
       are dropped.  A list that ended on one of those would read as
-      'escape' in dynamics._attractor_kind (its last radius exceeds
+      'escape' in _attractor_kind (its last radius exceeds
       0.9 r_max); the truncated list is read from its own last radii
       instead.  The 200x200 criterion-10 map keeps every label with this
       stop.  A stop on S alone is not enough: the reversed blow-up runs
@@ -485,3 +494,167 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol):
         if status == OK and st.steps >= STEP_LIMIT:
             status = MAX_STEPS
     return (status, *st.s)
+
+
+# ---------------------------------------------------------------------------
+# The map cell
+# ---------------------------------------------------------------------------
+
+# probe_cell's label codes (module docstring); regions 1-5 are those of
+# gskit.dynamics.REGION_SIGNATURES
+CELL_OUTSIDE = 0
+CELL_X = 6
+CELL_LABELS = ("outside", "1", "2", "3", "4", "5", "x")
+
+
+def _closed_form_direction(j11, j12, j21, j22):
+    """The ray direction (d0, d1) = (-w1, w0) / |w| from the leading
+    eigenvector w of J in closed form with LAPACK's xGEEV normalization
+    (unit norm, largest component real), whose phase sets the real part
+    used.  With disc = (j11 - j22)^2 + 4 j12 j21: for disc >= 0, w = (j12,
+    lam - j11) with lam = (j11 + j22 + sqrt(disc)) / 2; otherwise the
+    eigenvector (j12, re + i s), re = (j22 - j11) / 2, s = sqrt(-disc) / 2,
+    has its largest component made real, whose real part is w = (j12, re)
+    when j12^2 >= m2 = re^2 + s^2 and w = (j12 re, m2) else.  j12 = -2uv is
+    nonzero at the focus-type point, so w is too.  |w| is sqrt(w0^2 +
+    w1^2), one formula in both backends (math.hypot is CPython's own and
+    not C's hypot).  The direction is numpy eig's (that of
+    gskit.dynamics.section_frame) up to round-off, which grows near a
+    double eigenvalue (disc = 0) with the eigenvector's condition number."""
+    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
+    if disc >= 0:
+        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
+    else:
+        re = (j22 - j11) / 2
+        m2 = re * re - disc / 4
+        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
+    n = math.sqrt(w0 * w0 + w1 * w1)
+    return -w1 / n, w0 / n
+
+
+def _probe_frame(k, F):
+    """The section ray of the map cell at (k, F): None when there is no pair
+    of nontrivial equilibria (Delta = 1 - 4 F gamma^2 <= 0, gamma = (F + k)
+    / F), else (unstable, cu, cv, d0, d1, orient, r_max).  The focus-type
+    point (cu, cv) and the saddle (su, sv) are computed as
+    gskit.equilibria computes them; unstable: the trace of the Jacobian J
+    at the focus-type point is positive; (d0, d1) is
+    _closed_form_direction of J, turned away from the saddle; orient: the
+    sign of d x f just off the ray; r_max: where the ray leaves the
+    quadrant, at most 2.5.  J and the field f are written in the operations
+    and order of gskit.core's uv_jacobian and _field.  This is
+    gskit.dynamics.section_frame's ray with the closed-form eigenvector in
+    place of numpy's eig."""
+    g = (F + k) / F
+    delta = 1 - 4 * F * g * g
+    if delta <= 0:
+        return None
+    s = math.sqrt(delta)
+    cu, cv = (1 - s) / 2, (1 + s) / (2 * g)
+    su, sv = (1 + s) / 2, (1 - s) / (2 * g)
+    j11, j12 = -(F + cv * cv), -2 * cu * cv
+    j21, j22 = cv * cv, -(F + k) + 2 * cu * cv
+    d0, d1 = _closed_form_direction(j11, j12, j21, j22)
+    # point away from the saddle
+    if d0 * (cu - su) + d1 * (cv - sv) < 0:
+        d0, d1 = -d0, -d1
+    # rotation direction of the flow just off the section
+    u, v = cu + 1e-6 * d0, cv + 1e-6 * d1
+    uvv = u * v * v
+    f0, f1 = -uvv + F * (1 - u), uvv - (F + k) * v
+    orient = 1 if (d0 * f1 - d1 * f0) > 0 else -1
+    # cap the ray at the quadrant boundary / sanity window
+    r_max = 2.5
+    if d0 < 0:
+        r_max = min(r_max, -cu / d0)
+    if d1 < 0:
+        r_max = min(r_max, -cv / d1)
+    return j11 + j22 > 0, cu, cv, d0, d1, orient, r_max
+
+
+def _escape_sum(frame):
+    """S_ray = max(1, S(c), S(c + r_max d)), S = u + v, of a _probe_frame
+    tuple: at least 1 and the largest u + v on the ray's segment s <= r_max.
+    A reversed orbit that leaves {u >= 0, u + v <= S_ray} never meets that
+    segment again (ray_crossings' escape region)."""
+    _, cu, cv, d0, d1, _, r_max = frame
+    return max(1.0, cu + cv, (cu + r_max * d0) + (cv + r_max * d1))
+
+
+def _section_radii(k, F, r0, frame, time_sign):
+    """(status, radii): the successive section radii, at most 400, of the
+    orbit through radius r0 on the ray of the _probe_frame tuple frame at
+    (k, F), forward or (time_sign < 0) reversed in time, for at most 2e5
+    time units at rel/abs tolerances 1e-8/1e-11.
+
+    The list ends early once _attractor_kind can decide it: at the first
+    triple that settles within SETTLE_TOL (status SETTLED), when a forward
+    orbit is captured by the trivial node, or when a reversed orbit leaves
+    {u >= 0, u + v <= S_ray}, S_ray = _escape_sum(frame), after which it
+    never meets the ray within r_max again (derivations in ray_crossings)."""
+    _, cu, cv, d0, d1, orient, _ = frame
+    escape_sum = _escape_sum(frame) if time_sign < 0 else 0.0
+    status, hits = ray_crossings(
+        cu + r0 * d0, cv + r0 * d1, k, F, cu, cv, d0, d1,
+        orient if time_sign > 0 else -orient, 400, 2e5, 1e-8, 1e-11, 1e-9,
+        time_sign, escape_sum)
+    return status, [h[1] for h in hits]
+
+
+def _attractor_kind(radii, r_cap, settled):
+    """Classify a radius sequence: converged to a cycle, fell into the
+    focus, or left the rotation region: ('cycle', r), ('focus', 0.0) or
+    ('escape', r).  settled says the kernel ended the sequence at its first
+    triple settled within SETTLE_TOL (status SETTLED); otherwise no triple
+    of it settled."""
+    if settled:
+        r = radii[-1]
+        return ("focus", 0.0) if r < SETTLE_TOL else ("cycle", r)
+    if len(radii) < 3:
+        return "escape", 0.0
+    tail = radii[-1]
+    if tail > 0.9 * r_cap:
+        return "escape", tail
+    # drifting slowly: treat a contracting tail as a cycle estimate
+    if abs(radii[-1] - radii[-2]) < 1e-5 * max(1.0, radii[-1]):
+        return "cycle", radii[-1]
+    if radii[-1] < 1e-6:
+        return "focus", 0.0
+    return "escape", tail
+
+
+def probe_cell(k, F):
+    """Label code of the map cell at positive floats k and F (CELL_OUTSIDE,
+    1-5 or CELL_X), from one or two attractor probes on the ray of
+    _probe_frame in place of the full census: forward from the focus side
+    when the focus-type point is unstable, then, after a cycle, backward
+    from just outside it; backward from the focus side when it is stable.
+    Each probe follows at most 400 section crossings or 2e5 time units.
+
+    unstable focus: escape -> 1, cycle and a cycle backward -> 3, cycle
+    and no cycle backward -> 5; stable focus: cycle backward -> 2, escape
+    backward -> 4; any other outcome -> CELL_X."""
+    frame = _probe_frame(k, F)
+    if frame is None:
+        return CELL_OUTSIDE
+    unstable, _, _, _, _, _, r_max = frame
+
+    def probe(r0, time_sign):
+        status, radii = _section_radii(k, F, r0, frame, time_sign)
+        return _attractor_kind(radii, r_max, status == SETTLED)
+
+    scale = max(1e-4, 0.02 * r_max)
+    if unstable:
+        kind, r_star = probe(scale, 1.0)
+        if kind == "escape":
+            return 1
+        if kind == "cycle":
+            kind2, _ = probe(min(r_star * 1.25, r_max * 0.9), -1.0)
+            return 3 if kind2 == "cycle" else 5
+        return CELL_X
+    kind, _ = probe(scale, -1.0)
+    if kind == "cycle":
+        return 2
+    if kind == "escape":
+        return 4
+    return CELL_X

@@ -199,15 +199,17 @@ def _curve_csv(result) -> str:
 
 def cmd_continue(args) -> int:
     kind = args.curve
+    # lpc starts inside the two-cycle band, at criteria 6 and 7's k
+    k0 = args.k0 if args.k0 is not None else 0.034 if kind == "lpc" else 0.03
     if kind == "hopf":
-        seed = continuation.hopf_seed(args.k0)
+        seed = continuation.hopf_seed(k0)
         result = continuation.continue_curve("hopf", seed, direction=args.direction)
     elif kind == "fold":
-        seed = continuation.fold_seed(args.k0, args.branch)
+        seed = continuation.fold_seed(k0, args.branch)
         result = continuation.continue_curve("fold", seed, direction=args.direction)
     elif kind == "lpc":
-        _, F_mid, _ = continuation.lpc_bracket(args.k0)
-        seed = continuation.lpc_seed_from_region3(Params(args.k0, F_mid))
+        _, F_mid, _ = continuation.lpc_bracket(k0)
+        seed = continuation.lpc_seed_from_region3(Params(k0, F_mid))
         result = continuation.lpc_curve(seed, max_points=args.n)
     elif kind == "homoclinic":
         result = continuation.homoclinic_curve(np.linspace(*args.k_range, args.n))
@@ -347,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continue", help="curve continuation")
     p.add_argument("--curve", choices=("hopf", "fold", "lpc", "homoclinic"),
                    required=True)
-    p.add_argument("--k0", type=float, default=0.03)
+    p.add_argument("--k0", type=float,
+                   help="start k of a hopf, fold or lpc curve (default 0.03; "
+                        "0.034 for lpc)")
     p.add_argument("--branch", choices=("upper", "lower"), default="lower")
     p.add_argument("--direction", type=float, default=1.0,
                    help="+1 continues a hopf or fold curve toward increasing F")

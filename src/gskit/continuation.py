@@ -364,10 +364,13 @@ def lpc_bracket(k: float) -> tuple:
     """(F_below, F_two_cycles, F_hopf) bracketing the fold-of-cycles curve
     at k, below the Hopf curve: the census (n_scan 200) finds two cycles at
     F_two_cycles and not two at F_below.  The lower edge of the two-cycle
-    band is stepped out from F_hopf - 2e-6 and then bisected 20 times.
+    band is stepped out from F_hopf - 2e-6 and then bisected 20 times;
+    F_two_cycles lies halfway from F_hopf to the deepest two-cycle F found.
 
     Raises BracketNotFound when the band shows no lower edge within 3e-4
-    below the Hopf curve."""
+    below the Hopf curve, or when the census does not find two cycles at
+    F_two_cycles (where F_hopf - 2e-6 already lies below the band, as at
+    k = 0.03)."""
     Fh = float(hopf_F(k))
 
     def ncycles(F):
@@ -392,7 +395,11 @@ def lpc_bracket(k: float) -> tuple:
             hi_off = mid
         else:
             lo_off = mid
-    return Fh - lo_off, Fh - 0.5 * hi_off, Fh
+    F_two = Fh - 0.5 * hi_off
+    if ncycles(F_two) != 2:
+        raise BracketNotFound(f"the census finds no two cycles at F={F_two} "
+                              f"below the Hopf curve at k={k}")
+    return Fh - lo_off, F_two, Fh
 
 
 def lpc_seed_from_region3(a: Params) -> np.ndarray:

@@ -20,10 +20,6 @@ from .errors import DomainError, NoReturn, StepUnderflow
 
 TRIVIAL_POINT = State(1.0, 0.0)
 
-# A radius sequence has settled when three successive radii agree to this
-# relative tolerance (or the newest falls below it); the kernel applies it.
-SETTLE_TOL = kernels.SETTLE_TOL
-
 
 @dataclass(frozen=True)
 class IntegratorSettings:
@@ -36,7 +32,8 @@ class IntegratorSettings:
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
-# probe_region's probes and render_portrait's trajectories
+# render_portrait's trajectories, at the tolerances of the map probes
+# (gskit._pure._section_radii)
 _PROBE_SETTINGS = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-11)
 # classify_region's census and render_portrait's cycle overlay
 _CENSUS_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13)
@@ -92,16 +89,41 @@ def integrate(p0: State, a: Params, t_end: float,
 # Poincare section machinery
 # ---------------------------------------------------------------------------
 
-def _frame(k, F, cu, cv, su, sv, direction):
-    """(unstable, cu, cv, d0, d1, orient, r_max): the section ray at (k, F)
-    from the focus-type point (cu, cv), the saddle being (su, sv).  unstable:
-    the trace of the Jacobian J there is positive; (d0, d1) =
-    direction(j11, j12, j21, j22), turned away from the saddle; orient: the
-    sign of d x f just off the ray; r_max: where the ray leaves the
+def section_frame(a: Params) -> tuple:
+    """(unstable, cu, cv, d0, d1, orient, r_max): the section ray at a from
+    the focus-type point (cu, cv) of equilibria (exact where Delta is a
+    rational square), the saddle being (su, sv); DomainError unless
+    Delta > 0.  unstable: the trace of the Jacobian J there is positive;
+    (d0, d1) is perpendicular to the real part of J's leading eigenvector,
+    by numpy's eig and np.linalg.norm, turned away from the saddle; orient:
+    the sign of d x f just off the ray; r_max: where the ray leaves the
     quadrant, at most 2.5.  J and the field are core's uv_jacobian and
-    _field, on k and F as given (floats or Fractions)."""
+    _field, on a.k and a.F as given (floats or Fractions).  LAPACK makes
+    the largest component of the eigenvector real, so its real part, and
+    the norm, are nonzero.
+
+    The census, the LPC residual and cycle_at_radius build their frame
+    here, and their results depend on its last bits, so it keeps numpy's
+    eig and np.linalg.norm.  Normalizing the same eigenvector by math.sqrt
+    moves the third LPC point of the cycles benchmark (lpc_up/0) by 3e-4
+    relative, far outside the 1e-6 tolerance of perfbench/reference.json:
+    the LPC residual's g' is a finite difference limited by round-off.
+    The map cell's closed-form frame (gskit._pure._probe_frame) moves the
+    radius pinned in test_census_pinned by 8 ulp and both LPC runs of that
+    benchmark.
+    """
+    eq = equilibria(a)
+    if eq.kind != "pair":
+        raise DomainError(f"no pair of nontrivial equilibria at {a}")
+    k, F = a.k, a.F
+    cu, cv = float(eq.p_mp.u), float(eq.p_mp.v)
+    su, sv = float(eq.p_pm.u), float(eq.p_pm.v)
     (j11, j12), (j21, j22) = uv_jacobian(cu, cv, k, F)
-    d0, d1 = direction(j11, j12, j21, j22)
+    w, vecs = np.linalg.eig(np.array([[j11, j12], [j21, j22]]))
+    wr = np.real(vecs[:, int(np.argmax(w.real))])
+    d = np.array([-wr[1], wr[0]])
+    d /= np.linalg.norm(d)
+    d0, d1 = float(d[0]), float(d[1])
     # point away from the saddle
     if d0 * (cu - su) + d1 * (cv - sv) < 0:
         d0, d1 = -d0, -d1
@@ -117,91 +139,6 @@ def _frame(k, F, cu, cv, su, sv, direction):
     return j11 + j22 > 0, cu, cv, d0, d1, orient, r_max
 
 
-def _eig_direction(j11, j12, j21, j22):
-    """_frame's direction by numpy's eig and np.linalg.norm.  LAPACK makes
-    the largest component of the eigenvector real, so its real part, and
-    the norm, are nonzero."""
-    w, vecs = np.linalg.eig(np.array([[j11, j12], [j21, j22]]))
-    wr = np.real(vecs[:, int(np.argmax(w.real))])
-    d = np.array([-wr[1], wr[0]])
-    d /= np.linalg.norm(d)
-    return float(d[0]), float(d[1])
-
-
-def _closed_form_direction(j11, j12, j21, j22):
-    """_frame's direction from the leading eigenvector w of J in closed form
-    with LAPACK's xGEEV normalization (unit norm, largest component real),
-    whose phase sets the real part used.  With disc = (j11 - j22)^2 +
-    4 j12 j21: for disc >= 0, w = (j12, lam - j11) with lam = (j11 + j22 +
-    sqrt(disc)) / 2; otherwise the eigenvector (j12, re + i s), re = (j22 -
-    j11) / 2, s = sqrt(-disc) / 2, has its largest component made real,
-    whose real part is w = (j12, re) when j12^2 >= m2 = re^2 + s^2 and w =
-    (j12 re, m2) else.  j12 = -2uv is nonzero at the focus-type point, so w
-    is too.  The direction is _eig_direction's up to round-off, which grows
-    near a double eigenvalue (disc = 0) with the eigenvector's condition
-    number."""
-    disc = (j11 - j22) * (j11 - j22) + 4 * j12 * j21
-    if disc >= 0:
-        w0, w1 = j12, (j11 + j22 + math.sqrt(disc)) / 2 - j11
-    else:
-        re = (j22 - j11) / 2
-        m2 = re * re - disc / 4
-        w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
-    n = math.hypot(w0, w1)
-    return -w1 / n, w0 / n
-
-
-def section_frame(a: Params) -> tuple:
-    """_frame at a from equilibria's points (exact where Delta is a rational
-    square) and _eig_direction; DomainError unless Delta > 0.
-
-    The census, the LPC residual and cycle_at_radius build their frame
-    here, and their results depend on its last bits, so it keeps numpy's
-    eig and np.linalg.norm.  Normalizing the same eigenvector by math.sqrt
-    moves the third LPC point of the cycles benchmark (lpc_up/0) by 3e-4
-    relative, far outside the 1e-6 tolerance of perfbench/reference.json:
-    the LPC residual's g' is a finite difference limited by round-off.
-    probe_region's closed-form frame (_probe_frame) moves the radius pinned
-    in test_census_pinned by 8 ulp and both LPC runs of that benchmark.
-    """
-    eq = equilibria(a)
-    if eq.kind != "pair":
-        raise DomainError(f"no pair of nontrivial equilibria at {a}")
-    return _frame(a.k, a.F, float(eq.p_mp.u), float(eq.p_mp.v),
-                  float(eq.p_pm.u), float(eq.p_pm.v), _eig_direction)
-
-
-def _probe_frame(k: float, F: float):
-    """probe_region's frame at (k, F) in Python floats: None when there is
-    no pair of nontrivial equilibria (Delta = 1 - 4 F gamma^2 <= 0, gamma =
-    (F + k) / F), else _frame's tuple with the points computed as equilibria
-    computes them and _closed_form_direction.
-
-    The map cell makes no numpy call and builds no object.  Its direction
-    is section_frame's up to round-off only: the census and the LPC keep
-    section_frame, because this frame moves the radius pinned in
-    test_census_pinned by 8 ulp and both LPC runs of the cycles benchmark."""
-    g = (F + k) / F
-    delta = 1 - 4 * F * g * g
-    if delta <= 0:
-        return None
-    s = math.sqrt(delta)
-    return _frame(k, F, (1 - s) / 2, (1 + s) / (2 * g), (1 + s) / 2,
-                  (1 - s) / (2 * g), _closed_form_direction)
-
-
-def _ray_from(k, F, r, frame, max_crossings, time_sign, settings,
-              escape_sum=0.0):
-    """kernels.ray_crossings on the ray of frame at (k, F) from radius r,
-    forward or (time_sign < 0) reversed in time, for at most max_crossings
-    crossings or 2e5 time units: (status, hits)."""
-    _, cu, cv, d0, d1, orient, _ = frame
-    return kernels.ray_crossings(
-        cu + r * d0, cv + r * d1, k, F, cu, cv, d0, d1,
-        orient if time_sign > 0 else -orient, max_crossings, 2e5,
-        settings.rel_tol, settings.abs_tol, 1e-9, time_sign, escape_sum)
-
-
 def return_map(a: Params, r: float, frame: tuple,
                settings: IntegratorSettings = DEFAULT_SETTINGS) -> tuple:
     """Return radius and time after one full revolution from radius r.
@@ -209,37 +146,14 @@ def return_map(a: Params, r: float, frame: tuple,
     Raises NoReturn when the trajectory does not cross the section again
     before t = 2e5.
     """
-    status, hits = _ray_from(a.k, a.F, r, frame, 1, 1, settings)
+    _, cu, cv, d0, d1, orient, _ = frame
+    status, hits = kernels.ray_crossings(
+        cu + r * d0, cv + r * d1, a.k, a.F, cu, cv, d0, d1, orient, 1, 2e5,
+        settings.rel_tol, settings.abs_tol, 1e-9, 1.0)
     if not hits:
         raise NoReturn(f"no return from r={r} at {a} (status {status})")
     t, s, _, _ = hits[0]
     return s, t
-
-
-def _escape_sum(frame):
-    """S_ray = max(1, S(c), S(c + r_max d)), S = u + v, of a _probe_frame
-    tuple: at least 1 and the largest u + v on the ray's segment s <= r_max.
-    A reversed orbit that leaves {u >= 0, u + v <= S_ray} never meets that
-    segment again."""
-    _, cu, cv, d0, d1, _, r_max = frame
-    return max(1.0, cu + cv, (cu + r_max * d0) + (cv + r_max * d1))
-
-
-def _section_radii(k, F, r0, frame, time_sign):
-    """(status, radii): the successive section radii, at most 400, of the
-    orbit through radius r0 on the ray of the _probe_frame tuple frame at
-    (k, F), forward or (time_sign < 0) reversed in time.
-
-    The list ends early once _attractor_kind can decide it: at the first
-    triple that settles within SETTLE_TOL (status SETTLED), when a forward
-    orbit is captured by the trivial node, or when a reversed orbit leaves
-    {u >= 0, u + v <= S_ray}, S_ray = _escape_sum(frame), after which it
-    never meets the ray within r_max again (derivations in
-    gskit._pure.ray_crossings)."""
-    escape_sum = _escape_sum(frame) if time_sign < 0 else 0.0
-    status, hits = _ray_from(k, F, r0, frame, 400, time_sign, _PROBE_SETTINGS,
-                             escape_sum)
-    return status, [h[1] for h in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +307,9 @@ def classify_region(a: Params) -> RegionLabel:
     return RegionLabel(id=REGION_SIGNATURES.get((unstable, stability), "x"))
 
 
-# probe_region's results: RegionLabel is frozen, so every cell shares them
-_PROBE_LABELS = {i: RegionLabel(id=i) for i in ("outside", "x", *"12345")}
+# probe_region's results, one per kernels.probe_cell code: RegionLabel is
+# frozen, so every cell shares them
+_PROBE_LABELS = tuple(RegionLabel(id=i) for i in kernels.CELL_LABELS)
 
 
 def probe_region(k: float, F: float) -> RegionLabel:
@@ -404,55 +319,12 @@ def probe_region(k: float, F: float) -> RegionLabel:
     Replaces the full census with one or two attractor probes (forward from
     the focus side, backward across a detected cycle), each at most 400
     section crossings or 2e5 time units; validated against classify_region
-    on sampled cells.  The cell runs in Python floats through _probe_frame
-    and _section_radii, and builds no parameter, equilibrium, state or
-    frame object; the labels are shared constants.
+    on sampled cells.  The whole cell is one kernel call,
+    kernels.probe_cell (see gskit._pure.probe_cell), and builds no
+    parameter, equilibrium, state or frame object; the labels are shared
+    constants.
     """
-    frame = _probe_frame(k, F)
-    if frame is None:
-        return _PROBE_LABELS["outside"]
-    unstable, _, _, _, _, _, r_max = frame
-
-    def probe(r0, time_sign):
-        status, radii = _section_radii(k, F, r0, frame, time_sign)
-        return _attractor_kind(radii, r_max, status == kernels.SETTLED)
-
-    scale = max(1e-4, 0.02 * r_max)
-    if unstable:
-        kind, r_star = probe(scale, 1.0)
-        if kind == "escape":
-            return _PROBE_LABELS["1"]
-        if kind == "cycle":
-            kind2, _ = probe(min(r_star * 1.25, r_max * 0.9), -1.0)
-            return _PROBE_LABELS["3" if kind2 == "cycle" else "5"]
-        return _PROBE_LABELS["x"]
-    kind, _ = probe(scale, -1.0)
-    if kind == "cycle":
-        return _PROBE_LABELS["2"]
-    if kind == "escape":
-        return _PROBE_LABELS["4"]
-    return _PROBE_LABELS["x"]
-
-
-def _attractor_kind(radii: list, r_cap: float, settled: bool) -> tuple:
-    """Classify a radius sequence: converged to a cycle, fell into the
-    focus, or left the rotation region.  settled says the kernel ended the
-    sequence at its first triple settled within SETTLE_TOL (status
-    SETTLED); otherwise no triple of it settled."""
-    if settled:
-        r = radii[-1]
-        return ("focus", 0.0) if r < SETTLE_TOL else ("cycle", r)
-    if len(radii) < 3:
-        return "escape", 0.0
-    tail = radii[-1]
-    if tail > 0.9 * r_cap:
-        return "escape", tail
-    # drifting slowly: treat a contracting tail as a cycle estimate
-    if abs(radii[-1] - radii[-2]) < 1e-5 * max(1.0, radii[-1]):
-        return "cycle", radii[-1]
-    if radii[-1] < 1e-6:
-        return "focus", 0.0
-    return "escape", tail
+    return _PROBE_LABELS[kernels.probe_cell(k, F)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 pure-Python reference as fallback.
 
 gskit._pure holds the reference kernels (adaptive Dormand-Prince stepping,
-ray-crossing event location, variational propagation) and documents the
-settings they fix: no cap on the step size, the first-quadrant guard on
+ray-crossing event location, variational propagation, and probe_cell, the
+whole parameter-plane map cell in one call) and documents the settings
+they fix: no cap on the step size, the first-quadrant guard on
 the plane field in forward time, S_MIN and STEP_LIMIT.  _kernel.c, next to
 this file, mirrors them statement for statement in plain C99, so the two
 backends return the same bits.  On first import the C source is compiled
@@ -21,12 +22,14 @@ When the build or the load fails, the pure backend is used and the reason
 is kept in COMPILED_ERROR.  GSKIT_BACKEND=pure forces the pure backend;
 _use_backend() switches explicitly (the backend-parity tests).
 
-The status codes (OK, MAX_STEPS, UNDERFLOW, BOX_EXIT, CAPTURED, SETTLED) are
-those of gskit._pure, which documents them.  The entry points below check
-the field id before dispatch: an unknown id raises ValueError and reaches
-neither backend.  The kernels need rtol > 0 and atol > 0, so that no error
-scale atol + rtol * |x| is zero; every caller in gskit takes them from a
-dynamics.IntegratorSettings, which rejects other values.
+The status codes (OK, MAX_STEPS, UNDERFLOW, BOX_EXIT, CAPTURED, SETTLED) and
+probe_cell's label codes (0 outside, the regions 1-5, 6 x; CELL_LABELS[code]
+is the map label) are those of gskit._pure, which documents them.  The
+entry points below check the field id before dispatch: an unknown id raises
+ValueError and reaches neither backend.  The kernels need rtol > 0 and
+atol > 0, so that no error scale atol + rtol * |x| is zero; every caller in
+gskit takes them from a dynamics.IntegratorSettings, which rejects other
+values.  probe_cell fixes its own tolerances and takes only k and F.
 """
 from __future__ import annotations
 
@@ -37,8 +40,9 @@ import tempfile
 from pathlib import Path
 
 from . import _pure
-from ._pure import (BOX_EXIT, CAPTURED, FIELD_CHART_V, FIELD_PLANE,
-                    MAX_STEPS, OK, SETTLE_TOL, SETTLED, STEP_LIMIT, UNDERFLOW)
+from ._pure import (BOX_EXIT, CAPTURED, CELL_LABELS, FIELD_CHART_V,
+                    FIELD_PLANE, MAX_STEPS, OK, SETTLE_TOL, SETTLED,
+                    STEP_LIMIT, UNDERFLOW)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "gcc"
@@ -146,6 +150,7 @@ class _CKernels:
             "gs_ray_crossings": (i, [d, d, d, d, d, d, d, d, i, ll, d, d, d, d,
                                      d, d, buf, count]),
             "gs_monodromy": (i, [d, d, d, d, d, d, d, buf]),
+            "gs_probe_cell": (i, [d, d]),
         }
 
     def __init__(self, lib: ctypes.CDLL):
@@ -193,6 +198,9 @@ class _CKernels:
         out = (ctypes.c_double * 6)()
         status = self._lib.gs_monodromy(x0, y0, k, F, t_total, rtol, atol, out)
         return (status, *out)
+
+    def probe_cell(self, k, F):
+        return self._lib.gs_probe_cell(k, F)
 
 
 def _load():
@@ -276,6 +284,12 @@ def monodromy(x0, y0, k, F, t_total, rtol, atol):
     gskit._pure.monodromy.  Returns (status, x, y, m11, m12, m21, m22)."""
     return _impl.monodromy(float(x0), float(y0), float(k), float(F),
                            float(t_total), float(rtol), float(atol))
+
+
+def probe_cell(k, F):
+    """Label code of the map cell at positive k and F, CELL_LABELS[code]
+    its map label; see gskit._pure.probe_cell."""
+    return _impl.probe_cell(float(k), float(F))
 
 
 def _field_eval(fid, sgn, x, y, k, F):

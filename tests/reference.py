@@ -22,9 +22,13 @@ imports it from the tests that use it and collects nothing here.
   roots found by that division (roots_by_division): what gskit.poly's
   linear-case resultant and synthetic division, and gskit.bt's
   determinant, are checked against (test_poly, test_bautin, test_bt);
-- probe_frame_objects: gskit.dynamics._probe_frame and _escape_sum through
+- probe_frame_objects: gskit._pure._probe_frame and _escape_sum through
   the object route they replaced (equilibria, jacobian, trace_det and
   State), which the float cell must match bit for bit (test_dynamics);
+- probe_region_route: the map cell's label through the Python route that
+  gskit._pure.probe_cell and its C twin replaced (probe_frame_objects,
+  kernels.ray_crossings probes, the decision tree), which both backends'
+  probe_region must match (test_dynamics);
 - section_frame_objects: gskit.dynamics.section_frame through the object
   route it replaced (equilibria, jacobian, numpy's eig, vector_field),
   which the shared frame routine must match bit for bit (test_dynamics);
@@ -39,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gskit import bautin
+from gskit import bautin, kernels
 from gskit.bt import BTFrame
 from gskit.core import Params, State, jacobian, trace_det, vector_field
 from gskit.equilibria import equilibria
@@ -319,8 +323,9 @@ def probe_frame_objects(k: float, F: float) -> tuple:
     """(frame, S_ray) at (k, F) through the object route: frame is None
     where the equilibrium set is not a pair, else (unstable, cu, cv, d0,
     d1, orient, r_max) of the ray built from the equilibrium set and its
-    Jacobian, with the closed-form eigenvector of
-    gskit.dynamics._probe_frame; S_ray = max(1, S(c), S(c + r_max d))."""
+    Jacobian, with the closed-form eigenvector of gskit._pure._probe_frame,
+    normalized by sqrt(w0^2 + w1^2) as there; S_ray = max(1, S(c), S(c +
+    r_max d))."""
     a = Params(k, F)
     eq = equilibria(a)
     if eq.kind != "pair":
@@ -336,7 +341,7 @@ def probe_frame_objects(k: float, F: float) -> tuple:
         re = (j22 - j11) / 2
         m2 = re * re - disc / 4
         w0, w1 = (j12, re) if j12 * j12 >= m2 else (j12 * re, m2)
-    n = math.hypot(w0, w1)
+    n = math.sqrt(w0 * w0 + w1 * w1)
     d0, d1 = -w1 / n, w0 / n
     if d0 * (c.u - float(eq.p_pm.u)) + d1 * (c.v - float(eq.p_pm.v)) < 0:
         d0, d1 = -d0, -d1
@@ -348,6 +353,57 @@ def probe_frame_objects(k: float, F: float) -> tuple:
             r_cap = min(r_cap, -comp / dcomp)
     s_ray = max(1.0, c.u + c.v, (c.u + r_cap * d0) + (c.v + r_cap * d1))
     return (unstable, c.u, c.v, d0, d1, orient, r_cap), s_ray
+
+
+def _attractor_kind(radii, r_cap, settled):
+    """Classify a radius sequence as the map cell's probes did in Python:
+    ('cycle', r), ('focus', 0.0) or ('escape', r)."""
+    if settled:
+        r = radii[-1]
+        return ("focus", 0.0) if r < kernels.SETTLE_TOL else ("cycle", r)
+    if len(radii) < 3:
+        return "escape", 0.0
+    tail = radii[-1]
+    if tail > 0.9 * r_cap:
+        return "escape", tail
+    if abs(radii[-1] - radii[-2]) < 1e-5 * max(1.0, radii[-1]):
+        return "cycle", radii[-1]
+    if radii[-1] < 1e-6:
+        return "focus", 0.0
+    return "escape", tail
+
+
+def probe_region_route(k: float, F: float) -> str:
+    """The map label at (k, F) from the Python cell route that
+    gskit._pure.probe_cell and its C twin replaced: the frame of
+    probe_frame_objects, one or two probes through kernels.ray_crossings on
+    the active backend (400 crossings, 2e5 time units, rel/abs tolerances
+    1e-8/1e-11, the escape sum on reversed probes), and the decision tree
+    on their radii."""
+    frame, s_ray = probe_frame_objects(k, F)
+    if frame is None:
+        return "outside"
+    unstable, cu, cv, d0, d1, orient, r_max = frame
+
+    def probe(r0, time_sign):
+        status, hits = kernels.ray_crossings(
+            cu + r0 * d0, cv + r0 * d1, k, F, cu, cv, d0, d1,
+            orient if time_sign > 0 else -orient, 400, 2e5, 1e-8, 1e-11,
+            1e-9, time_sign, s_ray if time_sign < 0 else 0.0)
+        return _attractor_kind([h[1] for h in hits], r_max,
+                               status == kernels.SETTLED)
+
+    scale = max(1e-4, 0.02 * r_max)
+    if unstable:
+        kind, r_star = probe(scale, 1.0)
+        if kind == "escape":
+            return "1"
+        if kind == "cycle":
+            kind2, _ = probe(min(r_star * 1.25, r_max * 0.9), -1.0)
+            return "3" if kind2 == "cycle" else "5"
+        return "x"
+    kind, _ = probe(scale, -1.0)
+    return {"cycle": "2", "escape": "4"}.get(kind, "x")
 
 
 def section_frame_objects(a: Params) -> tuple:

@@ -136,6 +136,17 @@ def test_continue_csv_hopf(curve, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_continue_lpc_default_start():
+    # without --k0 the lpc curve is seeded at k = 0.034, inside the
+    # two-cycle band (at the shared 0.03 the bracket raises
+    # BracketNotFound); the seed's corrector moves k by 3e-4
+    code, out = run_cli("continue", "--curve", "lpc", "--n", "3")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) >= 2
+    assert float(rows[0].split(",")[0]) == pytest.approx(0.034, abs=1e-3)
+
+
 def test_map_deterministic(tmp_path):
     args = ("map", "--grid", "12x12", "--k", "0..0.07", "--F", "0..0.07")
     code1, out1 = run_cli(*args)

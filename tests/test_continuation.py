@@ -308,6 +308,13 @@ def test_lpc_bracket_two_cycle_band():
     assert len(dynamics.limit_cycle_census(Params(k, F_below), n_scan=200)) != 2
 
 
+def test_lpc_bracket_checks_its_two_cycle_point():
+    # at k = 0.03, F_hopf - 2e-6 already lies below the two-cycle band, so
+    # no census finds two cycles, at the F the bracket would return neither
+    with pytest.raises(BracketNotFound, match="no two cycles"):
+        lpc_bracket(0.03)
+
+
 @pytest.mark.parametrize("error", [DomainError, NotOnHopfCurve, RuntimeError])
 def test_l1_test_failures(monkeypatch, error):
     # the Lyapunov-coefficient test function reads a toolkit error of

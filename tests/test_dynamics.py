@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gskit import bautin, dynamics, kernels
+from gskit import _pure, bautin, dynamics, kernels
 from gskit.core import Params, State, jacobian
 from gskit.equilibria import discriminants, equilibria, hopf_F, saddle_node_F
 from gskit.errors import DomainError, NoReturn, StepUnderflow
 from reference import (bautin_polar_census, probe_frame_objects,
-                       section_frame_objects)
+                       probe_region_route, section_frame_objects)
 
 
 def test_integrate_constant_at_equilibrium():
@@ -140,6 +140,18 @@ def test_probe_region_agrees_with_census_classifier():
         assert full.id == fast.id, (k, F, full, fast)
 
 
+def _eigen_branch(a):
+    """(branch, disc, J) of the closed-form eigenvector at a's focus-type
+    point: 'node' (disc >= 0), or a focus whose eigenvector has its 'first'
+    or its 'second' component largest."""
+    jac = jacobian(equilibria(a).p_mp, a)
+    (j11, j12), (j21, j22) = jac
+    disc = (j11 - j22) ** 2 + 4 * j12 * j21
+    m2 = ((j22 - j11) / 2) ** 2 - disc / 4
+    return ("node" if disc >= 0 else "first" if j12 * j12 >= m2 else "second",
+            disc, jac)
+
+
 def test_probe_frame_matches_section_frame():
     # the closed-form frame of probe_region against numpy's eig over a grid
     # of the criterion-10 window that reaches every branch of the closed
@@ -151,15 +163,10 @@ def test_probe_frame_matches_section_frame():
             a = Params(float(k), float(F))
             if discriminants(a).delta <= 0:
                 continue
-            eq = equilibria(a)
-            jac = jacobian(eq.p_mp, a)
-            (j11, j12), (j21, j22) = jac
-            disc = (j11 - j22) ** 2 + 4 * j12 * j21
-            m2 = ((j22 - j11) / 2) ** 2 - disc / 4
-            branches.add("node" if disc >= 0 else
-                         "first" if j12 * j12 >= m2 else "second")
+            branch, disc, ((j11, j12), (j21, j22)) = _eigen_branch(a)
+            branches.add(branch)
             _, rcu, rcv, rd0, rd1, rorient, rr_max = dynamics.section_frame(a)
-            _, cu, cv, d0, d1, orient, r_max = dynamics._probe_frame(a.k, a.F)
+            _, cu, cv, d0, d1, orient, r_max = _pure._probe_frame(a.k, a.F)
             # near a double eigenvalue the eigenvector's condition number
             # |J| / |lambda1 - lambda2| is large, and LAPACK's direction
             # itself is off by up to 2.8e-15 from a 40-digit one there (over
@@ -173,32 +180,63 @@ def test_probe_frame_matches_section_frame():
     assert branches == {"node", "first", "second"}
 
 
-def test_probe_frame_matches_object_route():
-    # the float cell against the object route it replaced, compared with ==
-    # on every float: seeded cells of the criterion-10 window, cells within
-    # 1e-12 of the fold (Delta = 0) on both sides, and cells on the Hopf
-    # curve, where the trace at the focus-type point is about 0
+def _probe_cells(seed, n_random, n_curves):
+    """Seeded cells of the criterion-10 window: n_random uniform ones, and
+    for n_curves random k, cells within 1e-12 of both fold branches (Delta
+    = 0) on both sides and cells on the Hopf curve and 1 ulp either side,
+    where the trace at the focus-type point is about 0."""
     import random
 
-    rng = random.Random(21)
+    rng = random.Random(seed)
     cells = [(rng.uniform(1e-9, 0.07), rng.uniform(1e-9, 0.07))
-             for _ in range(400)]
-    for _ in range(40):
+             for _ in range(n_random)]
+    for _ in range(n_curves):
         k = rng.uniform(1e-4, 0.0625)
         for F in saddle_node_F(k):
             cells += [(k, F + h) for h in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
         F = hopf_F(k)
         cells += [(k, F), (k, math.nextafter(F, 0.0)), (k, math.nextafter(F, 1.0))]
+    return cells
+
+
+def test_probe_frame_matches_object_route():
+    # the float cell against the object route it replaced, compared with ==
+    # on every float
+    cells = _probe_cells(21, 400, 40)
     outside = 0
     for k, F in cells:
         ref, s_ray = probe_frame_objects(k, F)
-        got = dynamics._probe_frame(k, F)
+        got = _pure._probe_frame(k, F)
         assert got == ref, (k, F)
         if got is None:
             outside += 1
         else:
-            assert dynamics._escape_sum(got) == s_ray, (k, F)
+            assert _pure._escape_sum(got) == s_ray, (k, F)
     assert 0 < outside < len(cells)
+
+
+def test_probe_region_matches_python_route():
+    # the one-call cell on each backend against the Python route it
+    # replaced: seeded cells of the window, cells at the fold and at the
+    # Hopf curve and its neighbours, over every branch of the closed-form
+    # eigenvector.  The route's probes run on the first backend (the C
+    # kernels where they built; ray_crossings returns the same bits on
+    # both), since a Hopf cell takes about 0.2 s on the pure kernels
+    cells = _probe_cells(26, 120, 4)
+    branches = {_eigen_branch(Params(k, F))[0] for k, F in cells
+                if discriminants(Params(k, F)).delta > 0}
+    assert branches == {"node", "first", "second"}
+    backend = kernels.get_backend()
+    try:
+        kernels._use_backend(kernels.available_backends()[0])
+        want = [probe_region_route(k, F) for k, F in cells]
+        for name in kernels.available_backends():
+            kernels._use_backend(name)
+            got = [dynamics.probe_region(k, F).id for k, F in cells]
+            assert got == want, name
+    finally:
+        kernels._use_backend(backend)
+    assert set(want) == {"outside", "1", "2", "3", "4"}
 
 
 def test_section_frame_matches_object_route():
@@ -358,9 +396,11 @@ def test_render_portrait_census_failures(monkeypatch, error):
         assert dynamics.render_portrait(a, spec)[2]["cycles"] == []
 
 
-def test_fast_map_csv_pinned():
-    # 20x20 fast map over the criterion-10 window; the digest was recorded
-    # before ray_crossings gained its early stops, which must not move a label
+def test_fast_map_csv_pinned(criterion_map):
+    # 20x20 fast map over the criterion-10 window, and criterion 10's own
+    # 200x200 map; the digests were recorded before ray_crossings gained
+    # its early stops and before the cell became one kernel call, which
+    # must not move a label
     import hashlib
 
     from gskit import mapping
@@ -370,6 +410,9 @@ def test_fast_map_csv_pinned():
     text = mapping.map_to_csv(labels, meta)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == "34eec3a222a7c615b0a21ae8585bed3e30c1ffcf2e7c16428c246477b745ab10")
+    text = mapping.map_to_csv(*criterion_map)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "5aec761620edf4cbe0ec5b09b743e7259f06e8813c173d7cb76f19b93015b3b9")
 
 
 def test_census_pinned():

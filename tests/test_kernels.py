@@ -37,6 +37,7 @@ _CALLS = {
                       1e-11, 1e-13, 1e-9, 1.0),
     "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14),
     "field_eval": (2, -1.0, 0.3, 0.4, 0.05, 0.02),
+    "probe_cell": (0.06, 0.0465),
 }
 
 
@@ -306,9 +307,9 @@ def test_backward_time_integration(backend):
 def _probe_args(k, F, time_sign, t_max=2e5, n=400):
     """ray_crossings arguments of a probe_region probe at (k, F), and the
     frame tuple (unstable, cu, cv, d0, d1, orient, r_max) of the cell."""
-    from gskit import dynamics
+    from gskit import _pure
 
-    frame = dynamics._probe_frame(k, F)
+    frame = _pure._probe_frame(k, F)
     _, cu, cv, d0, d1, orient, r_max = frame
     r0 = max(1e-4, 0.02 * r_max)
     orient = orient if time_sign > 0 else -orient
@@ -339,10 +340,10 @@ def _reversed_steps(args, until):
 
 def test_reversed_probe_exits_escape_box(backend):
     # a label-4 cell: the reversed orbit from the stable focus blows up
-    from gskit import dynamics
+    from gskit import _pure
 
     args, frame = _probe_args(0.055, 0.055, -1.0)
-    s_ray = dynamics._escape_sum(frame)
+    s_ray = _pure._escape_sum(frame)
     st, hits = kernels.ray_crossings(*args, escape_sum=s_ray)
     st0, hits0 = kernels.ray_crossings(*args)
     assert st == kernels.BOX_EXIT
@@ -363,7 +364,7 @@ def test_reversed_stop_keeps_the_hits_within_r_max(backend):
     # R = {u >= 0, u + v <= S_ray}
     import random
 
-    from gskit import dynamics
+    from gskit import _pure
     from gskit.equilibria import equilibria
 
     rng = random.Random(2017)
@@ -373,11 +374,11 @@ def test_reversed_stop_keeps_the_hits_within_r_max(backend):
         if equilibria(Params(k, F)).kind != "pair":
             continue
         args, frame = _probe_args(k, F, -1.0)
-        s_ray = dynamics._escape_sum(frame)
+        s_ray = _pure._escape_sum(frame)
         _, cu, cv, d0, d1, _, r_max = frame
         for r0 in (max(1e-4, 0.02 * r_max), 0.9 * r_max):
             args = (cu + r0 * d0, cv + r0 * d1) + args[2:]
-            status, radii = dynamics._section_radii(k, F, r0, frame, -1.0)
+            status, radii = _pure._section_radii(k, F, r0, frame, -1.0)
             st0, hits0 = kernels.ray_crossings(*args)
             assert radii == [h[1] for h in hits0[:len(radii)]]
             within = [h for h in hits0 if h[1] <= r_max]
@@ -443,14 +444,14 @@ def _first_settled(radii, tol):
 
 def test_settled_sequence_is_a_prefix(backend, monkeypatch):
     # a label-2 cell: the reversed orbit settles onto the repelling cycle
-    from gskit import _pure, dynamics
+    from gskit import _pure
 
     args, frame = _probe_args(0.06, 0.0465, -1.0)
     st, hits = kernels.ray_crossings(*args, escape_sum=10.0)
     assert st == kernels.SETTLED
     radii = [h[1] for h in hits]
     assert _first_settled(radii, kernels.SETTLE_TOL) == len(radii) - 1
-    assert dynamics._attractor_kind(radii, frame[-1], True) == ("cycle", radii[-1])
+    assert _pure._attractor_kind(radii, frame[-1], True) == ("cycle", radii[-1])
     # the pure kernel with a zero tolerance never settles: the full run
     monkeypatch.setattr(_pure, "SETTLE_TOL", 0.0)
     kernels._use_backend("pure")
@@ -490,6 +491,9 @@ def test_pure_kernels_return_python_floats(name):
         kernels._use_backend(BACKENDS[0])
     if name == "field_eval":
         numbers = list(result)
+    elif name == "probe_cell":
+        assert type(result) is int and kernels.CELL_LABELS[result] == "2"
+        numbers = []
     elif name == "ray_crossings":
         assert type(result[0]) is int and result[1]
         numbers = [x for hit in result[1] for x in hit]
@@ -622,9 +626,10 @@ _STATUSES = {kernels.OK, kernels.MAX_STEPS, kernels.UNDERFLOW,
 
 
 def test_backends_agree_on_random_inputs():
-    # all four entry points, compared by ==; the explicit examples make sure
-    # that the statuses reached include every status a kernel can return
-    seen = set()
+    # all five entry points, compared by ==; the explicit examples make sure
+    # that the statuses reached include every status a kernel can return,
+    # and the map cells at their (k, F) the labels 1, 2 and 4
+    seen, codes = set(), set()
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(k=st.floats(0.0, 0.08), F=st.floats(0.0, 0.08),
@@ -679,14 +684,20 @@ def test_backends_agree_on_random_inputs():
         calls["monodromy"] = (x0, y0, k, F,
                               min(t_end, 100.0 / y0 / y0) if stiff else t_end,
                               rtol, atol)
+        # the map cell takes positive k and F
+        if k > 0.0 and F > 0.0:
+            calls["probe_cell"] = (k, F)
         for name, args in calls.items():
             results = _on_each_backend(_entry(name), *args)
             assert all(r == results["pure"] for r in results.values()), name
-            if name != "field_eval":
+            if name == "probe_cell":
+                codes.add(results["pure"])
+            elif name != "field_eval":
                 seen.add(results["pure"][0])
 
     agree()
     assert seen == _STATUSES
+    assert {1, 2, 4} <= codes
 
 
 _NEEDS_C = pytest.mark.skipif(

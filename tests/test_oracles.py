@@ -15,7 +15,11 @@ census test imports gskit only for the cycles it checks, the derivative
 and normal-form tests only for the closed forms they compare with sympy's,
 the resultant test only for the coefficient table of q1, and the
 parameter-map test only for the exact value it compares.  The generic
-bracket comes from tests/reference.py.
+bracket comes from tests/reference.py.  The map test checks gskit's fast
+map (criterion 10) against the curves that bound its regions: the fold and
+Hopf curves written out again, and gskit's homoclinic search and
+separatrix splitting, which integrate the saddle's separatrices and share
+no code with the map's probes.
 """
 import math
 
@@ -262,6 +266,50 @@ def test_gh_resultant_from_sympy():
 
 def _hopf_F(k):
     return (math.sqrt(k) - 2 * k - math.sqrt(k - 4 * k * math.sqrt(k))) / 2
+
+
+def _fold_F(k):
+    """Both F branches of the fold curve 4 (F + k)^2 = F, 0 < k <= 1/16."""
+    r = math.sqrt(1 - 16 * k)
+    return ((1 - 8 * k) + r) / 8, ((1 - 8 * k) - r) / 8
+
+
+def test_map_edges_lie_on_their_curves(criterion_map):
+    # every vertical label edge of the 200x200 map (two cells of one column
+    # with different labels) lies within one cell height of the curve that
+    # makes it: outside|(1, 4, 5) a fold branch; 1|2, 5|4, 1|3 and 1|4 the
+    # Hopf curve; 2|4 the homoclinic curve above it (homoclinic_F); 1|5
+    # the homoclinic curve below it, which homoclinic_F does not search, so
+    # the splitting gap changes sign between the two cells
+    from gskit.continuation import homoclinic_F, separatrix_splitting
+    from gskit.core import Params
+
+    labels, meta = criterion_map
+    ks, Fs = meta["k_values"], meta["F_values"]
+    dF = Fs[1] - Fs[0]
+    hopf_edges = [{"1", "2"}, {"5", "4"}, {"1", "3"}, {"1", "4"}]
+    edges = 0
+    for j, k in enumerate(ks):
+        for i in range(len(Fs) - 1):
+            pair = {labels[i][j], labels[i + 1][j]}
+            if len(pair) == 1:
+                continue
+            edges += 1
+            mid = 0.5 * (Fs[i] + Fs[i + 1])
+            if "outside" in pair and pair & {"1", "4", "5"}:
+                curve = min(_fold_F(k), key=lambda F: abs(F - mid))
+            elif pair in hopf_edges:
+                curve = _hopf_F(k)
+            elif pair == {"2", "4"}:
+                curve = homoclinic_F(k)[0]
+            elif pair == {"1", "5"}:
+                gaps = [separatrix_splitting(Params(k, F)) for F in Fs[i:i + 2]]
+                assert (gaps[0] < 0) != (gaps[1] < 0), (k, mid)
+                continue
+            else:
+                raise AssertionError(f"edge {sorted(pair)} at k={k}, F={mid}")
+            assert abs(curve - mid) <= dF, (sorted(pair), k, mid, curve)
+    assert edges >= 400
 
 
 def _focus(k, F):
