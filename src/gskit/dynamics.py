@@ -32,8 +32,8 @@ class IntegratorSettings:
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
-# render_portrait's trajectories, at the tolerances of the map probes
-# (gskit._pure._section_radii)
+# render_portrait's trajectories and census, at the tolerances of the map
+# probes (gskit._pure._section_radii)
 _PROBE_SETTINGS = IntegratorSettings(rel_tol=1e-8, abs_tol=1e-11)
 # classify_region's census and render_portrait's cycle overlay
 _CENSUS_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13)
