@@ -19,7 +19,10 @@ workload and end-to-end metric, per criterion and for the map, each side's
 run values with their median and quartiles and the number of pairs in
 which the change's value is better, together with the operations attempted
 and failed, the criteria each battery passed, the kernel backend each side
-ran on and the number of cores.
+ran on and the number of cores.  After the pairs, the Tier-1 command
+(`python -m pytest -q --continue-on-collection-errors` with src on
+PYTHONPATH) runs once in each copy, the base first; its wall time and its
+passed, failed, skipped and error counts go under `tier1`.
 """
 from __future__ import annotations
 
@@ -27,11 +30,13 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +112,25 @@ def run_once(tree: Path, seed: int) -> dict:
             **json.loads(proc.stdout)}
 
 
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def run_tier1(tree: Path) -> dict:
+    """Wall time, outcome counts and exit code of one Tier-1 run in tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    counts = dict.fromkeys(("passed", "failed", "skipped", "errors"), 0)
+    for n, word in re.findall(r"(\d+) (passed|failed|skipped|errors?)\b",
+                              lines[-1] if lines else ""):
+        counts["errors" if word.startswith("error") else word] += int(n)
+    return {"wall_s": wall, **counts, "exit": proc.returncode}
+
+
 def summary(runs: list) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
@@ -148,6 +172,7 @@ def main():
                     f"{k} {v:.4g}" for k, v in last["metrics"].items()
                     if k.endswith("wall_s")) + f", map 200x200 {last['map_s']:.3g}",
                     flush=True)
+        tier1 = {side: run_tier1(trees[side]) for side in ("parent", "change")}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -186,6 +211,10 @@ def main():
                                "criterion's elapsed, s) and then times one "
                                "200x200 mapping.region_map over (1e-9, 0.07)^2 "
                                "(map_200x200, s)",
+            "tier1": "after the pairs, one run of python "
+                     + " ".join(TIER1) + " in each tree, the parent first, "
+                     "with the tree's src on PYTHONPATH: wall_s and the "
+                     "counts of its last pytest line",
         },
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "machine": platform.machine(),
@@ -199,6 +228,7 @@ def main():
         "workloads": workloads,
         "criteria": criteria,
         "map_200x200": map_200,
+        "tier1": tier1,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     rows = [(w, m, e) for w, metrics in workloads.items() for m, e in metrics.items()]
@@ -209,6 +239,9 @@ def main():
               f"{e['change']['median']:.5g} (ratio {e['ratio']:.4f}); change "
               f"better in {e['change_won']} of {len(seeds)}; parent IQR "
               f"{e['parent']['q3'] - e['parent']['q1']:.3g}")
+    for side, r in tier1.items():
+        print(f"tier1     {side:12} {r['wall_s']:.1f} s: {r['passed']} passed, "
+              f"{r['failed']} failed, {r['skipped']} skipped, {r['errors']} errors")
 
 
 if __name__ == "__main__":

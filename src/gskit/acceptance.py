@@ -109,10 +109,7 @@ def criterion_2() -> list:
     while n_ok < 1000:
         k = float(rng.uniform(1e-3, 0.08))
         F = float(rng.uniform(1e-3, 0.25))
-        try:
-            a = Params(k, F)
-        except GSKitError:
-            continue
+        a = Params(k, F)
         eq = equilibria(a)
         if eq.kind != "pair":
             continue
@@ -259,14 +256,10 @@ def _lpc_toward_gh():
     _, F_mid, _ = _lpc_bracket(k_seed)
     seed = continuation.lpc_seed_from_region3(Params(k_seed, F_mid))
     # from this seed the curve reaches the generalized Hopf point, k rising,
-    # as the radius falls (direction -1); run +1 only if that run ends lower
-    run = continuation.lpc_curve(seed, max_points=60,
-                                 k_bounds=(5e-3, 9 / 256 - 5e-5),
-                                 direction=-1.0)
-    if run.k_values()[-1] < k_seed:
-        run = continuation.lpc_curve(seed, max_points=60,
-                                     k_bounds=(5e-3, 9 / 256 - 5e-5))
-    return run
+    # as the radius falls (direction -1); it ends at k = 0.035099
+    return continuation.lpc_curve(seed, max_points=60,
+                                  k_bounds=(5e-3, 9 / 256 - 5e-5),
+                                  direction=-1.0)
 
 
 def criterion_7() -> list:

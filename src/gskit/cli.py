@@ -310,9 +310,16 @@ def parse_range(text: str) -> tuple:
     return float(parse_number(lo)), float(parse_number(hi))
 
 
+def parse_count(text: str) -> int:
+    """A positive int."""
+    if (n := int(text)) < 1:
+        raise ValueError(f"count {n} is below 1")
+    return n
+
+
 def parse_grid(text: str) -> tuple:
-    """'NKxNF' as a pair of ints."""
-    nk, nF = (int(s) for s in text.lower().split("x"))
+    """'NKxNF' as a pair of positive ints."""
+    nk, nF = (parse_count(s) for s in text.lower().split("x"))
     return nk, nF
 
 
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="closed-form curve samples as CSV")
     p.add_argument("--which", choices=("sn", "hopf", "neutral", "disc"), required=True)
     p.add_argument("--k-range", type=parse_range, default="0.001..0.0625")
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=parse_count, default=200)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_curves)
 
@@ -353,10 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start k of a hopf, fold or lpc curve (default 0.03; "
                         "0.034 for lpc)")
     p.add_argument("--branch", choices=("upper", "lower"), default="lower")
-    p.add_argument("--direction", type=float, default=1.0,
-                   help="+1 continues a hopf or fold curve toward increasing F")
+    p.add_argument("--direction", type=float, choices=(-1.0, 1.0), default=1.0,
+                   help="+1 continues a hopf or fold curve toward increasing F, "
+                        "-1 toward decreasing F")
     p.add_argument("--k-range", type=parse_range, default="0.058..0.0624")
-    p.add_argument("--n", type=int, default=40)
+    p.add_argument("--n", type=parse_count, default=40)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_continue)

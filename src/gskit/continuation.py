@@ -22,11 +22,10 @@ import numpy as np
 
 from . import bautin, dynamics, kernels
 from .core import (Params, State, extended_jacobian, jacobian, trace_det,
-                   uv_jacobian, vector_field)
+                   uv_jacobian)
 from .equilibria import bisect_sign, equilibria, hopf_F, saddle_node_F
-from .errors import (BracketNotFound, DomainError, NewtonDiverged,
-                     NoReturn, NotOnHopfCurve, SaddleMissing, SectionMiss,
-                     SeedInvalid)
+from .errors import (BracketNotFound, NewtonDiverged, NoReturn,
+                     SaddleMissing, SectionMiss, SeedInvalid)
 
 
 @dataclass(frozen=True)
@@ -286,10 +285,9 @@ def _l1_test(z):
     tr, det = trace_det(uv_jacobian(u, v, k, F))
     if det <= 1e-12 or tr * tr - 4 * det >= 0:
         return None
-    try:
-        return bautin._l1_extended(State(u, v), Params(k, F))
-    except (DomainError, NotOnHopfCurve):
-        return None
+    # the screens above are Params' and bautin._eigendata's own tests, on the
+    # same floats, so _l1_extended raises nothing here
+    return bautin._l1_extended(State(u, v), Params(k, F))
 
 
 def _det_test(z):
@@ -442,61 +440,55 @@ def _saddle_eigenframe(a: Params):
     if eq.kind != "pair":
         raise SaddleMissing(f"no saddle at {a}")
     ps = eq.p_pm
-    jac = np.array(jacobian(ps, a), float)
-    w, vecs = np.linalg.eig(jac)
-    w = np.real(w)
-    iu, is_ = int(np.argmax(w)), int(np.argmin(w))
+    w, vecs = np.linalg.eig(np.array(jacobian(ps, a), float))
+    w = w.real
+    iu, is_ = (0, 1) if w[0] >= w[1] else (1, 0)
     if not (w[iu] > 0 > w[is_]):
         raise SaddleMissing(f"eigenvalues {w} at {a} are not of saddle type")
-    eu = np.real(vecs[:, iu])
-    es = np.real(vecs[:, is_])
-    return eq, ps, w[iu], w[is_], eu / np.linalg.norm(eu), es / np.linalg.norm(es)
+    eu = vecs[:, iu].real
+    es = vecs[:, is_].real
+    return ps, w[iu], w[is_], eu / np.linalg.norm(eu), es / np.linalg.norm(es)
 
 
 def separatrix_splitting(a: Params) -> float:
-    """Signed gap between the saddle separatrices on the section ray.
+    """Signed gap between the saddle separatrices on dynamics.section_frame's
+    ray, the Poincare section of the census and the fold of cycles.
 
     The unstable branch is launched 1e-7 along its eigenvector toward the
-    focus side and integrated forward to the ray anchored at the focus-type
-    point (directed away from the saddle); the stable branch is integrated
-    backward.  The difference of the hit radii vanishes exactly on a
-    homoclinic loop and changes sign across it.
+    focus side and integrated forward to the ray; the stable branch is
+    integrated backward.  The difference of the hit radii vanishes exactly
+    on a homoclinic loop and changes sign across it.
     """
     return _splitting_once(a, 1e-7)
 
 
 def _splitting_once(a: Params, eps: float) -> float:
-    eq, ps, lu, ls, eu, es = _saddle_eigenframe(a)
-    c = np.array([float(eq.p_mp.u), float(eq.p_mp.v)])
-    pvec = np.array([float(ps.u), float(ps.v)])
-    d = c - pvec
-    d = d / np.linalg.norm(d)
-    probe = c + 1e-6 * d
-    f = vector_field((probe[0], probe[1]), a)
-    orient = 1 if (d[0] * f[1] - d[1] * f[0]) > 0 else -1
+    # the saddle first: a point without one raises SaddleMissing, which
+    # homoclinic_curve reads, before section_frame's DomainError
+    ps, lu, ls, eu, es = _saddle_eigenframe(a)
+    _, cu, cv, d0, d1, orient, _ = dynamics.section_frame(a)
+    pu, pv = float(ps.u), float(ps.v)
     t_cap = min(5e6, 400.0 + 60.0 * abs(math.log(eps)) / min(lu, -ls))
 
-    def hit(vec, sign_dir, time_sign):
-        x0 = pvec + sign_dir * eps * vec
+    def hit(vec, time_sign):
+        # each branch starts toward the focus side; launching along the ray
+        # instead takes half again as many kernel calls per homoclinic_F
+        e0, e1 = vec.tolist()
+        toward = 1.0 if e0 * (cu - pu) + e1 * (cv - pv) >= 0 else -1.0
         want = orient if time_sign > 0 else -orient
-        status, hits = kernels.ray_crossings(
-            x0[0], x0[1], a.k, a.F, c[0], c[1], d[0], d[1],
-            want, 1, t_cap, _CYCLE_CURVE_SETTINGS.rel_tol,
-            _CYCLE_CURVE_SETTINGS.abs_tol, 0.0, time_sign)
-        if not hits:
-            return None
-        return hits[0][1]
+        for sign_dir in (toward, -toward):
+            status, hits = kernels.ray_crossings(
+                pu + sign_dir * eps * e0, pv + sign_dir * eps * e1, a.k, a.F,
+                cu, cv, d0, d1, want, 1, t_cap, _CYCLE_CURVE_SETTINGS.rel_tol,
+                _CYCLE_CURVE_SETTINGS.abs_tol, 0.0, time_sign)
+            if hits:
+                return hits[0][1]
+        return None
 
-    toward = 1.0 if float(eu @ d) >= 0 else -1.0
-    s_u = hit(eu, toward, 1.0)
-    if s_u is None:
-        s_u = hit(eu, -toward, 1.0)
+    s_u = hit(eu, 1.0)
     if s_u is None:
         raise SectionMiss(f"unstable separatrix never met the section at {a}")
-    toward_s = 1.0 if float(es @ d) >= 0 else -1.0
-    s_s = hit(es, toward_s, -1.0)
-    if s_s is None:
-        s_s = hit(es, -toward_s, -1.0)
+    s_s = hit(es, -1.0)
     if s_s is None:
         raise SectionMiss(f"stable separatrix never met the section at {a}")
     return s_u - s_s

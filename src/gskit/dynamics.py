@@ -1,10 +1,11 @@
 """Trajectories, Poincare return maps, limit-cycle census, parameter-region
 classification, the manifold from infinity and phase portraits.
 
-The Poincare section used throughout is the ray anchored at the focus-type
-equilibrium, directed away from the saddle and perpendicular to the real
-part of the leading eigenvector; every closed orbit around the focus meets
-it transversally.
+The Poincare section used throughout is section_frame's ray, anchored at
+the focus-type equilibrium, directed away from the saddle and perpendicular
+to the real part of the leading eigenvector; every closed orbit around the
+focus meets it transversally.  The census, the fold of cycles and the
+homoclinic curve's separatrix splitting all measure their radii on it.
 """
 from __future__ import annotations
 
@@ -102,10 +103,11 @@ def section_frame(a: Params) -> tuple:
     the largest component of the eigenvector real, so its real part, and
     the norm, are nonzero.
 
-    The census, the LPC residual and cycle_at_radius build their frame
-    here, and their results depend on its last bits, so it keeps numpy's
-    eig and np.linalg.norm.  Normalizing the same eigenvector by math.sqrt
-    moves the third LPC point of the cycles benchmark (lpc_up/0) by 3e-4
+    The census, the LPC residual, cycle_at_radius and the separatrix
+    splitting (read only by its sign) build their frame here, and the
+    others depend on its last bits, so it keeps numpy's eig and
+    np.linalg.norm.  Normalizing the same eigenvector by math.sqrt moves
+    the third LPC point of the cycles benchmark (lpc_up/0) by 3e-4
     relative, far outside the 1e-6 tolerance of perfbench/reference.json:
     the LPC residual's g' is a finite difference limited by round-off.
     The map cell's closed-form frame (gskit._pure._probe_frame) moves the
@@ -378,14 +380,13 @@ def manifold_from_infinity(a: Params) -> tuple:
 # Portrait rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PortraitSpec:
-    width: int = 1000
-    height: int = 1000
-    window: tuple = ((0.0, 0.0), (1.05, 0.65))
-    seeds_per_side: int = 5
-    t_end: float = 3000.0
-    max_samples: int = 4000
+# the portrait layout: canvas px, data window, a grid of _SEEDS_PER_SIDE ** 2
+# seeds run to _T_END, each thinned by a stride to at most _MAX_SAMPLES
+_CANVAS_PX = 1000, 1000
+_WINDOW = (0.0, 0.0), (1.05, 0.65)
+_SEEDS_PER_SIDE = 5
+_T_END = 3000.0
+_MAX_SAMPLES = 4000
 
 # numpy's scalar repr around a float's repr: "np.float64(" and ")" under
 # numpy 2, empty under numpy 1.  Portrait CSV fields keep this spelling
@@ -402,7 +403,7 @@ EQ_COLORS = {
 }
 
 
-def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec()) -> tuple:
+def render_portrait(a: Params) -> tuple:
     """Deterministic phase portrait: (svg_text, csv_text, metadata).
 
     Fixed seed grid, arrowheads at a fixed arc fraction, equilibria colored
@@ -413,10 +414,10 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec()) -> tuple:
     """
     from .svgplot import SvgCanvas
 
-    (x0, y0), (x1, y1) = spec.window
-    canvas = SvgCanvas(spec.width, spec.height, spec.window)
+    (x0, y0), (x1, y1) = _WINDOW
+    canvas = SvgCanvas(*_CANVAS_PX, _WINDOW)
     csv_lines = ["trajectory,t,u,v"]
-    n = spec.seeds_per_side
+    n = _SEEDS_PER_SIDE
     seeds = []
     for i in range(n):
         for j in range(n):
@@ -424,10 +425,10 @@ def render_portrait(a: Params, spec: PortraitSpec = PortraitSpec()) -> tuple:
                                y0 + (y1 - y0) * (j + 0.5) / n))
     pre, post = _NP_REPR_PRE, _NP_REPR_POST
     for idx, s0 in enumerate(seeds):
-        traj = integrate(s0, a, spec.t_end, _PROBE_SETTINGS, record=True)
+        traj = integrate(s0, a, _T_END, _PROBE_SETTINGS, record=True)
         u, v, t = traj.u, traj.v, traj.t
-        if len(u) > spec.max_samples:
-            step = len(u) // spec.max_samples + 1
+        if len(u) > _MAX_SAMPLES:
+            step = len(u) // _MAX_SAMPLES + 1
             u, v, t = u[::step], v[::step], t[::step]
         canvas.polyline(u, v, color="#9bbcd9", width=0.8)
         # per-sample arithmetic and repr run on Python floats, several times

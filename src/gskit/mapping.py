@@ -40,9 +40,9 @@ def _classify_cell(args):
     k, F, fast = args
     if k <= 0 or F <= 0:
         return "outside"
+    if fast:
+        return dynamics.probe_region(k, F).id
     try:
-        if fast:
-            return dynamics.probe_region(k, F).id
         return dynamics.classify_region(Params(k, F)).id
     except GSKitError:
         return "x"

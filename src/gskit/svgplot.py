@@ -13,8 +13,7 @@ def _fmt(x: float) -> str:
 
 
 class SvgCanvas:
-    def __init__(self, width: int = 1000, height: int = 1000,
-                 window=((0.0, 0.0), (1.0, 1.0))):
+    def __init__(self, width: int, height: int, window):
         self.width = width
         self.height = height
         (self.x0, self.y0), (self.x1, self.y1) = window
@@ -43,15 +42,14 @@ class SvgCanvas:
         self.parts.append(f'<{tag} points="{pts}" fill="none" '
                           f'stroke="{color}" stroke-width="{_fmt(width)}"/>')
 
-    def circle(self, x: float, y: float, r_px: float, color: str,
-               stroke: str = "black"):
+    def circle(self, x: float, y: float, r_px: float, color: str):
         px, py = self.to_px(x, y)
         self.parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                          f'r="{_fmt(r_px)}" fill="{color}" stroke="{stroke}" '
+                          f'r="{_fmt(r_px)}" fill="{color}" stroke="black" '
                           f'stroke-width="0.5"/>')
 
     def arrow(self, x: float, y: float, dx: float, dy: float,
-              size_px: float = 6.0, color: str = "#3465a4"):
+              color: str = "#3465a4"):
         """Arrowhead at (x, y) pointing along (dx, dy) in data coordinates."""
         px, py = self.to_px(x, y)
         qx, qy = self.to_px(x + dx, y + dy)
@@ -61,10 +59,9 @@ class SvgCanvas:
             return
         vx, vy = vx / n, vy / n
         wx, wy = -vy, vx
-        p1 = (px - size_px * vx + 0.5 * size_px * wx,
-              py - size_px * vy + 0.5 * size_px * wy)
-        p2 = (px - size_px * vx - 0.5 * size_px * wx,
-              py - size_px * vy - 0.5 * size_px * wy)
+        s = 6.0    # the arrowhead's length in px
+        p1 = (px - s * vx + 0.5 * s * wx, py - s * vy + 0.5 * s * wy)
+        p2 = (px - s * vx - 0.5 * s * wx, py - s * vy - 0.5 * s * wy)
         self.parts.append(
             f'<polygon points="{_fmt(px)},{_fmt(py)} {_fmt(p1[0])},{_fmt(p1[1])} '
             f'{_fmt(p2[0])},{_fmt(p2[1])}" fill="{color}" stroke="none"/>')

@@ -58,7 +58,16 @@ def test_eq_domain_error_exit_2():
     ("eq", "--k", "1/0", "--F", "0.02"),
     ("map", "--grid", "200"),
     ("curves", "--which", "hopf", "--k-range", "0.07"),
-], ids=["number", "zero-denominator", "grid", "range"])
+    ("map", "--grid=-1x3"),
+    ("map", "--grid=3x-2"),
+    ("map", "--grid", "0x3"),
+    ("curves", "--which", "hopf", "--n=-1"),
+    ("continue", "--curve", "homoclinic", "--n=-1"),
+    ("continue", "--curve", "hopf", "--direction", "0"),
+    ("continue", "--curve", "hopf", "--direction", "2"),
+], ids=["number", "zero-denominator", "grid", "range", "grid-negative-k",
+        "grid-negative-F", "grid-zero", "curves-negative-n",
+        "continue-negative-n", "direction-zero", "direction-two"])
 def test_malformed_input_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gskit import bautin, continuation, dynamics
+from gskit import bautin, continuation, dynamics, kernels
 from gskit.continuation import (continue_curve, fold_seed, homoclinic_F,
                                 homoclinic_curve, hopf_seed, lpc_bracket,
                                 lpc_curve, lpc_seed_from_region3, newton_bt,
@@ -206,6 +206,32 @@ def test_separatrix_splitting_offset_halving():
     assert abs(gap - continuation._splitting_once(a, 1e-7 / 2)) <= 1e-6
 
 
+# homoclinic_F(k) at criterion 8's k grid, np.linspace(0.058, 0.0624, 8):
+# (F, bracket width).  The bisection reads only the sign of the splitting
+# gap, so the section ray it is measured on does not show in these bits.
+HOMOCLINIC_AT_CRITERION_8 = [
+    (0.04122681736258436, 7.002042987092061e-09),
+    (0.04283241031352605, 6.4681424521984e-09),
+    (0.04457235841431756, 5.892954901831615e-09),
+    (0.04648506181577503, 5.263894833906768e-09),
+    (0.048633670759755304, 9.120341433466184e-09),
+    (0.05113708985921738, 7.48492108570975e-09),
+    (0.05428209201723434, 9.05150718960579e-09),
+    (0.05953757480527115, 6.58680069515194e-09),
+]
+
+
+def test_homoclinic_F_bits_on_each_backend():
+    backend = kernels.get_backend()
+    try:
+        for name in kernels.available_backends():
+            kernels._use_backend(name)
+            got = [homoclinic_F(float(k)) for k in np.linspace(0.058, 0.0624, 8)]
+            assert got == HOMOCLINIC_AT_CRITERION_8, name
+    finally:
+        kernels._use_backend(backend)
+
+
 def test_separatrix_requires_saddle():
     with pytest.raises(SaddleMissing):
         separatrix_splitting(Params(0.07, 0.02))
@@ -317,20 +343,22 @@ def test_lpc_bracket_checks_its_two_cycle_point():
 
 @pytest.mark.parametrize("error", [DomainError, NotOnHopfCurve, RuntimeError])
 def test_l1_test_failures(monkeypatch, error):
-    # the Lyapunov-coefficient test function reads a toolkit error of
-    # bautin as undefined; any other error is a bug and propagates
+    # the Lyapunov-coefficient test function screens out what bautin would
+    # reject (k, F <= 0 and real eigenvalues, on the same floats) and reads
+    # them as undefined; an error of bautin past that screen is a bug and
+    # propagates, toolkit errors included
     z = hopf_seed(0.03)
     assert continuation._l1_test(z) is not None
+    u, v, k, F = z.tolist()
+    assert continuation._l1_test(np.array([u, v, k, -F])) is None
+    assert continuation._l1_test(np.array([0.5, 0.25, 1 / 16, 1 / 16])) is None
 
     def l1(pt, a):
         raise error("l1 failed")
 
     monkeypatch.setattr(bautin, "_l1_extended", l1)
-    if error is RuntimeError:
-        with pytest.raises(RuntimeError, match="l1 failed"):
-            continuation._l1_test(z)
-    else:
-        assert continuation._l1_test(z) is None
+    with pytest.raises(error, match="l1 failed"):
+        continuation._l1_test(z)
 
 
 def test_bracket_not_found_reported():

@@ -310,9 +310,8 @@ def test_compactified_portrait_report():
 
 def test_render_portrait_deterministic():
     a = Params(0.07, 0.02)
-    spec = dynamics.PortraitSpec(seeds_per_side=3, t_end=400.0)
-    svg1, csv1, meta1 = dynamics.render_portrait(a, spec)
-    svg2, csv2, meta2 = dynamics.render_portrait(a, spec)
+    svg1, csv1, meta1 = dynamics.render_portrait(a)
+    svg2, csv2, meta2 = dynamics.render_portrait(a)
     assert svg1 == svg2
     assert csv1 == csv2
     assert meta1 == meta2
@@ -323,9 +322,7 @@ def test_render_portrait_deterministic():
 def test_render_portrait_two_nested_cycles():
     k = 0.034
     a = Params(k, float(hopf_F(k)) - 2e-6)
-    spec = dynamics.PortraitSpec(seeds_per_side=2, t_end=200.0,
-                                 window=((0.0, 0.0), (1.05, 0.4)))
-    svg, _, meta = dynamics.render_portrait(a, spec)
+    svg, _, meta = dynamics.render_portrait(a)
     assert len(meta["cycles"]) == 2
     stable_stroke = svg.count('stroke="#1a5fb4"')
     unstable_stroke = svg.count('stroke="#a51d2d"')
@@ -334,8 +331,7 @@ def test_render_portrait_two_nested_cycles():
 
 def test_render_portrait_single_attractor_outside():
     a = Params(0.07, 0.02)
-    svg, _, meta = dynamics.render_portrait(
-        a, dynamics.PortraitSpec(seeds_per_side=2, t_end=300.0))
+    svg, _, meta = dynamics.render_portrait(a)
     assert meta["cycles"] == []
     assert len(meta["equilibria"]) == 1
 
@@ -345,14 +341,12 @@ def test_render_portrait_same_bytes_on_each_backend():
     # cycles included
     k = 0.034
     a = Params(k, float(hopf_F(k)) - 2e-6)
-    spec = dynamics.PortraitSpec(seeds_per_side=2, t_end=400.0,
-                                 window=((0.0, 0.0), (1.05, 0.4)))
     backend = kernels.get_backend()
     try:
         outputs = {}
         for name in kernels.available_backends():
             kernels._use_backend(name)
-            svg, csv_text, meta = dynamics.render_portrait(a, spec)
+            svg, csv_text, meta = dynamics.render_portrait(a)
             outputs[name] = (svg, csv_text)
     finally:
         kernels._use_backend(backend)
@@ -371,11 +365,11 @@ def test_render_portrait_csv_fields_are_numpy_scalar_reprs(monkeypatch):
                                    status=kernels.OK)
 
     monkeypatch.setattr(dynamics, "integrate", integrate)
-    spec = dynamics.PortraitSpec(seeds_per_side=1, t_end=1.0)
-    _, csv_text, _ = dynamics.render_portrait(Params(0.07, 0.02), spec)
+    _, csv_text, _ = dynamics.render_portrait(Params(0.07, 0.02))
     rows = [line.split(",") for line in csv_text.splitlines()[1:]]
-    assert rows == [["0", repr(np.float64(t)), repr(np.float64(u)),
+    assert rows == [[str(idx), repr(np.float64(t)), repr(np.float64(u)),
                      repr(np.float64(v))]
+                    for idx in range(dynamics._SEEDS_PER_SIDE ** 2)
                     for t, u, v in zip(values, values, values[::-1])]
 
 
@@ -388,12 +382,11 @@ def test_render_portrait_census_failures(monkeypatch, error):
 
     monkeypatch.setattr(dynamics, "limit_cycle_census", census)
     a = Params(0.034, float(hopf_F(0.034)) - 2e-6)
-    spec = dynamics.PortraitSpec(seeds_per_side=1, t_end=10.0)
     if error is RuntimeError:
         with pytest.raises(RuntimeError, match="census failed"):
-            dynamics.render_portrait(a, spec)
+            dynamics.render_portrait(a)
     else:
-        assert dynamics.render_portrait(a, spec)[2]["cycles"] == []
+        assert dynamics.render_portrait(a)[2]["cycles"] == []
 
 
 def test_fast_map_csv_pinned(criterion_map):

@@ -11,7 +11,15 @@ itself.  The functions of private modules (`_pure`, which `kernels` reaches
 through `_impl`), the top-level classes and the methods are matched by name
 alone, so a caller of one method of a name counts for every method of that
 name.  Uses inside a definition itself (recursion, methods) do not count.
-Every name that perfbench/spans.py traces must exist."""
+Every name that perfbench/spans.py traces must exist.
+
+The same holds for parameters: every defaulted parameter of a public
+function or method, of a public class's constructor and every defaulted
+field of a public dataclass is passed, by position or by keyword, by some
+call in the package or in the benchmark.  A default that no caller
+overrides is a constant.  Calls resolve as uses do above, and
+`workloads._attempt(out, key, fn, *args, **kwargs)` counts as a call of
+fn."""
 import ast
 import os
 import subprocess
@@ -34,13 +42,11 @@ def _bare_names(node) -> Counter:
     return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
 
 
-def _module_uses(tree) -> Counter:
-    """How often tree uses each (gskit module, top-level name): as an
-    attribute of a name bound to the module by `from . import <module>`,
-    `from gskit import <module>` or `import gskit.<module>` (used as
-    gskit.<module>.<name>), or imported by `from .<module> import <name>`
-    or `from gskit.<module> import <name>`."""
-    aliases, uses = {}, Counter()
+def _imports(tree) -> tuple:
+    """({alias: gskit module} bound by `from . import <module>` or
+    `from gskit import <module>`, [(gskit module, name)] imported by
+    `from .<module> import <name>` or `from gskit.<module> import <name>`)."""
+    aliases, names = {}, []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -51,18 +57,37 @@ def _module_uses(tree) -> Counter:
             module = module[len("gskit."):]
         for alias in node.names:
             if module:
-                uses[module, alias.name] += 1
+                names.append((module, alias.name))
             else:
                 aliases[alias.asname or alias.name] = alias.name
+    return aliases, names
+
+
+def _module_of(node, aliases):
+    """The gskit module of the attribute node's base, `<alias>.<name>` or
+    `gskit.<module>.<name>`, else None."""
+    base = node.value
+    if isinstance(base, ast.Name):
+        return aliases.get(base.id)
+    if (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+            and base.value.id == "gskit"):
+        return base.attr
+    return None
+
+
+def _module_uses(tree) -> Counter:
+    """How often tree uses each (gskit module, top-level name): as an
+    attribute of a name bound to the module by `from . import <module>`,
+    `from gskit import <module>` or `import gskit.<module>` (used as
+    gskit.<module>.<name>), or imported by `from .<module> import <name>`
+    or `from gskit.<module> import <name>`."""
+    aliases, names = _imports(tree)
+    uses = Counter(names)
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute):
-            continue
-        base = node.value
-        if isinstance(base, ast.Name) and base.id in aliases:
-            uses[aliases[base.id], node.attr] += 1
-        elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
-              and base.value.id == "gskit"):
-            uses[base.attr, node.attr] += 1
+        if isinstance(node, ast.Attribute):
+            module = _module_of(node, aliases)
+            if module:
+                uses[module, node.attr] += 1
     return uses
 
 
@@ -107,6 +132,132 @@ def test_every_public_definition_has_a_caller():
     unused = _unused_definitions(sorted((ROOT / "src" / "gskit").glob("*.py")),
                                  sorted((ROOT / "perfbench").glob("*.py")))
     assert not unused, f"public names without a caller in src/gskit or perfbench/: {unused}"
+
+
+def _calls(path, tree):
+    """(key, positional, keywords) of each call in tree: key the callee's
+    (gskit module, name) where it resolves to a module's top-level function
+    (a bare name in the module path itself), else (None, name); positional
+    the number of positional arguments, None after a starred one (any
+    number); keywords the names passed by keyword."""
+    aliases, names = _imports(tree)
+    imported = {name: module for module, name in names}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "_attempt":
+            func, args = args[2], args[3:]
+        if isinstance(func, ast.Name):
+            name = func.id
+            module = imported.get(name, path.stem)
+        elif isinstance(func, ast.Attribute):
+            name, module = func.attr, _module_of(func, aliases)
+        else:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        positional = None if starred else len(args)
+        keywords = {k.arg for k in node.keywords if k.arg}
+        yield (module, name), positional, keywords
+        yield (None, name), positional, keywords
+
+
+def _defaulted(node) -> list:
+    """(index, name) of the defaulted parameters of a function node; index
+    counts the positional parameters after self, None for keyword-only ones."""
+    a = node.args
+    params = a.posonlyargs + a.args
+    skip = 1 if params and params[0].arg == "self" else 0
+    first = len(params) - len(a.defaults)
+    out = [(i - skip, params[i].arg) for i in range(first, len(params))]
+    out += [(None, arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _fields(node) -> list:
+    """(index, name) of the defaulted fields of a dataclass node, else []."""
+    if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+        return []
+    fields = [n for n in node.body
+              if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+
+
+def _defaulted_parameters(path, tree):
+    """(qualified parameter name, call key, index, name) of each defaulted
+    parameter the rule covers in a source module."""
+    public_module = not path.stem.startswith("_")
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            key = (path.stem if public_module else None, node.name)
+            for i, name in _defaulted(node):
+                yield f"{path.stem}.{node.name}({name})", key, i, name
+        elif isinstance(node, ast.ClassDef):
+            for i, name in _fields(node):
+                yield f"{path.stem}.{node.name}.{name}", (None, node.name), i, name
+            for m in node.body:
+                if not isinstance(m, ast.FunctionDef):
+                    continue
+                if m.name == "__init__":
+                    key = (None, node.name)
+                elif not m.name.startswith("_"):
+                    key = (None, m.name)
+                else:
+                    continue
+                for i, name in _defaulted(m):
+                    yield f"{path.stem}.{node.name}.{m.name}({name})", key, i, name
+
+
+def _unpassed_parameters(src: list, bench: list) -> list:
+    """Qualified names of the defaulted parameters in the src modules that
+    no call in src or bench passes."""
+    trees = {p: ast.parse(p.read_text()) for p in src + bench}
+    calls = {}
+    for p, tree in trees.items():
+        for key, positional, keywords in _calls(p, tree):
+            calls.setdefault(key, []).append((positional, keywords))
+    unpassed = []
+    for path in src:
+        for qualname, key, index, name in _defaulted_parameters(path, trees[path]):
+            if not any(name in keywords or (index is not None and (
+                           positional is None or positional > index))
+                       for positional, keywords in calls.get(key, [])):
+                unpassed.append(qualname)
+    return unpassed
+
+
+# defaulted parameters that no call in the package passes, with the reason
+PARAMETERS_WITHOUT_A_CALLER = {
+    "cli.main(argv)": "the console entry point (gskit = gskit.cli:main) calls main()",
+    "kernels.ray_crossings(escape_sum)": "the map cell sets its escape region inside "
+                                         "probe_cell; the probe oracle of "
+                                         "tests/reference.py drives it from Python",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = _unpassed_parameters(sorted((ROOT / "src" / "gskit").glob("*.py")),
+                                    sorted((ROOT / "perfbench").glob("*.py")))
+    assert sorted(unpassed) == sorted(PARAMETERS_WITHOUT_A_CALLER), (
+        f"defaulted parameters that no call in src/gskit or perfbench/ passes: "
+        f"{sorted(set(unpassed) - set(PARAMETERS_WITHOUT_A_CALLER))}")
+
+
+def test_unpassed_parameters_are_found(tmp_path):
+    # the check itself: a default passed by no call is reported, and one
+    # passed through _attempt, by position or by keyword, is not
+    src, bench = tmp_path / "mod.py", tmp_path / "workloads.py"
+    src.write_text("def f(x, y=1, *, z=2):\n    return x\n\n"
+                   "class C:\n    def m(self, a=0):\n        return a\n")
+    bench.write_text("from gskit import mod\nmod.f(1)\nmod.C().m()\n")
+    assert _unpassed_parameters([src], [bench]) == ["mod.f(y)", "mod.f(z)", "mod.C.m(a)"]
+    bench.write_text("from gskit import mod\n_attempt(out, 'f', mod.f, 1, 2, z=3)\n"
+                     "mod.C().m(4)\n")
+    assert _unpassed_parameters([src], [bench]) == []
 
 
 def test_traced_names_exist():
