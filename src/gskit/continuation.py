@@ -6,7 +6,10 @@ Equilibrium curves (fold, Hopf/neutral-saddle) live in the extended space
 Newton corrector orthogonal to the tangent on the closed-form Jacobian,
 adaptive step control, and test functions located by on-curve bisection
 that ends at the secant root of the last bracket (determinant -> double-zero
-point, first Lyapunov coefficient -> generalized Hopf).
+point, first Lyapunov coefficient -> generalized Hopf).  The engine runs
+on Python floats and keeps two numpy calls whose bits pinned outputs read:
+the SVD null vector of the first two tangents (the LPC runs) and the norm
+of the secant tangent (the CLI's curve CSVs).
 
 Cycles are continued through their Poincare return map: a fold of cycles is
 the pair {displacement = 0, radial derivative = 0} in (radius, k, F).  The
@@ -60,28 +63,59 @@ class CurveResult:
 # Generic pseudo-arclength engine on R(z) = 0, z in R^n, R in R^{n-1}
 #
 # A problem is one callable, problem(z) -> (R(z), jac), where jac() returns
-# the Jacobian dR/dz at z.  The Jacobian is deferred so that a Newton
-# iteration that has already converged does not pay for it.
+# the rows of the Jacobian dR/dz at z.  The Jacobian is deferred so that a
+# Newton iteration that has already converged does not pay for it.  Points,
+# tangents and residuals are Python floats: at n = 3 or 4, numpy's per-call
+# cost would be most of a correction step.
 # ---------------------------------------------------------------------------
 
 def _fd_jacobian(res, z, f0, eps):
-    n = z.size
-    m = f0.size
-    J = np.empty((m, n))
-    for j in range(n):
-        h = eps * max(1.0, abs(z[j]))
-        zp = z.copy()
-        zp[j] += h
-        J[:, j] = (res(zp) - f0) / h
-    return J
+    cols = []
+    for j, zj in enumerate(z):
+        h = eps * max(1.0, abs(zj))
+        zp = [*z[:j], zj + h, *z[j + 1:]]
+        cols.append([(a - b) / h for a, b in zip(res(zp), f0)])
+    return tuple(zip(*cols))
+
+
+def _solve(rows, b):
+    """x with rows x = b by Gaussian elimination with partial pivoting, or
+    None at a zero pivot."""
+    m = [[*row, bi] for row, bi in zip(rows, b)]
+    n = len(m)
+    for c in range(n):
+        col = [abs(row[c]) for row in m[c:]]
+        p = c + col.index(max(col))
+        pivot = m[p]
+        d = pivot[c]
+        if d == 0:
+            return None
+        m[c], m[p] = pivot, m[c]
+        for row in m[c + 1:]:
+            q = row[c] / d
+            for j in range(c + 1, n + 1):
+                row[j] -= q * pivot[j]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        s = m[i][n]
+        for j in range(i + 1, n):
+            s -= m[i][j] * x[j]
+        x[i] = s / m[i][i]
+    return x
 
 
 def _tangent(jac, prev=None):
-    _, _, vt = np.linalg.svd(jac)
-    t = vt[-1]
+    t = np.linalg.svd(jac)[2][-1]
     if prev is not None and float(t @ prev) < 0:
         t = -t
-    return t / np.linalg.norm(t)
+    return (t / np.linalg.norm(t)).tolist()
+
+
+def _secant(za, zb):
+    # numpy's norm: no Python sum order gives its BLAS dot product's bits
+    d = [b - a for a, b in zip(za, zb)]
+    n = float(np.linalg.norm(d))
+    return [x / n for x in d]
 
 
 @dataclass(frozen=True)
@@ -91,7 +125,12 @@ class _Engine:
     Every problem takes at most 8 Newton corrections per step, shrinks a
     failed step by 0.4 down to 1e-10, and grows the step by 1.4 after a
     correction of at most 3 iterations.  direction=+1 starts the curve the
-    way coordinate z[rising] increases."""
+    way coordinate z[rising] increases.
+
+    It runs on Python floats.  numpy keeps the SVD null vector of the first
+    two tangents and the secant tangent's norm: the LPC runs (a round-off-
+    limited g', see dynamics.section_frame) and the CLI's curve CSVs pin
+    their bits."""
 
     ds0: float
     ds_max: float
@@ -104,95 +143,71 @@ class _Engine:
         """Newton on [R(z); t.(z - z_pred)] = 0, starting from known =
         problem(z_pred) when the caller has it.  Returns (z, iterations,
         jac), jac the Jacobian thunk of problem(z), or None."""
-        n = z_pred.size
-        A = np.empty((n, n))
-        A[-1] = t
-        g = np.empty(n)
-        z = z_pred.copy()
+        z = z_pred
         for it in range(8):
             f, jac = known or problem(z)
             known = None
-            g[:-1] = f
-            g[-1] = t @ (z - z_pred)
-            if np.max(np.abs(f)) < self.corrector_tol and abs(g[-1]) < 1e-12:
+            last = sum(ti * (zi - pi) for ti, zi, pi in zip(t, z, z_pred))
+            if max(map(abs, f)) < self.corrector_tol and abs(last) < 1e-12:
                 return z, it, jac
-            A[:-1] = jac()
-            try:
-                dz = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
+            dz = _solve((*jac(), t), [*f, last])
+            if dz is None:
                 return None
-            z = z + dz
-            if not np.all(np.isfinite(z)):
+            z = [zi - di for zi, di in zip(z, dz)]
+            if not all(map(math.isfinite, z)):
                 return None
         f, jac = problem(z)
-        if np.max(np.abs(f)) < self.corrector_tol:
-            return z, 8, jac
-        return None
+        return (z, 8, jac) if max(map(abs, f)) < self.corrector_tol else None
 
     def bisect_event(self, problem, fn, za, fa, zb, fb):
-        """Refine a sign change of the test function fn between on-curve
-        points za, zb (values fa, fb) until their (k, F) coordinates agree
-        to 1e-9 (at most 80 halvings).  The event is the secant root of the
-        last bracket."""
+        """Refine a sign change of the test function fn between on-curve points
+        za, zb (values fa, fb) until their (k, F) agree to 1e-9 (at most 80
+        halvings).  The event is the secant root of the last bracket."""
         for _ in range(80):
-            gap = max(abs(za[i] - zb[i]) for i in (2, 3))
-            if gap < 1e-9:
+            if max(abs(za[i] - zb[i]) for i in (2, 3)) < 1e-9:
                 break
-            zm_pred = 0.5 * (za + zb)
-            t = zb - za
-            n = np.linalg.norm(t)
-            if n == 0:
-                break
-            t = t / n
-            sol = self.correct(problem, zm_pred, t)
-            if sol is None:
-                break
-            zm = sol[0]
-            fm = fn(zm)
-            if fm is None or not np.isfinite(fm):
+            zm_pred = [0.5 * (a + b) for a, b in zip(za, zb)]
+            sol = self.correct(problem, zm_pred, _secant(za, zb))
+            fm = None if sol is None else fn(sol[0])
+            if fm is None or not math.isfinite(fm):
                 break
             if (fa < 0) == (fm < 0):
-                za, fa = zm, fm
+                za, fa = sol[0], fm
             else:
-                zb, fb = zm, fm
-        return za + fa / (fa - fb) * (zb - za)
+                zb, fb = sol[0], fm
+        s = fa / (fa - fb)
+        return [a + s * (b - a) for a, b in zip(za, zb)]
 
     def run(self, kind, problem, z0, make_point, test_functions, domain_ok,
             direction=1.0):
         # the seed's residual and Jacobian serve its check, its tangent and
         # Newton's first iteration; a corrected point's serve its tangent
+        z0 = [float(x) for x in z0]
         f0, jac0 = problem(z0)
-        if np.max(np.abs(f0)) > self.seed_residual_max:
-            raise SeedInvalid(f"seed residual {np.max(np.abs(f0)):.2e} for {kind}")
+        if max(map(abs, f0)) > self.seed_residual_max:
+            raise SeedInvalid(f"seed residual {max(map(abs, f0)):.2e} for {kind}")
         J0 = jac0()
-        sol = self.correct(problem, z0.copy(), _tangent(J0), known=(f0, lambda: J0))
+        sol = self.correct(problem, z0, _tangent(J0), known=(f0, lambda: J0))
         if sol is None:
             raise SeedInvalid(f"seed failed to correct for {kind}")
         z, _, jac = sol
         t = _tangent(jac())
-        if t[self.rising] < 0:
-            t = -t
-        t = t * direction
+        t = [x * (direction if t[self.rising] >= 0 else -direction) for x in t]
         points = [make_point(z, t, 0.0)]
         events = []
         ds = self.ds0
         tests = {name: fn(z) for name, fn, _terminal in test_functions}
         status = "max_points"
         while len(points) < self.max_points:
-            accepted = None
-            while True:
-                z_pred = z + ds * t
-                sol = self.correct(problem, z_pred, t)
-                if sol is not None:
-                    accepted = sol
-                    break
+            while (sol := self.correct(
+                    problem, [zi + ds * ti for zi, ti in zip(z, t)], t)) is None:
                 ds *= 0.4
                 if ds < 1e-10:
-                    status = "step_underflow"
                     break
-            if accepted is None:
+            if sol is None:
+                status = "step_underflow"
                 break
-            z_new, iters, jac_new = accepted
+            z_new, iters, jac_new = sol
             # leave the domain before looking for events: the fold's trace
             # vanishes where the curve meets the origin k = F = 0, and an
             # event located there has no valid Params
@@ -200,35 +215,27 @@ class _Engine:
                 status = "domain_exit"
                 break
             # test functions: bisect sign changes before committing
-            stop = False
             for name, fn, terminal in test_functions:
                 old = tests.get(name)
                 new = fn(z_new)
                 if (old is not None and new is not None
-                        and np.isfinite(old) and np.isfinite(new)
+                        and math.isfinite(old) and math.isfinite(new)
                         and (old < 0) != (new < 0)):
-                    z_ev = self.bisect_event(problem, fn, z.copy(), old,
-                                             z_new.copy(), new)
+                    z_ev = self.bisect_event(problem, fn, z, old, z_new, new)
                     pt = make_point(z_ev, t, ds)
                     events.append(CurveEvent(name=name, params=pt.params))
                     if terminal:
                         points.append(pt)
-                        stop = True
+                        status = "event"
                 tests[name] = new
-            if stop:
-                status = "event"
+            if status == "event":
                 break
-            if len(points) >= 2:
-                t_new = z_new - z
-                t_new = t_new / np.linalg.norm(t_new)
-            else:
-                t_new = _tangent(jac_new(), prev=t)
+            t_new = (_secant(z, z_new) if len(points) >= 2
+                     else _tangent(jac_new(), prev=t))
             points.append(make_point(z_new, t_new, ds))
             z, t = z_new, t_new
             if iters <= 3:
                 ds = min(ds * 1.4, self.ds_max)
-        else:
-            status = "max_points"
         return CurveResult(kind=kind, points=points, events=events, status=status)
 
 
@@ -241,27 +248,25 @@ _EQUILIBRIUM_ENGINE = _Engine(ds0=2e-3, ds_max=5e-3, corrector_tol=1e-10,
 # Equilibrium curve problems
 # ---------------------------------------------------------------------------
 
-# Each problem unpacks z into Python floats once (numpy scalar arithmetic
-# costs several times more at this size) and returns its residual with
-# rows of core.extended_jacobian.  Correction steps may probe k, F <= 0, so
-# nothing here builds a Params.
+# Each problem returns its residual with rows of core.extended_jacobian.
+# Correction steps may probe k, F <= 0, so nothing here builds a Params.
 
 def _fold_problem(z):
     """Fold curve {f = 0, det = 0}; det = (F + v^2)(F + k) - 2uvF."""
-    (f1, f2, _, det), (g1, g2, _, g_det) = extended_jacobian(*z.tolist())
-    return np.array([f1, f2, det]), lambda: np.array([g1, g2, g_det])
+    (f1, f2, _, det), (g1, g2, _, g_det) = extended_jacobian(*z)
+    return (f1, f2, det), lambda: (g1, g2, g_det)
 
 
 def _hopf_problem(z):
     """Hopf curve {f = 0, trace = 0}; trace = 2uv - v^2 - 2F - k."""
-    (f1, f2, tr, _), (g1, g2, g_tr, _) = extended_jacobian(*z.tolist())
-    return np.array([f1, f2, tr]), lambda: np.array([g1, g2, g_tr])
+    (f1, f2, tr, _), (g1, g2, g_tr, _) = extended_jacobian(*z)
+    return (f1, f2, tr), lambda: (g1, g2, g_tr)
 
 
 def _equilibrium_point(z, t, ds) -> CurvePoint:
-    u, v, k, F = z.tolist()
+    u, v, k, F = z
     return CurvePoint(params=Params(k, F), aux={"u": u, "v": v},
-                      tangent=tuple(t.tolist()), arc_step=float(ds))
+                      tangent=tuple(t), arc_step=float(ds))
 
 
 def hopf_seed(k0: float) -> np.ndarray:
@@ -273,13 +278,12 @@ def hopf_seed(k0: float) -> np.ndarray:
 def fold_seed(k0: float, branch: str = "lower") -> np.ndarray:
     up, lo = saddle_node_F(k0)
     F0 = float(up if branch == "upper" else lo)
-    a = Params(k0, F0)
-    g = float(a.gamma)
+    g = float(Params(k0, F0).gamma)
     return np.array([0.5, 1.0 / (2.0 * g), float(k0), F0])
 
 
 def _l1_test(z):
-    u, v, k, F = z.tolist()
+    u, v, k, F = z
     if k <= 0 or F <= 0:
         return None
     tr, det = trace_det(uv_jacobian(u, v, k, F))
@@ -291,11 +295,11 @@ def _l1_test(z):
 
 
 def _det_test(z):
-    return trace_det(uv_jacobian(*z.tolist()))[1]
+    return trace_det(uv_jacobian(*z))[1]
 
 
 def _trace_test(z):
-    return trace_det(uv_jacobian(*z.tolist()))[0]
+    return trace_det(uv_jacobian(*z))[0]
 
 
 def continue_curve(kind: str, seed, *, direction: float = 1.0,
@@ -312,13 +316,13 @@ def continue_curve(kind: str, seed, *, direction: float = 1.0,
     if kind == "fold":
         tests = [("bt_trace", _trace_test, True)] if detect_events else []
         return _EQUILIBRIUM_ENGINE.run(
-            "fold", _fold_problem, np.asarray(seed, float), _equilibrium_point, tests,
+            "fold", _fold_problem, seed, _equilibrium_point, tests,
             lambda z: z[2] > 1e-4 and z[3] > 1e-6 and z[1] > 0, direction)
     if kind == "hopf":
         tests = ([("bt_det", _det_test, True), ("gh_l1", _l1_test, False)]
                  if detect_events else [])
         return _EQUILIBRIUM_ENGINE.run(
-            "hopf", _hopf_problem, np.asarray(seed, float), _equilibrium_point, tests,
+            "hopf", _hopf_problem, seed, _equilibrium_point, tests,
             lambda z: z[2] > 1e-4 and z[3] > 1e-7, direction)
     raise ValueError(f"unknown curve kind {kind!r}")
 
@@ -338,18 +342,15 @@ def _lpc_problem():
 
     def res(z):
         r, k, F = z
-        a = Params(float(k), float(F))
-        key = (round(float(k), 14), round(float(F), 14))
-        frame = cache.get(key)
-        if frame is None:
-            frame = dynamics.section_frame(a)
-            cache[key] = frame
+        a = Params(k, F)
+        key = (round(k, 14), round(F, 14))
+        if key not in cache:
+            cache[key] = dynamics.section_frame(a)
+        frame = cache[key]
         def g(rr):
             return dynamics.return_map(a, rr, frame, _CYCLE_CURVE_SETTINGS)[0] - rr
         dr = 1e-6 * max(abs(r), 1e-3)
-        g0 = g(r)
-        gp = (g(r + dr) - g(r - dr)) / (2 * dr)
-        return np.array([g0, gp])
+        return g(r), (g(r + dr) - g(r - dr)) / (2 * dr)
 
     def problem(z):
         f = res(z)
@@ -419,35 +420,32 @@ def lpc_curve(seed, *, max_points: int = 120, k_bounds: tuple = (5e-3, 9 / 256),
 
     def make_point(z, t, ds):
         r, k, F = z
-        return CurvePoint(params=Params(float(k), float(F)),
-                          aux={"radius": float(r)},
-                          tangent=tuple(float(x) for x in t),
-                          arc_step=float(ds))
+        return CurvePoint(params=Params(k, F), aux={"radius": r},
+                          tangent=tuple(t), arc_step=float(ds))
 
-    return engine.run("lpc", _lpc_problem(), np.asarray(seed, float),
-                      make_point, [],
-                      lambda z: (z[0] > 1e-7 and k_bounds[0] < z[1] < k_bounds[1]
-                                 and z[2] > 1e-7),
-                      direction=direction)
+    return engine.run("lpc", _lpc_problem(), seed, make_point, [],
+                      lambda z: (z[0] > 1e-7 and z[2] > 1e-7
+                                 and k_bounds[0] < z[1] < k_bounds[1]), direction)
 
 
 # ---------------------------------------------------------------------------
 # Separatrix splitting and the homoclinic curve
 # ---------------------------------------------------------------------------
 
-def _saddle_eigenframe(a: Params):
-    eq = equilibria(a)
+def _saddle_eigenframe(a: Params, eq) -> tuple:
+    """(saddle, lu, ls, eu, es) of eq = equilibria(a): eigenvalues lu > 0 > ls
+    and unit eigenvectors (j12, lambda - j11), j12 = -2uv < 0, closed form."""
     if eq.kind != "pair":
         raise SaddleMissing(f"no saddle at {a}")
     ps = eq.p_pm
-    w, vecs = np.linalg.eig(np.array(jacobian(ps, a), float))
-    w = w.real
-    iu, is_ = (0, 1) if w[0] >= w[1] else (1, 0)
-    if not (w[iu] > 0 > w[is_]):
-        raise SaddleMissing(f"eigenvalues {w} at {a} are not of saddle type")
-    eu = vecs[:, iu].real
-    es = vecs[:, is_].real
-    return ps, w[iu], w[is_], eu / np.linalg.norm(eu), es / np.linalg.norm(es)
+    (j11, j12), (j21, j22) = ((float(x) for x in row) for row in jacobian(ps, a))
+    h, det = 0.5 * (j11 + j22), j11 * j22 - j12 * j21
+    if not det < 0:
+        raise SaddleMissing(f"determinant {det} at {a} is not of saddle type")
+    big = h + math.copysign(math.sqrt(h * h - det), h)
+    lu, ls = (big, det / big) if big > 0 else (det / big, big)
+    n_u, n_s = (math.sqrt(j12 * j12 + (lam - j11) ** 2) for lam in (lu, ls))
+    return ps, lu, ls, (j12 / n_u, (lu - j11) / n_u), (j12 / n_s, (ls - j11) / n_s)
 
 
 def separatrix_splitting(a: Params) -> float:
@@ -465,15 +463,16 @@ def separatrix_splitting(a: Params) -> float:
 def _splitting_once(a: Params, eps: float) -> float:
     # the saddle first: a point without one raises SaddleMissing, which
     # homoclinic_curve reads, before section_frame's DomainError
-    ps, lu, ls, eu, es = _saddle_eigenframe(a)
-    _, cu, cv, d0, d1, orient, _ = dynamics.section_frame(a)
+    eq = equilibria(a)
+    ps, lu, ls, eu, es = _saddle_eigenframe(a, eq)
+    _, cu, cv, d0, d1, orient, _ = dynamics._section_frame(a, eq)
     pu, pv = float(ps.u), float(ps.v)
     t_cap = min(5e6, 400.0 + 60.0 * abs(math.log(eps)) / min(lu, -ls))
 
     def hit(vec, time_sign):
         # each branch starts toward the focus side; launching along the ray
         # instead takes half again as many kernel calls per homoclinic_F
-        e0, e1 = vec.tolist()
+        e0, e1 = vec
         toward = 1.0 if e0 * (cu - pu) + e1 * (cv - pv) >= 0 else -1.0
         want = orient if time_sign > 0 else -orient
         for sign_dir in (toward, -toward):

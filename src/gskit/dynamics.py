@@ -114,7 +114,11 @@ def section_frame(a: Params) -> tuple:
     radius pinned in test_census_pinned by 8 ulp and both LPC runs of that
     benchmark.
     """
-    eq = equilibria(a)
+    return _section_frame(a, equilibria(a))
+
+
+def _section_frame(a: Params, eq) -> tuple:
+    """section_frame(a) on eq = equilibria(a), which the caller has."""
     if eq.kind != "pair":
         raise DomainError(f"no pair of nontrivial equilibria at {a}")
     k, F = a.k, a.F

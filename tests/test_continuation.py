@@ -73,12 +73,12 @@ def test_equilibrium_jacobians_match_central_differences(problem):
     h = 1e-6
     for _ in range(40):
         z = rng.uniform([-0.2, -0.2, -0.01, -0.01], [1.2, 1.5, 0.08, 0.1])
-        jac = fn(z)[1]()
+        jac = np.asarray(fn(z)[1]())
         fd = np.empty_like(jac)
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fd[:, j] = (fn(z + e)[0] - fn(z - e)[0]) / (2 * h)
+            fd[:, j] = (np.asarray(fn(z + e)[0]) - np.asarray(fn(z - e)[0])) / (2 * h)
         assert np.max(np.abs(jac - fd)) < 1e-8
 
 
@@ -92,7 +92,7 @@ def test_engine_evaluates_each_point_once(monkeypatch):
 
     def recorded(z):
         f, jac = hopf(z)
-        call = [z.tobytes(), 0]
+        call = [tuple(z), 0]
         calls.append(call)
 
         def counted():
@@ -105,9 +105,41 @@ def test_engine_evaluates_each_point_once(monkeypatch):
     run = continue_curve("hopf", hopf_seed(0.03), detect_events=False)
     assert len(run.points) > 10
     keys = [key for key, _ in calls]
-    assert keys[0] == hopf_seed(0.03).tobytes()
+    assert keys[0] == tuple(hopf_seed(0.03))
     assert all(a != b for a, b in zip(keys, keys[1:]))
     assert all(n <= 1 for _, n in calls)
+
+
+def test_solve_matches_numpy():
+    # the engine's Gaussian elimination against LAPACK on random
+    # well-conditioned systems of both sizes it meets: [jac; t] is 3 x 3 on
+    # the fold-of-cycles curve and 4 x 4 on the equilibrium curves
+    rng = np.random.default_rng(28)
+    for n in (3, 4):
+        for _ in range(200):
+            A = rng.uniform(-1, 1, (n, n)) + n * np.eye(n)
+            b = rng.uniform(-1, 1, n)
+            got = continuation._solve(tuple(map(tuple, A.tolist())), b.tolist())
+            want = np.linalg.solve(A, b)
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_zero_pivot_ends_the_correction():
+    # an exactly singular system gives None where np.linalg.solve raised
+    # LinAlgError, and the corrector then gives up on the step
+    singular = ((1.0, 2.0, 0.0), (3.0, 4.0, 0.0), (5.0, 6.0, 0.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array(singular), np.ones(3))
+    assert continuation._solve(singular, [1.0, 1.0, 1.0]) is None
+    assert continuation._solve(((1.0, 2.0), (2.0, 4.0)), [1.0, 0.0]) is None
+
+    def problem(z):
+        # residual (z0 - 1, z1 - 1), which nothing in z[2] changes
+        return (z[0] - 1.0, z[1] - 1.0), lambda: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+    engine = continuation._EQUILIBRIUM_ENGINE
+    assert engine.correct(problem, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]) is None
+    assert engine.correct(problem, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0])[0] == [1.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("flip_null_vector", [False, True])
@@ -228,6 +260,35 @@ def test_homoclinic_F_bits_on_each_backend():
             kernels._use_backend(name)
             got = [homoclinic_F(float(k)) for k in np.linspace(0.058, 0.0624, 8)]
             assert got == HOMOCLINIC_AT_CRITERION_8, name
+    finally:
+        kernels._use_backend(backend)
+
+
+# The cycles benchmark's two 3-point fold-of-cycles runs, (k, F, radius) of
+# each point, from lpc_seed_from_region3 at k = 0.034 just below the Hopf
+# curve.  The residual's g' is a round-off-limited finite difference, so a
+# last-bit change of the engine or of the section frame shows here.
+LPC_BENCHMARK_RUNS = {
+    1.0: [(0.0342026988205836, 0.011092488149016679, 0.021450362444284738),
+          (0.03417871045858863, 0.011076977038697955, 0.021648312226973186),
+          (0.03415422932194772, 0.011061159638860691, 0.02184617783175122)],
+    -1.0: [(0.0342026988205836, 0.011092488149016679, 0.021450362444284738),
+           (0.034226206958673344, 0.011107700356437098, 0.02125233217156109),
+           (0.034258329682085226, 0.011128505681199418, 0.020974959484130667)],
+}
+
+
+def test_lpc_curve_bits_on_each_backend():
+    backend = kernels.get_backend()
+    try:
+        for name in kernels.available_backends():
+            kernels._use_backend(name)
+            seed = lpc_seed_from_region3(Params(0.034, float(hopf_F(0.034)) - 2e-6))
+            for direction, want in LPC_BENCHMARK_RUNS.items():
+                run = lpc_curve(seed, max_points=3, k_bounds=(5e-3, 9 / 256 - 5e-5),
+                                direction=direction)
+                got = [(p.params.k, p.params.F, p.aux["radius"]) for p in run.points]
+                assert got == want, (name, direction)
     finally:
         kernels._use_backend(backend)
 

@@ -120,7 +120,7 @@ def test_equilibrium_curve_jacobians_from_sympy():
         R = sp.Matrix([f[0], f[1], last])
         res, jac = problem(np.array(z, dtype=object))
         assert (sp.Matrix(list(res)) - R).applyfunc(sp.expand) == sp.zeros(3, 1)
-        assert ((sp.Matrix(jac().tolist()) - R.jacobian(z)).applyfunc(sp.expand)
+        assert ((sp.Matrix(jac()) - R.jacobian(z)).applyfunc(sp.expand)
                 == sp.zeros(3, 4))
     # newton_bt's residual (k(u, v) - v^2, 1 - 2u) on the focus-branch graph
     u, v = z[:2]
