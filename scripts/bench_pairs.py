@@ -16,13 +16,14 @@ interpreter in the same copy, with GSKIT_THREADS=1, runs
 `acceptance.run_battery()` three times, each from an empty fold-of-cycles
 bracket cache (criteria 6 and 7 share it within one battery), and takes
 each criterion's median `elapsed` over the three (a criterion of tens of
-milliseconds is read above the VM's drift only that way), then times one 200x200 `mapping.region_map`
-over criterion 10's window.  The output records, per workload and
-end-to-end metric, per criterion and for the map, each side's run values
-with their median and quartiles and the number of pairs in which the
-change's value is better, together with the operations attempted and
-failed, the criteria each of the three batteries passed, the kernel backend
-each side ran on and the number of cores.  After the pairs, the Tier-1 command
+milliseconds is read above the VM's drift only that way), then times one
+200x200 `mapping.region_map` over criterion 10's window.  The output
+records, per workload and end-to-end metric, per criterion and for the
+map, each side's run values with their median and quartiles and the number
+of pairs in which the change's value is better, together with the
+operations attempted and failed, the criteria each of the three batteries
+passed, the kernel backend each side ran on and the number of cores.
+After the pairs, the Tier-1 command
 (`python -m pytest -q --continue-on-collection-errors` with src on
 PYTHONPATH) runs once in each copy, the base first; its wall time and its
 passed, failed, skipped and error counts go under `tier1`.
@@ -221,8 +222,9 @@ def main():
                                "the same tree with GSKIT_THREADS=1 runs "
                                f"acceptance.run_battery() {BATTERIES} times, "
                                "each after clearing the bracket cache that "
-                               "criteria 6 and 7 share (criteria: each criterion's median elapsed "
-                               f"over the {BATTERIES} batteries, s; "
+                               "criteria 6 and 7 share (criteria: each "
+                               "criterion's median elapsed over the "
+                               f"{BATTERIES} batteries, s; "
                                "criteria_passed: the criteria each battery "
                                "passed) and then times one 200x200 "
                                "mapping.region_map over (1e-9, 0.07)^2 "
