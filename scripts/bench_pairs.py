@@ -12,18 +12,14 @@ run's peak RSS read up to 0.25 MB higher than from an export of the same
 code).  For each seed 1..N, `perfbench/run.py --workload all --trace 0`
 runs for BENCHMARK.json's `run_seconds` once in each copy, the base first
 on even seeds and second on odd ones.  After each of those runs, one more
-interpreter in the same copy, with GSKIT_THREADS=1, runs
-`acceptance.run_battery()` three times, each from an empty fold-of-cycles
-bracket cache (criteria 6 and 7 share it within one battery), and takes
-each criterion's median `elapsed` over the three (a criterion of tens of
-milliseconds is read above the VM's drift only that way), then times one
-200x200 `mapping.region_map` over criterion 10's window.  The output
-records, per workload and end-to-end metric, per criterion and for the
-map, each side's run values with their median and quartiles and the number
-of pairs in which the change's value is better, together with the
-operations attempted and failed, the criteria each of the three batteries
-passed, the kernel backend each side ran on and the number of cores.
-After the pairs, the Tier-1 command
+interpreter in the same copy, with GSKIT_THREADS=1, times each criterion of
+one `acceptance.run_battery()` (its `elapsed`) and one 200x200
+`mapping.region_map` over criterion 10's window.  The output records, per
+workload and end-to-end metric, per criterion and for the map, each side's
+run values with their median and quartiles and the number of pairs in
+which the change's value is better, together with the operations attempted
+and failed, the criteria each battery passed, the kernel backend each side
+ran on and the number of cores.  After the pairs, the Tier-1 command
 (`python -m pytest -q --continue-on-collection-errors` with src on
 PYTHONPATH) runs once in each copy, the base first; its wall time and its
 passed, failed, skipped and error counts go under `tier1`.
@@ -77,31 +73,22 @@ def command(seed) -> list:
             "--seconds", f"{BENCHMARK['run_seconds']:g}", "--trace", "0"]
 
 
-# three batteries (each criterion's median elapsed) and one 200x200 map,
-# timed in the interpreter that runs them
-BATTERIES = 3
-BATTERY_AND_MAP = f"""\
-import json, statistics, time
+# one battery and one 200x200 map, timed in the interpreter that runs them
+BATTERY_AND_MAP = """\
+import json, time
 from gskit import acceptance, mapping
-batteries = []
-for _ in range({BATTERIES}):
-    acceptance._lpc_bracket.cache_clear()
-    batteries.append(acceptance.run_battery())
+results = acceptance.run_battery()
 t0 = time.perf_counter()
 mapping.region_map((1e-9, 0.07), (1e-9, 0.07), 200, 200)
-map_s = time.perf_counter() - t0
-print(json.dumps({{
-    "criteria": {{str(r.number): statistics.median(b[i].elapsed for b in batteries)
-                  for i, r in enumerate(batteries[0])}},
-    "passed": [sum(r.passed for r in b) for b in batteries],
-    "map_s": map_s}}))
+print(json.dumps({"criteria": {str(r.number): r.elapsed for r in results},
+                  "passed": sum(r.passed for r in results),
+                  "map_s": time.perf_counter() - t0}))
 """
 
 
 def run_once(tree: Path, seed: int) -> dict:
     """Metrics, operations and backends of one perfbench run in tree, and
-    the median criterion times of three batteries and the time of one
-    200x200 map there."""
+    the times of one battery and one 200x200 map there."""
     proc = subprocess.run(
         [sys.executable, *command(seed)],
         cwd=tree, capture_output=True, text=True)
@@ -220,14 +207,9 @@ def main():
             "change_won": "pairs in which the change's value is better",
             "battery_and_map": "after each perfbench run, one interpreter in "
                                "the same tree with GSKIT_THREADS=1 runs "
-                               f"acceptance.run_battery() {BATTERIES} times, "
-                               "each after clearing the bracket cache that "
-                               "criteria 6 and 7 share (criteria: each "
-                               "criterion's median elapsed over the "
-                               f"{BATTERIES} batteries, s; "
-                               "criteria_passed: the criteria each battery "
-                               "passed) and then times one 200x200 "
-                               "mapping.region_map over (1e-9, 0.07)^2 "
+                               "acceptance.run_battery() (criteria: each "
+                               "criterion's elapsed, s) and then times one "
+                               "200x200 mapping.region_map over (1e-9, 0.07)^2 "
                                "(map_200x200, s)",
             "tier1": "after the pairs, one run of python "
                      + " ".join(TIER1) + " in each tree, the parent first, "

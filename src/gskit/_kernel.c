@@ -26,7 +26,8 @@
  * and a field id that gskit.kernels has checked: fid is FIELD_PLANE or
  * FIELD_CHART_V.  The one C-only return is BUFFER_FULL.
  *
- * It must be built with -ffp-contract=off (no fused multiply-add) and
+ * It must be built with -ffp-contract=off (no fused multiply-add but the
+ * fma() calls of gs_solve, which _pure.solve rounds alike) and
  * -fno-builtin (gcc would otherwise turn pow(a, 2) into a * a, which can
  * differ from libm's pow in the last bit).  gskit.kernels compiles it with
  * those flags on first import and calls it through ctypes; it uses no
@@ -763,4 +764,59 @@ int gs_probe_cell(double k, double F)
     if (kind == KIND_ESCAPE)
         return 4;
     return CELL_X;
+}
+
+/* _pure.solve: x with M x = y, M n x n with its rows flattened into m; m
+ * and y are overwritten, with the factors and with x.  Returns 1 where
+ * _pure.solve returns None (a zero pivot, factors or x not finite), else
+ * 0.  fma() stands where _pure.solve calls _fms, which rounds as it does. */
+int gs_solve(int n, double *m, double *y)
+{
+    int i, j, k, p, r;
+    double s, q;
+    for (j = 0; j < n; j++) {
+        for (r = 1; r < n; r++) {
+            int kmax = r < j ? r : j;
+            if (kmax) {
+                s = m[r * n] * m[j];
+                for (k = 1; k < kmax; k++)
+                    s = fma(m[r * n + k], m[k * n + j], s);
+                m[r * n + j] -= s;
+            }
+        }
+        p = j;
+        for (r = j + 1; r < n; r++)
+            if (fabs(m[r * n + j]) > fabs(m[p * n + j]))
+                p = r;
+        if (m[p * n + j] == 0)
+            return 1;
+        if (p != j) {
+            for (k = 0; k < n; k++) {
+                s = m[j * n + k];
+                m[j * n + k] = m[p * n + k];
+                m[p * n + k] = s;
+            }
+            s = y[j];
+            y[j] = y[p];
+            y[p] = s;
+        }
+        q = 1.0 / m[j * n + j];
+        for (r = j + 1; r < n; r++)
+            m[r * n + j] *= q;
+    }
+    for (i = 0; i < n; i++)
+        for (k = i + 1; k < n; k++)
+            y[k] = fma(-y[i], m[k * n + i], y[k]);
+    for (i = n - 1; i >= 0; i--) {
+        y[i] /= m[i * n + i];
+        for (k = 0; k < i; k++)
+            y[k] = fma(-y[i], m[k * n + i], y[k]);
+    }
+    for (i = 0; i < n * n; i++)
+        if (!isfinite(m[i]))
+            return 1;
+    for (i = 0; i < n; i++)
+        if (!isfinite(y[i]))
+            return 1;
+    return 0;
 }

@@ -11,7 +11,8 @@ time; ray_crossings and monodromy integrate the plane field, the latter
 forward only, as does integrate.  probe_cell is the whole parameter-plane
 map cell in one call: the section ray at (k, F) in closed form, one or two
 ray_crossings probes from it, and the decision tree that reads their
-radii, returning a label code (below).
+radii, returning a label code (below).  solve is the Newton step of the
+continuation engine, an LU solve rounded as OpenBLAS's dgesv rounds it.
 gskit/_kernel.c is their C twin, statement for statement, and returns the
 same bits; gskit.kernels selects these only when that twin could not be
 built or loaded (or GSKIT_BACKEND=pure), and calls them with arguments
@@ -658,3 +659,76 @@ def probe_cell(k, F):
     if kind == "escape":
         return 4
     return CELL_X
+
+
+# ---------------------------------------------------------------------------
+# solve: the Newton step of gskit.continuation's pseudo-arclength engine
+# ---------------------------------------------------------------------------
+
+_SPLIT = 134217729.0    # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _fms(c, a, b):
+    """c - a*b rounded once, as C's fma(-a, b, c): Dekker's exact product
+    p + e of a and b, summed with c by the correctly rounded fsum.  Exact
+    while |a|, |b| < 2**995 and no partial product underflows."""
+    p = a * b
+    x = _SPLIT * a
+    ah = x - (x - a)
+    x = _SPLIT * b
+    bh = x - (x - b)
+    al = a - ah
+    bl = b - bh
+    return math.fsum((c, -p, p - ah * bh - ah * bl - al * bh - al * bl))
+
+
+def solve(m, y):
+    """x with M x = y, or None at a zero pivot or when the factors or x are
+    not finite.  M is n x n, its rows flattened into m; m and y are
+    overwritten, with the factors and with x.
+
+    LU with partial pivoting in the order and rounding of OpenBLAS's dgesv
+    for one right-hand side, which np.linalg.solve calls: column j is
+    finished left-looking, each entry less the dot product of its row's
+    part of L with the column above it, summed in fused multiply-adds;
+    the pivot is the first entry of largest magnitude, and the column
+    below it is scaled by the pivot's reciprocal; the substitutions update
+    in fused multiply-adds and divide by the diagonal.  A pivot swaps whole
+    rows, which gives each later column the swaps LAPACK applies to it.
+    Where OpenBLAS's kernels fuse (x86-64 with FMA), x has the bits of
+    np.linalg.solve, with which the engine's pinned curves were recorded."""
+    n = len(y)
+    try:
+        for j in range(n):
+            for r in range(1, n):
+                kmax = min(r, j)
+                if kmax:
+                    s = m[r * n] * m[j]
+                    for k in range(1, kmax):
+                        s = _fms(s, -m[r * n + k], m[k * n + j])
+                    m[r * n + j] -= s
+            p = j
+            for r in range(j + 1, n):
+                if abs(m[r * n + j]) > abs(m[p * n + j]):
+                    p = r
+            if m[p * n + j] == 0:
+                return None
+            if p != j:
+                rj, rp = slice(j * n, j * n + n), slice(p * n, p * n + n)
+                m[rj], m[rp] = m[rp], m[rj]
+                y[j], y[p] = y[p], y[j]
+            q = 1.0 / m[j * n + j]
+            for r in range(j + 1, n):
+                m[r * n + j] *= q
+        for i in range(n):
+            for k in range(i + 1, n):
+                y[k] = _fms(y[k], y[i], m[k * n + i])
+        for i in range(n - 1, -1, -1):
+            y[i] /= m[i * n + i]
+            for k in range(i):
+                y[k] = _fms(y[k], y[i], m[k * n + i])
+    except (OverflowError, ValueError):     # fsum met inf - inf or overflowed
+        return None
+    if not (all(map(math.isfinite, m)) and all(map(math.isfinite, y))):
+        return None
+    return list(y)

@@ -7,9 +7,10 @@ Newton corrector orthogonal to the tangent on the closed-form Jacobian,
 adaptive step control, and test functions located by on-curve bisection
 that ends at the secant root of the last bracket (determinant -> double-zero
 point, first Lyapunov coefficient -> generalized Hopf).  The engine runs
-on Python floats and keeps two numpy calls whose bits pinned outputs read:
-the SVD null vector of the first two tangents (the LPC runs) and the norm
-of the secant tangent (the CLI's curve CSVs).
+on Python floats; its Newton step, kernels.solve, rounds as LAPACK's dgesv
+does, and numpy keeps the SVD null vector of the first two tangents and
+the secant tangent's norm: the LPC runs, criterion 7's curve and the CLI's
+curve CSVs pin the bits they had with numpy.
 
 Cycles are continued through their Poincare return map: a fold of cycles is
 the pair {displacement = 0, radial derivative = 0} in (radius, k, F).  The
@@ -78,41 +79,17 @@ def _fd_jacobian(res, z, f0, eps):
     return tuple(zip(*cols))
 
 
-def _solve(rows, b):
-    """x with rows x = b by Gaussian elimination with partial pivoting, or
-    None at a zero pivot."""
-    m = [[*row, bi] for row, bi in zip(rows, b)]
-    n = len(m)
-    for c in range(n):
-        col = [abs(row[c]) for row in m[c:]]
-        p = c + col.index(max(col))
-        pivot = m[p]
-        d = pivot[c]
-        if d == 0:
-            return None
-        m[c], m[p] = pivot, m[c]
-        for row in m[c + 1:]:
-            q = row[c] / d
-            for j in range(c + 1, n + 1):
-                row[j] -= q * pivot[j]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        s = m[i][n]
-        for j in range(i + 1, n):
-            s -= m[i][j] * x[j]
-        x[i] = s / m[i][i]
-    return x
-
-
 def _tangent(jac, prev=None):
-    t = np.linalg.svd(jac)[2][-1]
+    _, _, vt = np.linalg.svd(jac)
+    t = vt[-1]
     if prev is not None and float(t @ prev) < 0:
         t = -t
     return (t / np.linalg.norm(t)).tolist()
 
 
 def _secant(za, zb):
-    # numpy's norm: no Python sum order gives its BLAS dot product's bits
+    # numpy's norm: its BLAS dot product fuses multiply-adds, and the CLI's
+    # curve CSVs pin the tangents it gives
     d = [b - a for a, b in zip(za, zb)]
     n = float(np.linalg.norm(d))
     return [x / n for x in d]
@@ -127,10 +104,11 @@ class _Engine:
     correction of at most 3 iterations.  direction=+1 starts the curve the
     way coordinate z[rising] increases.
 
-    It runs on Python floats.  numpy keeps the SVD null vector of the first
-    two tangents and the secant tangent's norm: the LPC runs (a round-off-
-    limited g', see dynamics.section_frame) and the CLI's curve CSVs pin
-    their bits."""
+    It runs on Python floats with kernels.solve, numpy's SVD tangent and
+    numpy's secant norm, which give the bits the pinned curves had with
+    numpy (module docstring).  The LPC residual's g' is round-off limited
+    (see dynamics.section_frame): one ulp in a Newton step can change which
+    steps an LPC run accepts."""
 
     ds0: float
     ds_max: float
@@ -147,34 +125,41 @@ class _Engine:
         for it in range(8):
             f, jac = known or problem(z)
             known = None
-            last = sum(ti * (zi - pi) for ti, zi, pi in zip(t, z, z_pred))
+            last = math.fsum(ti * (zi - pi) for ti, zi, pi in zip(t, z, z_pred))
             if max(map(abs, f)) < self.corrector_tol and abs(last) < 1e-12:
                 return z, it, jac
-            dz = _solve((*jac(), t), [*f, last])
+            dz = kernels.solve([x for row in (*jac(), t) for x in row], [*f, last])
             if dz is None:
                 return None
             z = [zi - di for zi, di in zip(z, dz)]
             if not all(map(math.isfinite, z)):
                 return None
         f, jac = problem(z)
-        return (z, 8, jac) if max(map(abs, f)) < self.corrector_tol else None
+        if max(map(abs, f)) < self.corrector_tol:
+            return z, 8, jac
+        return None
 
     def bisect_event(self, problem, fn, za, fa, zb, fb):
-        """Refine a sign change of the test function fn between on-curve points
-        za, zb (values fa, fb) until their (k, F) agree to 1e-9 (at most 80
-        halvings).  The event is the secant root of the last bracket."""
+        """Refine a sign change of the test function fn between on-curve
+        points za, zb (values fa, fb) until their (k, F) coordinates agree
+        to 1e-9 (at most 80 halvings).  The event is the secant root of the
+        last bracket."""
         for _ in range(80):
-            if max(abs(za[i] - zb[i]) for i in (2, 3)) < 1e-9:
+            gap = max(abs(za[i] - zb[i]) for i in (2, 3))
+            if gap < 1e-9:
                 break
             zm_pred = [0.5 * (a + b) for a, b in zip(za, zb)]
             sol = self.correct(problem, zm_pred, _secant(za, zb))
-            fm = None if sol is None else fn(sol[0])
+            if sol is None:
+                break
+            zm = sol[0]
+            fm = fn(zm)
             if fm is None or not math.isfinite(fm):
                 break
             if (fa < 0) == (fm < 0):
-                za, fa = sol[0], fm
+                za, fa = zm, fm
             else:
-                zb, fb = sol[0], fm
+                zb, fb = zm, fm
         s = fa / (fa - fb)
         return [a + s * (b - a) for a, b in zip(za, zb)]
 
@@ -192,22 +177,29 @@ class _Engine:
             raise SeedInvalid(f"seed failed to correct for {kind}")
         z, _, jac = sol
         t = _tangent(jac())
-        t = [x * (direction if t[self.rising] >= 0 else -direction) for x in t]
+        if t[self.rising] < 0:
+            t = [-x for x in t]
+        t = [x * direction for x in t]
         points = [make_point(z, t, 0.0)]
         events = []
         ds = self.ds0
         tests = {name: fn(z) for name, fn, _terminal in test_functions}
         status = "max_points"
         while len(points) < self.max_points:
-            while (sol := self.correct(
-                    problem, [zi + ds * ti for zi, ti in zip(z, t)], t)) is None:
+            accepted = None
+            while True:
+                z_pred = [zi + ds * ti for zi, ti in zip(z, t)]
+                sol = self.correct(problem, z_pred, t)
+                if sol is not None:
+                    accepted = sol
+                    break
                 ds *= 0.4
                 if ds < 1e-10:
+                    status = "step_underflow"
                     break
-            if sol is None:
-                status = "step_underflow"
+            if accepted is None:
                 break
-            z_new, iters, jac_new = sol
+            z_new, iters, jac_new = accepted
             # leave the domain before looking for events: the fold's trace
             # vanishes where the curve meets the origin k = F = 0, and an
             # event located there has no valid Params
@@ -215,6 +207,7 @@ class _Engine:
                 status = "domain_exit"
                 break
             # test functions: bisect sign changes before committing
+            stop = False
             for name, fn, terminal in test_functions:
                 old = tests.get(name)
                 new = fn(z_new)
@@ -226,16 +219,21 @@ class _Engine:
                     events.append(CurveEvent(name=name, params=pt.params))
                     if terminal:
                         points.append(pt)
-                        status = "event"
+                        stop = True
                 tests[name] = new
-            if status == "event":
+            if stop:
+                status = "event"
                 break
-            t_new = (_secant(z, z_new) if len(points) >= 2
-                     else _tangent(jac_new(), prev=t))
+            if len(points) >= 2:
+                t_new = _secant(z, z_new)
+            else:
+                t_new = _tangent(jac_new(), prev=t)
             points.append(make_point(z_new, t_new, ds))
             z, t = z_new, t_new
             if iters <= 3:
                 ds = min(ds * 1.4, self.ds_max)
+        else:
+            status = "max_points"
         return CurveResult(kind=kind, points=points, events=events, status=status)
 
 
@@ -278,7 +276,8 @@ def hopf_seed(k0: float) -> np.ndarray:
 def fold_seed(k0: float, branch: str = "lower") -> np.ndarray:
     up, lo = saddle_node_F(k0)
     F0 = float(up if branch == "upper" else lo)
-    g = float(Params(k0, F0).gamma)
+    a = Params(k0, F0)
+    g = float(a.gamma)
     return np.array([0.5, 1.0 / (2.0 * g), float(k0), F0])
 
 
@@ -316,13 +315,13 @@ def continue_curve(kind: str, seed, *, direction: float = 1.0,
     if kind == "fold":
         tests = [("bt_trace", _trace_test, True)] if detect_events else []
         return _EQUILIBRIUM_ENGINE.run(
-            "fold", _fold_problem, seed, _equilibrium_point, tests,
+            "fold", _fold_problem, np.asarray(seed, float), _equilibrium_point, tests,
             lambda z: z[2] > 1e-4 and z[3] > 1e-6 and z[1] > 0, direction)
     if kind == "hopf":
         tests = ([("bt_det", _det_test, True), ("gh_l1", _l1_test, False)]
                  if detect_events else [])
         return _EQUILIBRIUM_ENGINE.run(
-            "hopf", _hopf_problem, seed, _equilibrium_point, tests,
+            "hopf", _hopf_problem, np.asarray(seed, float), _equilibrium_point, tests,
             lambda z: z[2] > 1e-4 and z[3] > 1e-7, direction)
     raise ValueError(f"unknown curve kind {kind!r}")
 
@@ -342,15 +341,18 @@ def _lpc_problem():
 
     def res(z):
         r, k, F = z
-        a = Params(k, F)
-        key = (round(k, 14), round(F, 14))
-        if key not in cache:
-            cache[key] = dynamics.section_frame(a)
-        frame = cache[key]
+        a = Params(float(k), float(F))
+        key = (round(float(k), 14), round(float(F), 14))
+        frame = cache.get(key)
+        if frame is None:
+            frame = dynamics.section_frame(a)
+            cache[key] = frame
         def g(rr):
             return dynamics.return_map(a, rr, frame, _CYCLE_CURVE_SETTINGS)[0] - rr
         dr = 1e-6 * max(abs(r), 1e-3)
-        return g(r), (g(r + dr) - g(r - dr)) / (2 * dr)
+        g0 = g(r)
+        gp = (g(r + dr) - g(r - dr)) / (2 * dr)
+        return g0, gp
 
     def problem(z):
         f = res(z)
@@ -420,12 +422,16 @@ def lpc_curve(seed, *, max_points: int = 120, k_bounds: tuple = (5e-3, 9 / 256),
 
     def make_point(z, t, ds):
         r, k, F = z
-        return CurvePoint(params=Params(k, F), aux={"radius": r},
-                          tangent=tuple(t), arc_step=float(ds))
+        return CurvePoint(params=Params(float(k), float(F)),
+                          aux={"radius": float(r)},
+                          tangent=tuple(float(x) for x in t),
+                          arc_step=float(ds))
 
-    return engine.run("lpc", _lpc_problem(), seed, make_point, [],
-                      lambda z: (z[0] > 1e-7 and z[2] > 1e-7
-                                 and k_bounds[0] < z[1] < k_bounds[1]), direction)
+    return engine.run("lpc", _lpc_problem(), np.asarray(seed, float),
+                      make_point, [],
+                      lambda z: (z[0] > 1e-7 and k_bounds[0] < z[1] < k_bounds[1]
+                                 and z[2] > 1e-7),
+                      direction=direction)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 pure-Python reference as fallback.
 
 gskit._pure holds the reference kernels (adaptive Dormand-Prince stepping,
-ray-crossing event location, variational propagation, and probe_cell, the
-whole parameter-plane map cell in one call) and documents the settings
+ray-crossing event location, variational propagation, probe_cell, the
+whole parameter-plane map cell in one call, and solve, the continuation
+engine's Newton step in LAPACK's rounding) and documents the settings
 they fix: no cap on the step size, the first-quadrant guard on
 the plane field in forward time, S_MIN and STEP_LIMIT.  _kernel.c, next to
 this file, mirrors them statement for statement in plain C99, so the two
@@ -37,6 +38,7 @@ import ctypes
 import hashlib
 import os
 import tempfile
+from array import array
 from pathlib import Path
 
 from . import _pure
@@ -46,8 +48,9 @@ from ._pure import (BOX_EXIT, CAPTURED, CELL_LABELS, FIELD_CHART_V,
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "gcc"
-# -ffp-contract=off: no fused multiply-add; -fno-builtin: pow(a, 2) stays a
-# libm call, as Python's a ** 2 is.  Both are needed for bit-identity.
+# -ffp-contract=off: no fused multiply-add but gs_solve's fma() calls;
+# -fno-builtin: pow(a, 2) stays a libm call, as Python's a ** 2 is.  Both
+# are needed for bit-identity.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 
 # the C-only return of _kernel.c, never the status of a finished call
@@ -151,6 +154,7 @@ class _CKernels:
                                      d, d, buf, count]),
             "gs_monodromy": (i, [d, d, d, d, d, d, d, buf]),
             "gs_probe_cell": (i, [d, d]),
+            "gs_solve": (i, [i, ctypes.c_void_p, ctypes.c_void_p]),
         }
 
     def __init__(self, lib: ctypes.CDLL):
@@ -202,6 +206,12 @@ class _CKernels:
     def probe_cell(self, k, F):
         return self._lib.gs_probe_cell(k, F)
 
+    def solve(self, m, y):
+        # m and y are arrays of doubles: the kernel works in their buffers
+        if self._lib.gs_solve(len(y), m.buffer_info()[0], y.buffer_info()[0]):
+            return None
+        return y.tolist()
+
 
 def _load():
     """(the C kernels, None), or (None, why they could not be built or
@@ -242,11 +252,12 @@ def _use_backend(name: str) -> None:
 
 
 # The kernel interface.  Each entry point converts its arguments once, here:
-# reals to float, counts and codes to int, flags to bool.  The pure kernels
-# then run in Python float arithmetic whatever the caller passed (a numpy
-# float64 would turn every stage, error norm and dense-output evaluation into
-# numpy scalar arithmetic), and the C kernels receive the C types their
-# signatures declare.
+# reals to float, counts and codes to int, flags to bool, solve's matrix and
+# vector to arrays of doubles.  The pure kernels then run in Python float
+# arithmetic whatever the caller passed (a numpy float64 would turn every
+# stage, error norm and dense-output evaluation into numpy scalar
+# arithmetic), and the C kernels receive the C types their signatures
+# declare.
 
 
 def _field_id(fid) -> int:
@@ -290,6 +301,16 @@ def probe_cell(k, F):
     """Label code of the map cell at positive k and F, CELL_LABELS[code]
     its map label; see gskit._pure.probe_cell."""
     return _impl.probe_cell(float(k), float(F))
+
+
+def solve(m, y):
+    """x with M x = y, M the n x n matrix whose rows m lists one after
+    another, or None at a zero pivot or where the elimination leaves the
+    finite floats; see gskit._pure.solve.  m and y are not changed."""
+    m, y = array("d", m), array("d", y)
+    if len(m) != len(y) * len(y):
+        raise ValueError(f"{len(m)} matrix entries for {len(y)} unknowns")
+    return _impl.solve(m, y)
 
 
 def _field_eval(fid, sgn, x, y, k, F):

@@ -113,6 +113,36 @@ def test_criterion_7_lpc_tangency(battery):
     _assert_criterion(battery[7])
 
 
+# The detail lines of criteria 5, 7 and 8 as the continuation engine gave
+# them with np.linalg.solve.  Criterion 7's fold-of-cycles run follows the
+# last bit of each Newton step (the residual's g' is a round-off-limited
+# difference), so a change of the engine's rounding shows there first.
+PINNED_DETAILS = {
+    5: {"hopf_vs_closed_form": "max err 4.60e-11 over 102 abscissae",
+        "fold_vs_closed_form": "max err 3.44e-10 over 144 abscissae",
+        "bt_detected": "err 5.92e-12",
+        "gh_detected": "err 6.44e-11"},
+    7: {"tangent_to_hopf_at_gh": "limit-tangent deviation 1.53e-05 rad (fit b=2.21e-05,"
+                                 " curvature c=-2.523, nearest k=0.03509893237572536)",
+        "census_changes_by_two": "2 cycles above T, 0 below"},
+    8: {"bisection_to_1e-8": "8 points, status ok",
+        "ordering_between_hopf_and_upper_fold":
+            "F_hopf < F_hom < F_sn_upper; k=0.0618: Fl=0.049733 Fh=0.052997"
+            " Fhom=0.054282 Fu=0.076725; k=0.0624: Fl=0.057600 Fh=0.058967"
+            " Fhom=0.059538 Fu=0.067600",
+        "no_loop_below_hopf": "splitting gap signs [1] over 7 heights in"
+                              " (F_sn_lower, F_hopf) at 8 values of k",
+        "fold_tangency_exponent": "log-log slope 1.817 of |k_hom(F)-k_sn(F)| vs |F-1/16|",
+        "literal_axis_exponent": "|F_hom(k)-F_sn_lower(k)| vs |k-1/16|: two-term fit"
+                                 " exponent 0.482 (plain log-log slope 0.368)"},
+}
+
+
+def test_continuation_detail_lines_are_pinned(battery):
+    got = {n: {c.name: c.detail for c in battery[n].checks} for n in PINNED_DETAILS}
+    assert got == PINNED_DETAILS
+
+
 def test_criterion_8_homoclinic_curve(battery):
     # the homoclinic curve lies between the Hopf curve and the upper fold
     # branch (repelling newborn cycles, s = +1) and the splitting gap keeps

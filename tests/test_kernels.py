@@ -30,7 +30,7 @@ def backend(request):
     kernels._use_backend(BACKENDS[0])
 
 
-# one call per entry point, every argument as a Python scalar
+# one call per entry point, every argument a Python scalar or a list of floats
 _CALLS = {
     "integrate": (0, 0.8, 0.2, 0.05, 0.025, 50.0, 1e-11, 1e-14, 10**7, True),
     "ray_crossings": (0.7, 0.2, 0.04, 0.02, 0.0, 0.25, 1.0, 0.0, 1, 4, 600.0,
@@ -38,6 +38,8 @@ _CALLS = {
     "monodromy": (0.55, 0.22, 0.03, 0.055, 7.0, 1e-12, 1e-14),
     "field_eval": (2, -1.0, 0.3, 0.4, 0.05, 0.02),
     "probe_cell": (0.06, 0.0465),
+    "solve": ([0.3, -1.2, 0.7, 2.0, 1.1, 0.4, -0.9, 0.25, 0.6, 0.8, 1.7, -0.3,
+               0.05, 0.9, -0.4, 1.3], [0.1, -0.2, 0.3, 1e-13]),
 }
 
 
@@ -467,6 +469,47 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# solve: the continuation engine's Newton step
+# ---------------------------------------------------------------------------
+
+def test_solve_has_the_bits_of_numpy(backend):
+    # random well-conditioned systems of the two sizes the engine meets
+    # ([jac; t] is 3 x 3 on the fold-of-cycles curve and 4 x 4 on the
+    # equilibrium curves), and badly scaled ones: the curves pinned in the
+    # tests and the benchmark reference were recorded with np.linalg.solve,
+    # whose OpenBLAS kernels fuse multiply-adds on x86-64
+    rng = np.random.default_rng(28)
+    for n in (3, 4):
+        for _ in range(200):
+            A = rng.uniform(-1, 1, (n, n)) + n * np.eye(n)
+            b = rng.uniform(-1, 1, n)
+            assert kernels.solve(A.ravel().tolist(), b.tolist()) == np.linalg.solve(A, b).tolist()
+        for _ in range(200):
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 3, (n, n))
+            b = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 0, n)
+            assert kernels.solve(A.ravel().tolist(), b.tolist()) == np.linalg.solve(A, b).tolist()
+
+
+def test_solve_gives_none_where_lapack_fails(backend):
+    # a zero pivot column, where np.linalg.solve raises LinAlgError
+    singular = [1.0, 2.0, 0.0, 3.0, 4.0, 0.0, 5.0, 6.0, 0.0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.reshape(singular, (3, 3)), np.ones(3))
+    assert kernels.solve(singular, [1.0, 1.0, 1.0]) is None
+    assert kernels.solve([1.0, 2.0, 2.0, 4.0], [1.0, 0.0]) is None
+    # factors or a solution that are not finite
+    assert kernels.solve([1.0, 0.0, 0.0, math.nan], [1.0, 1.0]) is None
+    assert kernels.solve([1.0, 0.0, 0.0, 1.0], [math.inf, 1.0]) is None
+    assert kernels.solve([1e-300, 0.0, 0.0, 1.0], [1e300, 1.0]) is None
+    # the arguments are left as they were
+    m, y = [2.0, 1.0, 1.0, 3.0], [1.0, 2.0]
+    assert kernels.solve(m, y) == np.linalg.solve(np.reshape(m, (2, 2)), y).tolist()
+    assert (m, y) == ([2.0, 1.0, 1.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="5 matrix entries for 2 unknowns"):
+        kernels.solve([1.0] * 5, [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
 # the kernel interface: argument conversion at the kernels boundary
 # ---------------------------------------------------------------------------
 
@@ -475,7 +518,8 @@ def test_settled_sequence_is_a_prefix(backend, monkeypatch):
 def _as_numpy(args):
     return tuple(np.float64(a) if type(a) is float else
                  np.int64(a) if type(a) is int else
-                 np.bool_(a) if type(a) is bool else a for a in args)
+                 np.bool_(a) if type(a) is bool else
+                 np.array(a) if type(a) is list else a for a in args)
 
 
 @pytest.mark.parametrize("name", sorted(_CALLS))
@@ -491,7 +535,7 @@ def test_pure_kernels_return_python_floats(name):
         result = _entry(name)(*_as_numpy(_CALLS[name]))
     finally:
         kernels._use_backend(BACKENDS[0])
-    if name == "field_eval":
+    if name in ("field_eval", "solve"):
         numbers = list(result)
     elif name == "probe_cell":
         assert type(result) is int and kernels.CELL_LABELS[result] == "2"
